@@ -6,8 +6,8 @@ node holding a backward closure. ``backward`` replays the tape in reverse,
 accumulating gradients additively across fan-out.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
-order, and scatter operations go through ``np.bincount`` (sequential,
-index-ordered), so repeated runs are bit-identical.
+order, and the window (stencil) kernels accumulate shifted slices in a fixed
+offset order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -595,67 +595,103 @@ def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# sparse graph kernels (edge lists; scatter via bincount for determinism)
+# window stencil kernels (shifted slices over the last two axes, fixed order)
 
-def _rowwise_scatter(idx: np.ndarray, contrib: np.ndarray, n: int) -> np.ndarray:
-    """Sum contrib[:, e] into column idx[e]; deterministic accumulation."""
-    out = np.empty((contrib.shape[0], n), dtype=np.float64)
-    for b in range(contrib.shape[0]):
-        out[b] = np.bincount(idx, weights=contrib[b], minlength=n)
-    return out
+def _span(n: int, d: int):
+    """Slices of i and of i + d over range(n), both kept inside it."""
+    lo = max(0, -d)
+    hi = max(lo, n - max(d, 0))
+    return slice(lo, hi), slice(lo + d, hi + d)
 
 
-def gather(x: Tensor, idx: np.ndarray) -> Tensor:
-    """1-d gather: out[e] = x[idx[e]]."""
-    if x.ndim != 1:
-        raise ShapeError(f"gather expects a 1-d tensor, got {x.shape}")
+def _window(shape, radius: int) -> list:
+    """(pixel i, neighbour i + o) index pairs over the last two axes of
+    ``shape`` for every window offset o, in row-major window order without
+    the centre; reversing the list negates the offsets. Pairs are empty where
+    the offset leaves the grid."""
+    pairs = []
+    for dr in range(-radius, radius + 1):
+        for dc in range(-radius, radius + 1):
+            if dr or dc:
+                (ri, rj), (ci, cj) = _span(shape[-2], dr), _span(shape[-1], dc)
+                pairs.append(((Ellipsis, ri, ci), (Ellipsis, rj, cj)))
+    return pairs
+
+
+def window_sqdist(x: Tensor, radius: int) -> Tensor:
+    """Squared distance to every window neighbour: (C, H, W) -> (n_off, H, W),
+    out[o, i] = |x[:, i] - x[:, i + o]|^2, zero where i + o is off the grid.
+    Offsets o and -o share distances, so half the window is computed and
+    mirrored; the backward pass recomputes differences from ``x``."""
+    if x.ndim != 3:
+        raise ShapeError(f"window_sqdist expects C x H x W, got {x.shape}")
+    window = _window(x.shape, radius)
+    last = len(window) - 1
+    out = np.zeros((len(window),) + x.shape[1:])
+    for o, (here, there) in enumerate(window[:len(window) // 2]):
+        d = x.data[here] - x.data[there]
+        out[o][here] = np.einsum("chw,chw->hw", d, d)
+        out[last - o][there] = out[o][here]
 
     def bwd(g):
-        _accumulate(x, np.bincount(idx, weights=g, minlength=x.shape[0]))
+        gx = np.zeros_like(x.data)
+        for o, (here, there) in enumerate(window[:len(window) // 2]):
+            d = x.data[here] - x.data[there]
+            d *= 2.0 * (g[o][here] + g[last - o][there])
+            gx[here] += d
+            gx[there] -= d
+        _accumulate(x, gx)
 
-    return _record("gather", (x,), x.data[idx].copy(), bwd)
+    return _record("window_sqdist", (x,), out, bwd)
 
 
-def gather_cols(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Column gather: out[:, e] = x[:, idx[e]]."""
+def neighbour_shift(x: Tensor, radius: int) -> Tensor:
+    """Every pixel's window neighbours: (H, W) -> (n_off, H, W),
+    out[o, i] = x[i + o], zero where i + o is off the grid."""
     if x.ndim != 2:
-        raise ShapeError(f"gather_cols expects a 2-d tensor, got {x.shape}")
+        raise ShapeError(f"neighbour_shift expects H x W, got {x.shape}")
+    window = _window(x.shape, radius)
+    out = np.zeros((len(window),) + x.shape)
+    for o, (here, there) in enumerate(window):
+        out[o][here] = x.data[there]
 
     def bwd(g):
-        _accumulate(x, _rowwise_scatter(idx, g, x.shape[1]))
+        gx = np.zeros_like(x.data)
+        for o, (here, there) in enumerate(window):
+            gx[there] += g[o][here]
+        _accumulate(x, gx)
 
-    return _record("gather_cols", (x,), x.data[:, idx].copy(), bwd)
-
-
-def segment_sum(values: Tensor, segments: np.ndarray, n: int) -> Tensor:
-    """out[s] = sum of values[e] with segments[e] == s."""
-    if values.ndim != 1:
-        raise ShapeError(f"segment_sum expects 1-d values, got {values.shape}")
-    out = np.bincount(segments, weights=values.data, minlength=n)
-
-    def bwd(g):
-        _accumulate(values, g[segments])
-
-    return _record("segment_sum", (values,), out, bwd)
+    return _record("neighbour_shift", (x,), out, bwd)
 
 
-def edge_matvec(values: Tensor, z: Tensor, rows: np.ndarray, cols: np.ndarray,
-                n: int) -> Tensor:
-    """Sparse right-multiplication out = z @ A where A[rows[e], cols[e]] = values[e].
-
-    out[:, cols[e]] accumulates values[e] * z[:, rows[e]].
-    """
-    if z.ndim != 2:
-        raise ShapeError(f"edge_matvec expects 2-d z, got {z.shape}")
-    out = _rowwise_scatter(cols, values.data[None, :] * z.data[:, rows], n)
+def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Tensor:
+    """Window operator applied to every channel: (C, H, W) -> (C, H, W),
+    out[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o]."""
+    n_off = (2 * radius + 1) ** 2 - 1
+    if (loops.ndim != 2 or z.shape[1:] != loops.shape
+            or weights.shape != (n_off,) + loops.shape):
+        raise ShapeError(f"stencil_matvec: loops {loops.shape} and weights "
+                         f"{weights.shape} do not fit z {z.shape} at radius {radius}")
+    window = _window(z.shape, radius)
+    out = loops.data * z.data
+    for o, (here, there) in enumerate(window):
+        out[here] += weights.data[o][here] * z.data[there]
 
     def bwd(g):
-        _accumulate(values, np.sum(g[:, cols] * z.data[:, rows], axis=0))
+        if loops.requires_grad:
+            _accumulate(loops, np.einsum("chw,chw->hw", g, z.data))
+        if weights.requires_grad:
+            gw = np.zeros_like(weights.data)
+            for o, (here, there) in enumerate(window):
+                gw[o][here] = np.einsum("chw,chw->hw", g[here], z.data[there])
+            _accumulate(weights, gw)
         if z.requires_grad:
-            _accumulate(z, _rowwise_scatter(rows, values.data[None, :] * g[:, cols],
-                                            z.shape[1]))
+            gz = loops.data * g
+            for o, (here, there) in enumerate(window):
+                gz[there] += weights.data[o][here] * g[here]
+            _accumulate(z, gz)
 
-    return _record("edge_matvec", (values, z), out, bwd)
+    return _record("stencil_matvec", (loops, weights, z), out, bwd)
 
 
 # ---------------------------------------------------------------------------

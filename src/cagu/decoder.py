@@ -10,8 +10,6 @@ abundances per pixel.
 
 from __future__ import annotations
 
-import itertools
-import warnings
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -23,7 +21,6 @@ from .errors import NumericDomainError, ShapeError
 from .frontend import he_uniform
 
 NORM_GUARD = 1e-8            # added to angle denominators
-EXHAUSTIVE_ALIGN_LIMIT = 8   # beyond this, alignment falls back to greedy
 
 
 def trunk_schedule(fused_channels: int, n_endmembers: int
@@ -154,23 +151,42 @@ class UnmixResult:
 
 
 def _best_alignment(sad_table: np.ndarray) -> Tuple[int, ...]:
+    """Estimated column for each truth row with the least total SAD.
+
+    The Hungarian algorithm (Kuhn 1955) in its shortest-augmenting-path form
+    with row and column potentials, O(p^3): row i is added by growing a tree
+    of tight edges until it reaches a free column, then flipping the path.
+    Arrays are 1-based; column 0 is the virtual start of each search.
+    """
     p = sad_table.shape[0]
-    if p <= EXHAUSTIVE_ALIGN_LIMIT:
-        best, best_total = None, np.inf
-        for perm in itertools.permutations(range(p)):
-            total = float(sum(sad_table[k, perm[k]] for k in range(p)))
-            if total < best_total:
-                best, best_total = perm, total
-        return best
-    warnings.warn(
-        f"{p} endmembers exceeds the exhaustive alignment limit "
-        f"({EXHAUSTIVE_ALIGN_LIMIT}); using greedy matching", RuntimeWarning)
-    remaining = list(range(p))
-    perm = []
-    for k in range(p):
-        j = min(remaining, key=lambda c: sad_table[k, c])
-        perm.append(j)
-        remaining.remove(j)
+    u = np.zeros(p + 1)                  # row potentials
+    v = np.zeros(p + 1)                  # column potentials
+    row_of = np.zeros(p + 1, dtype=int)  # row matched to each column, 0 = free
+    way = np.zeros(p + 1, dtype=int)     # previous column on the path
+    for i in range(1, p + 1):
+        row_of[0] = i
+        j0 = 0
+        slack = np.full(p + 1, np.inf)
+        used = np.zeros(p + 1, dtype=bool)
+        while row_of[j0]:
+            used[j0] = True
+            i0 = row_of[j0]
+            reduced = np.concatenate(([np.inf], sad_table[i0 - 1] - u[i0] - v[1:]))
+            tighter = ~used & (reduced < slack)
+            slack[tighter] = reduced[tighter]
+            way[tighter] = j0
+            j1 = int(np.argmin(np.where(used, np.inf, slack)))
+            delta = slack[j1]
+            u[row_of[used]] += delta
+            v[used] -= delta
+            slack[~used] -= delta
+            j0 = j1
+        while j0:
+            row_of[j0] = row_of[way[j0]]
+            j0 = way[j0]
+    perm = [0] * p
+    for j in range(1, p + 1):
+        perm[row_of[j] - 1] = j - 1
     return tuple(perm)
 
 
@@ -180,7 +196,7 @@ def evaluate(est_endmembers: np.ndarray, est_abundances: np.ndarray,
     """Permutation-aligned SAD per endmember and abundance RMSE.
 
     The alignment minimizes total pairwise SAD between estimated and true
-    endmember columns (exhaustive for small counts) and reorders the
+    endmember columns (exact for any count) and reorders the
     abundance rows identically before computing the RMSE.
     """
     if est_endmembers.shape != gt_endmembers.shape:

@@ -39,3 +39,7 @@ class DegenerateSceneError(CaguError, RuntimeError):
 
 class NonFiniteLossError(CaguError, RuntimeError):
     """Training produced a non-finite loss; message names the first bad tensor."""
+
+
+class NonFiniteGradientError(CaguError, RuntimeError):
+    """A parameter group's gradient is not finite; message names the group."""

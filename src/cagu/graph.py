@@ -4,17 +4,18 @@ Edge weights combine a feature kernel exp(-|df|^2 / sigma_f) with a spatial
 kernel exp(-|dg|^2 / sigma_g^2) over a Chebyshev window of the given radius;
 the scales enter asymmetrically (sigma_f plain, sigma_g squared) and the
 ``square_sigma_f`` switch selects the symmetric variant. Self-loops are added
-and the adjacency is symmetrically normalized. Propagation right-multiplies the normalized
-adjacency K times and mixes the hop results with softmax weights, feeding a
-residual update x + beta * y. The graph is rebuilt from current features
-every forward pass, so gradients flow through the edge weights.
+and the adjacency is symmetrically normalized. Propagation applies the
+normalized adjacency K times and mixes the hop results with softmax weights,
+feeding a residual update x + beta * y. The graph is rebuilt from current
+features every forward pass, so gradients flow through the edge weights. The
+window is a fixed stencil on the pixel grid: the graph is one weight image
+per window offset, and every stage works on shifted slices.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Tuple
 
 import numpy as np
@@ -35,118 +36,90 @@ def grid_positions(height: int, width: int) -> np.ndarray:
     return np.stack([rows.ravel(), cols.ravel()]).astype(np.float64)
 
 
-@lru_cache(maxsize=32)
-def _grid_pairs(height: int, width: int, radius: int
-                ) -> Tuple[np.ndarray, np.ndarray]:
-    """Directed in-window pixel pairs (i != j) on a regular grid, ordered
-    row-major in i then window order in j."""
-    n = height * width
-    ids = np.arange(n).reshape(height, width)
-    rows_out, cols_out = [], []
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
-            if dr == 0 and dc == 0:
-                continue
-            src = ids[max(-dr, 0):height - max(dr, 0),
-                      max(-dc, 0):width - max(dc, 0)]
-            dst = ids[max(dr, 0):height + min(dr, 0),
-                      max(dc, 0):width + min(dc, 0)]
-            rows_out.append(src.ravel())
-            cols_out.append(dst.ravel())
-    rows = np.concatenate(rows_out)
-    cols = np.concatenate(cols_out)
-    order = np.lexsort((np.arange(rows.size), rows))  # stable row-major order
-    return rows[order].astype(np.int64), cols[order].astype(np.int64)
-
-
-_pair_cache: dict = {}
-
-
-def _position_pairs(positions: np.ndarray, radius: int
-                    ) -> Tuple[np.ndarray, np.ndarray]:
-    """Window pairs for arbitrary positions (cell hash on rounded coords).
-
-    Cached by position bytes: the grid is identical every forward pass, so
-    the structure is computed once per scene shape.
-    """
-    key = (positions.tobytes(), radius)
-    hit = _pair_cache.get(key)
-    if hit is not None:
-        return hit
-    n = positions.shape[1]
-    cells: dict = {}
-    keys = np.rint(positions).astype(np.int64)
-    for i in range(n):
-        cells.setdefault((keys[0, i], keys[1, i]), []).append(i)
-    rows_out, cols_out = [], []
-    for i in range(n):
-        r, c = keys[0, i], keys[1, i]
-        for dr in range(-radius, radius + 1):
-            for dc in range(-radius, radius + 1):
-                for j in cells.get((r + dr, c + dc), ()):
-                    if j != i:
-                        rows_out.append(i)
-                        cols_out.append(j)
-    pairs = (np.asarray(rows_out, dtype=np.int64),
-             np.asarray(cols_out, dtype=np.int64))
-    if len(_pair_cache) > 64:
-        _pair_cache.clear()
-    _pair_cache[key] = pairs
-    return pairs
+def _grid_shape(positions: np.ndarray, n: int) -> Tuple[int, int]:
+    """(height, width) of the row-major grid that ``positions`` must be."""
+    if positions.shape != (2, n):
+        raise ShapeError(
+            f"positions {positions.shape} do not match {n} pixels")
+    width = int(np.count_nonzero(positions[0] == 0.0))
+    if width < 1 or n % width or not np.array_equal(
+            positions, grid_positions(n // width, width)):
+        raise ShapeError("positions must be a full row-major pixel grid, "
+                         "as grid_positions(height, width) returns")
+    return n // width, width
 
 
 @dataclass
 class ContentGraph:
-    """Windowed pixel graph with normalized adjacency in edge-list form.
+    """Windowed pixel graph on a height x width grid, in stencil form.
 
-    ``edge_*``/``edge_weights`` hold the directed off-diagonal weights; the
-    ``adj_*`` arrays append one self-loop per node and carry the
-    symmetrically normalized values.
+    Offset o runs over the (2r+1)^2 - 1 window offsets in row-major window
+    order. ``weights[o]`` is an image holding, at pixel i, the raw weight of
+    the edge from i to its neighbour i + o; ``adjacency[o]`` holds the same
+    entries of D^-1/2 (A + I) D^-1/2 and ``loops`` its diagonal, 1 / degree.
+    ``neighbours[o]`` holds the flat index of i + o, or -1 where it falls off
+    the grid and both weight images are zero.
     """
 
-    n_nodes: int
+    height: int
+    width: int
     radius: int
-    sigma_f: float
-    sigma_g: float
-    edge_rows: np.ndarray
-    edge_cols: np.ndarray
-    edge_weights: Tensor
-    adj_rows: np.ndarray
-    adj_cols: np.ndarray
-    adj_values: Tensor
+    neighbours: np.ndarray  # (n_off, H, W) int64
+    weights: Tensor         # (n_off, H, W)
+    adjacency: Tensor       # (n_off, H, W)
+    loops: Tensor           # (H, W)
+
+    @property
+    def n_nodes(self) -> int:
+        return self.height * self.width
+
+    @property
+    def edge_rows(self) -> np.ndarray:
+        """Source pixel of every directed off-diagonal edge, offset-major."""
+        pixels = np.arange(self.n_nodes).reshape(self.height, self.width)
+        return np.broadcast_to(pixels, self.neighbours.shape)[self.neighbours >= 0]
+
+    def _dense(self, stencil: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+        valid = self.neighbours >= 0
+        a = np.diag(diagonal)
+        a[self.edge_rows, self.neighbours[valid]] = stencil[valid]
+        return a
+
+    def dense_weights(self) -> np.ndarray:
+        """Dense copy of the raw off-diagonal weights (tests, small scenes)."""
+        return self._dense(self.weights.data, np.zeros(self.n_nodes))
 
     def dense_adjacency(self) -> np.ndarray:
         """Dense copy of the normalized adjacency (tests, small scenes)."""
-        a = np.zeros((self.n_nodes, self.n_nodes))
-        np.add.at(a, (self.adj_rows, self.adj_cols), self.adj_values.data)
-        return a
+        return self._dense(self.adjacency.data, self.loops.data.ravel())
 
     def fingerprint(self) -> str:
         """Stable digest of structure and (rounded) normalized weights."""
         digest = hashlib.sha256()
-        digest.update(np.int64([self.n_nodes, self.radius]).tobytes())
-        digest.update(self.adj_rows.tobytes())
-        digest.update(self.adj_cols.tobytes())
-        digest.update(np.round(self.adj_values.data, 12).tobytes())
+        digest.update(np.int64([self.height, self.width, self.radius]).tobytes())
+        digest.update(np.round(self.adjacency.data, 12).tobytes())
+        digest.update(np.round(self.loops.data, 12).tobytes())
         return digest.hexdigest()[:16]
 
 
-def _normalize(n: int, rows: np.ndarray, cols: np.ndarray, weights: Tensor,
-               radius: int, sigma_f: float, sigma_g: float) -> ContentGraph:
+def _neighbour_index(height: int, width: int, radius: int) -> np.ndarray:
+    """Flat index of pixel i + o at [o, i]; -1 where it is off the grid."""
+    if radius < 1:
+        raise ConfigError(f"window radius must be at least 1, got {radius}")
+    ids = Tensor(np.arange(1.0, height * width + 1).reshape(height, width))
+    return ad.neighbour_shift(ids, radius).data.astype(np.int64) - 1
+
+
+def _normalize(neighbours: np.ndarray, weights: Tensor, radius: int
+               ) -> ContentGraph:
     """Add self-loops and apply D^-1/2 (A + I) D^-1/2."""
-    degree = ad.add(Tensor(np.ones(n)), ad.segment_sum(weights, rows, n))
-    inv_sqrt = ad.divide(Tensor(np.ones(n)), ad.sqrt(degree))
-    off_diag = ad.mul(weights, ad.mul(ad.gather(inv_sqrt, rows),
-                                      ad.gather(inv_sqrt, cols)))
-    loops = ad.mul(inv_sqrt, inv_sqrt)  # A_ii = 1 / degree_i
-    arange = np.arange(n, dtype=np.int64)
-    return ContentGraph(
-        n_nodes=n, radius=radius, sigma_f=sigma_f, sigma_g=sigma_g,
-        edge_rows=rows, edge_cols=cols, edge_weights=weights,
-        adj_rows=np.concatenate([rows, arange]),
-        adj_cols=np.concatenate([cols, arange]),
-        adj_values=ad.concat([off_diag, loops], axis=0),
-    )
+    _, height, width = neighbours.shape
+    degree = ad.add(Tensor(np.ones((height, width))), ad.sum(weights, axis=0))
+    inv_sqrt = ad.divide(Tensor(np.ones((height, width))), ad.sqrt(degree))
+    adjacency = ad.mul(weights, ad.mul(inv_sqrt,
+                                       ad.neighbour_shift(inv_sqrt, radius)))
+    return ContentGraph(height, width, radius, neighbours, weights, adjacency,
+                        loops=ad.mul(inv_sqrt, inv_sqrt))
 
 
 def build_graph(features: Tensor, positions: np.ndarray, radius: int,
@@ -154,47 +127,35 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
                 square_sigma_f: bool = False) -> ContentGraph:
     """Content-adaptive graph over pixels from transformer features.
 
-    ``features`` is (channels, N); ``positions`` is (2, N). Edge weights are
+    ``features`` is (channels, N); ``positions`` is (2, N) and must be the
+    row-major grid ``grid_positions(height, width)``. Edge weights are
     differentiable in the features. Set ``square_sigma_f`` to divide the
     feature distance by sigma_f^2 instead of sigma_f (symmetric variant).
     """
     if sigma_f <= 0 or sigma_g <= 0:
         raise ConfigError(f"kernel scales must be positive, got "
                           f"sigma_f={sigma_f}, sigma_g={sigma_g}")
-    if radius < 1:
-        raise ConfigError(f"window radius must be at least 1, got {radius}")
     if features.ndim != 2:
         raise ShapeError(f"features must be channels x N, got {features.shape}")
-    n = features.shape[1]
-    if positions.shape != (2, n):
-        raise ShapeError(
-            f"positions {positions.shape} do not match {n} pixels")
+    height, width = _grid_shape(positions, features.shape[1])
 
-    rows, cols = _position_pairs(positions, radius)
-    if rows.size:
-        diff = ad.sub(ad.gather_cols(features, rows),
-                      ad.gather_cols(features, cols))
-        dist2 = ad.sum(ad.square(diff), axis=0)
-        f_scale = sigma_f * sigma_f if square_sigma_f else sigma_f
-        feat_term = ad.exp(ad.scale(dist2, -1.0 / f_scale))
-        gdiff = positions[:, rows] - positions[:, cols]
-        gdist2 = np.sum(gdiff * gdiff, axis=0)
-        spatial_term = Tensor(np.exp(-gdist2 / (sigma_g * sigma_g)))
-        weights = ad.mul(feat_term, spatial_term)
-    else:
-        weights = Tensor(np.zeros(0))
-    return _normalize(n, rows, cols, weights, radius, sigma_f, sigma_g)
+    neighbours = _neighbour_index(height, width, radius)
+    gdist2 = ad.window_sqdist(Tensor(positions.reshape(2, height, width)), radius)
+    spatial_term = Tensor(np.exp(-gdist2.data / (sigma_g * sigma_g))
+                          * (neighbours >= 0))
+    fmap = ad.reshape(features, (features.shape[0], height, width))
+    f_scale = sigma_f * sigma_f if square_sigma_f else sigma_f
+    feat_term = ad.exp(ad.scale(ad.window_sqdist(fmap, radius), -1.0 / f_scale))
+    weights = ad.mul(feat_term, spatial_term)
+    return _normalize(neighbours, weights, radius)
 
 
 def build_static_grid_graph(height: int, width: int, radius: int
                             ) -> ContentGraph:
     """Feature-independent grid graph: every in-window weight fixed to 1."""
-    if radius < 1:
-        raise ConfigError(f"window radius must be at least 1, got {radius}")
-    rows, cols = _grid_pairs(height, width, radius)
-    sigma_f, sigma_g = default_sigmas(radius)
-    return _normalize(height * width, rows, cols, Tensor(np.ones(rows.size)),
-                      radius, sigma_f, sigma_g)
+    neighbours = _neighbour_index(height, width, radius)
+    return _normalize(neighbours, Tensor((neighbours >= 0).astype(np.float64)),
+                      radius)
 
 
 @dataclass
@@ -223,8 +184,7 @@ class GraphMixParams:
 
     def mix_weights(self) -> np.ndarray:
         """Current convex hop weights (numpy, for logging/invariants)."""
-        shifted = self.mix_logits.data - self.mix_logits.data.max()
-        e = np.exp(shifted)
+        e = np.exp(self.mix_logits.data - self.mix_logits.data.max())
         return e / e.sum()
 
     def named(self, prefix: str = "graph") -> dict:
@@ -236,7 +196,8 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
     """K-hop propagation with learned convex mixing and residual injection.
 
     z0 = proj @ x, z_t = z_{t-1} @ A_hat, y = sum_t alpha_t z_t (t >= 1),
-    returns x + beta * y.
+    returns x + beta * y. A_hat is symmetric, so each hop applies the
+    stencil to every channel image.
     """
     if params.k_steps < 1:
         raise ConfigError(f"k_steps must be at least 1, got {params.k_steps}")
@@ -244,11 +205,11 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"x {x.shape} does not match graph over {graph.n_nodes} pixels")
     alphas = ad.softmax(params.mix_logits, axis=0)
-    z = ad.matmul(params.graph_proj, x)
+    z = ad.reshape(ad.matmul(params.graph_proj, x),
+                   (x.shape[0], graph.height, graph.width))
     mixed = None
     for t in range(params.k_steps):
-        z = ad.edge_matvec(graph.adj_values, z, graph.adj_rows, graph.adj_cols,
-                           graph.n_nodes)
+        z = ad.stencil_matvec(graph.loops, graph.adjacency, z, graph.radius)
         term = ad.mul(z, ad.narrow(alphas, 0, t, t + 1))
         mixed = term if mixed is None else ad.add(mixed, term)
-    return ad.add(x, ad.scale(mixed, params.beta))
+    return ad.add(x, ad.scale(ad.reshape(mixed, x.shape), params.beta))

@@ -207,7 +207,7 @@ def forward(params: ModelParams, observed: Tensor, config: TrainConfig,
         flat = ad.reshape(fused, (config.fused_channels, n))
         if config.ablation_mode == "static":
             graph = static_graph
-            if graph is None or graph.n_nodes != n:
+            if graph is None or (graph.height, graph.width) != (height, width):
                 graph = build_static_grid_graph(height, width, config.radius)
         else:
             sigma_f, sigma_g = default_sigmas(config.radius)

@@ -9,6 +9,7 @@ harnesses optionally fan out over worker processes capped by CAGU_THREADS.
 from __future__ import annotations
 
 import logging
+import math
 import os
 import struct
 import time
@@ -24,7 +25,8 @@ from . import decoder as dec
 from . import model as mdl
 from .autodiff import Tape, Tensor, backward, finite_diff_check, first_nonfinite
 from .config import TrainConfig
-from .errors import ConfigError, FormatError, NonFiniteLossError
+from .errors import (ConfigError, FormatError, NonFiniteGradientError,
+                     NonFiniteLossError)
 from .graph import build_static_grid_graph
 from .hsi import (HsiCube, SynthSpec, generate_synthetic, read_container,
                   write_pgm)
@@ -67,6 +69,16 @@ class AdamW:
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
 
     def step(self):
+        """One update of every parameter; refuses, before changing anything,
+        when a gradient holds a NaN or an infinity."""
+        # one reduction per group; the elementwise test runs only when the
+        # sum is not finite (a finite gradient can overflow it)
+        with np.errstate(over="ignore"):
+            for name, p in self.params.items():
+                if (p.grad is not None and not np.isfinite(np.sum(p.grad))
+                        and not np.all(np.isfinite(p.grad))):
+                    raise NonFiniteGradientError(
+                        f"gradient of parameter group {name} is not finite")
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t
@@ -131,22 +143,36 @@ def _pack_named_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
     return b"".join(parts)
 
 
+def _read(fmt: str, blob: bytes, offset: int, what: str):
+    """Unpack ``fmt`` at ``offset``; FormatError if the blob ends first."""
+    size = struct.calcsize(fmt)
+    _check_room(blob, offset, size, what)
+    return struct.unpack_from(fmt, blob, offset), offset + size
+
+
+def _check_room(blob: bytes, offset: int, size: int, what: str):
+    if size > len(blob) - offset:
+        raise FormatError(f"checkpoint truncated: {what} needs {size} bytes, "
+                          f"{max(len(blob) - offset, 0)} left", offset)
+
+
 def _unpack_named_arrays(blob: bytes, offset: int
                          ) -> Tuple[Dict[str, np.ndarray], int]:
-    (count,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
+    (count,), offset = _read("<I", blob, offset, "array count")
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        name = blob[offset:offset + name_len].decode("utf-8")
+        (name_len,), offset = _read("<I", blob, offset, "name length")
+        _check_room(blob, offset, name_len, "array name")
+        try:
+            name = blob[offset:offset + name_len].decode("utf-8")
+        except UnicodeDecodeError:
+            raise FormatError("array name is not UTF-8", offset) from None
         offset += name_len
-        (ndim,) = struct.unpack_from("<I", blob, offset)
-        offset += 4
-        shape = struct.unpack_from(f"<{max(ndim, 1)}I", blob, offset)
-        offset += 4 * max(ndim, 1)
+        (ndim,), offset = _read("<I", blob, offset, f"rank of {name}")
+        shape, offset = _read(f"<{max(ndim, 1)}I", blob, offset, f"shape of {name}")
         shape = shape[:ndim] if ndim else ()
-        size = int(np.prod(shape)) if ndim else 1
+        size = math.prod(shape)
+        _check_room(blob, offset, 8 * size, f"values of {name}")
         arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
         offset += size * 8
         out[name] = arr.reshape(shape).copy()
@@ -166,21 +192,27 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint; a truncated or malformed file raises FormatError
+    with the byte offset of the defect."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != CHECKPOINT_MAGIC:
         raise FormatError(f"bad checkpoint magic {blob[:4]!r}", 0)
-    (version,) = struct.unpack_from("<I", blob, 4)
+    (version, config_len), offset = _read("<II", blob, 4, "header")
     if version != CHECKPOINT_VERSION:
         raise FormatError(f"unsupported checkpoint version {version}", 4)
-    (config_len,) = struct.unpack_from("<I", blob, 8)
-    offset = 12
-    config = TrainConfig.from_json(blob[offset:offset + config_len].decode("utf-8"))
+    _check_room(blob, offset, config_len, "config")
+    try:
+        config = TrainConfig.from_json(
+            blob[offset:offset + config_len].decode("utf-8"))
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"unreadable checkpoint config ({exc})", offset) from None
     offset += config_len
     parameters, offset = _unpack_named_arrays(blob, offset)
     moments, offset = _unpack_named_arrays(blob, offset)
-    opt_step, epoch, final_loss = struct.unpack_from("<QId", blob, offset)
-    offset += struct.calcsize("<QId")
+    (opt_step, epoch, final_loss), offset = _read("<QId", blob, offset, "trailer")
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} unexpected trailing bytes", offset)
     return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss,

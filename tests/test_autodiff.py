@@ -350,36 +350,77 @@ def test_conv2d_gradients(k, padding):
 def test_graph_kernel_gradients():
     rng = np.random.default_rng(77)
     for _ in range(10):
-        n, e, b = int(rng.integers(2, 6)), int(rng.integers(1, 9)), int(rng.integers(1, 4))
-        rows = rng.integers(0, n, e)
-        cols = rng.integers(0, n, e)
-        vals = Tensor(rng.normal(size=e))
-        z = Tensor(rng.normal(size=(b, n)))
-        direction = Tensor(rng.normal(size=(b, n)))
+        h, w = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        c, radius = int(rng.integers(1, 4)), int(rng.integers(1, 3))
+        n_off = (2 * radius + 1) ** 2 - 1
+        x = Tensor(rng.normal(size=(c, h, w)))
+        img = Tensor(rng.normal(size=(h, w)))
+        weights = Tensor(rng.normal(size=(n_off, h, w)))
+        loops = Tensor(rng.normal(size=(h, w)))
+        off_direction = Tensor(rng.normal(size=(n_off, h, w)))
+        direction = Tensor(rng.normal(size=(c, h, w)))
 
-        def loss_vals(t):
-            return ad.sum(ad.mul(ad.edge_matvec(t, z, rows, cols, n), direction))
-
-        def loss_z(t):
-            return ad.sum(ad.mul(ad.edge_matvec(vals, t, rows, cols, n), direction))
-
-        assert finite_diff_check(loss_vals, vals, h=1e-6) < 1e-4
-        assert finite_diff_check(loss_z, z, h=1e-6) < 1e-4
-
-        seg = Tensor(rng.normal(size=e))
-        seg_direction = Tensor(rng.normal(size=n))
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.segment_sum(t, rows, n), seg_direction)),
-            seg, h=1e-6)
+            lambda t: ad.sum(ad.mul(ad.window_sqdist(t, radius), off_direction)),
+            x, h=1e-6)
+        assert err < 1e-4
+        err = finite_diff_check(
+            lambda t: ad.sum(ad.mul(ad.neighbour_shift(t, radius), off_direction)),
+            img, h=1e-6)
         assert err < 1e-4
 
-        gat = Tensor(rng.normal(size=(b, n)))
-        idx = rng.integers(0, n, e)
-        gat_direction = Tensor(rng.normal(size=(b, e)))
-        err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.gather_cols(t, idx), gat_direction)),
-            gat, h=1e-6)
-        assert err < 1e-4
+        def matvec_loss(t, which):
+            args = {"loops": loops, "weights": weights, "z": x, which: t}
+            return ad.sum(ad.mul(ad.stencil_matvec(
+                args["loops"], args["weights"], args["z"], radius), direction))
+
+        for which, leaf in (("loops", loops), ("weights", weights), ("z", x)):
+            err = finite_diff_check(lambda t: matvec_loss(t, which), leaf, h=1e-6)
+            assert err < 1e-4, which
+
+
+def window_oracle(h, w, radius):
+    """((dr, dc), i, j) for every pixel i with an in-grid neighbour j = i + o,
+    offsets in row-major window order."""
+    offsets = [(dr, dc) for dr in range(-radius, radius + 1)
+               for dc in range(-radius, radius + 1) if dr or dc]
+    for o, (dr, dc) in enumerate(offsets):
+        for r in range(h):
+            for col in range(w):
+                if 0 <= r + dr < h and 0 <= col + dc < w:
+                    yield o, (r, col), (r + dr, col + dc)
+
+
+@pytest.mark.parametrize("h,w,radius", [(7, 5, 2), (1, 6, 2), (6, 1, 2),
+                                        (2, 3, 3), (4, 4, 1)])
+def test_stencil_kernels_match_loop_oracle(h, w, radius):
+    rng = np.random.default_rng(h * 10 + w)
+    n_off = (2 * radius + 1) ** 2 - 1
+    x = rng.normal(size=(3, h, w))
+    img = rng.normal(size=(h, w))
+    weights = rng.normal(size=(n_off, h, w))
+    loops = rng.normal(size=(h, w))
+    dist = np.zeros((n_off, h, w))
+    shifted = np.zeros((n_off, h, w))
+    matvec = loops * x
+    for o, i, j in window_oracle(h, w, radius):
+        d = x[:, i[0], i[1]] - x[:, j[0], j[1]]
+        dist[o][i] = d @ d
+        shifted[o][i] = img[j]
+        matvec[:, i[0], i[1]] += weights[o][i] * x[:, j[0], j[1]]
+    np.testing.assert_allclose(ad.window_sqdist(Tensor(x), radius).data, dist,
+                               atol=1e-12)
+    np.testing.assert_array_equal(ad.neighbour_shift(Tensor(img), radius).data,
+                                  shifted)
+    np.testing.assert_allclose(
+        ad.stencil_matvec(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
+        matvec, atol=1e-12)
+
+
+def test_stencil_matvec_rejects_mismatched_weights():
+    with pytest.raises(ShapeError):
+        ad.stencil_matvec(Tensor(np.ones((3, 3))), Tensor(np.ones((8, 3, 3))),
+                          Tensor(np.ones((2, 3, 3))), 2)
 
 
 def test_patch_kernel_gradients():

@@ -1,6 +1,7 @@
 """Decoder head, training loss, and permutation-aligned metrics."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -9,8 +10,9 @@ from hypothesis import strategies as st
 
 from cagu import autodiff as ad
 from cagu.autodiff import Tensor
-from cagu.decoder import (DecoderParams, decode, evaluate, loss,
-                          metrics_csv_rows, spectral_angle, trunk_schedule)
+from cagu.decoder import (DecoderParams, _best_alignment, decode, evaluate,
+                          loss, metrics_csv_rows, spectral_angle,
+                          trunk_schedule)
 from cagu.errors import NumericDomainError, ShapeError
 
 
@@ -159,13 +161,56 @@ def test_alignment_matches_brute_force_minimum(seed):
     assert abs(result.per_endmember_sad.sum() - best) < 1e-12
 
 
-def test_greedy_fallback_warns_beyond_limit():
+def test_alignment_beyond_eight_is_exact_without_warning():
     rng = np.random.default_rng(8)
     p = 9
     gt_e = rng.random((20, p)) + 0.05
     gt_a = rng.dirichlet(np.ones(p), size=4).T.reshape(p, 2, 2)
-    with pytest.warns(RuntimeWarning, match="greedy"):
-        evaluate(gt_e, gt_a, gt_e, gt_a)
+    perm = list(rng.permutation(p))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = evaluate(gt_e[:, perm], gt_a[perm], gt_e, gt_a)
+    np.testing.assert_allclose(result.per_endmember_sad, 0.0, atol=1e-6)
+    assert result.rmse < 1e-12
+
+
+@pytest.mark.parametrize("p", range(1, 9))
+def test_hungarian_matches_permutation_oracle(p):
+    rng = np.random.default_rng(100 + p)
+    for _ in range(5):
+        table = rng.random((p, p)) * np.pi
+        if p > 2:
+            table[rng.integers(p), :] = table[0, 0]  # ties
+        perm = _best_alignment(table)
+        assert sorted(perm) == list(range(p))
+        best = min(sum(table[k, q[k]] for k in range(p))
+                   for q in itertools.permutations(range(p)))
+        assert abs(sum(table[k, perm[k]] for k in range(p)) - best) < 1e-12
+
+
+def greedy_alignment(table):
+    """Row by row, the cheapest column still free (the old fallback)."""
+    free = list(range(table.shape[0]))
+    perm = []
+    for row in table:
+        perm.append(min(free, key=lambda c: row[c]))
+        free.remove(perm[-1])
+    return tuple(perm)
+
+
+def test_hungarian_beats_greedy_on_hand_made_table():
+    # truth 0 is close to estimates 0 and 1, truth 1 only to estimate 0;
+    # truths 2..8 each sit on their own estimate. Greedy hands estimate 0 to
+    # truth 0 (0.1) and leaves truth 1 at 1.0, total 1.1; the optimum swaps
+    # them: 0.2 + 0.1 = 0.3.
+    table = np.ones((9, 9))
+    table[0, 0], table[0, 1], table[1, 0] = 0.1, 0.2, 0.1
+    for k in range(2, 9):
+        table[k, k] = 0.0
+    assert greedy_alignment(table) == (0, 1, 2, 3, 4, 5, 6, 7, 8)
+    perm = _best_alignment(table)
+    assert perm == (1, 0, 2, 3, 4, 5, 6, 7, 8)
+    assert sum(table[k, perm[k]] for k in range(9)) == pytest.approx(0.3)
 
 
 def test_metrics_csv_layout():

@@ -44,30 +44,46 @@ def random_graph(n_side=3, channels=4, seed=0, radius=1):
     return build_graph(features, positions, radius, sigma_f, sigma_g), features
 
 
+def directed_pair(graph):
+    """Raw weights of the two directed edges of a 1x2 grid graph."""
+    dense = graph.dense_weights()
+    return [dense[0, 1], dense[1, 0]]
+
+
 def test_identical_feature_and_position_gives_unit_weight():
-    # two pixels sharing a cell and a feature vector: both exponents vanish
+    # two neighbours sharing a feature vector: only the spatial factor remains
     features = Tensor(np.ones((3, 2)))
-    positions = np.zeros((2, 2))
-    graph = build_graph(features, positions, 1, 1.0, 4.0)
-    np.testing.assert_allclose(graph.edge_weights.data, [1.0, 1.0], atol=1e-15)
+    graph = build_graph(features, grid_positions(1, 2), 1, 1.0, 4.0)
+    np.testing.assert_allclose(directed_pair(graph),
+                               [np.exp(-1.0 / 16.0)] * 2, atol=1e-15)
 
 
 def test_feature_distance_equal_to_sigma_gives_inverse_e():
     features = Tensor(np.array([[0.0, 1.0]]))  # |df|^2 = 1 = sigma_f
-    positions = np.zeros((2, 2))
-    graph = build_graph(features, positions, 1, 1.0, 4.0)
-    np.testing.assert_allclose(graph.edge_weights.data,
-                               [np.exp(-1.0), np.exp(-1.0)], atol=1e-12)
+    graph = build_graph(features, grid_positions(1, 2), 1, 1.0, 4.0)
+    np.testing.assert_allclose(directed_pair(graph),
+                               [np.exp(-1.0 - 1.0 / 16.0)] * 2, atol=1e-12)
 
 
 def test_square_sigma_f_switch():
     features = Tensor(np.array([[0.0, 2.0]]))  # |df|^2 = 4
-    positions = np.zeros((2, 2))
+    positions = grid_positions(1, 2)
     plain = build_graph(features, positions, 1, 2.0, 4.0)
     squared = build_graph(features, positions, 1, 2.0, 4.0,
                           square_sigma_f=True)
-    np.testing.assert_allclose(plain.edge_weights.data, np.exp(-2.0))
-    np.testing.assert_allclose(squared.edge_weights.data, np.exp(-1.0))
+    np.testing.assert_allclose(directed_pair(plain), np.exp(-2.0 - 1.0 / 16.0))
+    np.testing.assert_allclose(directed_pair(squared), np.exp(-1.0 - 1.0 / 16.0))
+
+
+@pytest.mark.parametrize("positions", [
+    np.zeros((2, 2)),                              # coincident pixels
+    grid_positions(2, 2)[:, ::-1].copy(),          # full grid, wrong order
+    grid_positions(1, 4) * 2.0,                    # gaps between pixels
+])
+def test_non_grid_positions_rejected(positions):
+    n = positions.shape[1]
+    with pytest.raises(ShapeError, match="grid"):
+        build_graph(Tensor(np.ones((2, n))), positions, 1, 1.0, 4.0)
 
 
 def test_single_pixel_graph_is_identity():
@@ -78,19 +94,16 @@ def test_single_pixel_graph_is_identity():
 
 def test_weights_match_double_loop_oracle():
     graph, features = random_graph(seed=3)
-    dense = np.zeros((9, 9))
-    dense[graph.edge_rows, graph.edge_cols] = graph.edge_weights.data
     oracle = dense_window_weights(features.data, grid_positions(3, 3), 1,
                                   *default_sigmas(1))
-    np.testing.assert_allclose(dense, oracle, atol=1e-12)
+    np.testing.assert_allclose(graph.dense_weights(), oracle, atol=1e-12)
 
 
 def test_normalized_adjacency_matches_oracle_and_is_symmetric():
     graph, features = random_graph(seed=4)
-    dense = np.zeros((9, 9))
-    dense[graph.edge_rows, graph.edge_cols] = graph.edge_weights.data
     np.testing.assert_allclose(graph.dense_adjacency(),
-                               dense_normalized(dense), atol=1e-12)
+                               dense_normalized(graph.dense_weights()),
+                               atol=1e-12)
     adj = graph.dense_adjacency()
     assert np.max(np.abs(adj - adj.T)) < 1e-12
 
@@ -116,9 +129,7 @@ def test_nonpositive_sigma_rejected():
 
 def test_static_grid_degrees():
     graph = build_static_grid_graph(3, 3, 1)
-    dense = np.zeros((9, 9))
-    dense[graph.edge_rows, graph.edge_cols] = graph.edge_weights.data
-    degrees = dense.sum(axis=1) + 1.0  # with self-loop
+    degrees = graph.dense_weights().sum(axis=1) + 1.0  # with self-loop
     assert degrees[4] == 9.0   # interior
     assert degrees[0] == 4.0   # corner
     assert degrees[1] == 6.0   # edge
@@ -138,7 +149,7 @@ def test_static_graph_independent_of_features():
     a = build_static_grid_graph(3, 4, 1)
     b = build_static_grid_graph(3, 4, 1)
     assert a.fingerprint() == b.fingerprint()
-    assert not a.adj_values.requires_grad
+    assert not a.adjacency.requires_grad
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +183,18 @@ def test_single_hop_closed_form():
     np.testing.assert_allclose(out.data, expected, atol=1e-10)
 
 
+def dense_propagation(adj, mix, x):
+    """Oracle: x + beta * sum_t alpha_t (proj @ x) @ adj^t by dense powers."""
+    e = np.exp(mix.mix_logits.data - mix.mix_logits.data.max())
+    alphas = e / e.sum()
+    z = mix.graph_proj.data @ x
+    mixed = np.zeros_like(z)
+    for t in range(1, mix.k_steps + 1):
+        z = z @ adj
+        mixed += alphas[t - 1] * z
+    return x + mix.beta * mixed
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_propagation_matches_dense_matrix_powers(seed):
     rng = np.random.default_rng(seed)
@@ -185,16 +208,9 @@ def test_propagation_matches_dense_matrix_powers(seed):
                    seed=seed, logits=rng.normal(size=k))
     x = Tensor(rng.normal(size=(channels, side * side)))
     out = propagate(graph, mix, x)
-
-    adj = graph.dense_adjacency()
-    e = np.exp(mix.mix_logits.data - mix.mix_logits.data.max())
-    alphas = e / e.sum()
-    z = mix.graph_proj.data @ x.data
-    mixed = np.zeros_like(z)
-    for t in range(1, k + 1):
-        z = z @ adj
-        mixed += alphas[t - 1] * z
-    np.testing.assert_allclose(out.data, x.data + 0.4 * mixed, atol=1e-10)
+    np.testing.assert_allclose(out.data,
+                               dense_propagation(graph.dense_adjacency(), mix,
+                                                 x.data), atol=1e-10)
 
 
 def test_propagate_shape_mismatch():
@@ -216,19 +232,73 @@ def test_mix_weights_on_simplex():
     assert abs(w.sum() - 1.0) < 1e-10
 
 
-def test_gradients_flow_through_graph_construction():
+def check_graph_gradients(height, width, radius):
     rng = np.random.default_rng(11)
-    features = Tensor(rng.normal(size=(3, 9)))
+    n = height * width
+    features = Tensor(rng.normal(size=(3, n)))
     mix = make_mix(channels=3, k_steps=2, beta=0.5, seed=12)
-    x = Tensor(rng.normal(size=(3, 9)))
-    direction = Tensor(rng.normal(size=(3, 9)))
-    positions = grid_positions(3, 3)
+    x = Tensor(rng.normal(size=(3, n)))
+    direction = Tensor(rng.normal(size=(3, n)))
+    positions = grid_positions(height, width)
 
     def loss(_):
-        graph = build_graph(features, positions, 1, *default_sigmas(1))
+        graph = build_graph(features, positions, radius,
+                            *default_sigmas(radius))
         return ad.sum(ad.mul(propagate(graph, mix, x), direction))
 
     for name, leaf in (("features", features), ("proj", mix.graph_proj),
                        ("logits", mix.mix_logits), ("x", x)):
         err = finite_diff_check(loss, leaf, h=1e-5)
         assert err < 1e-4, f"{name}: {err}"
+
+
+def test_gradients_flow_through_graph_construction():
+    check_graph_gradients(3, 3, 1)
+
+
+def test_gradients_flow_through_radius_two_graph():
+    check_graph_gradients(3, 4, 2)
+
+
+# ---------------------------------------------------------------------------
+# stencil shapes: wider windows, non-square grids, grids smaller than the window
+
+STENCIL_GRIDS = [(7, 5, 2), (1, 6, 2), (6, 1, 2), (2, 3, 3)]
+
+
+@pytest.mark.parametrize("height,width,radius", STENCIL_GRIDS)
+def test_dynamic_stencil_matches_double_loop_oracles(height, width, radius):
+    rng = np.random.default_rng(10 * height + width)
+    n = height * width
+    features = Tensor(rng.normal(size=(3, n)))
+    positions = grid_positions(height, width)
+    sigmas = default_sigmas(radius)
+    graph = build_graph(features, positions, radius, *sigmas)
+
+    weights = dense_window_weights(features.data, positions, radius, *sigmas)
+    np.testing.assert_allclose(graph.dense_weights(), weights, atol=1e-12)
+    adj = graph.dense_adjacency()
+    np.testing.assert_allclose(adj, dense_normalized(weights), atol=1e-12)
+    assert np.max(np.abs(adj - adj.T)) < 1e-12
+    assert graph.edge_rows.size == np.count_nonzero(weights)
+
+    mix = make_mix(channels=3, k_steps=3, beta=0.6, seed=n,
+                   logits=rng.normal(size=3))
+    x = Tensor(rng.normal(size=(3, n)))
+    np.testing.assert_allclose(propagate(graph, mix, x).data,
+                               dense_propagation(adj, mix, x.data), atol=1e-10)
+
+
+@pytest.mark.parametrize("height,width,radius", STENCIL_GRIDS)
+def test_static_stencil_matches_window_oracle(height, width, radius):
+    n = height * width
+    positions = grid_positions(height, width)
+    # zero features and an infinite spatial scale leave a unit weight on
+    # every in-window pair
+    window = dense_window_weights(np.zeros((1, n)), positions, radius,
+                                  1.0, np.inf)
+    graph = build_static_grid_graph(height, width, radius)
+    np.testing.assert_array_equal(graph.dense_weights(), window)
+    np.testing.assert_allclose(graph.dense_adjacency(),
+                               dense_normalized(window), atol=1e-15)
+    assert graph.edge_rows.size == np.count_nonzero(window)

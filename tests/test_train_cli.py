@@ -8,9 +8,10 @@ from cagu import autodiff as ad
 from cagu.autodiff import Tape, Tensor
 from cagu.cli import main
 from cagu.config import TrainConfig
-from cagu.errors import ConfigError, NonFiniteLossError
+from cagu.errors import (ConfigError, FormatError, NonFiniteGradientError,
+                         NonFiniteLossError)
 from cagu.hsi import read_pgm, write_container
-from cagu.train import (evaluate_checkpoint, export_abundance_maps,
+from cagu.train import (AdamW, evaluate_checkpoint, export_abundance_maps,
                         gradcheck, load_checkpoint, make_desk_scene,
                         run_ablation, run_beta_sweep,
                         run_snr_sweep, save_checkpoint, train)
@@ -40,6 +41,19 @@ def test_identical_runs_bitwise_identical(tiny_cube, tmp_path):
     assert path.read_bytes() == first_bytes
 
 
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_radius_two_runs_bitwise_identical(tiny_cube, tmp_path, mode):
+    path = tmp_path / "run.ckpt"
+    cfg = tiny_config(radius=2, ablation_mode=mode, checkpoint_path=str(path))
+    first = train(cfg, cube=tiny_cube)
+    first_bytes = path.read_bytes()
+    second = train(cfg, cube=tiny_cube)
+    assert first.losses == second.losses
+    assert path.read_bytes() == first_bytes
+    assert first.graph_fingerprint != train(
+        tiny_config(ablation_mode=mode), cube=tiny_cube).graph_fingerprint
+
+
 def test_checkpoint_roundtrip_bit_exact(tiny_cube, tmp_path):
     path = tmp_path / "run.ckpt"
     cfg = tiny_config(checkpoint_path=str(path))
@@ -61,6 +75,74 @@ def test_resume_equals_uninterrupted(tiny_cube, tmp_path):
     train(tiny_config(epochs=3, checkpoint_path=str(part_path)), cube=tiny_cube)
     train(final_cfg, cube=tiny_cube, resume_from=str(part_path))
     assert final_path.read_bytes() == uninterrupted
+
+
+def test_truncated_checkpoint_raises_format_error(tiny_cube, tmp_path):
+    path = tmp_path / "run.ckpt"
+    train(tiny_config(epochs=1, checkpoint_path=str(path)), cube=tiny_cube)
+    blob = path.read_bytes()
+    cut_path = tmp_path / "cut.ckpt"
+    # every cut through the header and the first array names, then a stride
+    for cut in list(range(400)) + list(range(400, len(blob), 97)):
+        cut_path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError) as info:
+            load_checkpoint(cut_path)
+        assert 0 <= info.value.offset <= cut
+
+
+@pytest.mark.parametrize("field", ["array count", "name length", "first dim"])
+def test_checkpoint_with_absurd_length_raises_format_error(tiny_cube, tmp_path,
+                                                          field):
+    path = tmp_path / "run.ckpt"
+    train(tiny_config(epochs=1, checkpoint_path=str(path)), cube=tiny_cube)
+    blob = bytearray(path.read_bytes())
+    count_at = 12 + int.from_bytes(blob[8:12], "little")  # after the config
+    name_len = int.from_bytes(blob[count_at + 4:count_at + 8], "little")
+    at = {"array count": count_at, "name length": count_at + 4,
+          "first dim": count_at + 12 + name_len}[field]
+    blob[at:at + 4] = (2 ** 32 - 1).to_bytes(4, "little")
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError):
+        load_checkpoint(path)
+
+
+def test_cli_eval_of_half_checkpoint_exits_2(tiny_cube, tmp_path, capsys):
+    scene = tmp_path / "scene.hsic"
+    write_container(tiny_cube, scene)
+    ckpt = tmp_path / "run.ckpt"
+    train(tiny_config(epochs=1, checkpoint_path=str(ckpt)), cube=tiny_cube)
+    blob = ckpt.read_bytes()
+    ckpt.write_bytes(blob[:len(blob) // 2])
+    code = main(["eval", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert "byte offset" in capsys.readouterr().err
+
+
+def make_optimizer():
+    params = {"a.w": Tensor(np.ones(3), requires_grad=True),
+              "b.w": Tensor(np.ones((2, 2)), requires_grad=True)}
+    return params, AdamW(params, lr=0.1, weight_decay=0.01)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_nonfinite_gradient_refused_before_any_update(bad):
+    params, opt = make_optimizer()
+    params["a.w"].grad = np.ones(3)
+    params["b.w"].grad = np.array([[1.0, bad], [0.0, 1.0]])
+    with pytest.raises(NonFiniteGradientError, match="b.w"):
+        opt.step()
+    assert opt.step_count == 0
+    np.testing.assert_array_equal(params["a.w"].data, np.ones(3))
+    np.testing.assert_array_equal(opt.m["a.w"], np.zeros(3))
+
+
+def test_overflowing_but_finite_gradient_accepted():
+    params, opt = make_optimizer()
+    params["a.w"].grad = np.full(3, 1e308)  # sums to inf, every entry finite
+    with np.errstate(over="ignore"):  # the second moment overflows, as before
+        opt.step()
+    assert opt.step_count == 1
 
 
 def test_invariants_tracked_every_epoch(tiny_cube):
