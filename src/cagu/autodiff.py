@@ -3,11 +3,17 @@
 A small tape machine: every kernel computes its numpy forward immediately
 and, when an active tape exists and an input wants gradients, appends a
 node holding a backward closure. ``backward`` replays the tape in reverse,
-accumulating gradients additively across fan-out.
+accumulating gradients additively across fan-out; a tensor's first gradient
+is held as given and a new array is made only when a second one arrives.
+
+Convolutions are one GEMM per layer over a channel-major column matrix with
+the batch folded into its columns. The window (stencil) kernels pad each
+image, flatten it so that every window offset is one contiguous shift, and
+work through the channels in cache-sized blocks.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
-order, and the window (stencil) kernels accumulate shifted slices in a fixed
-offset order, so repeated runs are bit-identical.
+order, and the window kernels accumulate shifts in a fixed offset order and
+sum over channels one after another, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import ContractError, NumericDomainError, ShapeError
 
 ARCCOS_EPS = 1e-7      # safety clamp half-width on arccos inputs
+CACHE_BYTES = 1 << 20  # budget of the block temporaries of one window kernel
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
 
@@ -29,15 +36,18 @@ class Tensor:
 
     ``data`` is stored shaped (row-major); ``data.size`` always equals the
     product of ``shape``. ``grad`` is ``None`` until ``backward`` reaches
-    this tensor.
+    this tensor. ``grad`` may share memory with another tensor's gradient
+    until this tensor's second contribution arrives; ``_owned`` is the array
+    that ``_accumulate`` allocated for it, the only one it adds into in place.
     """
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_owned")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
+        self._owned: Optional[np.ndarray] = None
 
     @property
     def shape(self):
@@ -57,7 +67,7 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def zero_grad(self):
-        self.grad = None
+        self.grad = self._owned = None
 
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
@@ -117,12 +127,21 @@ class Tape:
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
+    """Add ``g`` to ``t.grad``, copy on write.
+
+    The first gradient is held as given, which is safe because no backward
+    closure writes into its incoming gradient or into an array it has handed
+    on. The second makes a new array, which later ones add into in place.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = g.astype(np.float64, copy=True)
-    else:
+        t.grad = np.asarray(g, dtype=np.float64)
+        t._owned = None
+    elif t.grad is t._owned:
         t.grad += g
+    else:
+        t.grad = t._owned = t.grad + g
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -435,107 +454,80 @@ def l2_norm(x: Tensor, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (stride 1; im2col/col2im with fixed slice order)
+# convolution (stride 1; one GEMM per layer over channel-major columns, the
+# batch folded into the column axis as its fastest-varying part)
 
-def _im2col(xp: np.ndarray, k: int, out_h: int, out_w: int) -> np.ndarray:
-    """(..., C, Hp, Wp) -> (..., C*k*k, out_h*out_w)."""
-    lead = xp.shape[:-3]
-    c = xp.shape[-3]
-    cols = np.empty(lead + (c, k, k, out_h, out_w), dtype=xp.dtype)
+def _columns(x4: np.ndarray, k: int, padding: int) -> np.ndarray:
+    """Column matrix (C*k*k, out_h*out_w*N) of an (N, C, H, W) stack: row
+    (c, i, j) holds channel c shifted by (i, j), every sample of a pixel
+    side by side. A 1x1 kernel without padding takes the input itself, a
+    view when N == 1."""
+    xc = x4.transpose(1, 2, 3, 0)  # (C, H, W, N)
+    c, h, w, n = xc.shape
+    if k == 1 and not padding:
+        return xc.reshape(c, h * w * n)
+    out_h, out_w = h + 2 * padding - k + 1, w + 2 * padding - k + 1
+    xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
+    xp[:, padding:padding + h, padding:padding + w] = xc
+    cols = np.empty((c, k, k, out_h, out_w, n))
     for i in range(k):
         for j in range(k):
-            cols[..., i, j, :, :] = xp[..., i:i + out_h, j:j + out_w]
-    return cols.reshape(lead + (c * k * k, out_h * out_w))
+            cols[:, i, j] = xp[:, i:i + out_h, j:j + out_w]
+    return cols.reshape(c * k * k, out_h * out_w * n)
 
 
-def _col2im(gcols: np.ndarray, c: int, k: int, hp: int, wp: int,
-            out_h: int, out_w: int) -> np.ndarray:
-    lead = gcols.shape[:-2]
-    gcols = gcols.reshape(lead + (c, k, k, out_h, out_w))
-    gxp = np.zeros(lead + (c, hp, wp), dtype=gcols.dtype)
-    for i in range(k):
-        for j in range(k):
-            gxp[..., i:i + out_h, j:j + out_w] += gcols[..., i, j, :, :]
-    return gxp
-
-
-def _conv_forward(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray],
-                  padding: int):
-    batched = x.ndim == 4
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Tensor:
+    """Cross-correlation with C_out kernels, stride 1, of a C_in x H x W map
+    or of a stack of independent N x C_in x H x W maps."""
+    if x.ndim not in (3, 4):
+        raise ShapeError(
+            f"conv2d expects C x H x W or N x C x H x W input, got {x.shape}")
     c_out, c_in, k, k2 = w.shape
     if k != k2:
         raise ShapeError(f"conv2d: kernel must be square, got {w.shape}")
     if x.shape[-3] != c_in:
         raise ShapeError(
             f"conv2d: input channels {x.shape} do not match kernel {w.shape}")
-    pad = [(0, 0)] * (x.ndim - 2) + [(padding, padding), (padding, padding)]
-    xp = np.pad(x, pad) if padding else x
-    out_h = xp.shape[-2] - k + 1
-    out_w = xp.shape[-1] - k + 1
+    batched = x.ndim == 4
+    x4 = x.data if batched else x.data[None]
+    n, _, h, wd = x4.shape
+    hp, wp = h + 2 * padding, wd + 2 * padding
+    out_h, out_w = hp - k + 1, wp - k + 1
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
-    cols = _im2col(xp, k, out_h, out_w)
-    w2 = w.reshape(c_out, c_in * k * k)
-    out = w2 @ cols  # broadcasts over the batch axis when present
-    if b is not None:
-        out = out + b[:, None]
-    lead = (x.shape[0],) if batched else ()
-    return out.reshape(lead + (c_out, out_h, out_w)), cols, xp.shape
-
-
-def _conv_backward(g: np.ndarray, x: Tensor, w: Tensor, b: Optional[Tensor],
-                   cols: np.ndarray, xp_shape, padding: int):
-    c_out, c_in, k, _ = w.shape
-    batched = g.ndim == 4
-    out_h, out_w = g.shape[-2], g.shape[-1]
-    g2 = g.reshape(g.shape[:-3] + (c_out, out_h * out_w))
+    pointwise = k == 1 and not padding
+    cols = _columns(x4, k, padding)
     w2 = w.data.reshape(c_out, c_in * k * k)
-    if batched:
-        gw = np.einsum("noL,ncL->oc", g2, cols, optimize=True)
-        gb = g2.sum(axis=(0, 2))
-    else:
-        gw = g2 @ cols.T
-        gb = g2.sum(axis=1)
-    _accumulate(w, gw.reshape(w.shape))
-    if b is not None:
-        _accumulate(b, gb)
-    if x.requires_grad:
-        gcols = w2.T @ g2  # (..., C*k*k, L)
-        hp, wp = xp_shape[-2], xp_shape[-1]
-        gxp = _col2im(gcols, c_in, k, hp, wp, out_h, out_w)
-        if padding:
-            sl = (Ellipsis, slice(padding, hp - padding), slice(padding, wp - padding))
-            gxp = gxp[sl]
-        _accumulate(x, gxp)
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Tensor:
-    """Cross-correlation of a C_in x H x W map with C_out kernels, stride 1."""
-    if x.ndim != 3:
-        raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
-    out, cols, xp_shape = _conv_forward(x.data, w.data,
-                                        None if bias is None else bias.data, padding)
+    out = w2 @ cols  # (C_out, out_h*out_w*N)
+    if bias is not None:
+        out += bias.data[:, None]
+    out = out.reshape(c_out, out_h, out_w, n)
+    out = np.ascontiguousarray(out.transpose(3, 0, 1, 2)) if batched else out[..., 0]
+    held = None if pointwise else cols  # a 1x1 layer rebuilds its columns
 
     def bwd(g):
-        _conv_backward(g, x, w, bias, cols, xp_shape, padding)
+        g4 = g if batched else g[None]
+        g2 = g4.transpose(1, 2, 3, 0).reshape(c_out, out_h * out_w * n)
+        xcols = _columns(x4, 1, 0) if held is None else held
+        _accumulate(w, (g2 @ xcols.T).reshape(w.shape))
+        if bias is not None:
+            _accumulate(bias, g2.sum(axis=1))
+        if not x.requires_grad:
+            return
+        gcols = w2.T @ g2
+        if pointwise:
+            gx = gcols.reshape(c_in, h, wd, n)
+        else:
+            gcols = gcols.reshape(c_in, k, k, out_h, out_w, n)
+            gxp = np.zeros((c_in, hp, wp, n))
+            for i in range(k):
+                for j in range(k):
+                    gxp[:, i:i + out_h, j:j + out_w] += gcols[:, i, j]
+            gx = gxp[:, padding:padding + h, padding:padding + wd]
+        _accumulate(x, gx.transpose(3, 0, 1, 2) if batched else gx[..., 0])
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _record("conv2d", inputs, out, bwd)
-
-
-def conv2d_batched(x: Tensor, w: Tensor, bias: Optional[Tensor],
-                   padding: int = 0) -> Tensor:
-    """conv2d over a stack of independent N x C x H x W inputs."""
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d_batched expects N x C x H x W input, got {x.shape}")
-    out, cols, xp_shape = _conv_forward(x.data, w.data,
-                                        None if bias is None else bias.data, padding)
-
-    def bwd(g):
-        _conv_backward(g, x, w, bias, cols, xp_shape, padding)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _record("conv2d_batched", inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -595,27 +587,69 @@ def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# window stencil kernels (shifted slices over the last two axes, fixed order)
+# window stencil kernels (zero-padded flat images, one shift per offset,
+# fixed offset order, channels in cache-sized blocks)
 
-def _span(n: int, d: int):
-    """Slices of i and of i + d over range(n), both kept inside it."""
-    lo = max(0, -d)
-    hi = max(lo, n - max(d, 0))
-    return slice(lo, hi), slice(lo + d, hi + d)
+class _Flat:
+    """Zero-padded flat layout of an H x W grid for a window of radius r.
+
+    Padding an image by r on every side and flattening it puts pixel (y, x)
+    at (y + r) * Wp + x + r, with Wp = W + 2r, and its window neighbour
+    (y + dr, x + dc) ``dr * Wp + dc`` further on, in the padding (so zero)
+    when it is off the grid. ``at(a, shift)`` is that shifted slice over the
+    run from the first pixel to the last; the padding columns inside the run
+    hold junk, which ``crop`` drops. ``shifts`` run over the window in
+    row-major order without the centre, so reversing them negates them.
+    """
+
+    def __init__(self, height: int, width: int, radius: int):
+        self.height, self.width, self.radius = height, width, radius
+        self.hp, self.wp = height + 2 * radius, width + 2 * radius
+        self.start = radius * self.wp + radius
+        self.run = (height - 1) * self.wp + width
+        self.shifts = [dr * self.wp + dc
+                       for dr in range(-radius, radius + 1)
+                       for dc in range(-radius, radius + 1) if dr or dc]
+        self._on_grid = self.pad(np.ones((height, width))) > 0.0
+
+    def blocks(self, channels: int, planes: int) -> list:
+        """(first, stop) channel of every block, in order, each block small
+        enough that ``planes`` padded images per channel fit in CACHE_BYTES;
+        the first block is the widest."""
+        step = max(1, CACHE_BYTES // (planes * self.hp * self.wp * 8))
+        return [(c, min(c + step, channels)) for c in range(0, channels, step)]
+
+    def buffer(self, channels: int) -> np.ndarray:
+        return np.zeros((channels, self.hp * self.wp))
+
+    def pad(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """(..., H, W) -> (..., Hp*Wp); ``out``'s padding must be zero."""
+        if out is None:
+            out = np.zeros(a.shape[:-2] + (self.hp * self.wp,))
+        self.crop(out)[...] = a
+        return out
+
+    def pairs(self, shift: int) -> np.ndarray:
+        """Over the run: True where the pixel and its neighbour ``shift``
+        further on are both on the grid."""
+        return self.at(self._on_grid) & self.at(self._on_grid, shift)
+
+    def at(self, flat: np.ndarray, shift: int = 0) -> np.ndarray:
+        lo = self.start + shift
+        return flat[..., lo:lo + self.run]
+
+    def crop(self, flat: np.ndarray) -> np.ndarray:
+        """(..., Hp*Wp) -> (..., H, W), a view."""
+        r = self.radius
+        return flat.reshape(flat.shape[:-1] + (self.hp, self.wp))[
+            ..., r:r + self.height, r:r + self.width]
 
 
-def _window(shape, radius: int) -> list:
-    """(pixel i, neighbour i + o) index pairs over the last two axes of
-    ``shape`` for every window offset o, in row-major window order without
-    the centre; reversing the list negates the offsets. Pairs are empty where
-    the offset leaves the grid."""
-    pairs = []
-    for dr in range(-radius, radius + 1):
-        for dc in range(-radius, radius + 1):
-            if dr or dc:
-                (ri, rj), (ci, cj) = _span(shape[-2], dr), _span(shape[-1], dc)
-                pairs.append(((Ellipsis, ri, ci), (Ellipsis, rj, cj)))
-    return pairs
+def _add_rows(acc: np.ndarray, stack: np.ndarray):
+    """acc += rows 1.. of ``stack``, added one after another: the order in
+    which ``np.einsum("chw,chw->hw")`` sums over channels. Row 0 is scratch."""
+    stack[0] = acc
+    np.sum(stack, axis=0, out=acc)
 
 
 def window_sqdist(x: Tensor, radius: int) -> Tensor:
@@ -625,73 +659,165 @@ def window_sqdist(x: Tensor, radius: int) -> Tensor:
     mirrored; the backward pass recomputes differences from ``x``."""
     if x.ndim != 3:
         raise ShapeError(f"window_sqdist expects C x H x W, got {x.shape}")
-    window = _window(x.shape, radius)
-    last = len(window) - 1
-    out = np.zeros((len(window),) + x.shape[1:])
-    for o, (here, there) in enumerate(window[:len(window) // 2]):
-        d = x.data[here] - x.data[there]
-        out[o][here] = np.einsum("chw,chw->hw", d, d)
-        out[last - o][there] = out[o][here]
+    flat = _Flat(x.shape[1], x.shape[2], radius)
+    n_off = len(flat.shifts)
+    half, last = n_off // 2, n_off - 1
+    blocks = flat.blocks(x.shape[0], 2)
+    width = blocks[0][1]
+    dist = flat.buffer(half)
+    xb = flat.buffer(width)
+    stack = np.empty((width + 1, flat.run))
+    for c0, c1 in blocks:
+        xk = flat.pad(x.data[c0:c1], xb[:c1 - c0])
+        sq = stack[1:c1 - c0 + 1]
+        for o, shift in enumerate(flat.shifts[:half]):
+            np.subtract(flat.at(xk), flat.at(xk, shift), out=sq)
+            np.multiply(sq, sq, out=sq)
+            _add_rows(flat.at(dist[o]), stack[:c1 - c0 + 1])
+    out = flat.buffer(n_off)  # zero where i + o is off the grid
+    for o, shift in enumerate(flat.shifts[:half]):
+        np.copyto(flat.at(out[o]), flat.at(dist[o]), where=flat.pairs(shift))
+        np.copyto(flat.at(out[last - o]), flat.at(dist[o], -shift),
+                  where=flat.pairs(-shift))
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for o, (here, there) in enumerate(window[:len(window) // 2]):
-            d = x.data[here] - x.data[there]
-            d *= 2.0 * (g[o][here] + g[last - o][there])
-            gx[here] += d
-            gx[there] -= d
+        gf = flat.pad(g)
+        coef = flat.buffer(half)  # zero where i + o is off the grid
+        for o, shift in enumerate(flat.shifts[:half]):
+            np.copyto(flat.at(coef[o]),
+                      2.0 * (flat.at(gf[o]) + flat.at(gf[last - o], shift)),
+                      where=flat.pairs(shift))
+        gx = np.empty_like(x.data)
+        xb, gb = flat.buffer(width), flat.buffer(width)
+        diff = np.empty((width, flat.run))
+        for c0, c1 in blocks:
+            xk = flat.pad(x.data[c0:c1], xb[:c1 - c0])
+            gk, d = gb[:c1 - c0], diff[:c1 - c0]
+            gk.fill(0.0)
+            for o, shift in enumerate(flat.shifts[:half]):
+                np.subtract(flat.at(xk), flat.at(xk, shift), out=d)
+                d *= flat.at(coef[o])
+                flat.at(gk)[...] += d
+                flat.at(gk, shift)[...] -= d
+            gx[c0:c1] = flat.crop(gk)
         _accumulate(x, gx)
 
-    return _record("window_sqdist", (x,), out, bwd)
+    return _record("window_sqdist", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
 
 
 def neighbour_shift(x: Tensor, radius: int) -> Tensor:
     """Every pixel's window neighbours: (H, W) -> (n_off, H, W),
-    out[o, i] = x[i + o], zero where i + o is off the grid."""
+    out[o, i] = x[i + o], zero where i + o is off the grid. Its one image is
+    a single block."""
     if x.ndim != 2:
         raise ShapeError(f"neighbour_shift expects H x W, got {x.shape}")
-    window = _window(x.shape, radius)
-    out = np.zeros((len(window),) + x.shape)
-    for o, (here, there) in enumerate(window):
-        out[o][here] = x.data[there]
+    flat = _Flat(x.shape[0], x.shape[1], radius)
+    xf = flat.pad(x.data)
+    out = flat.buffer(len(flat.shifts))
+    for o, shift in enumerate(flat.shifts):
+        flat.at(out[o])[...] = flat.at(xf, shift)
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        for o, (here, there) in enumerate(window):
-            gx[there] += g[o][here]
-        _accumulate(x, gx)
+        gf = flat.pad(g)
+        gx = np.zeros_like(xf)
+        for o, shift in enumerate(flat.shifts):
+            flat.at(gx, shift)[...] += flat.at(gf[o])
+        _accumulate(x, flat.crop(gx))
 
-    return _record("neighbour_shift", (x,), out, bwd)
+    return _record("neighbour_shift", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
 
 
 def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Tensor:
     """Window operator applied to every channel: (C, H, W) -> (C, H, W),
     out[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o]."""
     n_off = (2 * radius + 1) ** 2 - 1
-    if (loops.ndim != 2 or z.shape[1:] != loops.shape
+    if (loops.ndim != 2 or z.ndim != 3 or z.shape[1:] != loops.shape
             or weights.shape != (n_off,) + loops.shape):
         raise ShapeError(f"stencil_matvec: loops {loops.shape} and weights "
                          f"{weights.shape} do not fit z {z.shape} at radius {radius}")
-    window = _window(z.shape, radius)
-    out = loops.data * z.data
-    for o, (here, there) in enumerate(window):
-        out[here] += weights.data[o][here] * z.data[there]
+    flat = _Flat(z.shape[1], z.shape[2], radius)
+    lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+    out = np.empty_like(z.data)
+    blocks = flat.blocks(z.shape[0], 3)
+    width = blocks[0][1]
+    zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
+    for c0, c1 in blocks:
+        zk, acc, p = flat.pad(z.data[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
+        np.multiply(flat.at(lf), flat.at(zk), out=flat.at(acc))
+        for o, shift in enumerate(flat.shifts):
+            np.multiply(flat.at(wf[o]), flat.at(zk, shift), out=p)
+            flat.at(acc)[...] += p
+        out[c0:c1] = flat.crop(acc)
 
     def bwd(g):
-        if loops.requires_grad:
-            _accumulate(loops, np.einsum("chw,chw->hw", g, z.data))
-        if weights.requires_grad:
-            gw = np.zeros_like(weights.data)
-            for o, (here, there) in enumerate(window):
-                gw[o][here] = np.einsum("chw,chw->hw", g[here], z.data[there])
-            _accumulate(weights, gw)
-        if z.requires_grad:
-            gz = loops.data * g
-            for o, (here, there) in enumerate(window):
-                gz[there] += weights.data[o][here] * g[here]
+        gl = flat.buffer(1)[0] if loops.requires_grad else None
+        gw = flat.buffer(n_off) if weights.requires_grad else None
+        gz = np.empty_like(z.data) if z.requires_grad else None
+        blocks = flat.blocks(z.shape[0], 4)
+        width = blocks[0][1]
+        gb, zb, gzb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
+        stack = np.empty((width + 1, flat.run))
+        for c0, c1 in blocks:
+            rows = c1 - c0
+            gk, p = flat.pad(g[c0:c1], gb[:rows]), stack[1:rows + 1]
+            if gl is not None or gw is not None:
+                zk = flat.pad(z.data[c0:c1], zb[:rows])
+            if gl is not None:
+                np.multiply(flat.at(gk), flat.at(zk), out=p)
+                _add_rows(flat.at(gl), stack[:rows + 1])
+            if gw is not None:
+                for o, shift in enumerate(flat.shifts):
+                    np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
+                    _add_rows(flat.at(gw[o]), stack[:rows + 1])
+            if gz is not None:
+                gzk = gzb[:rows]  # outside the run only padding, never read
+                np.multiply(flat.at(lf), flat.at(gk), out=flat.at(gzk))
+                for o, shift in enumerate(flat.shifts):
+                    np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
+                    flat.at(gzk, shift)[...] += p
+                gz[c0:c1] = flat.crop(gzk)
+        if gl is not None:
+            _accumulate(loops, flat.crop(gl))
+        if gw is not None:
+            _accumulate(weights, flat.crop(gw))
+        if gz is not None:
             _accumulate(z, gz)
 
     return _record("stencil_matvec", (loops, weights, z), out, bwd)
+
+
+def hop_mix(x: Tensor, alphas: Tensor, hops: Sequence[Tensor], beta: float
+            ) -> Tensor:
+    """Residual hop mix x + beta * sum_t alphas[t] hops[t], the hops read in
+    the shape of ``x``. The terms are summed in order, the sum is scaled by
+    beta and x is added last; only the result is kept on the tape."""
+    beta = float(beta)
+    shape = hops[0].shape if hops else None
+    if (not hops or alphas.shape != (len(hops),) or hops[0].size != x.size
+            or any(h.shape != shape for h in hops)):
+        raise ShapeError(f"hop_mix: alphas {alphas.shape} and hops "
+                         f"{[h.shape for h in hops]} do not fit x {x.shape}")
+    a = alphas.data
+    out = hops[0].data * a[0]
+    term = np.empty_like(out)
+    for t in range(1, len(hops)):
+        np.multiply(hops[t].data, a[t], out=term)
+        out += term
+    out *= beta
+    out = out.reshape(x.shape)
+    out += x.data
+
+    def bwd(g):
+        _accumulate(x, g)
+        gb = (g * beta).reshape(shape)
+        ga = np.empty(len(hops))
+        for t, h in enumerate(hops):
+            # summed as mul's backward sums onto a broadcast (1,) operand
+            ga[t] = _unbroadcast(gb * h.data, (1,))[0]
+            _accumulate(h, gb * a[t])
+        _accumulate(alphas, ga)
+
+    return _record("hop_mix", (x, alphas, *hops), out, bwd)
 
 
 # ---------------------------------------------------------------------------

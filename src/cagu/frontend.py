@@ -147,11 +147,11 @@ def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
     blocks = ad.tile_patches(fmap, m)  # (n, C, m, m)
     grid = (-(-height // m), -(-width // m))
 
-    spe = ad.conv2d_batched(blocks, params.spe_conv_w, params.spe_conv_b, padding=0)
+    spe = ad.conv2d(blocks, params.spe_conv_w, params.spe_conv_b, padding=0)
     pooled = ad.mean(spe, axis=(2, 3))  # (n, C): average over the padded patch
     spectral = ad.add(ad.matmul(pooled, params.spe_fc_w), params.spe_fc_b)
 
-    spa = ad.conv2d_batched(blocks, params.spa_conv_w, params.spa_conv_b, padding=1)
+    spa = ad.conv2d(blocks, params.spa_conv_w, params.spa_conv_b, padding=1)
     flat = ad.reshape(spa, (spa.shape[0], spa.shape[1] * m * m))
     spatial = ad.add(ad.matmul(flat, params.spa_fc_w), params.spa_fc_b)
 

@@ -207,9 +207,8 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
     alphas = ad.softmax(params.mix_logits, axis=0)
     z = ad.reshape(ad.matmul(params.graph_proj, x),
                    (x.shape[0], graph.height, graph.width))
-    mixed = None
-    for t in range(params.k_steps):
+    hops = []
+    for _ in range(params.k_steps):
         z = ad.stencil_matvec(graph.loops, graph.adjacency, z, graph.radius)
-        term = ad.mul(z, ad.narrow(alphas, 0, t, t + 1))
-        mixed = term if mixed is None else ad.add(mixed, term)
-    return ad.add(x, ad.scale(ad.reshape(mixed, x.shape), params.beta))
+        hops.append(z)
+    return ad.hop_mix(x, alphas, hops, params.beta)

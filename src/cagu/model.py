@@ -118,13 +118,13 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
 
     blocks = ad.tile_patches(fmap, m)
     batch_spatial = (0, 2, 3)
-    spe = ad.conv2d_batched(blocks, fe.spe_conv_w, fe.spe_conv_b).data
+    spe = ad.conv2d(blocks, fe.spe_conv_w, fe.spe_conv_b).data
     spe = _standardize_unit(fe.spe_conv_w, fe.spe_conv_b, spe, batch_spatial)
     pooled = spe.mean(axis=(2, 3))
     spe_tok = _standardize_unit(fe.spe_fc_w, fe.spe_fc_b,
                                 pooled @ fe.spe_fc_w.data + fe.spe_fc_b.data, (0,))
 
-    spa = ad.conv2d_batched(blocks, fe.spa_conv_w, fe.spa_conv_b, padding=1).data
+    spa = ad.conv2d(blocks, fe.spa_conv_w, fe.spa_conv_b, padding=1).data
     spa = _standardize_unit(fe.spa_conv_w, fe.spa_conv_b, spa, batch_spatial)
     flat = spa.reshape(spa.shape[0], -1)
     spa_tok = _standardize_unit(fe.spa_fc_w, fe.spa_fc_b,

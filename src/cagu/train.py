@@ -70,15 +70,17 @@ class AdamW:
 
     def step(self):
         """One update of every parameter; refuses, before changing anything,
-        when a gradient holds a NaN or an infinity."""
-        # one reduction per group; the elementwise test runs only when the
-        # sum is not finite (a finite gradient can overflow it)
-        with np.errstate(over="ignore"):
+        when a gradient holds a NaN or an infinity, or an entry so large
+        that its square, which feeds the second moment, overflows."""
+        # one reduction per group: g . g is not finite when an entry is NaN
+        # or infinite, or when the squares or their sum overflow
+        with np.errstate(over="ignore", invalid="ignore"):
             for name, p in self.params.items():
-                if (p.grad is not None and not np.isfinite(np.sum(p.grad))
-                        and not np.all(np.isfinite(p.grad))):
+                if p.grad is not None and not np.isfinite(
+                        np.dot(p.grad.ravel(), p.grad.ravel())):
                     raise NonFiniteGradientError(
-                        f"gradient of parameter group {name} is not finite")
+                        f"gradient of parameter group {name} is not finite "
+                        f"or too large to square")
         self.step_count += 1
         t = self.step_count
         bias1 = 1.0 - self.beta1 ** t

@@ -111,6 +111,52 @@ def test_conv2d_channel_mismatch():
                   Tensor(np.zeros(3)))
 
 
+CONV_CASES = [(k, padding, n) for k, padding in ((1, 0), (1, 1), (3, 0), (3, 1))
+              for n in (1, 4)]
+
+
+@pytest.mark.parametrize("k,padding,n", CONV_CASES)
+def test_conv2d_stack_matches_reference_and_per_sample_convs(k, padding, n):
+    rng = np.random.default_rng(10 * k + padding + n)
+    x = rng.normal(size=(n, 3, 6, 5))
+    w = Tensor(rng.normal(size=(4, 3, k, k)))
+    b = Tensor(rng.normal(size=4))
+    out = ad.conv2d(Tensor(x), w, b, padding=padding).data
+    reference = np.stack([conv2d_reference(xi, w.data, b.data, padding) for xi in x])
+    np.testing.assert_allclose(out, reference, atol=1e-12)
+    per_sample = np.stack([ad.conv2d(Tensor(xi), w, b, padding=padding).data
+                           for xi in x])
+    assert np.max(np.abs(out - per_sample)) <= 1e-12
+
+
+@pytest.mark.parametrize("k,padding,n", CONV_CASES)
+def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
+    rng = np.random.default_rng(20 * k + padding + n)
+    x = rng.normal(size=(n, 2, 5, 4))
+    w = Tensor(rng.normal(size=(3, 2, k, k)))
+    b = Tensor(rng.normal(size=3))
+    out_shape = ad.conv2d(Tensor(x), w, b, padding=padding).shape
+    direction = rng.normal(size=out_shape)
+    stacked = Tensor(x.copy())
+    gx, gw, gb = grad_of(lambda: ad.sum(ad.mul(
+        ad.conv2d(stacked, w, b, padding=padding), Tensor(direction))),
+        stacked, w, b)
+    samples = [Tensor(xi.copy()) for xi in x]
+
+    def per_sample_loss():
+        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b, padding=padding), Tensor(d)))
+                 for t, d in zip(samples, direction)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    grads = grad_of(per_sample_loss, *samples, w, b)
+    np.testing.assert_allclose(gx, np.stack(grads[:n]), atol=1e-12)
+    np.testing.assert_allclose(gw, grads[n], atol=1e-12)
+    np.testing.assert_allclose(gb, grads[n + 1], atol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
@@ -197,6 +243,73 @@ def test_backward_fanout_accumulates():
     x = rand(3, seed=8)
     (g,) = grad_of(lambda: ad.add(ad.sum(x), ad.sum(x)), x)
     np.testing.assert_array_equal(g, 2 * np.ones(3))
+
+
+def test_self_add_doubles_without_touching_the_output_gradient():
+    x = rand(4, seed=40)
+    x.requires_grad = True
+    with Tape() as tape:
+        y = ad.add(x, x)  # hands the same array to x twice
+        loss = ad.sum(y)
+    backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
+    np.testing.assert_array_equal(y.grad, np.ones(4))
+    assert not np.shares_memory(x.grad, y.grad)
+    err = finite_diff_check(lambda t: ad.sum(ad.mul(ad.add(t, t), t)), rand(4, seed=41))
+    assert err < 1e-6
+
+
+def test_shared_first_gradient_is_not_changed_by_a_later_contribution():
+    # add() hands one array to both a and b; a then receives two more
+    # contributions, b none, and the add's output keeps its own gradient
+    rng = np.random.default_rng(42)
+    a, b = Tensor(rng.normal(size=5)), Tensor(rng.normal(size=5))
+    d, e, f = (Tensor(rng.normal(size=5)) for _ in range(3))
+    seen = {}
+
+    def build():
+        s = ad.add(a, b)
+        seen["s"] = s
+        return ad.add(ad.add(ad.sum(ad.mul(s, d)), ad.sum(ad.mul(a, e))),
+                      ad.sum(ad.mul(a, f)))
+
+    ga, gb = grad_of(build, a, b)
+    np.testing.assert_allclose(ga, d.data + e.data + f.data, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(gb, d.data)
+    np.testing.assert_array_equal(seen["s"].grad, d.data)
+
+
+def test_tensor_feeding_reshape_and_add():
+    rng = np.random.default_rng(43)
+    other = Tensor(rng.normal(size=(3, 4)))
+    d1, d2 = Tensor(rng.normal(size=12)), Tensor(rng.normal(size=(3, 4)))
+
+    def f(t):
+        flat = ad.reshape(t, (12,))  # hands on a view of its gradient
+        both = ad.add(t, other)      # hands on its gradient itself
+        return ad.add(ad.sum(ad.mul(flat, d1)), ad.sum(ad.mul(both, d2)))
+
+    x = Tensor(rng.normal(size=(3, 4)))
+    gx, g_other = grad_of(lambda: f(x), x, other)
+    np.testing.assert_allclose(gx, d1.data.reshape(3, 4) + d2.data, atol=1e-15)
+    np.testing.assert_array_equal(g_other, d2.data)
+    assert finite_diff_check(f, Tensor(x.data.copy())) < 1e-6
+
+
+def test_parameter_used_twice():
+    rng = np.random.default_rng(44)
+    a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(4, 3)))
+
+    def f(w):  # (3, 3) weight used by two matmuls and a square
+        return ad.add(ad.sum(ad.square(ad.matmul(a, w))),
+                      ad.add(ad.sum(ad.matmul(b, w)), ad.sum(ad.square(w))))
+
+    w = Tensor(rng.normal(size=(3, 3)))
+    assert finite_diff_check(f, w) < 1e-6
+    (g,) = grad_of(lambda: f(w), w)
+    expected = (2 * a.data.T @ (a.data @ w.data) + b.data.sum(axis=0)[:, None]
+                + 2 * w.data)
+    np.testing.assert_allclose(g, expected, atol=1e-12)
 
 
 def test_backward_rejects_non_scalar():
@@ -347,6 +460,26 @@ def test_conv2d_gradients(k, padding):
             assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
 
 
+@pytest.mark.parametrize("k,padding,n", CONV_CASES)
+def test_conv2d_stack_gradients(k, padding, n):
+    rng = np.random.default_rng(52 + 10 * k + padding + n)
+    for _ in range(3):
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        h, w = int(rng.integers(k, 5)), int(rng.integers(k, 5))
+        x = Tensor(rng.normal(size=(n, c_in, h, w)))
+        kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
+        bias = Tensor(rng.normal(size=c_out))
+        direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))
+
+        def loss(t, which):
+            args = {"x": x, "w": kern, "b": bias, which: t}
+            return ad.sum(ad.mul(
+                ad.conv2d(args["x"], args["w"], args["b"], padding), direction))
+
+        for which, leaf in (("x", x), ("w", kern), ("b", bias)):
+            assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+
+
 def test_graph_kernel_gradients():
     rng = np.random.default_rng(77)
     for _ in range(10):
@@ -415,6 +548,120 @@ def test_stencil_kernels_match_loop_oracle(h, w, radius):
     np.testing.assert_allclose(
         ad.stencil_matvec(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
         matvec, atol=1e-12)
+
+
+def directional_error(loss, leaf, rng, n_dirs=3, h=1e-4):
+    """Largest relative gap between the reverse-mode directional derivative
+    of ``loss`` at ``leaf`` and its central difference, over random
+    directions. Exact up to rounding for losses at most quadratic in
+    ``leaf``, and cheap at any size."""
+    (grad,) = grad_of(lambda: loss(leaf), leaf)
+    saved = leaf.data.copy()
+    worst = 0.0
+    for _ in range(n_dirs):
+        v = rng.normal(size=saved.shape)
+        leaf.data = saved + h * v
+        hi = loss(leaf).item()
+        leaf.data = saved - h * v
+        lo = loss(leaf).item()
+        leaf.data = saved
+        numeric = (hi - lo) / (2 * h)
+        analytic = float(np.sum(grad * v))
+        worst = max(worst, abs(analytic - numeric)
+                    / (abs(analytic) + abs(numeric) + 1e-8))
+    return worst
+
+
+@pytest.mark.parametrize("radius", [1, 2])
+def test_stencil_kernels_across_channel_blocks(radius):
+    c, h, w = 70, 40, 40
+    # the premise: several blocks, the last one partial, in every kernel
+    for planes in (2, 3, 4):
+        blocks = ad._Flat(h, w, radius).blocks(c, planes)
+        assert len(blocks) > 1
+        assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+    rng = np.random.default_rng(radius)
+    n_off = (2 * radius + 1) ** 2 - 1
+    x = rng.normal(size=(c, h, w))
+    weights = rng.normal(size=(n_off, h, w))
+    loops = rng.normal(size=(h, w))
+    dist = np.zeros((n_off, h, w))
+    matvec = loops * x
+    for o, i, j in window_oracle(h, w, radius):
+        d = x[:, i[0], i[1]] - x[:, j[0], j[1]]
+        dist[o][i] = d @ d
+        matvec[:, i[0], i[1]] += weights[o][i] * x[:, j[0], j[1]]
+    np.testing.assert_allclose(ad.window_sqdist(Tensor(x), radius).data, dist,
+                               atol=1e-11)
+    np.testing.assert_allclose(
+        ad.stencil_matvec(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
+        matvec, atol=1e-12)
+
+    off_direction = Tensor(rng.normal(size=(n_off, h, w)))
+    direction = Tensor(rng.normal(size=(c, h, w)))
+    assert directional_error(
+        lambda t: ad.sum(ad.mul(ad.window_sqdist(t, radius), off_direction)),
+        Tensor(x.copy()), rng) < 1e-6
+    args = {"loops": Tensor(loops), "weights": Tensor(weights), "z": Tensor(x)}
+    for which in args:
+        def loss(t):
+            kw = dict(args, **{which: t})
+            return ad.sum(ad.mul(ad.stencil_matvec(
+                kw["loops"], kw["weights"], kw["z"], radius), direction))
+        leaf = Tensor(args[which].data.copy())
+        assert directional_error(loss, leaf, rng) < 1e-6, which
+
+
+def test_hop_mix_matches_composed_ops_bit_for_bit():
+    rng = np.random.default_rng(31)
+    c, h, w, k, beta = 3, 4, 5, 3, 0.3
+    hop_arrays = [rng.normal(size=(c, h, w)) for _ in range(k)]
+    arrays = [rng.normal(size=(c, h * w)), *hop_arrays, rng.normal(size=k)]
+    direction = Tensor(rng.normal(size=(c, h * w)))
+    results = []
+    for fused in (True, False):
+        x, *hops, logits = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            alphas = ad.softmax(logits, axis=0)
+            if fused:
+                out = ad.hop_mix(x, alphas, hops, beta)
+            else:
+                mixed = None
+                for t, z in enumerate(hops):
+                    term = ad.mul(z, ad.narrow(alphas, 0, t, t + 1))
+                    mixed = term if mixed is None else ad.add(mixed, term)
+                out = ad.add(x, ad.scale(ad.reshape(mixed, x.shape), beta))
+            loss = ad.sum(ad.mul(out, direction))
+        backward(tape, loss)
+        results.append([out.data] + [t.grad for t in (x, *hops, logits)])
+    for a, b in zip(*results):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_hop_mix_gradients():
+    rng = np.random.default_rng(32)
+    for _ in range(5):
+        c, h, w = (int(v) for v in rng.integers(1, 4, size=3))
+        k = int(rng.integers(1, 4))
+        beta = float(rng.uniform(0.1, 2.0))
+        args = [Tensor(rng.normal(size=(c, h * w))), Tensor(rng.normal(size=k))]
+        args += [Tensor(rng.normal(size=(c, h, w))) for _ in range(k)]
+        direction = Tensor(rng.normal(size=(c, h * w)))
+        for slot in range(len(args)):
+            def loss(t):
+                x, alphas, *hops = args[:slot] + [t] + args[slot + 1:]
+                return ad.sum(ad.mul(ad.hop_mix(x, alphas, hops, beta), direction))
+            assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-4, slot
+
+
+def test_hop_mix_rejects_mismatched_shapes():
+    z = Tensor(np.ones((2, 3, 3)))
+    with pytest.raises(ShapeError):
+        ad.hop_mix(Tensor(np.ones((2, 9))), Tensor(np.ones(2)), [z], 0.5)
+    with pytest.raises(ShapeError):
+        ad.hop_mix(Tensor(np.ones((2, 8))), Tensor(np.ones(1)), [z], 0.5)
+    with pytest.raises(ShapeError):
+        ad.hop_mix(Tensor(np.ones((2, 9))), Tensor(np.ones(0)), [], 0.5)
 
 
 def test_stencil_matvec_rejects_mismatched_weights():

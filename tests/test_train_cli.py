@@ -137,12 +137,31 @@ def test_nonfinite_gradient_refused_before_any_update(bad):
     np.testing.assert_array_equal(opt.m["a.w"], np.zeros(3))
 
 
-def test_overflowing_but_finite_gradient_accepted():
+@pytest.mark.parametrize("big", [1e308, 1e155, -1e200])
+def test_gradient_whose_square_overflows_refused(big):
+    # every entry is finite, but its square (the second-moment update)
+    # overflows, which would silently zero that entry's step
     params, opt = make_optimizer()
-    params["a.w"].grad = np.full(3, 1e308)  # sums to inf, every entry finite
-    with np.errstate(over="ignore"):  # the second moment overflows, as before
+    params["a.w"].grad = np.full(3, big)
+    params["b.w"].grad = np.ones((2, 2))
+    before = {k: (t.data.copy(), opt.m[k].copy(), opt.v[k].copy())
+              for k, t in params.items()}
+    with pytest.raises(NonFiniteGradientError, match="a.w"):
         opt.step()
+    assert opt.step_count == 0
+    for k, t in params.items():
+        data, m, v = before[k]
+        np.testing.assert_array_equal(t.data, data)
+        np.testing.assert_array_equal(opt.m[k], m)
+        np.testing.assert_array_equal(opt.v[k], v)
+
+
+def test_large_gradient_with_finite_square_accepted():
+    params, opt = make_optimizer()
+    params["a.w"].grad = np.full(3, 1e150)
+    opt.step()
     assert opt.step_count == 1
+    assert np.all(np.isfinite(opt.v["a.w"])) and np.all(opt.v["a.w"] > 0)
 
 
 def test_invariants_tracked_every_epoch(tiny_cube):
