@@ -135,13 +135,14 @@ def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.add(ad.matmul(hidden, w2), b2)
 
 
-def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
-                     height: int, width: int) -> Tensor:
-    """Fuse the two attended sequences into a fused_channels x H x W map.
+def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
+                height: int, width: int) -> Tensor:
+    """Fuse the two attended sequences into a fused_channels x H x W map,
+    before seam smoothing.
 
     Class rows are dropped, branch MLPs applied, features concatenated per
-    token, projected to one fused block per patch, scattered back onto the
-    pixel grid, and smoothed across block seams by a 3x3 convolution.
+    token, projected to one fused block per patch, and scattered back onto
+    the pixel grid.
     """
     if spe_seq.shape[0] != spa_seq.shape[0]:
         raise ShapeError(
@@ -162,5 +163,11 @@ def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
     joint = ad.concat([spe, spa], axis=1)
     blocks = ad.add(ad.matmul(joint, params.fuse_w), params.fuse_b)
     blocks = ad.reshape(blocks, (n_tokens, params.fused_channels, m, m))
-    fused = ad.untile_patches(blocks, height, width)
+    return ad.untile_patches(blocks, height, width)
+
+
+def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
+                     height: int, width: int) -> Tensor:
+    """``fuse_tokens``, then smoothing across block seams by a 3x3 conv."""
+    fused = fuse_tokens(params, spe_seq, spa_seq, height, width)
     return ad.conv2d(fused, params.seam_w, params.seam_b, padding=1)

@@ -114,6 +114,8 @@ class Tape:
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
             raise ContractError("tapes do not nest; one training context at a time")
+        if Standardize._active is not None:
+            raise ContractError("no tape may record while layers are calibrated")
         Tape._active = self
         return self
 
@@ -124,6 +126,55 @@ class Tape:
     def record(self, op: str, inputs: Sequence[Tensor], output: Tensor,
                backward_fn: Callable[[np.ndarray], None]):
         self.nodes.append(Node(op, inputs, output, backward_fn))
+
+
+class Standardize:
+    """LSUV scale calibration (Mishkin & Matas, "All you need is a good
+    init", 2015) of the listed (weight, bias) layers, op by op.
+
+    While active, an op fed one of the listed biases rescales that layer in
+    place, exactly since it is linear in (weight, bias), so its response has
+    zero mean and unit std per unit, and returns the standardised response.
+    Units lie on the channel axis of a conv output and on the last axis of a
+    matmul output. A unit whose std is below ``floor`` is dead: it is
+    recentred, not rescaled. It and ``Tape`` refuse to open inside each
+    other, so calibration never touches a training step.
+    """
+
+    _active: Optional["Standardize"] = None
+
+    def __init__(self, layers: Sequence[tuple], floor: float):
+        self.layers = {id(b): (w, b) for w, b in layers}
+        self.floor = float(floor)
+
+    def __enter__(self) -> "Standardize":
+        if Standardize._active is not None:
+            raise ContractError("calibration contexts do not nest")
+        if Tape._active is not None:
+            raise ContractError("cannot calibrate layers while a tape records")
+        Standardize._active = self
+        return self
+
+    def __exit__(self, *exc):
+        Standardize._active = None
+        return False
+
+    def apply(self, inputs: Sequence[Tensor], out: np.ndarray) -> np.ndarray:
+        """Standardise ``out`` if ``inputs`` hold a listed bias."""
+        layer = next((self.layers[id(t)] for t in inputs if id(t) in self.layers),
+                     None)
+        if layer is None:
+            return out
+        w, b = layer
+        unit = out.ndim - 3 if w.ndim == 4 else out.ndim - 1
+        axes = tuple(i for i in range(out.ndim) if i != unit)
+        mu = out.mean(axis=axes, keepdims=True)
+        sd = out.std(axis=axes, keepdims=True)
+        sd = np.where(sd < self.floor, 1.0, sd)  # a dead unit keeps its scale
+        scale = sd.ravel()
+        w.data /= scale.reshape(-1, 1, 1, 1) if w.ndim == 4 else scale
+        b.data = (b.data - mu.ravel()) / scale
+        return (out - mu) / sd
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -146,7 +197,10 @@ def _accumulate(t: Tensor, g: np.ndarray):
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap a forward result, recording a node when gradients are wanted."""
+    """Wrap a forward result, recording a node when gradients are wanted
+    (or standardising it, under an active ``Standardize``)."""
+    if Standardize._active is not None:
+        out_data = Standardize._active.apply(inputs, out_data)
     tape = Tape._active
     wants_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=wants_grad)
@@ -343,25 +397,6 @@ def square(x: Tensor) -> Tensor:
         _accumulate(x, g * 2.0 * x.data)
 
     return _record("square", (x,), x.data * x.data, bwd)
-
-
-def clamp_min(x: Tensor, floor: float) -> Tensor:
-    floor = float(floor)
-    out = np.maximum(x.data, floor)
-
-    def bwd(g):
-        _accumulate(x, g * (x.data > floor))
-
-    return _record("clamp_min", (x,), out, bwd)
-
-
-def relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, 0.0)
-
-    def bwd(g):
-        _accumulate(x, g * (x.data > 0.0))
-
-    return _record("relu", (x,), out, bwd)
 
 
 def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:

@@ -8,15 +8,16 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import sys
 from pathlib import Path
 
 from .config import TrainConfig
 from .errors import CaguError, ConfigError, FormatError, ShapeError
 from .hsi import SynthSpec, generate_synthetic, read_container, write_container
-from .train import (evaluate_checkpoint, export_abundance_maps, gradcheck,
-                    load_checkpoint, run_ablation, run_beta_sweep,
-                    run_snr_sweep, train)
+from .train import (GRADCHECK_CONFIG, evaluate_checkpoint,
+                    export_abundance_maps, gradcheck, load_checkpoint,
+                    run_ablation, run_beta_sweep, run_snr_sweep, train)
 from . import decoder as dec
 
 
@@ -181,7 +182,11 @@ def _dispatch(args) -> int:
         return 0
 
     if args.command == "gradcheck":
-        report = gradcheck()
+        if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+            raise ConfigError(
+                f"--tolerance must be positive and finite, got {args.tolerance}")
+        config = TrainConfig(**{**GRADCHECK_CONFIG, "seed": args.seed})
+        report = gradcheck(config, tolerance=args.tolerance)
         for line in report.lines():
             print(line)
         return 0 if report.passed else 1

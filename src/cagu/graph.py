@@ -2,14 +2,13 @@
 
 Edge weights combine a feature kernel exp(-|df|^2 / sigma_f) with a spatial
 kernel exp(-|dg|^2 / sigma_g^2) over a Chebyshev window of the given radius;
-the scales enter asymmetrically (sigma_f plain, sigma_g squared) and the
-``square_sigma_f`` switch selects the symmetric variant. Self-loops are added
-and the adjacency is symmetrically normalized. Propagation applies the
-normalized adjacency K times and mixes the hop results with softmax weights,
-feeding a residual update x + beta * y. The graph is rebuilt from current
-features every forward pass, so gradients flow through the edge weights. The
-window is a fixed stencil on the pixel grid: the graph is one weight image
-per window offset, and every stage works on shifted slices.
+the scales enter asymmetrically (sigma_f plain, sigma_g squared). Self-loops
+are added and the adjacency is symmetrically normalized. Propagation applies
+the normalized adjacency K times and mixes the hop results with softmax
+weights, feeding a residual update x + beta * y. The graph is rebuilt from
+current features every forward pass, so gradients flow through the edge
+weights. The window is a fixed stencil on the pixel grid: the graph is one
+weight image per window offset, and every stage works on shifted slices.
 """
 
 from __future__ import annotations
@@ -123,14 +122,12 @@ def _normalize(neighbours: np.ndarray, weights: Tensor, radius: int
 
 
 def build_graph(features: Tensor, positions: np.ndarray, radius: int,
-                sigma_f: float, sigma_g: float, *,
-                square_sigma_f: bool = False) -> ContentGraph:
+                sigma_f: float, sigma_g: float) -> ContentGraph:
     """Content-adaptive graph over pixels from transformer features.
 
     ``features`` is (channels, N); ``positions`` is (2, N) and must be the
     row-major grid ``grid_positions(height, width)``. Edge weights are
-    differentiable in the features. Set ``square_sigma_f`` to divide the
-    feature distance by sigma_f^2 instead of sigma_f (symmetric variant).
+    differentiable in the features.
     """
     if sigma_f <= 0 or sigma_g <= 0:
         raise ConfigError(f"kernel scales must be positive, got "
@@ -144,8 +141,7 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
     spatial_term = Tensor(np.exp(-gdist2.data / (sigma_g * sigma_g))
                           * (neighbours >= 0))
     fmap = ad.reshape(features, (features.shape[0], height, width))
-    f_scale = sigma_f * sigma_f if square_sigma_f else sigma_f
-    feat_term = ad.exp(ad.scale(ad.window_sqdist(fmap, radius), -1.0 / f_scale))
+    feat_term = ad.exp(ad.scale(ad.window_sqdist(fmap, radius), -1.0 / sigma_f))
     weights = ad.mul(feat_term, spatial_term)
     return _normalize(neighbours, weights, radius)
 

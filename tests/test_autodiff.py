@@ -217,10 +217,8 @@ def test_divide_floor_error():
         ad.divide(Tensor([1.0]), Tensor([1e-13]))
 
 
-def test_clamp_min_and_relu():
+def test_leaky_relu_values():
     x = Tensor([-2.0, 0.5, 3.0])
-    np.testing.assert_array_equal(ad.clamp_min(x, 0.0).data, [0.0, 0.5, 3.0])
-    np.testing.assert_array_equal(ad.relu(x).data, [0.0, 0.5, 3.0])
     np.testing.assert_allclose(ad.leaky_relu(x).data, [-0.02, 0.5, 3.0])
 
 
@@ -349,6 +347,76 @@ def test_backward_visits_each_node_once():
 
 
 # ---------------------------------------------------------------------------
+# standardisation hook (LSUV calibration)
+
+def _unit_stats(out: np.ndarray, unit: int):
+    axes = tuple(i for i in range(out.ndim) if i != unit)
+    return out.mean(axis=axes), out.std(axis=axes)
+
+
+@pytest.mark.parametrize("batch", [None, 3])
+def test_standardize_calibrates_a_conv_layer_in_place(batch):
+    shape = (2, 5, 6) if batch is None else (batch, 2, 5, 6)
+    x = rand(shape, seed=30, scale=3.0)
+    w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
+    with ad.Standardize([(w, b)], floor=1e-3):
+        out = ad.conv2d(x, w, b, padding=1)
+    mu, sd = _unit_stats(out.data, out.ndim - 3)
+    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sd, 1.0, atol=1e-12)
+    # the rescaled layer itself now gives the standardised response
+    np.testing.assert_allclose(ad.conv2d(x, w, b, padding=1).data, out.data,
+                               atol=1e-12)
+
+
+def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
+    x = rand((7, 3), seed=33, scale=2.0)
+    w, b = rand((3, 4), seed=34), rand(4, seed=35)
+    other = rand(4, seed=36)
+    with ad.Standardize([(w, b)], floor=1e-3):
+        raw = ad.matmul(x, w).data
+        unlisted = ad.add(ad.matmul(x, w), other)
+        out = ad.add(ad.matmul(x, w), b)
+    np.testing.assert_array_equal(unlisted.data, raw + other.data)
+    mu, sd = _unit_stats(out.data, 1)
+    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sd, 1.0, atol=1e-12)
+    np.testing.assert_allclose(ad.add(ad.matmul(x, w), b).data, out.data,
+                               atol=1e-12)
+
+
+def test_standardize_recentres_a_dead_unit_without_rescaling():
+    # unit 0 only sees the constant input column: its response is constant
+    x = Tensor(np.column_stack([np.full(6, 2.0), np.arange(6.0)]))
+    w = Tensor(np.array([[0.5, 0.0], [0.0, 3.0]]))
+    b = Tensor(np.array([1.0, -1.0]))
+    with ad.Standardize([(w, b)], floor=1e-3):
+        out = ad.add(ad.matmul(x, w), b)
+    np.testing.assert_array_equal(w.data[:, 0], [0.5, 0.0])
+    assert b.data[0] == -1.0  # 0.5 * 2 + 1 recentred to 0
+    np.testing.assert_array_equal(out.data[:, 0], 0.0)
+    sd = 3.0 * np.arange(6.0).std()
+    np.testing.assert_allclose(w.data[:, 1], [0.0, 3.0 / sd])
+    np.testing.assert_allclose(out.data[:, 1].std(), 1.0)
+
+
+def test_standardize_refuses_to_nest_and_any_tape():
+    w, b = rand((2, 2), seed=37), Tensor(np.zeros(2))
+    with ad.Standardize([(w, b)], floor=1e-3):
+        with pytest.raises(ContractError):
+            with ad.Standardize([(w, b)], floor=1e-3):
+                pass
+        with pytest.raises(ContractError):
+            with Tape():
+                pass
+    with Tape():
+        with pytest.raises(ContractError):
+            with ad.Standardize([(w, b)], floor=1e-3):
+                pass
+    assert ad.Standardize._active is None and Tape._active is None
+
+
+# ---------------------------------------------------------------------------
 # finite-difference oracle
 
 def test_finite_diff_quadratic_at_three():
@@ -391,9 +459,7 @@ KERNELS = {
     "exp": lambda t: ad.exp(t),
     "sqrt": lambda t: ad.sqrt(ad.add(ad.mul(t, t), Tensor(np.full(t.shape, 0.5)))),
     "square": lambda t: ad.square(t),
-    "relu": lambda t: ad.relu(t),
     "leaky_relu": lambda t: ad.leaky_relu(t),
-    "clamp_min": lambda t: ad.clamp_min(t, 0.1),
     "softmax": lambda t: ad.softmax(t, axis=-1),
     "sum_axis": lambda t: ad.sum(t, axis=0),
     "mean": lambda t: ad.mean(t),

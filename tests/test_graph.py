@@ -65,16 +65,6 @@ def test_feature_distance_equal_to_sigma_gives_inverse_e():
                                [np.exp(-1.0 - 1.0 / 16.0)] * 2, atol=1e-12)
 
 
-def test_square_sigma_f_switch():
-    features = Tensor(np.array([[0.0, 2.0]]))  # |df|^2 = 4
-    positions = grid_positions(1, 2)
-    plain = build_graph(features, positions, 1, 2.0, 4.0)
-    squared = build_graph(features, positions, 1, 2.0, 4.0,
-                          square_sigma_f=True)
-    np.testing.assert_allclose(directed_pair(plain), np.exp(-2.0 - 1.0 / 16.0))
-    np.testing.assert_allclose(directed_pair(squared), np.exp(-1.0 - 1.0 / 16.0))
-
-
 @pytest.mark.parametrize("positions", [
     np.zeros((2, 2)),                              # coincident pixels
     grid_positions(2, 2)[:, ::-1].copy(),          # full grid, wrong order

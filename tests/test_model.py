@@ -1,0 +1,71 @@
+"""Scene calibration of the initial parameters: LSUV through the forward pass."""
+
+import re
+
+import numpy as np
+import pytest
+
+from cagu import autodiff as ad
+from cagu.autodiff import Tensor
+from cagu.config import TrainConfig
+from cagu.model import forward, initialize_from_scene
+from cagu.train import make_desk_scene
+
+SCENE = dict(height=8, width=8, bands=12, endmembers=2)
+
+
+@pytest.fixture(scope="module")
+def calibrated():
+    config = TrainConfig(channels=6, token_dim=6, fused_channels=6,
+                         patch_size=2, k_steps=2, beta=0.0).validate()
+    cube = make_desk_scene(60.0, 0, SCENE)
+    return config, cube, initialize_from_scene(cube, config)
+
+
+@pytest.fixture
+def layer_io(monkeypatch, calibrated):
+    """Input and output of every biased layer in one real ``forward``
+    (graph bypassed), keyed by the bias's parameter name."""
+    config, cube, params = calibrated
+    names = {id(t): name for name, t in params.named_parameters().items()}
+    seen = {}
+    conv2d, add = ad.conv2d, ad.add
+
+    def traced_conv2d(x, w, bias, padding=0):
+        out = conv2d(x, w, bias, padding)
+        if bias is not None:
+            seen[names[id(bias)]] = (x.data, out.data)
+        return out
+
+    def traced_add(a, b):
+        out = add(a, b)
+        if id(b) in names:
+            seen[names[id(b)]] = (a.data, out.data)
+        return out
+
+    monkeypatch.setattr(ad, "conv2d", traced_conv2d)
+    monkeypatch.setattr(ad, "add", traced_add)
+    forward(params, Tensor(cube.data), config)
+    return params, seen
+
+
+def test_every_calibrated_layer_reads_standardised_in_forward(layer_io):
+    params, seen = layer_io
+    biases = {name for name in params.named_parameters()
+              if re.fullmatch(r".*_b\d*", name)}
+    assert set(seen) == biases
+    for name, (_, out) in seen.items():
+        if name == "attention.seam_b":  # not calibrated: starts as identity
+            continue
+        unit = out.ndim - 3 if out.ndim > 2 else 1
+        axes = tuple(i for i in range(out.ndim) if i != unit)
+        np.testing.assert_allclose(out.mean(axis=axes), 0.0, atol=1e-9,
+                                   err_msg=name)
+        np.testing.assert_allclose(out.std(axis=axes), 1.0, atol=1e-9,
+                                   err_msg=name)
+
+
+def test_seam_conv_returns_its_input_bit_for_bit_at_init(layer_io):
+    _, seen = layer_io
+    x, out = seen["attention.seam_b"]
+    assert out.tobytes() == x.tobytes()

@@ -373,3 +373,25 @@ def test_cli_gradcheck_smoke(capsys):
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "PASS" in out
+
+
+def test_cli_gradcheck_passes_seed_and_tolerance(monkeypatch, capsys):
+    import cagu.cli
+    from cagu.train import GRADCHECK_CONFIG, GradcheckReport
+    calls = []
+
+    def recording_gradcheck(config=None, tolerance=1e-4):
+        calls.append((config, tolerance))
+        return GradcheckReport({"group": 1e-5}, tolerance, 0.0)
+
+    monkeypatch.setattr(cagu.cli, "gradcheck", recording_gradcheck)
+    assert main(["gradcheck", "--seed", "5", "--tolerance", "1e-6"]) == 1
+    assert main(["gradcheck"]) == 0
+    (first, tol_first), (default, tol_default) = calls
+    assert (first.seed, tol_first) == (5, 1e-6)
+    assert (default.seed, tol_default) == (0, 1e-4)
+    for name, value in GRADCHECK_CONFIG.items():
+        assert getattr(first, name) == value
+    for bad in ("0", "-1e-4", "nan", "inf"):
+        assert main(["gradcheck", f"--tolerance={bad}"]) == 2
+    assert len(calls) == 2
