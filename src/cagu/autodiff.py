@@ -2,8 +2,11 @@
 
 A small tape machine: every kernel computes its numpy forward immediately
 and, when an active tape exists and an input wants gradients, appends a
-node holding a backward closure. ``backward`` replays the tape in reverse,
-accumulating gradients additively across fan-out; a tensor's first gradient
+node holding a backward closure. ``backward`` consumes the tape: it pops the
+nodes in reverse, runs each closure and drops the node, so the arrays a
+closure saved are freed as soon as it has run, and so is an intermediate
+gradient once its producer has run (unless the caller holds the tensor).
+Gradients accumulate additively across fan-out; a tensor's first gradient
 is held as given and a new array is made only when a second one arrives.
 
 Convolutions are one GEMM per layer over a channel-major column matrix with
@@ -110,6 +113,7 @@ class Tape:
 
     def __init__(self):
         self.nodes: list[Node] = []
+        self.consumed = False  # set by ``backward``, which empties ``nodes``
 
     def __enter__(self) -> "Tape":
         if Tape._active is not None:
@@ -210,24 +214,34 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
 
 
 def backward(tape: Tape, loss: Tensor):
-    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``.
+    """Populate ``grad`` on every requires-grad tensor reachable from ``loss``,
+    consuming the tape.
 
-    Gradients accumulate additively across fan-out. Nodes whose output never
-    received a gradient (not upstream of the loss) are skipped.
+    Nodes are popped in reverse order and each is dropped once its closure
+    has run: the arrays the closure saved are freed then, and a tensor
+    nobody else holds goes with its producer, gradient included. Gradients
+    accumulate additively across fan-out. Nodes whose output never received
+    a gradient (not upstream of the loss) are skipped. A consumed tape is
+    empty, and a second ``backward`` on it raises ``ContractError``.
     """
+    if tape.consumed:
+        raise ContractError("backward already consumed this tape")
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
+    tape.consumed = True
     if loss.grad is None:
         loss.grad = np.ones_like(loss.data)
-    for node in reversed(tape.nodes):
+    nodes = tape.nodes
+    while nodes:
+        node = nodes.pop()
         g = node.output.grad
-        if g is None:
-            continue
-        node.backward_fn(g)
+        if g is not None:
+            node.backward_fn(g)
 
 
 def first_nonfinite(tape: Tape) -> Optional[str]:
-    """Name of the earliest recorded op with a non-finite output, if any."""
+    """Name of the earliest recorded op with a non-finite output, if any;
+    ask before ``backward``, which empties the tape."""
     for i, node in enumerate(tape.nodes):
         if not np.all(np.isfinite(node.output.data)):
             return f"{node.op} (node {i} of {len(tape.nodes)})"
@@ -320,14 +334,17 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise suite
+# elementwise suite (a binary op computes no gradient for an operand that
+# does not require one)
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.shape))
 
     return _record("add", (a, b), out, bwd)
 
@@ -336,8 +353,10 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     out = a.data - b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.shape))
-        _accumulate(b, _unbroadcast(-g, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g, b.shape))
 
     return _record("sub", (a, b), out, bwd)
 
@@ -346,8 +365,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _record("mul", (a, b), out, bwd)
 
@@ -359,8 +380,10 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
     out = a.data / b.data
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g / b.data, a.shape))
-        _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _record("divide", (a, b), out, bwd)
 

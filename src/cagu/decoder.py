@@ -108,8 +108,8 @@ def loss(observed: Tensor, reconstructed: Tensor) -> Tensor:
     if observed.shape != reconstructed.shape:
         raise ShapeError(
             f"shapes differ: {observed.shape} vs {reconstructed.shape}")
-    obs_norm_floor = np.min(np.sqrt(np.sum(observed.data ** 2, axis=0)))
-    if obs_norm_floor == 0.0:
+    obs_norm = ad.l2_norm(observed, axis=0)
+    if np.min(obs_norm.data) == 0.0:
         raise NumericDomainError("observed scene has a zero-norm pixel spectrum")
     _, height, width = observed.shape
 
@@ -117,9 +117,8 @@ def loss(observed: Tensor, reconstructed: Tensor) -> Tensor:
     re_term = ad.scale(ad.sum(ad.square(diff)), 1.0 / (height * width))
 
     inner = ad.sum(ad.mul(observed, reconstructed), axis=0)
-    denom = ad.add(ad.mul(ad.l2_norm(observed, axis=0),
-                          ad.l2_norm(reconstructed, axis=0)),
-                   Tensor(np.full((height, width), NORM_GUARD)))
+    denom = ad.add(ad.mul(obs_norm, ad.l2_norm(reconstructed, axis=0)),
+                   Tensor(NORM_GUARD))
     sad_term = ad.mean(ad.arccos(ad.divide(inner, denom)))
     return ad.add(re_term, sad_term)
 

@@ -130,7 +130,7 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
         raise ConfigError(f"compress needs at least 4 bands, got {image.shape[0]}")
     mu = float(image.data.mean())
     sd = float(image.data.std())
-    h = ad.scale(ad.sub(image, Tensor(np.full(image.shape, mu))),
+    h = ad.scale(ad.sub(image, Tensor(mu)),
                  1.0 / (sd if sd > 0 else 1.0))
     h = ad.leaky_relu(ad.conv2d(h, params.conv1_w, params.conv1_b, padding=0))
     h = ad.leaky_relu(ad.conv2d(h, params.conv2_w, params.conv2_b, padding=0))

@@ -320,15 +320,19 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
             raise NonFiniteLossError(
                 f"epoch {epoch}: non-finite loss; first non-finite tensor "
                 f"from {culprit}")
-        backward(tape, loss)
-        optimizer.step()
-        params.decoder.clamp_endmembers()
-
-        losses.append(loss_value)
         if fingerprint is None:
             fingerprint = (outputs.graph.fingerprint()
                            if outputs.graph is not None else "none")
         abund = outputs.abundances.data
+        # held past backward, the outputs would keep their tensors' gradients
+        # alive through it, and into the next epoch's forward
+        del outputs
+        backward(tape, loss)
+        del loss
+        optimizer.step()
+        params.decoder.clamp_endmembers()
+
+        losses.append(loss_value)
         invariants.abundance_min.append(float(abund.min()))
         invariants.abundance_sum_dev.append(
             float(np.max(np.abs(abund.sum(axis=0) - 1.0))))
