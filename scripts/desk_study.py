@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from cagu.config import TrainConfig
+from cagu.hsi import write_text_atomic
 from cagu.train import run_ablation, run_beta_sweep, run_snr_sweep
 
 
@@ -33,20 +34,20 @@ def main(argv=None) -> int:
     snrs = [float(s) for s in args.snrs.split(",")]
     print(f"noise sweep over {snrs} dB, {args.seeds} seeds ...")
     snr_report = run_snr_sweep(config, snrs, seeds)
-    (out / "snr_sweep.csv").write_text(snr_report.to_csv())
+    write_text_atomic(out / "snr_sweep.csv", snr_report.to_csv())
     for note in snr_report.notes:
         print(" ", note)
 
     print("graph ablation (no graph / static grid / dynamic) ...")
     ablation = run_ablation(config, seeds)
-    (out / "ablation.csv").write_text(ablation.to_csv())
+    write_text_atomic(out / "ablation.csv", ablation.to_csv())
     for note in ablation.notes:
         print(" ", note)
 
     betas = [float(b) for b in args.betas.split(",")]
     print(f"residual-strength sweep over {betas} ...")
     beta_report = run_beta_sweep(config, betas, seeds)
-    (out / "beta_sweep.csv").write_text(beta_report.to_csv())
+    write_text_atomic(out / "beta_sweep.csv", beta_report.to_csv())
     for note in beta_report.notes:
         print(" ", note)
 

@@ -9,10 +9,12 @@ gradient once its producer has run (unless the caller holds the tensor).
 Gradients accumulate additively across fan-out; a tensor's first gradient
 is held as given and a new array is made only when a second one arrives.
 
-Convolutions are one GEMM per layer over a channel-major column matrix with
-the batch folded into its columns. The window (stencil) kernels pad each
-image, flatten it so that every window offset is one contiguous shift, and
-work through the channels in cache-sized blocks.
+A full-image convolution with a k > 1 kernel or padding is one GEMM per
+kernel tap over the padded, flattened image, where every tap is one
+contiguous shift; 1x1 layers and patch stacks are one GEMM per layer over a
+channel-major column matrix with the batch folded into its columns. The
+window (stencil) kernels use the same padded flat layout and work through
+the channels in cache-sized blocks.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, and the window kernels accumulate shifts in a fixed offset order and
@@ -29,7 +31,7 @@ import numpy as np
 from .errors import ContractError, NumericDomainError, ShapeError
 
 ARCCOS_EPS = 1e-7      # safety clamp half-width on arccos inputs
-CACHE_BYTES = 1 << 20  # budget of the block temporaries of one window kernel
+CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window or tap kernel
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
 
@@ -44,7 +46,7 @@ class Tensor:
     that ``_accumulate`` allocated for it, the only one it adds into in place.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "_owned")
+    __slots__ = ("data", "requires_grad", "grad", "_owned", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data, dtype=np.float64)
@@ -512,14 +514,16 @@ def l2_norm(x: Tensor, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (stride 1; one GEMM per layer over channel-major columns, the
-# batch folded into the column axis as its fastest-varying part)
+# convolution (stride 1). A full image with a k > 1 kernel or padding runs
+# one GEMM per kernel tap over its padded flat form; a patch stack, and a 1x1
+# layer without padding, run one GEMM per layer over channel-major columns,
+# the batch folded into the column axis as its fastest-varying part.
 
 def _columns(x4: np.ndarray, k: int, padding: int) -> np.ndarray:
     """Column matrix (C*k*k, out_h*out_w*N) of an (N, C, H, W) stack: row
     (c, i, j) holds channel c shifted by (i, j), every sample of a pixel
     side by side. A 1x1 kernel without padding takes the input itself, a
-    view when N == 1."""
+    view when N == 1, the only case a full image comes here."""
     xc = x4.transpose(1, 2, 3, 0)  # (C, H, W, N)
     c, h, w, n = xc.shape
     if k == 1 and not padding:
@@ -532,6 +536,68 @@ def _columns(x4: np.ndarray, k: int, padding: int) -> np.ndarray:
         for j in range(k):
             cols[:, i, j] = xp[:, i:i + out_h, j:j + out_w]
     return cols.reshape(c * k * k, out_h * out_w * n)
+
+
+def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
+              shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[:, q] = sum_t taps[t] @ src[:, q + shifts[t]], added in tap order,
+    in column blocks whose two (rows, block) arrays fit CACHE_BYTES."""
+    step = max(1, CACHE_BYTES // (16 * out.shape[0]))
+    term = np.empty((out.shape[0], step))
+    for q0 in range(0, out.shape[1], step):
+        q1 = min(q0 + step, out.shape[1])
+        acc, tmp = out[:, q0:q1], term[:, :q1 - q0]
+        np.matmul(taps[0], src[:, shifts[0] + q0:shifts[0] + q1], out=acc)
+        for tap, s in zip(taps[1:], shifts[1:]):
+            np.matmul(tap, src[:, s + q0:s + q1], out=tmp)
+            acc += tmp
+    return out
+
+
+def _tap_conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int
+                ) -> Tensor:
+    """conv2d of one C_in x H x W image as k*k GEMMs, one per kernel tap.
+
+    The image is padded once into the ``_Flat`` layout (radius = padding),
+    where output pixel (y, x) starts its window at y*Wp + x and tap (i, j)
+    reads i*Wp + j further on: each tap is one GEMM over a contiguous run of
+    columns, the padding columns inside the run being junk that is cropped.
+    The input gradient is the same sum over the zero-padded output gradient
+    with the shifts mirrored. Backward keeps only the padded input,
+    C_in*Hp*Wp values, instead of a C_in*k*k*H*W column matrix.
+    """
+    c_out, c_in, k, _ = w.shape
+    flat = _Flat(x.shape[1], x.shape[2], padding)
+    hp, wp = flat.hp, flat.wp
+    out_h, out_w = hp - k + 1, wp - k + 1
+    run = (out_h - 1) * wp + out_w
+    shifts = [i * wp + j for i in range(k) for j in range(k)]
+    taps = [np.ascontiguousarray(w.data[:, :, i, j])
+            for i in range(k) for j in range(k)]
+    xf = flat.pad(x.data)  # (C_in, Hp*Wp)
+    acc = np.empty((c_out, out_h * wp))  # pixel (y, x) at y*Wp + x
+    _tap_gemm(taps, xf, shifts, acc[:, :run])
+    out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+    out = out + bias.data[:, None, None] if bias is not None else out.copy()
+
+    def bwd(g):
+        # pixel (y, x) at last + y*Wp + x, zero elsewhere: q - shift is then
+        # q + (last - shift) for every padded input column q
+        last = shifts[-1]
+        gf = np.zeros((c_out, last + hp * wp))
+        gf[:, last:last + out_h * wp].reshape(c_out, out_h, wp)[:, :, :out_w] = g
+        gr = gf[:, last:last + run]
+        gw = np.stack([gr @ xf[:, s:s + run].T for s in shifts], axis=-1)
+        _accumulate(w, gw.reshape(w.shape))
+        if bias is not None:
+            _accumulate(bias, g.reshape(c_out, -1).sum(axis=1))
+        if x.requires_grad:
+            gxf = _tap_gemm([tap.T for tap in taps], gf,
+                            [last - s for s in shifts], np.empty((c_in, hp * wp)))
+            _accumulate(x, flat.crop(gxf))
+
+    inputs = (x, w) if bias is None else (x, w, bias)
+    return _record("conv2d", inputs, out, bwd)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Tensor:
@@ -554,6 +620,15 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Te
     if out_h < 1 or out_w < 1:
         raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
     pointwise = k == 1 and not padding
+    if not batched and not pointwise:
+        # The seam conv and the decoder's 3x3 run here; their column matrix
+        # would hold k*k copies of the image (46 MB for the 64-channel seam
+        # conv at 100x100, against 5.3 MB of padded input). A patch stack
+        # keeps the column GEMM: on 4x4 patches the padding ring more than
+        # doubles the columns, and taps over the stack laid out as one long
+        # flat image measured 3x slower in isolation (3x3, 32 -> 64 channels,
+        # 625 patches: 63 ms forward, against 21 ms with columns).
+        return _tap_conv2d(x, w, bias, padding)
     cols = _columns(x4, k, padding)
     w2 = w.data.reshape(c_out, c_in * k * k)
     out = w2 @ cols  # (C_out, out_h*out_w*N)

@@ -14,7 +14,8 @@ from pathlib import Path
 
 from .config import TrainConfig
 from .errors import CaguError, ConfigError, FormatError, ShapeError
-from .hsi import SynthSpec, generate_synthetic, read_container, write_container
+from .hsi import (SynthSpec, generate_synthetic, read_container,
+                  write_container, write_text_atomic)
 from .train import (GRADCHECK_CONFIG, evaluate_checkpoint,
                     export_abundance_maps, gradcheck, load_checkpoint,
                     run_ablation, run_beta_sweep, run_snr_sweep, train)
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _emit(text: str, out_path):
     if out_path:
-        Path(out_path).write_text(text)
+        write_text_atomic(out_path, text)
         print(f"wrote {out_path}")
     else:
         print(text, end="")
@@ -152,14 +153,14 @@ def _dispatch(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         if result is None:
             print("scene has no ground truth; writing reconstruction stats only")
-            (out_dir / "metrics.csv").write_text(
-                "dataset,seed,final_loss\n"
+            write_text_atomic(
+                out_dir / "metrics.csv", "dataset,seed,final_loss\n"
                 f"{Path(args.data).stem},{ckpt.config.seed},"
                 f"{ckpt.final_loss:.6f}\n")
         else:
             rows = dec.metrics_csv_rows(result, Path(args.data).stem,
                                         ckpt.config.seed)
-            (out_dir / "metrics.csv").write_text("\n".join(rows) + "\n")
+            write_text_atomic(out_dir / "metrics.csv", "\n".join(rows) + "\n")
             print(f"mean_sad {result.mean_sad:.4f} rmse {result.rmse:.4f}")
         return 0
 

@@ -8,8 +8,11 @@ The on-disk container stores float32 little-endian payloads behind a
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -213,6 +216,28 @@ def fold(arr: np.ndarray, height: int, width: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # container I/O
 
+@contextmanager
+def atomic_writer(path):
+    """Binary handle on a temp file next to ``path``, which replaces ``path``
+    only once the block has completed; if the block raises, the temp file
+    is removed and any earlier file at ``path`` is left as it was."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text_atomic(path, text: str) -> None:
+    """Write ``text`` as UTF-8 through ``atomic_writer``."""
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
 def write_container(cube: HsiCube, path) -> None:
     """Serialize a cube; payloads are float32 little-endian."""
     flags = 0
@@ -225,7 +250,7 @@ def write_container(cube: HsiCube, path) -> None:
         p = cube.gt_abundances.shape[0]
     header = CONTAINER_MAGIC + struct.pack(
         "<6I", CONTAINER_VERSION, flags, cube.bands, cube.height, cube.width, p)
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(header)
         fh.write(cube.data.astype("<f4").tobytes(order="C"))
         if cube.gt_endmembers is not None:
@@ -284,7 +309,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     """8-bit binary PGM; input values in [0, 1] map linearly onto 0..255."""
     levels = np.clip(np.rint(np.asarray(image, dtype=np.float64) * 255.0), 0, 255)
     h, w = image.shape
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.astype(np.uint8).tobytes())
 

@@ -28,8 +28,8 @@ from .config import TrainConfig
 from .errors import (ConfigError, FormatError, NonFiniteGradientError,
                      NonFiniteLossError)
 from .graph import build_static_grid_graph
-from .hsi import (HsiCube, SynthSpec, generate_synthetic, read_container,
-                  write_pgm)
+from .hsi import (HsiCube, SynthSpec, atomic_writer, generate_synthetic,
+                  read_container, write_pgm, write_text_atomic)
 
 log = logging.getLogger("cagu")
 
@@ -183,7 +183,7 @@ def _unpack_named_arrays(blob: bytes, offset: int
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     config_blob = ckpt.config.to_json().encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", ckpt.version))
         fh.write(struct.pack("<I", len(config_blob)))
@@ -618,6 +618,6 @@ def export_abundance_maps(ckpt: Checkpoint, cube: HsiCube, out_dir) -> List[str]
     else:
         rows = ["dataset,seed,final_loss",
                 f"scene,{ckpt.config.seed},{ckpt.final_loss:.6f}"]
-    csv_path.write_text("\n".join(rows) + "\n")
+    write_text_atomic(csv_path, "\n".join(rows) + "\n")
     written.append(str(csv_path))
     return written

@@ -1,5 +1,6 @@
 """Kernel oracles and gradient properties for the autodiff engine."""
 
+import weakref
 import zlib
 
 import numpy as np
@@ -155,6 +156,68 @@ def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
     np.testing.assert_allclose(gx, np.stack(grads[:n]), atol=1e-12)
     np.testing.assert_allclose(gw, grads[n], atol=1e-12)
     np.testing.assert_allclose(gb, grads[n + 1], atol=1e-12)
+
+
+def conv2d_reference_grads(x, w, g, padding):
+    """Direct-summation oracle of the gradients (x, w, b) of sum(conv2d * g)."""
+    c_out, _, k, _ = w.shape
+    _, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (padding, padding), (padding, padding)))
+    gxp, gw = np.zeros_like(xp), np.zeros_like(w)
+    for o in range(c_out):
+        for i in range(g.shape[1]):
+            for j in range(g.shape[2]):
+                gw[o] += g[o, i, j] * xp[:, i:i + k, j:j + k]
+                gxp[:, i:i + k, j:j + k] += g[o, i, j] * w[o]
+    return (gxp[:, padding:padding + h, padding:padding + wd], gw,
+            g.sum(axis=(1, 2)))
+
+
+# Full images that take the per-tap GEMMs (k > 1 or padding):
+# (c_in, c_out, height, width, k, padding)
+TAP_CASES = [(3, 4, 6, 5, 1, 1), (3, 4, 6, 5, 3, 0), (3, 2, 6, 5, 3, 1),
+             (2, 3, 7, 6, 5, 2), (3, 4, 1, 6, 3, 1), (3, 4, 6, 1, 3, 1),
+             (2, 3, 2, 5, 3, 1), (2, 3, 5, 2, 5, 2), (2, 2, 1, 1, 3, 1)]
+
+
+def _tap_case(c_in, c_out, h, w, k, seed):
+    rng = np.random.default_rng(seed)
+    return (Tensor(rng.normal(size=(c_in, h, w))),
+            Tensor(rng.normal(size=(c_out, c_in, k, k))),
+            Tensor(rng.normal(size=c_out)), rng)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
+def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
+    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 60 + h * 7 + w + k)
+    out = ad.conv2d(x, kern, bias, padding)
+    np.testing.assert_allclose(
+        out.data, conv2d_reference(x.data, kern.data, bias.data, padding),
+        rtol=0, atol=1e-12)
+    np.testing.assert_allclose(
+        ad.conv2d(x, kern, None, padding).data,
+        conv2d_reference(x.data, kern.data, np.zeros(c_out), padding),
+        rtol=0, atol=1e-12)
+    g = rng.normal(size=out.shape)
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, padding),
+                                          Tensor(g))), x, kern, bias)
+    for got, want in zip(grads, conv2d_reference_grads(x.data, kern.data, g,
+                                                       padding)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
+def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
+    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 80 + h * 7 + w + k)
+    direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))
+
+    def loss(t, which):
+        args = {"x": x, "w": kern, "b": bias, which: t}
+        return ad.sum(ad.mul(
+            ad.conv2d(args["x"], args["w"], args["b"], padding), direction))
+
+    for which, leaf in (("x", x), ("w", kern), ("b", bias)):
+        assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +409,30 @@ def test_backward_visits_each_node_once():
     assert calls == [1]
 
 
+def test_backward_consumes_the_tape():
+    rng = np.random.default_rng(45)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    with Tape() as tape:
+        held = ad.matmul(x, w)
+        loss = ad.sum(ad.square(ad.exp(held)))
+    dropped = [weakref.ref(node.output) for node in tape.nodes
+               if node.output is not held and node.output is not loss]
+    closures = [weakref.ref(node.backward_fn) for node in tape.nodes]
+    assert len(dropped) == 2 and len(closures) == 4
+    backward(tape, loss)
+    assert tape.nodes == []
+    assert all(ref() is None for ref in dropped + closures)
+    expected = 2.0 * np.exp(2.0 * held.data)
+    np.testing.assert_allclose(held.grad, expected, rtol=1e-15)
+    np.testing.assert_allclose(x.grad, expected @ w.data.T, rtol=1e-14)
+    gx, gw = x.grad.copy(), w.grad.copy()
+    with pytest.raises(ContractError, match="consumed"):
+        backward(tape, loss)
+    np.testing.assert_array_equal(x.grad, gx)
+    np.testing.assert_array_equal(w.grad, gw)
+
+
 # ---------------------------------------------------------------------------
 # standardisation hook (LSUV calibration)
 
@@ -504,6 +591,26 @@ def test_binary_kernel_gradients(name, builder):
 
         assert finite_diff_check(loss_a, a, h=1e-6) < 1e-4
         assert finite_diff_check(loss_b, b, h=1e-6) < 1e-4
+
+
+def test_constant_operand_gets_no_gradient():
+    # the constants' gradients, 1e200 * 1e200 here, would overflow if made
+    x = Tensor(np.full(3, 1e200))
+    c, d = Tensor(np.full(3, 1e-200)), Tensor(np.full(3, 1e200))
+    with np.errstate(over="raise"):
+        (g,) = grad_of(lambda: ad.sum(ad.mul(ad.mul(x, c), d)), x)
+    np.testing.assert_allclose(g, np.ones(3), rtol=1e-15)
+    assert c.grad is None and d.grad is None
+    rng = np.random.default_rng(46)
+    k1, k2 = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=3))
+    k3 = Tensor(np.full((2, 3), 0.5))
+
+    def f(t):  # every binary op with one constant operand
+        return ad.sum(ad.divide(ad.sub(k1, ad.mul(t, k2)),
+                                ad.add(k3, ad.square(t))))
+
+    assert finite_diff_check(f, Tensor(rng.normal(size=(2, 3)))) < 1e-6
+    assert k1.grad is None and k2.grad is None and k3.grad is None
 
 
 @pytest.mark.parametrize("k,padding", [(1, 0), (3, 1)])

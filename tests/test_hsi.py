@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from cagu.errors import ConfigError, FormatError, ShapeError
-from cagu.hsi import (HsiCube, SynthSpec, empirical_snr_db, fold,
-                      generate_synthetic, read_container, read_pgm, unfold,
-                      write_container, write_pgm)
+from cagu.hsi import (HsiCube, SynthSpec, atomic_writer, empirical_snr_db,
+                      fold, generate_synthetic, read_container, read_pgm,
+                      unfold, write_container, write_pgm, write_text_atomic)
 
 
 def small_spec(**overrides):
@@ -92,6 +92,38 @@ def test_container_file_roundtrip_byte_exact(tmp_path):
     write_container(cube, first)
     write_container(read_container(first), second)
     assert first.read_bytes() == second.read_bytes()
+
+
+def test_failed_write_keeps_previous_file_and_leaves_no_temp(tmp_path):
+    path = tmp_path / "scene.hsic"
+    write_container(generate_synthetic(small_spec()), path)
+    before = path.read_bytes()
+    with pytest.raises(RuntimeError):
+        with atomic_writer(path) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted")
+    broken = generate_synthetic(small_spec(seed=8))
+
+    class Unwritable:  # fails after the header and the data are written
+        shape = broken.gt_abundances.shape
+
+        def astype(self, *_):
+            raise MemoryError("out of memory")
+
+    broken.gt_abundances = Unwritable()
+    with pytest.raises(MemoryError):
+        write_container(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["scene.hsic"]
+
+
+def test_atomic_writes_create_and_replace(tmp_path):
+    path = tmp_path / "table.csv"
+    write_text_atomic(path, "a,b\n")
+    write_text_atomic(path, "c,d\n")
+    write_pgm(tmp_path / "map.pgm", np.full((2, 2), 0.5))
+    assert path.read_text() == "c,d\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["map.pgm", "table.csv"]
 
 
 def test_container_without_ground_truth(tmp_path):

@@ -1,5 +1,7 @@
 """Training determinism, checkpoint persistence, harnesses, CLI surface."""
 
+import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +77,18 @@ def test_resume_equals_uninterrupted(tiny_cube, tmp_path):
     train(tiny_config(epochs=3, checkpoint_path=str(part_path)), cube=tiny_cube)
     train(final_cfg, cube=tiny_cube, resume_from=str(part_path))
     assert final_path.read_bytes() == uninterrupted
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tiny_cube, tmp_path):
+    path = tmp_path / "model.ckpt"
+    result = train(tiny_config(checkpoint_path=str(path)), cube=tiny_cube)
+    before = path.read_bytes()
+    # every array is written before the trailer fails to pack
+    broken = replace(result.checkpoint, final_loss="not a float")
+    with pytest.raises(struct.error):
+        save_checkpoint(broken, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
 
 
 def test_truncated_checkpoint_raises_format_error(tiny_cube, tmp_path):

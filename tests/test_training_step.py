@@ -1,0 +1,58 @@
+"""Memory held by one training step: backward consumes the tape."""
+
+import tracemalloc
+import weakref
+
+import pytest
+
+from cagu import model as mdl
+from cagu.autodiff import Tape, Tensor, backward
+from cagu.config import TrainConfig
+from cagu.errors import ContractError
+from cagu.train import make_desk_scene
+
+
+def _step_inputs(size, **config):
+    cube = make_desk_scene(30.0, 0, dict(height=size, width=size, bands=60,
+                                         endmembers=3))
+    config = TrainConfig(seed=0, **config).validate()
+    return mdl.initialize_from_scene(cube, config), Tensor(cube.data), config
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static", "none"])
+def test_backward_frees_every_intermediate_of_a_training_step(mode):
+    params, observed, config = _step_inputs(
+        8, channels=6, token_dim=6, fused_channels=6, patch_size=2,
+        k_steps=2, ablation_mode=mode)
+    with Tape() as tape:
+        loss, outputs = mdl.training_loss(params, observed, config)
+    kept = outputs.abundances
+    outputs = None
+    dropped = [weakref.ref(node.output) for node in tape.nodes
+               if node.output is not kept and node.output is not loss]
+    closures = [weakref.ref(node.backward_fn) for node in tape.nodes]
+    backward(tape, loss)
+    assert [ref for ref in dropped + closures if ref() is not None] == []
+    assert kept.grad is not None and kept.grad.shape == kept.shape
+    assert params.frontend.conv1_w.grad is not None
+    with pytest.raises(ContractError):
+        backward(tape, loss)
+
+
+def test_training_step_peak_stays_near_the_forward():
+    # One step at 40x40: backward frees what it has used as it goes, so its
+    # peak stays close to what the forward pass left live (1.73x when
+    # backward kept every gradient and closure until the tape died, and
+    # the 3x3 convs held column matrices).
+    params, observed, config = _step_inputs(40)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            loss, _ = mdl.training_loss(params, observed, config)
+        live = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        backward(tape, loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * live, (peak / 1e6, live / 1e6)
