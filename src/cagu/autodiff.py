@@ -9,12 +9,12 @@ gradient once its producer has run (unless the caller holds the tensor).
 Gradients accumulate additively across fan-out; a tensor's first gradient
 is held as given and a new array is made only when a second one arrives.
 
-A full-image convolution with a k > 1 kernel or padding is one GEMM per
-kernel tap over the padded, flattened image, where every tap is one
-contiguous shift; 1x1 layers and patch stacks are one GEMM per layer over a
-channel-major column matrix with the batch folded into its columns. The
-window (stencil) kernels use the same padded flat layout and work through
-the channels in cache-sized blocks.
+There is one convolution kernel: one GEMM per kernel tap over the padded,
+flattened C x H x W image, where every tap is one contiguous shift (a 1x1
+layer is a single tap over the image itself). A patch-local convolution is
+the same kernel with each tap masked where it would read across a patch
+boundary. The window (stencil) kernels use the same padded flat layout and
+work through the channels in cache-sized blocks.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, and the window kernels accumulate shifts in a fixed offset order and
@@ -23,6 +23,7 @@ sum over channels one after another, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable, Optional, Sequence
 
@@ -172,7 +173,7 @@ class Standardize:
         if layer is None:
             return out
         w, b = layer
-        unit = out.ndim - 3 if w.ndim == 4 else out.ndim - 1
+        unit = 0 if w.ndim == 4 else out.ndim - 1
         axes = tuple(i for i in range(out.ndim) if i != unit)
         mu = out.mean(axis=axes, keepdims=True)
         sd = out.std(axis=axes, keepdims=True)
@@ -180,7 +181,7 @@ class Standardize:
         scale = sd.ravel()
         w.data /= scale.reshape(-1, 1, 1, 1) if w.ndim == 4 else scale
         b.data = (b.data - mu.ravel()) / scale
-        return (out - mu) / sd
+        return np.divide(np.subtract(out, mu, out=out), sd, out=out)  # fresh: in place
 
 
 def _accumulate(t: Tensor, g: np.ndarray):
@@ -514,150 +515,122 @@ def l2_norm(x: Tensor, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (stride 1). A full image with a k > 1 kernel or padding runs
-# one GEMM per kernel tap over its padded flat form; a patch stack, and a 1x1
-# layer without padding, run one GEMM per layer over channel-major columns,
-# the batch folded into the column axis as its fastest-varying part.
-
-def _columns(x4: np.ndarray, k: int, padding: int) -> np.ndarray:
-    """Column matrix (C*k*k, out_h*out_w*N) of an (N, C, H, W) stack: row
-    (c, i, j) holds channel c shifted by (i, j), every sample of a pixel
-    side by side. A 1x1 kernel without padding takes the input itself, a
-    view when N == 1, the only case a full image comes here."""
-    xc = x4.transpose(1, 2, 3, 0)  # (C, H, W, N)
-    c, h, w, n = xc.shape
-    if k == 1 and not padding:
-        return xc.reshape(c, h * w * n)
-    out_h, out_w = h + 2 * padding - k + 1, w + 2 * padding - k + 1
-    xp = np.zeros((c, h + 2 * padding, w + 2 * padding, n))
-    xp[:, padding:padding + h, padding:padding + w] = xc
-    cols = np.empty((c, k, k, out_h, out_w, n))
-    for i in range(k):
-        for j in range(k):
-            cols[:, i, j] = xp[:, i:i + out_h, j:j + out_w]
-    return cols.reshape(c * k * k, out_h * out_w * n)
-
+# convolution (stride 1): one GEMM per kernel tap over the padded flat image
 
 def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
-              shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
-    """out[:, q] = sum_t taps[t] @ src[:, q + shifts[t]], added in tap order,
-    in column blocks whose two (rows, block) arrays fit CACHE_BYTES."""
-    step = max(1, CACHE_BYTES // (16 * out.shape[0]))
-    term = np.empty((out.shape[0], step))
-    for q0 in range(0, out.shape[1], step):
-        q1 = min(q0 + step, out.shape[1])
-        acc, tmp = out[:, q0:q1], term[:, :q1 - q0]
-        np.matmul(taps[0], src[:, shifts[0] + q0:shifts[0] + q1], out=acc)
-        for tap, s in zip(taps[1:], shifts[1:]):
-            np.matmul(tap, src[:, s + q0:s + q1], out=tmp)
-            acc += tmp
+              shifts: Sequence[int], masks: Sequence, out: np.ndarray
+              ) -> np.ndarray:
+    """out[:, q] = sum_t masks[t][q] * taps[t] @ src[:, q + shifts[t]], in tap
+    order, one column block at a time, summed in a contiguous buffer (adding
+    into a strided slice of ``out`` is ~3x slower) with temporaries within
+    CACHE_BYTES. A mask (``None`` keeps all) goes on the source block or the
+    product, whichever has fewer rows; a lone unmasked tap is one GEMM."""
+    rows, on_src, n = out.shape[0], src.shape[0] < out.shape[0], out.shape[1]
+    if len(taps) == 1 and masks[0] is None:
+        return np.matmul(taps[0], src[:, shifts[0]:shifts[0] + n], out=out)
+    step = min(n, max(1, CACHE_BYTES // (8 * (2 * rows + on_src * src.shape[0]))))
+    tmp_buf, masked = np.empty((rows, step)), np.empty((src.shape[0], step))
+    acc_buf = out if step == n else np.empty((rows, step))  # one block: in place
+    for q0 in range(0, n, step):
+        q1 = min(q0 + step, n)
+        acc, tmp = acc_buf[:, :q1 - q0], tmp_buf[:, :q1 - q0]
+        for t, (tap, s, mask) in enumerate(zip(taps, shifts, masks)):
+            part, cols = (tmp if t else acc), src[:, s + q0:s + q1]
+            if mask is not None and on_src:
+                cols = np.multiply(cols, mask[q0:q1], out=masked[:, :q1 - q0])
+            np.matmul(tap, cols, out=part)
+            if mask is not None and not on_src:
+                part *= mask[q0:q1]
+            if t:
+                acc += tmp
+        if acc_buf is not out:
+            out[:, q0:q1] = acc
     return out
 
 
-def _tap_conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int
-                ) -> Tensor:
-    """conv2d of one C_in x H x W image as k*k GEMMs, one per kernel tap.
+@functools.lru_cache(maxsize=8)
+def _patch_masks(height: int, width: int, k: int, m: int) -> tuple:
+    """Per-tap 0/1 masks of a k x k "same" conv kept inside m x m patches,
+    over the output columns y*Wp + x (``None``: kept everywhere), and the
+    same masks moved on by each tap's shift, over the Hp*Wp input columns."""
+    r, wp = k // 2, width + k - 1
+    y, x = np.divmod(np.arange((height - 1) * wp + width), wp)
+    fwd, bwd = [None] * k * k, [None] * k * k
+    for t in range(k * k):
+        i, j = divmod(t, k)
+        keep = ((y + i - r) // m == y // m) & ((x + j - r) // m == x // m)
+        if not keep.all():
+            fwd[t], bwd[t] = keep.astype(np.float64), np.zeros((height + k - 1) * wp)
+            bwd[t][i * wp + j:i * wp + j + keep.size] = keep
+    return tuple(fwd), tuple(bwd)
+
+
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
+           patch: Optional[int] = None) -> Tensor:
+    """Cross-correlation with C_out kernels, stride 1, of a C_in x H x W map.
 
     The image is padded once into the ``_Flat`` layout (radius = padding),
     where output pixel (y, x) starts its window at y*Wp + x and tap (i, j)
     reads i*Wp + j further on: each tap is one GEMM over a contiguous run of
-    columns, the padding columns inside the run being junk that is cropped.
-    The input gradient is the same sum over the zero-padded output gradient
-    with the shifts mirrored. Backward keeps only the padded input,
-    C_in*Hp*Wp values, instead of a C_in*k*k*H*W column matrix.
+    columns, whose padding columns hold junk that is cropped. An unpadded
+    1x1 layer has no junk and takes the image itself, a view, as its flat
+    layout. The input gradient is the same sum over the zero-padded output
+    gradient with the shifts mirrored; backward keeps only the flat input.
+
+    ``patch=m`` convolves each m x m patch on its own, zero-padded as if it
+    were the whole image: a tap that would cross a patch boundary is masked.
+    It needs H and W to be multiples of m and k = 2 * padding + 1.
     """
-    c_out, c_in, k, _ = w.shape
+    if x.ndim != 3:
+        raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
+    c_out, c_in, k, k2 = w.shape
+    if k != k2 or x.shape[0] != c_in:
+        raise ShapeError(f"conv2d: kernel {w.shape} (square, C_in x k x k) "
+                         f"does not fit input {x.shape}")
+    if patch is not None and (k != 2 * padding + 1 or patch < 1
+                              or x.shape[1] % patch or x.shape[2] % patch):
+        raise ShapeError(f"conv2d: {patch} x {patch} patches do not tile {x.shape} "
+                         f"for kernel {w.shape} with padding {padding}")
     flat = _Flat(x.shape[1], x.shape[2], padding)
     hp, wp = flat.hp, flat.wp
     out_h, out_w = hp - k + 1, wp - k + 1
-    run = (out_h - 1) * wp + out_w
+    if out_h < 1 or out_w < 1:
+        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
+    run, last = (out_h - 1) * wp + out_w, (k - 1) * (wp + 1)
     shifts = [i * wp + j for i in range(k) for j in range(k)]
-    taps = [np.ascontiguousarray(w.data[:, :, i, j])
-            for i in range(k) for j in range(k)]
-    xf = flat.pad(x.data)  # (C_in, Hp*Wp)
+    taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
+    fwd_masks, bwd_masks = (_patch_masks(x.shape[1], x.shape[2], k, patch)
+                            if patch is not None else ([None] * k * k,) * 2)
+    pointwise = k == 1 and not padding
+    xf = x.data.reshape(c_in, -1) if pointwise else flat.pad(x.data)
     acc = np.empty((c_out, out_h * wp))  # pixel (y, x) at y*Wp + x
-    _tap_gemm(taps, xf, shifts, acc[:, :run])
+    _tap_gemm(taps, xf, shifts, fwd_masks, acc[:, :run])
     out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
-    out = out + bias.data[:, None, None] if bias is not None else out.copy()
+    if bias is not None:
+        out = np.add(out, bias.data[:, None, None], out=out if pointwise else None)
+    elif not pointwise:
+        out = out.copy()
 
     def bwd(g):
-        # pixel (y, x) at last + y*Wp + x, zero elsewhere: q - shift is then
-        # q + (last - shift) for every padded input column q
-        last = shifts[-1]
-        gf = np.zeros((c_out, last + hp * wp))
-        gf[:, last:last + out_h * wp].reshape(c_out, out_h, wp)[:, :, :out_w] = g
-        gr = gf[:, last:last + run]
-        gw = np.stack([gr @ xf[:, s:s + run].T for s in shifts], axis=-1)
+        # gf: pixel (y, x) at last + y*Wp + x and zero elsewhere, so input
+        # column q reads tap t's output gradient at q + (last - shift)
+        if pointwise:
+            gf = gr = g.reshape(c_out, run)
+        else:
+            gf = np.zeros((c_out, last + hp * wp))
+            gf[:, last:last + out_h * wp].reshape(c_out, out_h, wp)[:, :, :out_w] = g
+            gr = gf[:, last:last + run]
+        masked = np.empty((c_in, run)) if patch is not None else None
+        gw = np.stack([gr @ (xf[:, s:s + run] if mask is None else
+                             np.multiply(xf[:, s:s + run], mask, out=masked)).T
+                       for s, mask in zip(shifts, fwd_masks)], axis=-1)
         _accumulate(w, gw.reshape(w.shape))
         if bias is not None:
             _accumulate(bias, g.reshape(c_out, -1).sum(axis=1))
         if x.requires_grad:
-            gxf = _tap_gemm([tap.T for tap in taps], gf,
-                            [last - s for s in shifts], np.empty((c_in, hp * wp)))
+            gxf = _tap_gemm(taps.transpose(0, 2, 1), gf, [last - s for s in shifts],
+                            bwd_masks, np.empty((c_in, hp * wp)))
             _accumulate(x, flat.crop(gxf))
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _record("conv2d", inputs, out, bwd)
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Tensor:
-    """Cross-correlation with C_out kernels, stride 1, of a C_in x H x W map
-    or of a stack of independent N x C_in x H x W maps."""
-    if x.ndim not in (3, 4):
-        raise ShapeError(
-            f"conv2d expects C x H x W or N x C x H x W input, got {x.shape}")
-    c_out, c_in, k, k2 = w.shape
-    if k != k2:
-        raise ShapeError(f"conv2d: kernel must be square, got {w.shape}")
-    if x.shape[-3] != c_in:
-        raise ShapeError(
-            f"conv2d: input channels {x.shape} do not match kernel {w.shape}")
-    batched = x.ndim == 4
-    x4 = x.data if batched else x.data[None]
-    n, _, h, wd = x4.shape
-    hp, wp = h + 2 * padding, wd + 2 * padding
-    out_h, out_w = hp - k + 1, wp - k + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
-    pointwise = k == 1 and not padding
-    if not batched and not pointwise:
-        # The seam conv and the decoder's 3x3 run here; their column matrix
-        # would hold k*k copies of the image (46 MB for the 64-channel seam
-        # conv at 100x100, against 5.3 MB of padded input). A patch stack
-        # keeps the column GEMM: on 4x4 patches the padding ring more than
-        # doubles the columns, and taps over the stack laid out as one long
-        # flat image measured 3x slower in isolation (3x3, 32 -> 64 channels,
-        # 625 patches: 63 ms forward, against 21 ms with columns).
-        return _tap_conv2d(x, w, bias, padding)
-    cols = _columns(x4, k, padding)
-    w2 = w.data.reshape(c_out, c_in * k * k)
-    out = w2 @ cols  # (C_out, out_h*out_w*N)
-    if bias is not None:
-        out += bias.data[:, None]
-    out = out.reshape(c_out, out_h, out_w, n)
-    out = np.ascontiguousarray(out.transpose(3, 0, 1, 2)) if batched else out[..., 0]
-    held = None if pointwise else cols  # a 1x1 layer rebuilds its columns
-
-    def bwd(g):
-        g4 = g if batched else g[None]
-        g2 = g4.transpose(1, 2, 3, 0).reshape(c_out, out_h * out_w * n)
-        xcols = _columns(x4, 1, 0) if held is None else held
-        _accumulate(w, (g2 @ xcols.T).reshape(w.shape))
-        if bias is not None:
-            _accumulate(bias, g2.sum(axis=1))
-        if not x.requires_grad:
-            return
-        gcols = w2.T @ g2
-        if pointwise:
-            gx = gcols.reshape(c_in, h, wd, n)
-        else:
-            gcols = gcols.reshape(c_in, k, k, out_h, out_w, n)
-            gxp = np.zeros((c_in, hp, wp, n))
-            for i in range(k):
-                for j in range(k):
-                    gxp[:, i:i + out_h, j:j + out_w] += gcols[:, i, j]
-            gx = gxp[:, padding:padding + h, padding:padding + wd]
-        _accumulate(x, gx.transpose(3, 0, 1, 2) if batched else gx[..., 0])
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _record("conv2d", inputs, out, bwd)
@@ -666,23 +639,19 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0) -> Te
 # ---------------------------------------------------------------------------
 # patch tiling
 
-def _patch_grid(height: int, width: int, m: int):
-    return -(-height // m), -(-width // m)
-
-
 def tile_patches(x: Tensor, m: int) -> Tensor:
     """C x H x W -> n x C x m x m non-overlapping patches, row-major patch
     order, bottom/right edge patches zero-padded to full size."""
     if x.ndim != 3:
         raise ShapeError(f"tile_patches expects C x H x W, got {x.shape}")
     c, h, w = x.shape
-    gh, gw = _patch_grid(h, w, m)
+    gh, gw = -(-h // m), -(-w // m)
     hp, wp = gh * m, gw * m
-    xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
-    xp[:, :h, :w] = x.data
-    blocks = (xp.reshape(c, gh, m, gw, m)
-                .transpose(1, 3, 0, 2, 4)
-                .reshape(gh * gw, c, m, m))
+    xp = x.data
+    if (hp, wp) != (h, w):
+        xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
+        xp[:, :h, :w] = x.data
+    blocks = np.ascontiguousarray(xp.reshape(c, gh, m, gw, m).transpose(1, 3, 0, 2, 4))
 
     def bwd(g):
         gp = (g.reshape(gh, gw, c, m, m)
@@ -690,7 +659,7 @@ def tile_patches(x: Tensor, m: int) -> Tensor:
                .reshape(c, hp, wp))
         _accumulate(x, gp[:, :h, :w])
 
-    return _record("tile_patches", (x,), blocks.copy(), bwd)
+    return _record("tile_patches", (x,), blocks.reshape(gh * gw, c, m, m), bwd)
 
 
 def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
@@ -699,12 +668,10 @@ def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
     if blocks.ndim != 4:
         raise ShapeError(f"untile_patches expects n x C x m x m, got {blocks.shape}")
     n, c, m, m2 = blocks.shape
-    if m != m2:
-        raise ShapeError(f"untile_patches: patches must be square, got {blocks.shape}")
-    gh, gw = _patch_grid(height, width, m)
-    if n != gh * gw:
+    gh, gw = -(-height // m), -(-width // m)
+    if m != m2 or n != gh * gw:
         raise ShapeError(
-            f"untile_patches: {n} patches cannot tile {height}x{width} with m={m}")
+            f"untile_patches: patches {blocks.shape} cannot tile {height}x{width}")
     full = (blocks.data.reshape(gh, gw, c, m, m)
                        .transpose(2, 0, 3, 1, 4)
                        .reshape(c, gh * m, gw * m))
@@ -743,7 +710,6 @@ class _Flat:
         self.shifts = [dr * self.wp + dc
                        for dr in range(-radius, radius + 1)
                        for dc in range(-radius, radius + 1) if dr or dc]
-        self._on_grid = self.pad(np.ones((height, width))) > 0.0
 
     def blocks(self, channels: int, planes: int) -> list:
         """(first, stop) channel of every block, in order, each block small
@@ -761,6 +727,9 @@ class _Flat:
             out = np.zeros(a.shape[:-2] + (self.hp * self.wp,))
         self.crop(out)[...] = a
         return out
+
+    _on_grid = functools.cached_property(  # built on first use: convs never need it
+        lambda self: self.pad(np.ones((self.height, self.width))) > 0.0)
 
     def pairs(self, shift: int) -> np.ndarray:
         """Over the run: True where the pixel and its neighbour ``shift``

@@ -1,10 +1,10 @@
 """Spectral compression and patch tokenization.
 
 The band axis is squeezed through three 1x1 convolutions, then the feature
-map is tiled into non-overlapping m x m patches. Each patch yields one
-spectral token (1x1 conv, patch-average pool, linear map) and one spatial
-token (3x3 conv inside the patch, flatten, linear map), so both sequences
-have one token per patch and stay strictly patch-local.
+map is cut into non-overlapping m x m patches (edge patches zero-padded).
+Each patch yields one spectral token (1x1 conv, patch-average pool, linear
+map) and one spatial token (3x3 conv inside the patch, flatten, linear map),
+so both sequences have one token per patch and stay strictly patch-local.
 """
 
 from __future__ import annotations
@@ -138,21 +138,23 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
 
 
 def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
-    """channels x H x W -> per-patch spectral and spatial token sequences."""
+    """channels x H x W -> per-patch spectral and spatial token sequences,
+    both convs run once over the map zero-padded to the patch grid."""
     m = params.patch_size
-    _, height, width = fmap.shape
+    channels, height, width = fmap.shape
     if m > min(height, width):
-        raise ConfigError(
-            f"patch size {m} exceeds image extent {height}x{width}")
-    blocks = ad.tile_patches(fmap, m)  # (n, C, m, m)
-    grid = (-(-height // m), -(-width // m))
+        raise ConfigError(f"patch size {m} exceeds image extent {height}x{width}")
+    gh, gw = -(-height // m), -(-width // m)
+    grid = fmap if (gh * m, gw * m) == (height, width) else ad.untile_patches(
+        ad.tile_patches(fmap, m), gh * m, gw * m)  # zero-padded edge patches
 
-    spe = ad.conv2d(blocks, params.spe_conv_w, params.spe_conv_b, padding=0)
-    pooled = ad.mean(spe, axis=(2, 3))  # (n, C): average over the padded patch
+    spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b, padding=0)
+    pooled = ad.mean(ad.reshape(spe, (channels, gh, m, gw, m)), axis=(2, 4))
+    pooled = ad.transpose(ad.reshape(pooled, (channels, gh * gw)))  # (n, C)
     spectral = ad.add(ad.matmul(pooled, params.spe_fc_w), params.spe_fc_b)
 
-    spa = ad.conv2d(blocks, params.spa_conv_w, params.spa_conv_b, padding=1)
-    flat = ad.reshape(spa, (spa.shape[0], spa.shape[1] * m * m))
+    spa = ad.conv2d(grid, params.spa_conv_w, params.spa_conv_b, padding=1, patch=m)
+    flat = ad.reshape(ad.tile_patches(spa, m), (gh * gw, spa.shape[0] * m * m))
     spatial = ad.add(ad.matmul(flat, params.spa_fc_w), params.spa_fc_b)
 
-    return TokenSequences(spectral, spatial, grid, m)
+    return TokenSequences(spectral, spatial, (gh, gw), m)

@@ -56,14 +56,14 @@ class ContentGraph:
     order. ``weights[o]`` is an image holding, at pixel i, the raw weight of
     the edge from i to its neighbour i + o; ``adjacency[o]`` holds the same
     entries of D^-1/2 (A + I) D^-1/2 and ``loops`` its diagonal, 1 / degree.
-    ``neighbours[o]`` holds the flat index of i + o, or -1 where it falls off
-    the grid and both weight images are zero.
+    ``valid[o]`` is True where i + o lies on the grid; elsewhere both weight
+    images are zero.
     """
 
     height: int
     width: int
     radius: int
-    neighbours: np.ndarray  # (n_off, H, W) int64
+    valid: np.ndarray       # (n_off, H, W) bool
     weights: Tensor         # (n_off, H, W)
     adjacency: Tensor       # (n_off, H, W)
     loops: Tensor           # (H, W)
@@ -76,12 +76,15 @@ class ContentGraph:
     def edge_rows(self) -> np.ndarray:
         """Source pixel of every directed off-diagonal edge, offset-major."""
         pixels = np.arange(self.n_nodes).reshape(self.height, self.width)
-        return np.broadcast_to(pixels, self.neighbours.shape)[self.neighbours >= 0]
+        return np.broadcast_to(pixels, self.valid.shape)[self.valid]
 
     def _dense(self, stencil: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        valid = self.neighbours >= 0
+        r = self.radius
+        shifts = np.array([dr * self.width + dc for dr in range(-r, r + 1)
+                           for dc in range(-r, r + 1) if dr or dc])
         a = np.diag(diagonal)
-        a[self.edge_rows, self.neighbours[valid]] = stencil[valid]
+        rows = self.edge_rows
+        a[rows, rows + shifts[np.nonzero(self.valid)[0]]] = stencil[self.valid]
         return a
 
     def dense_weights(self) -> np.ndarray:
@@ -101,23 +104,22 @@ class ContentGraph:
         return digest.hexdigest()[:16]
 
 
-def _neighbour_index(height: int, width: int, radius: int) -> np.ndarray:
-    """Flat index of pixel i + o at [o, i]; -1 where it is off the grid."""
+def _window_valid(height: int, width: int, radius: int) -> np.ndarray:
+    """True at [o, i] where pixel i + o is on the grid."""
     if radius < 1:
         raise ConfigError(f"window radius must be at least 1, got {radius}")
-    ids = Tensor(np.arange(1.0, height * width + 1).reshape(height, width))
-    return ad.neighbour_shift(ids, radius).data.astype(np.int64) - 1
+    return ad.neighbour_shift(Tensor(np.ones((height, width))), radius).data > 0.0
 
 
-def _normalize(neighbours: np.ndarray, weights: Tensor, radius: int
+def _normalize(valid: np.ndarray, weights: Tensor, radius: int
                ) -> ContentGraph:
     """Add self-loops and apply D^-1/2 (A + I) D^-1/2."""
-    _, height, width = neighbours.shape
+    _, height, width = valid.shape
     degree = ad.add(Tensor(np.ones((height, width))), ad.sum(weights, axis=0))
     inv_sqrt = ad.divide(Tensor(np.ones((height, width))), ad.sqrt(degree))
     adjacency = ad.mul(weights, ad.mul(inv_sqrt,
                                        ad.neighbour_shift(inv_sqrt, radius)))
-    return ContentGraph(height, width, radius, neighbours, weights, adjacency,
+    return ContentGraph(height, width, radius, valid, weights, adjacency,
                         loops=ad.mul(inv_sqrt, inv_sqrt))
 
 
@@ -136,22 +138,20 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
         raise ShapeError(f"features must be channels x N, got {features.shape}")
     height, width = _grid_shape(positions, features.shape[1])
 
-    neighbours = _neighbour_index(height, width, radius)
+    valid = _window_valid(height, width, radius)
     gdist2 = ad.window_sqdist(Tensor(positions.reshape(2, height, width)), radius)
-    spatial_term = Tensor(np.exp(-gdist2.data / (sigma_g * sigma_g))
-                          * (neighbours >= 0))
+    spatial_term = Tensor(np.exp(-gdist2.data / (sigma_g * sigma_g)) * valid)
     fmap = ad.reshape(features, (features.shape[0], height, width))
     feat_term = ad.exp(ad.scale(ad.window_sqdist(fmap, radius), -1.0 / sigma_f))
     weights = ad.mul(feat_term, spatial_term)
-    return _normalize(neighbours, weights, radius)
+    return _normalize(valid, weights, radius)
 
 
 def build_static_grid_graph(height: int, width: int, radius: int
                             ) -> ContentGraph:
     """Feature-independent grid graph: every in-window weight fixed to 1."""
-    neighbours = _neighbour_index(height, width, radius)
-    return _normalize(neighbours, Tensor((neighbours >= 0).astype(np.float64)),
-                      radius)
+    valid = _window_valid(height, width, radius)
+    return _normalize(valid, Tensor(valid.astype(np.float64)), radius)
 
 
 @dataclass

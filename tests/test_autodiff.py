@@ -112,52 +112,6 @@ def test_conv2d_channel_mismatch():
                   Tensor(np.zeros(3)))
 
 
-CONV_CASES = [(k, padding, n) for k, padding in ((1, 0), (1, 1), (3, 0), (3, 1))
-              for n in (1, 4)]
-
-
-@pytest.mark.parametrize("k,padding,n", CONV_CASES)
-def test_conv2d_stack_matches_reference_and_per_sample_convs(k, padding, n):
-    rng = np.random.default_rng(10 * k + padding + n)
-    x = rng.normal(size=(n, 3, 6, 5))
-    w = Tensor(rng.normal(size=(4, 3, k, k)))
-    b = Tensor(rng.normal(size=4))
-    out = ad.conv2d(Tensor(x), w, b, padding=padding).data
-    reference = np.stack([conv2d_reference(xi, w.data, b.data, padding) for xi in x])
-    np.testing.assert_allclose(out, reference, atol=1e-12)
-    per_sample = np.stack([ad.conv2d(Tensor(xi), w, b, padding=padding).data
-                           for xi in x])
-    assert np.max(np.abs(out - per_sample)) <= 1e-12
-
-
-@pytest.mark.parametrize("k,padding,n", CONV_CASES)
-def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
-    rng = np.random.default_rng(20 * k + padding + n)
-    x = rng.normal(size=(n, 2, 5, 4))
-    w = Tensor(rng.normal(size=(3, 2, k, k)))
-    b = Tensor(rng.normal(size=3))
-    out_shape = ad.conv2d(Tensor(x), w, b, padding=padding).shape
-    direction = rng.normal(size=out_shape)
-    stacked = Tensor(x.copy())
-    gx, gw, gb = grad_of(lambda: ad.sum(ad.mul(
-        ad.conv2d(stacked, w, b, padding=padding), Tensor(direction))),
-        stacked, w, b)
-    samples = [Tensor(xi.copy()) for xi in x]
-
-    def per_sample_loss():
-        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b, padding=padding), Tensor(d)))
-                 for t, d in zip(samples, direction)]
-        total = terms[0]
-        for term in terms[1:]:
-            total = ad.add(total, term)
-        return total
-
-    grads = grad_of(per_sample_loss, *samples, w, b)
-    np.testing.assert_allclose(gx, np.stack(grads[:n]), atol=1e-12)
-    np.testing.assert_allclose(gw, grads[n], atol=1e-12)
-    np.testing.assert_allclose(gb, grads[n + 1], atol=1e-12)
-
-
 def conv2d_reference_grads(x, w, g, padding):
     """Direct-summation oracle of the gradients (x, w, b) of sum(conv2d * g)."""
     c_out, _, k, _ = w.shape
@@ -218,6 +172,75 @@ def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
 
     for which, leaf in (("x", x), ("w", kern), ("b", bias)):
         assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+
+
+def test_conv2d_rejects_stacked_input():
+    with pytest.raises(ShapeError, match="C x H x W"):
+        ad.conv2d(rand((4, 2, 3, 3)), rand((3, 2, 1, 1)), rand(3))
+
+
+# Patch-local convs, each m x m patch convolved on its own:
+# (c_in, c_out, height, width, k, m)
+PATCH_CASES = [(3, 4, 8, 12, 3, 4), (2, 3, 6, 4, 3, 2), (3, 2, 6, 9, 3, 3),
+               (2, 3, 4, 6, 3, 1), (3, 4, 8, 8, 1, 4), (2, 2, 10, 5, 5, 5),
+               (2, 3, 4, 4, 3, 4)]
+
+
+def per_patch_reference(x, kern, bias, g, m):
+    """Output and gradients (x, w, b) of sum(conv2d * g), with the
+    direct-summation oracles applied to every m x m patch on its own."""
+    pad = kern.shape[-1] // 2
+    out, gx = np.zeros(g.shape), np.zeros(x.shape)
+    gw = np.zeros(kern.shape)
+    for y0 in range(0, x.shape[1], m):
+        for x0 in range(0, x.shape[2], m):
+            cell = np.s_[:, y0:y0 + m, x0:x0 + m]
+            out[cell] = conv2d_reference(x[cell], kern, bias, pad)
+            gxp, gwp, _ = conv2d_reference_grads(x[cell], kern, g[cell], pad)
+            gx[cell] = gxp
+            gw += gwp
+    return out, (gx, gw, g.sum(axis=(1, 2)))
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
+def test_conv2d_patch_matches_per_patch_reference(c_in, c_out, h, w, k, m):
+    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 90 + h * 7 + w + k + m)
+    pad = k // 2
+    g = rng.normal(size=(c_out, h, w))
+    want, want_grads = per_patch_reference(x.data, kern.data, bias.data, g, m)
+    out = ad.conv2d(x, kern, bias, pad, patch=m)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(ad.conv2d(x, kern, None, pad, patch=m).data,
+                               want - bias.data[:, None, None], rtol=0, atol=1e-12)
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, pad, patch=m),
+                                          Tensor(g))), x, kern, bias)
+    for got, expected in zip(grads, want_grads):
+        np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
+def test_conv2d_patch_gradcheck(c_in, c_out, h, w, k, m):
+    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 110 + h * 7 + w + k + m)
+    direction = Tensor(rng.normal(size=(c_out, h, w)))
+
+    def loss(t, which):
+        args = {"x": x, "w": kern, "b": bias, which: t}
+        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"], k // 2,
+                                       patch=m), direction))
+
+    for which, leaf in (("x", x), ("w", kern), ("b", bias)):
+        assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("shape,k,padding,m", [
+    ((2, 8, 6), 3, 1, 4),   # width not a multiple of m
+    ((2, 6, 8), 3, 1, 4),   # height not a multiple of m
+    ((2, 8, 8), 3, 0, 4),   # the conv would shrink every patch
+    ((2, 8, 8), 1, 1, 4),   # ... or grow it
+    ((2, 8, 8), 3, 1, 0)])
+def test_conv2d_patch_rejects_untiled_grid(shape, k, padding, m):
+    with pytest.raises(ShapeError, match="patches"):
+        ad.conv2d(rand(shape), rand((3, 2, k, k)), rand(3), padding, patch=m)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +464,18 @@ def _unit_stats(out: np.ndarray, unit: int):
     return out.mean(axis=axes), out.std(axis=axes)
 
 
-@pytest.mark.parametrize("batch", [None, 3])
-def test_standardize_calibrates_a_conv_layer_in_place(batch):
-    shape = (2, 5, 6) if batch is None else (batch, 2, 5, 6)
-    x = rand(shape, seed=30, scale=3.0)
+@pytest.mark.parametrize("patch", [None, 3])
+def test_standardize_calibrates_a_conv_layer_in_place(patch):
+    x = rand((2, 5, 6) if patch is None else (2, 6, 9), seed=30, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
     with ad.Standardize([(w, b)], floor=1e-3):
-        out = ad.conv2d(x, w, b, padding=1)
-    mu, sd = _unit_stats(out.data, out.ndim - 3)
+        out = ad.conv2d(x, w, b, padding=1, patch=patch)
+    mu, sd = _unit_stats(out.data, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     # the rescaled layer itself now gives the standardised response
-    np.testing.assert_allclose(ad.conv2d(x, w, b, padding=1).data, out.data,
-                               atol=1e-12)
+    np.testing.assert_allclose(ad.conv2d(x, w, b, padding=1, patch=patch).data,
+                               out.data, atol=1e-12)
 
 
 def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
@@ -620,26 +642,6 @@ def test_conv2d_gradients(k, padding):
         c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
         h, w = int(rng.integers(k, 6)), int(rng.integers(k, 6))
         x = Tensor(rng.normal(size=(c_in, h, w)))
-        kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
-        bias = Tensor(rng.normal(size=c_out))
-        direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))
-
-        def loss(t, which):
-            args = {"x": x, "w": kern, "b": bias, which: t}
-            return ad.sum(ad.mul(
-                ad.conv2d(args["x"], args["w"], args["b"], padding), direction))
-
-        for which, leaf in (("x", x), ("w", kern), ("b", bias)):
-            assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
-
-
-@pytest.mark.parametrize("k,padding,n", CONV_CASES)
-def test_conv2d_stack_gradients(k, padding, n):
-    rng = np.random.default_rng(52 + 10 * k + padding + n)
-    for _ in range(3):
-        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        h, w = int(rng.integers(k, 5)), int(rng.integers(k, 5))
-        x = Tensor(rng.normal(size=(n, c_in, h, w)))
         kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
         bias = Tensor(rng.normal(size=c_out))
         direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))

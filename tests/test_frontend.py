@@ -82,6 +82,94 @@ def test_tokenize_patch_too_large():
         tokenize(params, Tensor(np.zeros((6, 3, 3))))
 
 
+def _same_conv(x, w, b):
+    """Direct "same" conv of one patch (C, m, m), one einsum per tap."""
+    k = w.shape[-1]
+    r = k // 2
+    xp = np.pad(x, ((0, 0), (r, r), (r, r)))
+    out = b[:, None, None] + sum(
+        np.einsum("oc,chw->ohw", w[:, :, i, j], xp[:, i:i + x.shape[1], j:j + x.shape[2]])
+        for i in range(k) for j in range(k))
+    return out, xp
+
+
+def _same_conv_grads(xp, w, g):
+    """Gradients (padded x, w, b) of sum(_same_conv * g)."""
+    k, (m1, m2) = w.shape[-1], g.shape[1:]
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    for i in range(k):
+        for j in range(k):
+            gw[:, :, i, j] = np.einsum("ohw,chw->oc", g, xp[:, i:i + m1, j:j + m2])
+            gxp[:, i:i + m1, j:j + m2] += np.einsum("oc,ohw->chw", w[:, :, i, j], g)
+    return gxp, gw, g.sum(axis=(1, 2))
+
+
+def reference_tokens(params, fmap, d_spe, d_spa):
+    """Tokens of ``fmap`` and the gradients of sum(spectral * d_spe) +
+    sum(spatial * d_spa), patch by patch: reference convs on each
+    zero-padded m x m patch, a mean, a flatten and the linear maps."""
+    m = params.patch_size
+    c, h, w = fmap.shape
+    gh, gw = -(-h // m), -(-w // m)
+    grid = np.zeros((c, gh * m, gw * m))
+    grid[:, :h, :w] = fmap
+    cells = [np.s_[:, y * m:(y + 1) * m, x * m:(x + 1) * m]
+             for y in range(gh) for x in range(gw)]
+    p = {name.split(".")[1]: t.data for name, t in params.named().items()}
+    spe = [_same_conv(grid[cell], p["spe_conv_w"], p["spe_conv_b"]) for cell in cells]
+    spa = [_same_conv(grid[cell], p["spa_conv_w"], p["spa_conv_b"]) for cell in cells]
+    pooled = np.stack([out.mean(axis=(1, 2)) for out, _ in spe])
+    flat = np.stack([out.ravel() for out, _ in spa])
+    tokens = (pooled @ p["spe_fc_w"] + p["spe_fc_b"],
+              flat @ p["spa_fc_w"] + p["spa_fc_b"])
+    grads = {"spe_fc_w": pooled.T @ d_spe, "spe_fc_b": d_spe.sum(axis=0),
+             "spa_fc_w": flat.T @ d_spa, "spa_fc_b": d_spa.sum(axis=0)}
+    g_grid = np.zeros_like(grid)
+    for branch, convs, g_out in (
+            ("spe", spe, [np.broadcast_to(row[:, None, None] / (m * m), (c, m, m))
+                          for row in d_spe @ p["spe_fc_w"].T]),
+            ("spa", spa, (d_spa @ p["spa_fc_w"].T).reshape(len(cells), -1, m, m))):
+        grads[f"{branch}_conv_w"] = 0.0
+        grads[f"{branch}_conv_b"] = 0.0
+        for cell, (_, xp), g in zip(cells, convs, g_out):
+            gxp, gwt, gbt = _same_conv_grads(xp, p[f"{branch}_conv_w"], g)
+            r = p[f"{branch}_conv_w"].shape[-1] // 2
+            g_grid[cell] += gxp[:, r:r + m, r:r + m]
+            grads[f"{branch}_conv_w"] = grads[f"{branch}_conv_w"] + gwt
+            grads[f"{branch}_conv_b"] = grads[f"{branch}_conv_b"] + gbt
+    return tokens, grads, g_grid[:, :h, :w]
+
+
+@pytest.mark.parametrize("c,h,w,m", [(5, 30, 30, 4), (4, 9, 10, 4), (3, 7, 5, 2),
+                                     (3, 8, 8, 4)])
+def test_tokenize_matches_per_patch_oracle(c, h, w, m):
+    rng = np.random.default_rng(h * 10 + w)
+    params = make_params(channels=c, dim=3, m=m, seed=h + w)
+    for t in params.named().values():  # live biases, so padding matters
+        if t.ndim == 1:
+            t.data = rng.normal(size=t.shape)
+    fmap = Tensor(rng.normal(size=(c, h, w)))
+    n = -(-h // m) * -(-w // m)
+    d_spe, d_spa = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
+    (want_spe, want_spa), want_grads, want_gx = reference_tokens(
+        params, fmap.data, d_spe, d_spa)
+    fmap.requires_grad = True
+    for t in params.named().values():
+        t.zero_grad()
+    with ad.Tape() as tape:
+        tokens = tokenize(params, fmap)
+        loss = ad.add(ad.sum(ad.mul(tokens.spectral, Tensor(d_spe))),
+                      ad.sum(ad.mul(tokens.spatial, Tensor(d_spa))))
+    ad.backward(tape, loss)
+    np.testing.assert_allclose(tokens.spectral.data, want_spe, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(tokens.spatial.data, want_spa, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(fmap.grad, want_gx, rtol=0, atol=1e-12)
+    for name, want in want_grads.items():
+        np.testing.assert_allclose(getattr(params, name).grad, want, rtol=0,
+                                   atol=1e-12, err_msg=name)
+
+
 def test_spectral_token_pooling_invariant_to_pixel_order():
     params = make_params()
     rng = np.random.default_rng(5)

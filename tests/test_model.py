@@ -31,8 +31,8 @@ def layer_io(monkeypatch, calibrated):
     seen = {}
     conv2d, add = ad.conv2d, ad.add
 
-    def traced_conv2d(x, w, bias, padding=0):
-        out = conv2d(x, w, bias, padding)
+    def traced_conv2d(x, w, bias, padding=0, **kwargs):
+        out = conv2d(x, w, bias, padding, **kwargs)
         if bias is not None:
             seen[names[id(bias)]] = (x.data, out.data)
         return out
