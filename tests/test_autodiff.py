@@ -243,6 +243,78 @@ def test_conv2d_patch_rejects_untiled_grid(shape, k, padding, m):
         ad.conv2d(rand(shape), rand((3, 2, k, k)), rand(3), padding, patch=m)
 
 
+# A stack of n square samples laid side by side along the width and convolved
+# with patch=m gives each sample's own conv: (k, padding, n)
+STACK_CASES = [(k, padding, n) for k, padding in ((1, 0), (3, 1)) for n in (1, 4)]
+
+
+def side_by_side(samples):
+    """n x C x m x m samples -> C x m x (n * m), sample i in columns i*m..."""
+    return np.concatenate(list(samples), axis=2)
+
+
+@pytest.mark.parametrize("k,padding,n", STACK_CASES)
+def test_conv2d_stack_matches_reference_and_per_sample_convs(k, padding, n):
+    rng = np.random.default_rng(10 * k + padding + n)
+    x = rng.normal(size=(n, 3, 5, 5))
+    w = Tensor(rng.normal(size=(4, 3, k, k)))
+    b = Tensor(rng.normal(size=4))
+    out = ad.conv2d(Tensor(side_by_side(x)), w, b, padding=padding, patch=5).data
+    reference = side_by_side([conv2d_reference(xi, w.data, b.data, padding)
+                              for xi in x])
+    np.testing.assert_allclose(out, reference, atol=1e-12)
+    per_sample = side_by_side([ad.conv2d(Tensor(xi), w, b, padding=padding).data
+                               for xi in x])
+    assert np.max(np.abs(out - per_sample)) <= 1e-12
+
+
+@pytest.mark.parametrize("k,padding,n", STACK_CASES)
+def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
+    rng = np.random.default_rng(20 * k + padding + n)
+    x = rng.normal(size=(n, 2, 4, 4))
+    w = Tensor(rng.normal(size=(3, 2, k, k)))
+    b = Tensor(rng.normal(size=3))
+    direction = rng.normal(size=(n, 3, 4, 4))
+    stacked = Tensor(side_by_side(x))
+    gx, gw, gb = grad_of(lambda: ad.sum(ad.mul(
+        ad.conv2d(stacked, w, b, padding=padding, patch=4),
+        Tensor(side_by_side(direction)))), stacked, w, b)
+    samples = [Tensor(xi.copy()) for xi in x]
+
+    def per_sample_loss():
+        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b, padding=padding), Tensor(d)))
+                 for t, d in zip(samples, direction)]
+        total = terms[0]
+        for term in terms[1:]:
+            total = ad.add(total, term)
+        return total
+
+    grads = grad_of(per_sample_loss, *samples, w, b)
+    np.testing.assert_allclose(gx, side_by_side(grads[:n]), atol=1e-12)
+    np.testing.assert_allclose(gw, grads[n], atol=1e-12)
+    np.testing.assert_allclose(gb, grads[n + 1], atol=1e-12)
+
+
+@pytest.mark.parametrize("k,padding,n", STACK_CASES)
+def test_conv2d_stack_gradients(k, padding, n):
+    rng = np.random.default_rng(52 + 10 * k + padding + n)
+    for _ in range(3):
+        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        m = int(rng.integers(k, 5))
+        x = Tensor(side_by_side(rng.normal(size=(n, c_in, m, m))))
+        kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
+        bias = Tensor(rng.normal(size=c_out))
+        direction = Tensor(rng.normal(size=(c_out, m, n * m)))
+
+        def loss(t, which):
+            args = {"x": x, "w": kern, "b": bias, which: t}
+            return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"],
+                                           padding, patch=m), direction))
+
+        for which, leaf in (("x", x), ("w", kern), ("b", bias)):
+            assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+
+
 # ---------------------------------------------------------------------------
 # softmax
 
