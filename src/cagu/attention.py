@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParameterGroup, Tensor
 from .errors import ConfigError, ShapeError
 from .frontend import TokenSequences, he_uniform
 
@@ -23,7 +23,7 @@ CLS_INIT_STD = 0.02
 
 
 @dataclass
-class AttentionParams:
+class AttentionParams(ParameterGroup):
     cls_spe: Tensor  # (1, dim) class token owned by the spectral branch
     cls_spa: Tensor  # (1, dim) class token owned by the spatial branch
     spe_wq: Tensor
@@ -47,15 +47,12 @@ class AttentionParams:
     patch_size: int
     fused_channels: int
 
+    prefix = "attention"
+
     @classmethod
-    def initialize(cls, rng: np.random.Generator, spectral_dim: int,
-                   spatial_dim: int, fused_channels: int, patch_size: int
-                   ) -> "AttentionParams":
-        if spectral_dim != spatial_dim:
-            raise ConfigError(
-                "class-token exchange needs equal token dims, got "
-                f"{spectral_dim} and {spatial_dim}")
-        dim = spectral_dim
+    def initialize(cls, rng: np.random.Generator, token_dim: int,
+                   fused_channels: int, patch_size: int) -> "AttentionParams":
+        dim = token_dim
         hidden = 2 * dim
 
         def square_proj():
@@ -81,14 +78,6 @@ class AttentionParams:
         return cls(cls_spe, cls_spa, spe_q, spe_k, spe_v, spa_q, spa_k, spa_v,
                    *spe_mlp, *spa_mlp, fuse_w, fuse_b, seam_w, seam_b,
                    patch_size, fused_channels)
-
-    def named(self, prefix: str = "attention") -> dict:
-        fields = ("cls_spe", "cls_spa",
-                  "spe_wq", "spe_wk", "spe_wv", "spa_wq", "spa_wk", "spa_wv",
-                  "spe_mlp_w1", "spe_mlp_b1", "spe_mlp_w2", "spe_mlp_b2",
-                  "spa_mlp_w1", "spa_mlp_b1", "spa_mlp_w2", "spa_mlp_b2",
-                  "fuse_w", "fuse_b", "seam_w", "seam_b")
-        return {f"{prefix}.{name}": getattr(self, name) for name in fields}
 
 
 def identity_kernel(channels: int, k: int) -> np.ndarray:

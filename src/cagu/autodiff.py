@@ -23,9 +23,10 @@ sum over channels one after another, so repeated runs are bit-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 import numpy as np
 
@@ -78,22 +79,18 @@ class Tensor:
     def __repr__(self):
         return f"Tensor(shape={tuple(self.shape)}, requires_grad={self.requires_grad})"
 
-    # Light operator sugar; the named kernel functions below do the work.
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
 
-    def __sub__(self, other):
-        return sub(self, _as_tensor(other))
+class ParameterGroup:
+    """Base of the dataclasses that hold one stage's parameters: every field
+    holding a Tensor is a parameter, named ``<prefix>.<field>`` in field
+    order."""
 
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
+    prefix = ""
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    def named(self) -> Dict[str, Tensor]:
+        return {f"{self.prefix}.{f.name}": value
+                for f in dataclasses.fields(self)
+                if isinstance(value := getattr(self, f.name), Tensor)}
 
 
 class Node:
@@ -425,13 +422,12 @@ def square(x: Tensor) -> Tensor:
     return _record("square", (x,), x.data * x.data, bwd)
 
 
-def leaky_relu(x: Tensor, slope: float = LEAKY_SLOPE) -> Tensor:
-    slope = float(slope)
+def leaky_relu(x: Tensor) -> Tensor:
     pos = x.data > 0.0
-    out = np.where(pos, x.data, slope * x.data)
+    out = np.where(pos, x.data, LEAKY_SLOPE * x.data)
 
     def bwd(g):
-        _accumulate(x, g * np.where(pos, 1.0, slope))
+        _accumulate(x, g * np.where(pos, 1.0, LEAKY_SLOPE))
 
     return _record("leaky_relu", (x,), out, bwd)
 

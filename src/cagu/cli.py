@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .config import TrainConfig
+from .config import ABLATION_MODES, TrainConfig
 from .errors import CaguError, ConfigError, FormatError, ShapeError
 from .hsi import (SynthSpec, generate_synthetic, read_container,
                   write_container, write_text_atomic)
@@ -26,26 +26,27 @@ def _float_list(text: str):
     return [float(v) for v in text.split(",") if v.strip() != ""]
 
 
+# TrainConfig fields settable by flag, in --help order; --ablation sets
+# ablation_mode, every other flag is its field's name with dashes
+_TRAIN_FLAGS = ("epochs", "lr", "weight_decay", "beta", "k_steps", "radius",
+               "patch_size", "ablation_mode", "seed")
+
+
 def _add_train_flags(p: argparse.ArgumentParser):
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=1e-3)
-    p.add_argument("--weight-decay", type=float, default=1e-5)
-    p.add_argument("--beta", type=float, default=0.3)
-    p.add_argument("--k-steps", type=int, default=3)
-    p.add_argument("--radius", type=int, default=1)
-    p.add_argument("--patch-size", type=int, default=4)
-    p.add_argument("--ablation", choices=("none", "static", "dynamic"),
-                   default="dynamic")
-    p.add_argument("--seed", type=int, default=0)
+    defaults = TrainConfig()
+    for name in _TRAIN_FLAGS:
+        default = getattr(defaults, name)
+        if name == "ablation_mode":
+            p.add_argument("--ablation", dest=name, choices=ABLATION_MODES,
+                           default=default)
+        else:
+            p.add_argument("--" + name.replace("_", "-"), type=type(default),
+                           default=default)
 
 
 def _config_from_args(args, **overrides) -> TrainConfig:
-    cfg = TrainConfig(
-        lr=args.lr, weight_decay=args.weight_decay, epochs=args.epochs,
-        beta=args.beta, k_steps=args.k_steps, radius=args.radius,
-        patch_size=args.patch_size, seed=args.seed,
-        ablation_mode=args.ablation, **overrides)
-    return cfg.validate()
+    flags = {name: getattr(args, name) for name in _TRAIN_FLAGS}
+    return TrainConfig(**flags, **overrides).validate()
 
 
 def build_parser() -> argparse.ArgumentParser:

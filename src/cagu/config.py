@@ -8,7 +8,7 @@ from typing import Optional
 
 from .errors import ConfigError
 
-ABLATION_MODES = ("dynamic", "static", "none")
+ABLATION_MODES = ("none", "static", "dynamic")
 
 
 @dataclass

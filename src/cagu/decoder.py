@@ -16,7 +16,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParameterGroup, Tensor
 from .errors import NumericDomainError, ShapeError
 from .frontend import he_uniform
 
@@ -31,7 +31,7 @@ def trunk_schedule(fused_channels: int, n_endmembers: int
 
 
 @dataclass
-class DecoderParams:
+class DecoderParams(ParameterGroup):
     trunk1_w: Tensor
     trunk1_b: Tensor
     trunk2_w: Tensor
@@ -43,6 +43,8 @@ class DecoderParams:
     abun_w: Tensor       # 3x3, endmembers -> endmembers
     abun_b: Tensor
     endmember_w: Tensor  # (bands, endmembers, 1, 1); kernel reshaped is E
+
+    prefix = "decoder"
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, fused_channels: int,
@@ -82,12 +84,6 @@ class DecoderParams:
     def clamp_endmembers(self):
         """Project the endmember kernel onto the nonnegative orthant."""
         np.maximum(self.endmember_w.data, 0.0, out=self.endmember_w.data)
-
-    def named(self, prefix: str = "decoder") -> dict:
-        fields = ("trunk1_w", "trunk1_b", "trunk2_w", "trunk2_b",
-                  "trunk3_w", "trunk3_b", "trunk4_w", "trunk4_b",
-                  "abun_w", "abun_b", "endmember_w")
-        return {f"{prefix}.{name}": getattr(self, name) for name in fields}
 
 
 def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:

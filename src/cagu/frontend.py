@@ -15,7 +15,7 @@ from typing import Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParameterGroup, Tensor
 from .errors import ConfigError, ShapeError
 
 
@@ -44,7 +44,7 @@ def compression_schedule(bands: int, channels: int) -> Tuple[int, int, int]:
 
 
 @dataclass
-class FrontendParams:
+class FrontendParams(ParameterGroup):
     conv1_w: Tensor
     conv1_b: Tensor
     conv2_w: Tensor
@@ -53,18 +53,19 @@ class FrontendParams:
     conv3_b: Tensor
     spe_conv_w: Tensor
     spe_conv_b: Tensor
-    spe_fc_w: Tensor   # channels -> spectral token dim
+    spe_fc_w: Tensor   # channels -> token dim
     spe_fc_b: Tensor
-    spa_conv_w: Tensor  # 3x3, channels -> spatial token dim
+    spa_conv_w: Tensor  # 3x3, channels -> token dim
     spa_conv_b: Tensor
-    spa_fc_w: Tensor   # spatial_dim * m^2 -> spatial token dim
+    spa_fc_w: Tensor   # token_dim * m^2 -> token dim
     spa_fc_b: Tensor
     patch_size: int
 
+    prefix = "frontend"
+
     @classmethod
     def initialize(cls, rng: np.random.Generator, bands: int, channels: int,
-                   spectral_dim: int, spatial_dim: int, patch_size: int
-                   ) -> "FrontendParams":
+                   token_dim: int, patch_size: int) -> "FrontendParams":
         if bands < 4:
             raise ConfigError(f"compression needs at least 4 bands, got {bands}")
         if patch_size < 1:
@@ -81,33 +82,27 @@ class FrontendParams:
         conv2_w, conv2_b = conv(c2, c1, 1)
         conv3_w, conv3_b = conv(c3, c2, 1)
         spe_conv_w, spe_conv_b = conv(channels, channels, 1)
-        spa_conv_w, spa_conv_b = conv(spatial_dim, channels, 3)
-        flat = spatial_dim * patch_size * patch_size
+        spa_conv_w, spa_conv_b = conv(token_dim, channels, 3)
+        flat = token_dim * patch_size * patch_size
         return cls(
             conv1_w, conv1_b, conv2_w, conv2_b, conv3_w, conv3_b,
             spe_conv_w, spe_conv_b,
-            Tensor(he_uniform(rng, (channels, spectral_dim), channels),
+            Tensor(he_uniform(rng, (channels, token_dim), channels),
                    requires_grad=True),
-            Tensor(np.zeros(spectral_dim), requires_grad=True),
+            Tensor(np.zeros(token_dim), requires_grad=True),
             spa_conv_w, spa_conv_b,
-            Tensor(he_uniform(rng, (flat, spatial_dim), flat), requires_grad=True),
-            Tensor(np.zeros(spatial_dim), requires_grad=True),
+            Tensor(he_uniform(rng, (flat, token_dim), flat), requires_grad=True),
+            Tensor(np.zeros(token_dim), requires_grad=True),
             patch_size,
         )
-
-    def named(self, prefix: str = "frontend") -> dict:
-        fields = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "conv3_w", "conv3_b",
-                  "spe_conv_w", "spe_conv_b", "spe_fc_w", "spe_fc_b",
-                  "spa_conv_w", "spa_conv_b", "spa_fc_w", "spa_fc_b")
-        return {f"{prefix}.{name}": getattr(self, name) for name in fields}
 
 
 @dataclass
 class TokenSequences:
     """One spectral and one spatial token per patch, plus the patch tiling."""
 
-    spectral: Tensor  # (n_patches, spectral_dim)
-    spatial: Tensor   # (n_patches, spatial_dim)
+    spectral: Tensor  # (n_patches, token_dim)
+    spatial: Tensor   # (n_patches, token_dim)
     patch_grid: Tuple[int, int]
     patch_size: int
 

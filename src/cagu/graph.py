@@ -20,7 +20,7 @@ from typing import Tuple
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import ParameterGroup, Tensor
 from .errors import ConfigError, ShapeError
 
 
@@ -155,7 +155,7 @@ def build_static_grid_graph(height: int, width: int, radius: int
 
 
 @dataclass
-class GraphMixParams:
+class GraphMixParams(ParameterGroup):
     """Learned propagation parameters: channel projection, hop-mixing logits,
     and the residual strength."""
 
@@ -163,6 +163,8 @@ class GraphMixParams:
     mix_logits: Tensor  # (k_steps,), softmax -> convex hop weights
     k_steps: int
     beta: float
+
+    prefix = "graph"
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, channels: int, k_steps: int,
@@ -182,10 +184,6 @@ class GraphMixParams:
         """Current convex hop weights (numpy, for logging/invariants)."""
         e = np.exp(self.mix_logits.data - self.mix_logits.data.max())
         return e / e.sum()
-
-    def named(self, prefix: str = "graph") -> dict:
-        return {f"{prefix}.graph_proj": self.graph_proj,
-                f"{prefix}.mix_logits": self.mix_logits}
 
 
 def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:

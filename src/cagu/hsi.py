@@ -260,46 +260,74 @@ def write_container(cube: HsiCube, path) -> None:
             fh.write(cube.gt_abundances.astype("<f4").tobytes(order="C"))
 
 
+class ByteReader:
+    """Cursor over the bytes of one binary file that opens with ``magic``
+    and a uint32 version. Each read takes the next field, or raises
+    ``FormatError`` at the offset where that field starts, before anything
+    is allocated for it. ``kind`` names the file in messages."""
+
+    def __init__(self, blob: bytes, kind: str, magic: bytes):
+        if blob[:len(magic)] != magic:
+            raise FormatError(f"bad {kind} magic {blob[:len(magic)]!r}, "
+                              f"expected {magic!r}", 0)
+        self.blob = blob
+        self.kind = kind
+        self.offset = len(magic)
+
+    def version(self, supported: int) -> int:
+        start = self.offset
+        (version,) = self.unpack("<I", "version")
+        if version != supported:
+            raise FormatError(f"unsupported {self.kind} version {version}",
+                              start)
+        return version
+
+    def _advance(self, size: int, what: str) -> int:
+        """Step over ``size`` bytes; returns the offset they start at."""
+        start, left = self.offset, len(self.blob) - self.offset
+        if size > left:  # never formats ``size``, which may be huge
+            raise FormatError(f"{self.kind} truncated: {what} does not fit "
+                              f"in the {left} bytes left", start)
+        self.offset += size
+        return start
+
+    def read(self, size: int, what: str) -> bytes:
+        start = self._advance(size, what)
+        return self.blob[start:self.offset]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
+
+    def array(self, dtype: str, count: int, what: str) -> np.ndarray:
+        """Read-only view of the next ``count`` values of ``dtype``."""
+        start = self._advance(count * np.dtype(dtype).itemsize, what)
+        return np.frombuffer(self.blob, dtype, count, start)
+
+    def end(self):
+        if self.offset != len(self.blob):
+            raise FormatError(f"{len(self.blob) - self.offset} unexpected "
+                              "trailing bytes", self.offset)
+
+
 def read_container(path) -> HsiCube:
     """Parse a container file, reporting the byte offset of any defect."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CONTAINER_MAGIC:
-        raise FormatError(f"bad magic {blob[:4]!r}, expected {CONTAINER_MAGIC!r}", 0)
-    if len(blob) < 28:
-        raise FormatError("truncated header", len(blob))
-    version, flags, bands, height, width, p = struct.unpack_from("<6I", blob, 4)
-    if version != CONTAINER_VERSION:
-        raise FormatError(f"unsupported version {version}", 4)
-    offset = 28
-    expected = bands * height * width * 4
-    if len(blob) - offset < expected:
-        raise FormatError(
-            f"payload truncated: header declares {expected} data bytes, "
-            f"{len(blob) - offset} available", offset)
+        reader = ByteReader(fh.read(), "container", CONTAINER_MAGIC)
+    reader.version(CONTAINER_VERSION)
+    flags, bands, height, width, p = reader.unpack("<5I", "header")
+    if flags & (_FLAG_ENDMEMBERS | _FLAG_ABUNDANCES) and p == 0:
+        raise FormatError("ground-truth flag set but endmember count is 0", 8)
 
     def take(count, what):
-        nonlocal offset
-        nbytes = count * 4
-        if len(blob) - offset < nbytes:
-            raise FormatError(f"payload truncated reading {what}", offset)
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=offset)
-        offset += nbytes
-        return arr.astype(np.float64)
+        return reader.array("<f4", count, what).astype(np.float64)
 
     data = take(bands * height * width, "data").reshape(bands, height, width)
-    endmembers = None
-    abundances = None
+    endmembers = abundances = None
     if flags & _FLAG_ENDMEMBERS:
-        if p == 0:
-            raise FormatError("endmember flag set but endmember count is 0", 8)
         endmembers = take(bands * p, "endmembers").reshape(p, bands).T.copy()
     if flags & _FLAG_ABUNDANCES:
-        if p == 0:
-            raise FormatError("abundance flag set but endmember count is 0", 8)
         abundances = take(p * height * width, "abundances").reshape(p, height, width)
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} unexpected trailing bytes", offset)
+    reader.end()
     return HsiCube(data, gt_endmembers=endmembers, gt_abundances=abundances)
 
 

@@ -35,22 +35,16 @@ class ModelParams:
     decoder: dec.DecoderParams
 
     def named_parameters(self) -> Dict[str, Tensor]:
-        out: Dict[str, Tensor] = {}
-        out.update(self.frontend.named())
-        out.update(self.attention.named())
-        out.update(self.graph_mix.named())
-        out.update(self.decoder.named())
-        return out
+        return {**self.frontend.named(), **self.attention.named(),
+                **self.graph_mix.named(), **self.decoder.named()}
 
     @classmethod
     def initialize(cls, rng: np.random.Generator, bands: int,
                    n_endmembers: int, config: TrainConfig) -> "ModelParams":
         frontend = FrontendParams.initialize(
-            rng, bands, config.channels, config.token_dim, config.token_dim,
-            config.patch_size)
+            rng, bands, config.channels, config.token_dim, config.patch_size)
         attention = AttentionParams.initialize(
-            rng, config.token_dim, config.token_dim, config.fused_channels,
-            config.patch_size)
+            rng, config.token_dim, config.fused_channels, config.patch_size)
         graph_mix = GraphMixParams.initialize(
             rng, config.fused_channels, config.k_steps, config.beta)
         decoder = dec.DecoderParams.initialize(
@@ -109,15 +103,13 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube):
 
 @dataclass
 class ForwardOutputs:
-    fused: Tensor            # transformer features, fused_channels x H x W
-    refined: Tensor          # after graph refinement (== fused when bypassed)
     abundances: Tensor       # endmembers x H x W, simplex per pixel
     reconstruction: Tensor   # bands x H x W
     graph: Optional[ContentGraph]
 
 
-def forward(params: ModelParams, observed: Tensor, config: TrainConfig,
-            static_graph: Optional[ContentGraph] = None) -> ForwardOutputs:
+def forward(params: ModelParams, observed: Tensor, config: TrainConfig
+            ) -> ForwardOutputs:
     """One full pass: compress, tokenize, attend, fuse, refine, decode.
 
     With ``ablation_mode == "none"`` or ``beta == 0`` the graph stage is
@@ -132,29 +124,22 @@ def forward(params: ModelParams, observed: Tensor, config: TrainConfig,
     fused = fuse_and_restore(params.attention, spe_seq, spa_seq, height, width)
 
     graph = None
-    bypass = config.ablation_mode == "none" or config.beta == 0.0
-    if bypass:
-        refined = fused
-    else:
-        n = height * width
-        flat = ad.reshape(fused, (config.fused_channels, n))
+    refined = fused
+    if config.ablation_mode != "none" and config.beta != 0.0:
+        flat = ad.reshape(fused, (config.fused_channels, height * width))
         if config.ablation_mode == "static":
-            graph = static_graph
-            if graph is None or (graph.height, graph.width) != (height, width):
-                graph = build_static_grid_graph(height, width, config.radius)
+            graph = build_static_grid_graph(height, width, config.radius)
         else:
             sigma_f, sigma_g = default_sigmas(config.radius)
             graph = build_graph(flat, grid_positions(height, width),
                                 config.radius, sigma_f, sigma_g)
-        refined_flat = propagate(graph, params.graph_mix, flat)
-        refined = ad.reshape(refined_flat,
-                             (config.fused_channels, height, width))
+        refined = ad.reshape(propagate(graph, params.graph_mix, flat),
+                             fused.shape)
 
     abundances, reconstruction = dec.decode(params.decoder, refined)
-    return ForwardOutputs(fused, refined, abundances, reconstruction, graph)
+    return ForwardOutputs(abundances, reconstruction, graph)
 
 
-def training_loss(params: ModelParams, observed: Tensor, config: TrainConfig,
-                  static_graph: Optional[ContentGraph] = None):
-    outputs = forward(params, observed, config, static_graph)
+def training_loss(params: ModelParams, observed: Tensor, config: TrainConfig):
+    outputs = forward(params, observed, config)
     return dec.loss(observed, outputs.reconstruction), outputs

@@ -20,16 +20,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import autodiff as ad
 from . import decoder as dec
 from . import model as mdl
 from .autodiff import Tape, Tensor, backward, finite_diff_check, first_nonfinite
 from .config import TrainConfig
 from .errors import (ConfigError, FormatError, NonFiniteGradientError,
                      NonFiniteLossError)
-from .graph import build_static_grid_graph
-from .hsi import (HsiCube, SynthSpec, atomic_writer, generate_synthetic,
-                  read_container, write_pgm, write_text_atomic)
+from .hsi import (ByteReader, HsiCube, SynthSpec, atomic_writer,
+                  generate_synthetic, read_container, write_pgm,
+                  write_text_atomic)
 
 log = logging.getLogger("cagu")
 
@@ -139,46 +138,26 @@ def _pack_named_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
         parts.append(struct.pack("<I", len(encoded)))
         parts.append(encoded)
         parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{max(arr.ndim, 1)}I" if arr.ndim else "<I",
-                                 *(arr.shape if arr.ndim else (0,))))
+        parts.append(struct.pack(f"<{max(arr.ndim, 1)}I", *(arr.shape or (0,))))
         parts.append(arr.tobytes())
     return b"".join(parts)
 
 
-def _read(fmt: str, blob: bytes, offset: int, what: str):
-    """Unpack ``fmt`` at ``offset``; FormatError if the blob ends first."""
-    size = struct.calcsize(fmt)
-    _check_room(blob, offset, size, what)
-    return struct.unpack_from(fmt, blob, offset), offset + size
-
-
-def _check_room(blob: bytes, offset: int, size: int, what: str):
-    if size > len(blob) - offset:
-        raise FormatError(f"checkpoint truncated: {what} needs {size} bytes, "
-                          f"{max(len(blob) - offset, 0)} left", offset)
-
-
-def _unpack_named_arrays(blob: bytes, offset: int
-                         ) -> Tuple[Dict[str, np.ndarray], int]:
-    (count,), offset = _read("<I", blob, offset, "array count")
+def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
+    (count,) = reader.unpack("<I", "array count")
     out: Dict[str, np.ndarray] = {}
     for _ in range(count):
-        (name_len,), offset = _read("<I", blob, offset, "name length")
-        _check_room(blob, offset, name_len, "array name")
+        (name_len,) = reader.unpack("<I", "name length")
+        name_at = reader.offset
         try:
-            name = blob[offset:offset + name_len].decode("utf-8")
+            name = reader.read(name_len, "array name").decode("utf-8")
         except UnicodeDecodeError:
-            raise FormatError("array name is not UTF-8", offset) from None
-        offset += name_len
-        (ndim,), offset = _read("<I", blob, offset, f"rank of {name}")
-        shape, offset = _read(f"<{max(ndim, 1)}I", blob, offset, f"shape of {name}")
-        shape = shape[:ndim] if ndim else ()
-        size = math.prod(shape)
-        _check_room(blob, offset, 8 * size, f"values of {name}")
-        arr = np.frombuffer(blob, dtype="<f8", count=size, offset=offset)
-        offset += size * 8
-        out[name] = arr.reshape(shape).copy()
-    return out, offset
+            raise FormatError("array name is not UTF-8", name_at) from None
+        (ndim,) = reader.unpack("<I", f"rank of {name}")
+        shape = reader.unpack(f"<{max(ndim, 1)}I", f"shape of {name}")[:ndim]
+        values = reader.array("<f8", math.prod(shape), f"values of {name}")
+        out[name] = values.reshape(shape).copy()
+    return out
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
@@ -197,26 +176,22 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint; a truncated or malformed file raises FormatError
     with the byte offset of the defect."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r}", 0)
-    (version, config_len), offset = _read("<II", blob, 4, "header")
-    if version != CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version}", 4)
-    _check_room(blob, offset, config_len, "config")
+        reader = ByteReader(fh.read(), "checkpoint", CHECKPOINT_MAGIC)
+    version = reader.version(CHECKPOINT_VERSION)
+    (config_len,) = reader.unpack("<I", "config length")
+    config_at = reader.offset
+    config_blob = reader.read(config_len, "config")
     try:
-        config = TrainConfig.from_json(
-            blob[offset:offset + config_len].decode("utf-8"))
+        config = TrainConfig.from_json(config_blob.decode("utf-8"))
     except ConfigError:
         raise
     except (ValueError, TypeError) as exc:
-        raise FormatError(f"unreadable checkpoint config ({exc})", offset) from None
-    offset += config_len
-    parameters, offset = _unpack_named_arrays(blob, offset)
-    moments, offset = _unpack_named_arrays(blob, offset)
-    (opt_step, epoch, final_loss), offset = _read("<QId", blob, offset, "trailer")
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} unexpected trailing bytes", offset)
+        raise FormatError(f"unreadable checkpoint config ({exc})",
+                          config_at) from None
+    parameters = _unpack_named_arrays(reader)
+    moments = _unpack_named_arrays(reader)
+    opt_step, epoch, final_loss = reader.unpack("<QId", "trailer")
+    reader.end()
     return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss,
                       version)
 
@@ -301,19 +276,13 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
     if resume_from is not None:
         optimizer.load_state(prior.opt_moments, prior.opt_step)
 
-    static_graph = None
-    if config.ablation_mode == "static" and config.beta != 0.0:
-        static_graph = build_static_grid_graph(cube.height, cube.width,
-                                               config.radius)
-
     losses: List[float] = []
     invariants = InvariantLog()
     fingerprint = None
     for epoch in range(start_epoch, config.epochs):
         optimizer.zero_grad()
         with Tape() as tape:
-            loss, outputs = mdl.training_loss(params, observed, config,
-                                              static_graph)
+            loss, outputs = mdl.training_loss(params, observed, config)
         loss_value = loss.item()
         if not np.isfinite(loss_value):
             culprit = first_nonfinite(tape) or "loss"

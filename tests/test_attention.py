@@ -13,8 +13,7 @@ from cagu.frontend import TokenSequences
 
 
 def make_params(dim=4, fused=3, m=2, seed=0):
-    return AttentionParams.initialize(np.random.default_rng(seed), dim, dim,
-                                      fused, m)
+    return AttentionParams.initialize(np.random.default_rng(seed), dim, fused, m)
 
 
 def make_tokens(n=4, dim=4, seed=1, grid=(2, 2), m=2):
@@ -89,6 +88,14 @@ def test_exchange_prepends_opposite_class_token():
                                atol=1e-12)
 
 
+def test_exchange_rejects_token_widths_that_differ():
+    tokens = make_tokens(dim=4)
+    narrow = TokenSequences(tokens.spectral, Tensor(tokens.spatial.data[:, :3]),
+                            tokens.patch_grid, tokens.patch_size)
+    with pytest.raises(ConfigError, match="token dims differ"):
+        exchange_and_attend(make_params(dim=4), narrow)
+
+
 def test_attention_permutation_equivariant_over_tokens():
     params = make_params(seed=8)
     tokens = make_tokens(n=4, seed=9)
@@ -103,11 +110,6 @@ def test_attention_permutation_equivariant_over_tokens():
     np.testing.assert_allclose(perm_spa.data[1:], base_spa.data[1:][perm],
                                atol=1e-12)
     np.testing.assert_allclose(perm_spe.data[0], base_spe.data[0], atol=1e-12)
-
-
-def test_mismatched_token_dims_rejected():
-    with pytest.raises(ConfigError):
-        AttentionParams.initialize(np.random.default_rng(0), 4, 8, 3, 2)
 
 
 def identity_mlp(params, branch, dim):

@@ -12,7 +12,7 @@ from cagu.frontend import (FrontendParams, compress, compression_schedule,
 
 def make_params(bands=8, channels=6, dim=6, m=4, seed=0):
     rng = np.random.default_rng(seed)
-    return FrontendParams.initialize(rng, bands, channels, dim, dim, m)
+    return FrontendParams.initialize(rng, bands, channels, dim, m)
 
 
 def test_compression_schedule_halves_then_quarters():
