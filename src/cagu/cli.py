@@ -29,7 +29,7 @@ def _float_list(text: str):
 # TrainConfig fields settable by flag, in --help order; --ablation sets
 # ablation_mode, every other flag is its field's name with dashes
 _TRAIN_FLAGS = ("epochs", "lr", "weight_decay", "beta", "k_steps", "radius",
-               "patch_size", "ablation_mode", "seed")
+                "patch_size", "ablation_mode", "seed")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import typing
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
@@ -38,14 +40,19 @@ class TrainConfig:
     data_path: Optional[str] = None
 
     def validate(self):
-        if self.lr <= 0:
-            raise ConfigError(f"lr must be positive, got {self.lr}")
-        if self.weight_decay < 0:
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_type(value, _FIELD_TYPES[f.name]):
+                raise ConfigError(f"{f.name} must be {f.type}, got {value!r}")
+        if not 0 < self.lr < math.inf:
+            raise ConfigError(f"lr must be positive and finite, got {self.lr}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ConfigError(
+                f"weight_decay must be >= 0 and finite, got {self.weight_decay}")
         if self.epochs < 1:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
-        if self.beta < 0:
-            raise ConfigError(f"beta must be >= 0, got {self.beta}")
+        if not 0 <= self.beta < math.inf:
+            raise ConfigError(f"beta must be >= 0 and finite, got {self.beta}")
         if self.k_steps < 1:
             raise ConfigError(f"k_steps must be at least 1, got {self.k_steps}")
         if self.radius < 1:
@@ -73,3 +80,18 @@ class TrainConfig:
         if unknown:
             raise ConfigError(f"unknown config fields: {sorted(unknown)}")
         return cls(**raw).validate()
+
+
+_FIELD_TYPES = typing.get_type_hints(TrainConfig)
+
+
+def _has_type(value, hint) -> bool:
+    """Type check of one field: a bool is no int here, and an int is a
+    float."""
+    if typing.get_origin(hint) is typing.Union:  # Optional[...]
+        return value is None or _has_type(value, typing.get_args(hint)[0])
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:
+        return isinstance(value, (int, float))
+    return isinstance(value, hint)

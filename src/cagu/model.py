@@ -91,11 +91,14 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube):
         tokens = tokenize(params.frontend,
                           compress(params.frontend, Tensor(cube.data)))
         spe_seq, spa_seq = exchange_and_attend(params.attention, tokens)
-        # Not the whole ``forward``: the seam conv starts as the identity and
-        # the graph stage preserves scale (normalized adjacency, convex
-        # mixing), so stopping before both gives the trunk the same input;
-        # the full pass, mostly its 3x3 seam conv, made calibration at
-        # 100x100 about 50% slower (137 -> 203 ms, one thread).
+        # Not the whole ``forward``: the decoder is calibrated on the map
+        # before the seam conv and the graph stage, which are skipped for
+        # cost (the full pass took 130 ms against 79 at 100x100, one
+        # thread). Skipping the seam conv is exact: it starts as the
+        # identity, and is left so. Skipping the graph is not: propagate
+        # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
+        # which at desk init moves the map by 42% (relative L2) and its
+        # per-channel std from 1.02 to 1.11.
         fused = fuse_tokens(params.attention, spe_seq, spa_seq,
                             cube.height, cube.width)
         dec.decode(params.decoder, fused)

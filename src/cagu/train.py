@@ -14,7 +14,7 @@ import os
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -34,6 +34,7 @@ log = logging.getLogger("cagu")
 
 CHECKPOINT_MAGIC = b"CAGC"
 CHECKPOINT_VERSION = 1
+MAX_RANK = 32  # the most dimensions numpy 1.24 allows an array
 
 # Published full-scale benchmark value on the synthetic protocol, reported
 # next to sweep output for context (never asserted at desk scale).
@@ -153,10 +154,18 @@ def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
             name = reader.read(name_len, "array name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("array name is not UTF-8", name_at) from None
+        rank_at = reader.offset
         (ndim,) = reader.unpack("<I", f"rank of {name}")
+        if ndim > MAX_RANK:
+            raise FormatError(f"rank {ndim} of {name} is above {MAX_RANK}",
+                              rank_at)
         shape = reader.unpack(f"<{max(ndim, 1)}I", f"shape of {name}")[:ndim]
         values = reader.array("<f8", math.prod(shape), f"values of {name}")
-        out[name] = values.reshape(shape).copy()
+        try:
+            out[name] = values.reshape(shape).copy()
+        except ValueError:  # a zero extent beside extents numpy cannot hold
+            raise FormatError(f"shape {shape} of {name} is not an array "
+                              "shape", rank_at + 4) from None
     return out
 
 
@@ -247,13 +256,32 @@ def _load_cube(config: TrainConfig, cube: Optional[HsiCube]) -> HsiCube:
     return read_container(config.data_path)
 
 
+# config fields a resumed run may change: the run's length and its files
+RESUMABLE_CHANGES = ("epochs", "checkpoint_path", "data_path")
+
+
+def _check_resumable(saved: TrainConfig, config: TrainConfig):
+    """ConfigError naming every field, other than ``RESUMABLE_CHANGES``,
+    in which ``config`` differs from the checkpoint's config."""
+    differ = []
+    for f in fields(TrainConfig):
+        old, new = getattr(saved, f.name), getattr(config, f.name)
+        if f.name not in RESUMABLE_CHANGES and old != new:
+            differ.append(f"{f.name} {old!r} -> {new!r}")
+    if differ:
+        raise ConfigError("cannot resume: config differs from the checkpoint's "
+                          "in " + ", ".join(differ))
+
+
 def train(config: TrainConfig, cube: Optional[HsiCube] = None,
           resume_from: Optional[str] = None) -> TrainResult:
     """Run the configured number of full-image epochs and checkpoint the end.
 
     ``resume_from`` restores parameters and optimizer state from an earlier
-    checkpoint of the same model and continues to ``config.epochs`` total;
-    the resumed trajectory is bit-identical to an uninterrupted run.
+    checkpoint and continues to ``config.epochs`` total; the resumed
+    trajectory is bit-identical to an uninterrupted run. The configs may
+    differ only in ``RESUMABLE_CHANGES``; any other difference raises
+    ConfigError before training.
     """
     config.validate()
     cube = _load_cube(config, cube)
@@ -262,6 +290,7 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
     start_epoch = 0
     if resume_from is not None:
         prior = load_checkpoint(resume_from)
+        _check_resumable(prior.config, config)
         params = params_from_checkpoint(prior, cube.bands)
         start_epoch = prior.epoch
         if start_epoch >= config.epochs:
@@ -370,6 +399,13 @@ def _sweep_job(args):
     }
 
 
+def _seed_list(seeds: Sequence[int]) -> List[int]:
+    seeds = [int(seed) for seed in seeds]
+    if not seeds:
+        raise ConfigError("a sweep needs at least one seed")
+    return seeds
+
+
 def _run_jobs(jobs):
     workers = worker_count()
     if workers == 1 or len(jobs) <= 1:
@@ -409,7 +445,8 @@ def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
     whether the noise trend (higher SNR, no worse SAD) holds."""
     if len(snrs) < 2:
         raise ConfigError("snr sweep needs at least 2 noise levels")
-    jobs = [(config, float(s), int(seed), scene) for s in snrs for seed in seeds]
+    seeds = _seed_list(seeds)
+    jobs = [(config, float(s), seed, scene) for s in snrs for seed in seeds]
     rows = sorted(_run_jobs(jobs), key=lambda r: (r["snr_db"], r["seed"]))
     aggregates = []
     for snr in sorted({r["snr_db"] for r in rows}):
@@ -443,11 +480,12 @@ def run_ablation(config: TrainConfig, seeds: Sequence[int] = (0,),
                  snr_db: float = 80.0, scene: Optional[dict] = None
                  ) -> SweepReport:
     """Train the three graph cases side by side with shared seeds/config."""
+    seeds = _seed_list(seeds)
     jobs = []
     for case, mode in ABLATION_CASES:
         for seed in seeds:
             jobs.append((replace(config, ablation_mode=mode), snr_db,
-                         int(seed), scene))
+                         seed, scene))
     raw = _run_jobs(jobs)
     rows = []
     for (case, mode), chunk in zip(
@@ -477,7 +515,8 @@ def run_beta_sweep(config: TrainConfig, betas: Sequence[float],
     """Train per residual strength; flag whether the best value is interior."""
     if not betas:
         raise ConfigError("beta sweep needs at least one value")
-    jobs = [(replace(config, beta=float(b)), snr_db, int(seed), scene)
+    seeds = _seed_list(seeds)
+    jobs = [(replace(config, beta=float(b)), snr_db, seed, scene)
             for b in betas for seed in seeds]
     rows = sorted(_run_jobs(jobs), key=lambda r: (r["beta"], r["seed"]))
     by_beta = {}

@@ -1,11 +1,14 @@
 """Scene generator, container format, and unfold/fold contracts."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cagu.errors import ConfigError, FormatError, ShapeError
+from damage import damage
 from cagu.hsi import (HsiCube, SynthSpec, atomic_writer, empirical_snr_db,
                       fold, generate_synthetic, read_container, read_pgm,
                       unfold, write_container, write_pgm, write_text_atomic)
@@ -163,6 +166,34 @@ def test_header_extent_overflow_is_truncation_error(tmp_path):
     path.write_bytes(header + b"\x00" * 8)
     with pytest.raises(FormatError, match="truncated"):
         read_container(path)
+
+
+@pytest.fixture(scope="module")
+def container_blob(tmp_path_factory):
+    """A small container with both ground truths."""
+    path = tmp_path_factory.mktemp("scene") / "scene.hsic"
+    write_container(generate_synthetic(small_spec(height=3, width=4, bands=6)),
+                    path)
+    return path.read_bytes()
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_containers_give_a_cube_or_format_error(tmp_path_factory,
+                                                       container_blob, data):
+    path = tmp_path_factory.mktemp("hsic") / "scene.hsic"
+    # the header's uint32 fields: version, flags, bands, height, width, p
+    path.write_bytes(damage(data, container_blob, (4, 8, 12, 16, 20, 24)))
+    tracemalloc.start()
+    try:
+        cube = read_container(path)
+    except FormatError:
+        return
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 4 * path.stat().st_size + (1 << 20)
+    assert isinstance(cube, HsiCube) and cube.data.ndim == 3
 
 
 def test_trailing_garbage_rejected(tmp_path):

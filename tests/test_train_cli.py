@@ -1,10 +1,15 @@
 """Training determinism, checkpoint persistence, harnesses, CLI surface."""
 
+import json
+import math
 import struct
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cagu import autodiff as ad
 from cagu.autodiff import Tape, Tensor
@@ -13,6 +18,7 @@ from cagu.config import TrainConfig
 from cagu.errors import (ConfigError, FormatError, NonFiniteGradientError,
                          NonFiniteLossError)
 from cagu.hsi import read_pgm, write_container
+from damage import damage
 from cagu.train import (AdamW, evaluate_checkpoint, export_abundance_maps,
                         gradcheck, load_checkpoint, make_desk_scene,
                         run_ablation, run_beta_sweep,
@@ -118,6 +124,165 @@ def test_checkpoint_with_absurd_length_raises_format_error(tiny_cube, tmp_path,
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         load_checkpoint(path)
+
+
+def u32(blob, at):
+    return int.from_bytes(blob[at:at + 4], "little")
+
+
+def checkpoint_fields(blob):
+    """Offsets of the checkpoint's uint32 config length, array counts, name
+    lengths, ranks and extents; and, apart, of its arrays' ranks."""
+    fields, ranks, at = [8], [], 12 + u32(blob, 8)
+    for _ in range(2):  # parameters, then optimizer moments
+        fields.append(at)
+        count, at = u32(blob, at), at + 4
+        for _ in range(count):
+            fields.append(at)
+            at += 4 + u32(blob, at)
+            ranks.append(at)
+            rank = u32(blob, at)
+            dims = [u32(blob, at + 4 * (i + 1)) for i in range(max(rank, 1))]
+            fields.extend(range(at, at + 4 * (len(dims) + 1), 4))
+            at += 4 * (len(dims) + 1) + 8 * math.prod(dims[:rank])
+    return tuple(fields), tuple(ranks)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_blob(tiny_cube, tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
+    train(tiny_config(epochs=1, checkpoint_path=str(path)), cube=tiny_cube)
+    return path.read_bytes()
+
+
+def load_bounded(path):
+    """``load_checkpoint``, asserting that it held at most about three
+    times the file's size, whether it returned or raised."""
+    tracemalloc.start()
+    try:
+        return load_checkpoint(path)
+    finally:
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert peak < 3 * path.stat().st_size + (1 << 20)
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_damaged_checkpoints_raise_format_or_config_error(tmp_path_factory,
+                                                          checkpoint_blob, data):
+    path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
+    path.write_bytes(damage(data, checkpoint_blob,
+                            checkpoint_fields(checkpoint_blob)[0]))
+    try:
+        ckpt = load_bounded(path)
+    except (FormatError, ConfigError):
+        return
+    assert isinstance(ckpt.config, TrainConfig)
+
+
+def rewrite_shape(blob, rank_at, extents):
+    """``blob`` with the shape whose rank is at ``rank_at`` replaced by
+    ``extents`` (the bytes after the old shape kept as they were)."""
+    old_rank = u32(blob, rank_at)
+    shape = struct.pack(f"<I{len(extents)}I", len(extents), *extents)
+    return blob[:rank_at] + shape + blob[rank_at + 4 + 4 * max(old_rank, 1):]
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_checkpoints_with_absurd_shapes_load_or_raise_format_error(tmp_path_factory,
+                                                          checkpoint_blob, data):
+    # every extent but one the same: all zero, all huge, a zero among huge...
+    extremes = st.sampled_from((0, 1, 2**32 - 1))
+    rank = data.draw(st.sampled_from((0, 1, 2, 3, 4, 31, 32, 33, 64, 70, 1200)))
+    fill, odd = data.draw(extremes), data.draw(extremes)
+    rank_at = data.draw(st.sampled_from(checkpoint_fields(checkpoint_blob)[1]))
+    extents = [fill] * rank
+    if rank:
+        extents[data.draw(st.integers(0, rank - 1))] = odd
+    path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
+    path.write_bytes(rewrite_shape(checkpoint_blob, rank_at, extents))
+    try:
+        load_bounded(path)
+    except FormatError:
+        pass
+
+
+@pytest.mark.parametrize("extents", [[0] * 70, [2**32 - 1] * 1200, [1] * 33,
+                                     [0] + [2**32 - 1] * 3],
+                         ids=["rank70-zeros", "rank1200-huge", "rank33",
+                              "zero-beside-huge"])
+def test_cli_eval_of_checkpoint_with_absurd_shape_exits_2(
+        checkpoint_blob, tiny_cube, tmp_path, capsys, extents):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(tiny_cube, scene)
+    first_rank_at = checkpoint_fields(checkpoint_blob)[1][0]
+    ckpt.write_bytes(rewrite_shape(checkpoint_blob, first_rank_at, extents))
+    code = main(["eval", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "shape" in err or "rank" in err
+
+
+def with_config(blob, **changes):
+    """``blob`` with ``changes`` written into its config JSON."""
+    n = u32(blob, 8)
+    raw = dict(json.loads(blob[12:12 + n]), **changes)
+    text = json.dumps(raw).encode("utf-8")
+    return blob[:8] + struct.pack("<I", len(text)) + text + blob[12 + n:]
+
+
+@pytest.mark.parametrize("name, value", [
+    ("patch_size", 2.0), ("k_steps", 2.5), ("channels", 8.0), ("seed", "x"),
+    ("epochs", 1.5), ("radius", True), ("lr", "0.001"), ("n_endmembers", 2.0)])
+def test_cli_eval_of_checkpoint_with_mistyped_config_exits_2(
+        checkpoint_blob, tiny_cube, tmp_path, capsys, name, value):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(tiny_cube, scene)
+    ckpt.write_bytes(with_config(checkpoint_blob, **{name: value}))
+    code = main(["eval", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert f"{name} must be" in capsys.readouterr().err
+
+
+def test_config_types_checked():
+    TrainConfig(lr=1, weight_decay=0, beta=0).validate()  # ints are floats
+    for bad in (dict(epochs=True), dict(seed=1.0), dict(ablation_mode=None),
+                dict(data_path=3), dict(lr=float("nan")),
+                dict(beta=float("inf")), dict(weight_decay=float("nan"))):
+        with pytest.raises(ConfigError):
+            TrainConfig(**bad).validate()
+
+
+def test_resume_with_changed_config_rejected_before_training(tiny_cube,
+                                                             tmp_path):
+    path = tmp_path / "part.ckpt"
+    train(tiny_config(epochs=2, checkpoint_path=str(path)), cube=tiny_cube)
+    before = path.read_bytes()
+    changed = tiny_config(epochs=4, k_steps=3, radius=2, seed=1,
+                          checkpoint_path=str(path), data_path="elsewhere")
+    with pytest.raises(ConfigError) as info:
+        train(changed, cube=tiny_cube, resume_from=str(path))
+    message = str(info.value)
+    for name in ("k_steps", "radius", "seed"):
+        assert name in message
+    for name in ("epochs", "checkpoint_path", "data_path", "patch_size"):
+        assert name not in message
+    assert path.read_bytes() == before
+
+
+def test_cli_resume_with_other_patch_size_exits_2(tmp_path, capsys):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "model.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    args = ["train", "--data", str(scene), "--checkpoint", str(ckpt)]
+    assert main(args + ["--epochs", "2", "--patch-size", "2"]) == 0
+    before = ckpt.read_bytes()
+    assert main(args + ["--epochs", "4", "--patch-size", "4", "--resume"]) == 2
+    assert "patch_size 2 -> 4" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
 
 
 def test_cli_eval_of_half_checkpoint_exits_2(tiny_cube, tmp_path, capsys):
@@ -275,6 +440,27 @@ def test_beta_sweep_zero_row_equals_no_graph_case():
 
 def report_summary(report):
     return report.summary
+
+
+def test_sweeps_reject_empty_seed_lists():
+    config = tiny_config(epochs=2)
+    for run in (lambda: run_snr_sweep(config, [20.0, 60.0], [], scene=REDUCED),
+                lambda: run_ablation(config, seeds=range(0), scene=REDUCED),
+                lambda: run_beta_sweep(config, [0.0], seeds=range(-1),
+                                       scene=REDUCED)):
+        with pytest.raises(ConfigError, match="seed"):
+            run()
+
+
+@pytest.mark.parametrize("command", [["sweep-snr", "--seeds", "0"],
+                                     ["ablate", "--seeds", "0"],
+                                     ["sweep-beta", "--seeds", "0"],
+                                     ["sweep-snr", "--seeds", "-2"],
+                                     ["ablate", "--seeds", "-1"],
+                                     ["sweep-beta", "--seeds", "-1"]])
+def test_cli_sweeps_without_seeds_exit_2(command, capsys):
+    assert main(command) == 2
+    assert "seed" in capsys.readouterr().err
 
 
 def test_worker_env_parallel_sweep_matches_serial(monkeypatch):
