@@ -109,9 +109,15 @@ class AdamW:
         return out
 
     def load_state(self, arrays: Dict[str, np.ndarray], step_count: int):
-        for name in self.params:
-            self.m[name] = arrays[f"m.{name}"].copy()
-            self.v[name] = arrays[f"v.{name}"].copy()
+        """Moments as ``state_arrays`` names them; ConfigError when one is
+        missing or shaped unlike its parameter."""
+        for name, p in self.params.items():
+            for state, key in ((self.m, f"m.{name}"), (self.v, f"v.{name}")):
+                stored = arrays.get(key)
+                if stored is None or stored.shape != p.data.shape:
+                    raise ConfigError(f"checkpoint has no {key} shaped like "
+                                      f"its parameter, {p.data.shape}")
+                state[name] = stored.copy()
         self.step_count = step_count
 
 
@@ -209,8 +215,13 @@ def params_from_checkpoint(ckpt: Checkpoint, bands: int) -> mdl.ModelParams:
     """Rebuild a ModelParams tree and overwrite it with checkpoint arrays."""
     cfg = ckpt.config
     p = cfg.n_endmembers
-    if p is None:
-        p = ckpt.parameters["decoder.endmember_w"].shape[1]
+    if p is None:  # the endmember count is the kernel's second extent
+        kernel = ckpt.parameters.get("decoder.endmember_w")
+        shape = () if kernel is None else kernel.shape
+        if len(shape) != 4 or shape[1] < 2:
+            raise ConfigError("checkpoint has no decoder.endmember_w kernel "
+                              f"(bands, endmembers >= 2, 1, 1); found {shape}")
+        p = shape[1]
     rng = np.random.default_rng(cfg.seed)
     params = mdl.ModelParams.initialize(rng, bands, p, cfg)
     named = params.named_parameters()

@@ -21,7 +21,7 @@ from cagu.hsi import read_pgm, write_container
 from damage import damage
 from cagu.train import (AdamW, evaluate_checkpoint, export_abundance_maps,
                         gradcheck, load_checkpoint, make_desk_scene,
-                        run_ablation, run_beta_sweep,
+                        params_from_checkpoint, run_ablation, run_beta_sweep,
                         run_snr_sweep, save_checkpoint, train)
 
 TINY_SCENE = dict(height=8, width=8, bands=12, endmembers=2)
@@ -167,18 +167,36 @@ def load_bounded(path):
         assert peak < 3 * path.stat().st_size + (1 << 20)
 
 
+def restore(ckpt, bands):
+    """The model and optimizer state rebuilt from ``ckpt``, as resume does."""
+    params = params_from_checkpoint(ckpt, bands)
+    AdamW(params.named_parameters(), lr=1e-3, weight_decay=0.0
+          ).load_state(ckpt.opt_moments, ckpt.opt_step)
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_damaged_checkpoints_raise_format_or_config_error(tmp_path_factory,
-                                                          checkpoint_blob, data):
+                                                          checkpoint_blob,
+                                                          tiny_cube, data):
     path = tmp_path_factory.mktemp("ckpt") / "run.ckpt"
     path.write_bytes(damage(data, checkpoint_blob,
                             checkpoint_fields(checkpoint_blob)[0]))
     try:
-        ckpt = load_bounded(path)
+        restore(load_bounded(path), tiny_cube.bands)
     except (FormatError, ConfigError):
-        return
-    assert isinstance(ckpt.config, TrainConfig)
+        pass
+
+
+def test_checkpoint_with_renamed_array_is_a_config_error(checkpoint_blob,
+                                                         tiny_cube, tmp_path):
+    for old in (b"decoder.endmember_w", b"m.decoder.abun_b"):
+        at = checkpoint_blob.index(old)
+        path = tmp_path / "renamed.ckpt"
+        path.write_bytes(checkpoint_blob[:at] + old[:-1] + b"x"
+                         + checkpoint_blob[at + len(old):])
+        with pytest.raises(ConfigError):
+            restore(load_checkpoint(path), tiny_cube.bands)
 
 
 def rewrite_shape(blob, rank_at, extents):
@@ -191,8 +209,8 @@ def rewrite_shape(blob, rank_at, extents):
 
 @given(st.data())
 @settings(max_examples=200, deadline=None)
-def test_checkpoints_with_absurd_shapes_load_or_raise_format_error(tmp_path_factory,
-                                                          checkpoint_blob, data):
+def test_checkpoints_with_absurd_shapes_load_or_raise_format_error(
+        tmp_path_factory, checkpoint_blob, data):
     # every extent but one the same: all zero, all huge, a zero among huge...
     extremes = st.sampled_from((0, 1, 2**32 - 1))
     rank = data.draw(st.sampled_from((0, 1, 2, 3, 4, 31, 32, 33, 64, 70, 1200)))
