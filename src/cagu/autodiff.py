@@ -423,11 +423,10 @@ def square(x: Tensor) -> Tensor:
 
 
 def leaky_relu(x: Tensor) -> Tensor:
-    pos = x.data > 0.0
-    out = np.where(pos, x.data, LEAKY_SLOPE * x.data)
+    out = np.maximum(x.data, LEAKY_SLOPE * x.data)
 
-    def bwd(g):
-        _accumulate(x, g * np.where(pos, 1.0, LEAKY_SLOPE))
+    def bwd(g):  # out > 0 exactly where x > 0
+        _accumulate(x, g * np.where(out > 0.0, 1.0, LEAKY_SLOPE))
 
     return _record("leaky_relu", (x,), out, bwd)
 
@@ -561,6 +560,12 @@ def _patch_masks(height: int, width: int, k: int, m: int) -> tuple:
     return tuple(fwd), tuple(bwd)
 
 
+def _flat_input(a: np.ndarray, flat: "_Flat", pointwise: bool) -> np.ndarray:
+    """A conv input in the flat layout: a view for an unpadded 1x1 layer,
+    else a fresh padded copy."""
+    return a.reshape(a.shape[0], -1) if pointwise else flat.pad(a)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
            patch: Optional[int] = None) -> Tensor:
     """Cross-correlation with C_out kernels, stride 1, of a C_in x H x W map.
@@ -571,7 +576,8 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
     columns, whose padding columns hold junk that is cropped. An unpadded
     1x1 layer has no junk and takes the image itself, a view, as its flat
     layout. The input gradient is the same sum over the zero-padded output
-    gradient with the shifts mirrored; backward keeps only the flat input.
+    gradient with the shifts mirrored. Backward keeps the input as given,
+    which its producer's node holds anyway, and pads it again.
 
     ``patch=m`` convolves each m x m patch on its own, zero-padded as if it
     were the whole image: a tap that would cross a patch boundary is masked.
@@ -598,9 +604,9 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
     fwd_masks, bwd_masks = (_patch_masks(x.shape[1], x.shape[2], k, patch)
                             if patch is not None else ([None] * k * k,) * 2)
     pointwise = k == 1 and not padding
-    xf = x.data.reshape(c_in, -1) if pointwise else flat.pad(x.data)
     acc = np.empty((c_out, out_h * wp))  # pixel (y, x) at y*Wp + x
-    _tap_gemm(taps, xf, shifts, fwd_masks, acc[:, :run])
+    _tap_gemm(taps, _flat_input(x.data, flat, pointwise), shifts, fwd_masks,
+              acc[:, :run])
     out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
     if bias is not None:
         out = np.add(out, bias.data[:, None, None], out=out if pointwise else None)
@@ -616,6 +622,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
             gf = np.zeros((c_out, last + hp * wp))
             gf[:, last:last + out_h * wp].reshape(c_out, out_h, wp)[:, :, :out_w] = g
             gr = gf[:, last:last + run]
+        xf = _flat_input(x.data, flat, pointwise)  # re-padded, not kept
         masked = np.empty((c_in, run)) if patch is not None else None
         gw = np.stack([gr @ (xf[:, s:s + run] if mask is None else
                              np.multiply(xf[:, s:s + run], mask, out=masked)).T
@@ -834,7 +841,7 @@ def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Te
         raise ShapeError(f"stencil_matvec: loops {loops.shape} and weights "
                          f"{weights.shape} do not fit z {z.shape} at radius {radius}")
     flat = _Flat(z.shape[1], z.shape[2], radius)
-    lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+    lf, wf = flat.pad(loops.data), flat.pad(weights.data)  # backward pads again
     out = np.empty_like(z.data)
     blocks = flat.blocks(z.shape[0], 3)
     width = blocks[0][1]
@@ -851,6 +858,8 @@ def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Te
         gl = flat.buffer(1)[0] if loops.requires_grad else None
         gw = flat.buffer(n_off) if weights.requires_grad else None
         gz = np.empty_like(z.data) if z.requires_grad else None
+        if gz is not None:
+            lf, wf = flat.pad(loops.data), flat.pad(weights.data)
         blocks = flat.blocks(z.shape[0], 4)
         width = blocks[0][1]
         gb, zb, gzb = flat.buffer(width), flat.buffer(width), flat.buffer(width)

@@ -166,7 +166,12 @@ def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
             raise FormatError(f"rank {ndim} of {name} is above {MAX_RANK}",
                               rank_at)
         shape = reader.unpack(f"<{max(ndim, 1)}I", f"shape of {name}")[:ndim]
+        values_at = reader.offset
         values = reader.array("<f8", math.prod(shape), f"values of {name}")
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FormatError(f"{name} holds a value that is not finite",
+                              values_at + 8 * int(np.argmin(finite)))
         try:
             out[name] = values.reshape(shape).copy()
         except ValueError:  # a zero extent beside extents numpy cannot hold
@@ -188,8 +193,9 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or malformed file raises FormatError
-    with the byte offset of the defect."""
+    """Read a checkpoint; a truncated or malformed file, or one holding a
+    value that is not finite, raises FormatError with the byte offset of the
+    defect."""
     with open(path, "rb") as fh:
         reader = ByteReader(fh.read(), "checkpoint", CHECKPOINT_MAGIC)
     version = reader.version(CHECKPOINT_VERSION)
@@ -205,7 +211,10 @@ def load_checkpoint(path) -> Checkpoint:
                           config_at) from None
     parameters = _unpack_named_arrays(reader)
     moments = _unpack_named_arrays(reader)
+    trailer_at = reader.offset
     opt_step, epoch, final_loss = reader.unpack("<QId", "trailer")
+    if not math.isfinite(final_loss):
+        raise FormatError("final_loss is not finite", trailer_at + 12)
     reader.end()
     return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss,
                       version)

@@ -1,5 +1,6 @@
 """Kernel oracles and gradient properties for the autodiff engine."""
 
+import tracemalloc
 import weakref
 import zlib
 
@@ -943,6 +944,50 @@ def test_tile_untile_inverse():
     x = Tensor(rng.normal(size=(2, 5, 7)))
     back = ad.untile_patches(ad.tile_patches(x, 3), 5, 7)
     np.testing.assert_array_equal(back.data, x.data)
+
+
+# ---------------------------------------------------------------------------
+# memory a node keeps for backward
+
+def kept_bytes(build):
+    """Bytes still allocated after ``build`` has recorded its nodes under a
+    tape, beyond the nodes' outputs (inputs made beforehand are not
+    counted); and the peak allocation while it ran, both in bytes."""
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            build()
+            now, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return now - base - sum(n.output.data.nbytes for n in tape.nodes), peak - base
+
+
+def test_conv2d_keeps_no_padded_copy_of_its_input():
+    x = rand((8, 64, 64), seed=70)
+    w, b = rand((8, 8, 3, 3), seed=71), rand((8,), seed=72)
+    for t in (x, w, b):
+        t.requires_grad = True
+    kept, _ = kept_bytes(lambda: ad.conv2d(x, w, b, padding=1))
+    assert kept < x.data.nbytes / 8, kept  # a padded copy is 1.06x the input
+
+
+def test_stencil_matvec_keeps_no_padded_copy_of_its_operators():
+    loops, weights = rand((64, 64), seed=73), rand((8, 64, 64), seed=74)
+    z = rand((4, 64, 64), seed=75)
+    for t in (loops, weights, z):
+        t.requires_grad = True
+    kept, _ = kept_bytes(lambda: ad.stencil_matvec(loops, weights, z, 1))
+    assert kept < weights.data.nbytes / 8, kept
+
+
+def test_leaky_relu_keeps_no_mask():
+    x = rand((64, 4096), seed=76)
+    x.requires_grad = True
+    kept, _ = kept_bytes(lambda: ad.leaky_relu(x))
+    assert kept < x.data.nbytes / 64, kept  # a bool mask is 1/8 of the input
 
 
 # ---------------------------------------------------------------------------

@@ -316,6 +316,58 @@ def test_cli_eval_of_half_checkpoint_exits_2(tiny_cube, tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+def with_value(blob, name, value, index=0):
+    """``blob`` with value ``index`` of the array called ``name`` (or the
+    final loss, for ``name`` None) set to ``value``; and that value's offset."""
+    if name is None:
+        at = len(blob) - 8
+    else:
+        encoded = name.encode("utf-8")
+        at = blob.index(struct.pack("<I", len(encoded)) + encoded) + 4 + len(encoded)
+        at += 4 * (max(u32(blob, at), 1) + 1) + 8 * index
+    return blob[:at] + struct.pack("<d", value) + blob[at + 8:], at
+
+
+@pytest.mark.parametrize("name, value, index", [
+    ("decoder.abun_w", np.nan, 0), ("decoder.endmember_w", np.inf, 5),
+    ("attention.cls_spe", -np.inf, 3), ("m.frontend.conv1_w", np.nan, 7),
+    ("v.decoder.abun_b", np.inf, 1), (None, np.nan, 0)])
+def test_nonfinite_checkpoint_raises_format_error(checkpoint_blob, tmp_path,
+                                                  name, value, index):
+    path = tmp_path / "run.ckpt"
+    blob, at = with_value(checkpoint_blob, name, value, index)
+    path.write_bytes(blob)
+    with pytest.raises(FormatError, match=name or "final_loss") as info:
+        load_checkpoint(path)
+    assert info.value.offset == at
+
+
+@pytest.mark.parametrize("command", ["eval", "export"])
+def test_cli_reading_a_nonfinite_checkpoint_exits_2(checkpoint_blob, tiny_cube,
+                                                    tmp_path, capsys, command):
+    scene, ckpt, out = tmp_path / "scene.hsic", tmp_path / "run.ckpt", tmp_path / "out"
+    write_container(tiny_cube, scene)
+    ckpt.write_bytes(with_value(checkpoint_blob, "decoder.abun_w", np.nan)[0])
+    code = main([command, "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(out)])
+    assert code == 2
+    assert "decoder.abun_w holds a value that is not finite" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+
+
+def test_cli_resume_from_a_nonfinite_checkpoint_exits_2(tmp_path, capsys):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "model.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    args = ["train", "--data", str(scene), "--checkpoint", str(ckpt),
+            "--patch-size", "2"]
+    assert main(args + ["--epochs", "2"]) == 0
+    ckpt.write_bytes(with_value(ckpt.read_bytes(), "m.decoder.abun_w", np.inf)[0])
+    before = ckpt.read_bytes()
+    assert main(args + ["--epochs", "4", "--resume"]) == 2
+    assert "m.decoder.abun_w holds a value" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+
+
 def make_optimizer():
     params = {"a.w": Tensor(np.ones(3), requires_grad=True),
               "b.w": Tensor(np.ones((2, 2)), requires_grad=True)}
