@@ -5,6 +5,10 @@ single-head scaled dot-product attention block with a residual connection,
 then (after dropping class rows) an MLP. The two branches are concatenated
 per token, projected to per-pixel features for the token's patch, scattered
 back to image shape, and seam-smoothed with one 3x3 convolution.
+
+The attention itself is the one tape op ``autodiff.attention``: it never
+holds the token-by-token weights, so its memory grows linearly with the
+token count.
 """
 
 from __future__ import annotations
@@ -89,18 +93,8 @@ def identity_kernel(channels: int, k: int) -> np.ndarray:
     return w
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor
-                         ) -> Tuple[Tensor, Tensor]:
-    """Single-head attention; returns (output, row-stochastic weights)."""
-    d_k = q.shape[1]
-    logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(d_k))
-    weights = ad.softmax(logits, axis=1)
-    return ad.matmul(weights, v), weights
-
-
 def _attend_branch(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
-    out, _ = scaled_dot_attention(ad.matmul(x, wq), ad.matmul(x, wk),
-                                  ad.matmul(x, wv))
+    out = ad.attention(ad.matmul(x, wq), ad.matmul(x, wk), ad.matmul(x, wv))
     return ad.add(out, x)  # residual around the attention block
 
 

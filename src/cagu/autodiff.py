@@ -14,11 +14,20 @@ flattened C x H x W image, where every tap is one contiguous shift (a 1x1
 layer is a single tap over the image itself). A patch-local convolution is
 the same kernel with each tap masked where it would read across a patch
 boundary. The window (stencil) kernels use the same padded flat layout and
-work through the channels in cache-sized blocks.
+work through the channels in cache-sized blocks. Scaled dot-product
+attention is one node that reads the keys in cache-sized blocks with an
+online softmax.
+
+A node keeps only what its backward reads, and where it can, an array that
+is alive anyway: its inputs and its output. The conv and stencil kernels pad
+their inputs again in backward instead of keeping padded copies, and
+attention keeps no token-by-token array: backward recomputes each block's
+probabilities from the output and each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
-order, and the window kernels accumulate shifts in a fixed offset order and
-sum over channels one after another, so repeated runs are bit-identical.
+order, the window kernels accumulate shifts in a fixed offset order and sum
+over channels one after another, and attention takes its key blocks in
+order, so repeated runs are bit-identical.
 """
 
 from __future__ import annotations
@@ -33,7 +42,7 @@ import numpy as np
 from .errors import ContractError, NumericDomainError, ShapeError
 
 ARCCOS_EPS = 1e-7      # safety clamp half-width on arccos inputs
-CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window or tap kernel
+CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window, tap or attention kernel
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
 
@@ -460,6 +469,77 @@ def softmax(x: Tensor, axis: int) -> Tensor:
         _accumulate(x, out * (g - dot))
 
     return _record("softmax", (x,), out, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
+    """Scaled dot-product attention softmax(q k^T / sqrt(d)) v of queries
+    q (n, d) over keys k (m, d) and values v (m, d_v), as one node.
+
+    The keys are read in blocks of CACHE_BYTES // (8 n) columns, so no
+    n x block temporary exceeds CACHE_BYTES, with a running row max and sum
+    (the online softmax of Rabe & Staats, "Self-attention does not need
+    O(n^2) memory", 2021, and Dao et al., "FlashAttention", 2022). The node
+    keeps the output and each row's log-sum-exp; backward rebuilds each
+    block's probabilities from them. Blocks go in a fixed order. The output
+    is kept normalised by the running sum, so with one block the forward
+    rounds exactly as softmax(scale(matmul(q, transpose(k)))) times v does.
+    """
+    if (q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]
+            or k.shape[0] != v.shape[0] or q.shape[0] < 1 or k.shape[0] < 1):
+        raise ShapeError(f"attention: q {q.shape}, k {k.shape} and v {v.shape} "
+                         "are not (n, d), (m, d), (m, d_v) with n, m >= 1")
+    n, m = q.shape[0], k.shape[0]
+    c = 1.0 / math.sqrt(q.shape[1])
+    step = max(1, CACHE_BYTES // (8 * n))
+    spans = [(j, min(j + step, m)) for j in range(0, m, step)]
+    width = min(step, m)
+
+    def block(buf, j0, j1):  # a contiguous n x (j1 - j0) view of ``buf``
+        return buf[:n * (j1 - j0)].reshape(n, j1 - j0)
+
+    def logits(buf, kt, j0, j1):  # kt: k^T made contiguous, as transpose does
+        s = np.matmul(q.data, kt[:, j0:j1], out=block(buf, j0, j1))
+        s *= c
+        return s
+
+    kt, buf = k.data.T.copy(), np.empty(n * width)
+    row_max, row_sum = np.full(n, -np.inf), np.zeros(n)
+    out = np.zeros((n, v.shape[1]))
+    for j0, j1 in spans:
+        p = logits(buf, kt, j0, j1)
+        new_max = np.maximum(row_max, np.max(p, axis=1))
+        p -= new_max[:, None]
+        np.exp(p, out=p)
+        carried = row_sum * np.exp(row_max - new_max)  # 0 on the first block
+        row_sum = carried + np.sum(p, axis=1)
+        p /= row_sum[:, None]
+        out *= (carried / row_sum)[:, None]
+        out += p @ v.data[j0:j1]
+        row_max = new_max
+    lse = (row_max + np.log(row_sum))[:, None]
+
+    def bwd(g):
+        delta = np.sum(g * out, axis=1, keepdims=True)  # rowsum(dO * O)
+        gq, gk, gv = np.zeros_like(q.data), np.empty_like(k.data), np.empty_like(v.data)
+        kt, p_buf, gs_buf = k.data.T.copy(), np.empty(n * width), np.empty(n * width)
+        for j0, j1 in spans:
+            p = logits(p_buf, kt, j0, j1)
+            p -= lse
+            np.exp(p, out=p)
+            np.matmul(p.T, g, out=gv[j0:j1])
+            # gradient of the probabilities, then of the scaled logits
+            gs = np.matmul(g, v.data[j0:j1].T, out=block(gs_buf, j0, j1))
+            gs -= delta
+            gs *= p
+            gq += gs @ k.data[j0:j1]
+            np.matmul(gs.T, q.data, out=gk[j0:j1])
+        gq *= c
+        gk *= c
+        _accumulate(q, gq)
+        _accumulate(k, gk)
+        _accumulate(v, gv)
+
+    return _record("attention", (q, k, v), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from cagu import autodiff as ad
-from cagu.autodiff import Tensor, finite_diff_check
+from cagu.autodiff import Tape, Tensor, backward, finite_diff_check
 from cagu.attention import (AttentionParams, exchange_and_attend,
-                            fuse_and_restore, identity_kernel,
-                            scaled_dot_attention)
-from cagu.errors import ConfigError
+                            fuse_and_restore, identity_kernel)
+from cagu.errors import ConfigError, ShapeError
 from cagu.frontend import TokenSequences
 
 
@@ -36,6 +35,95 @@ def reference_attention(x, wq, wk, wv):
     return out
 
 
+def scaled_dot_attention(q, k, v):
+    """Oracle of ``ad.attention`` from composed ops; returns (output,
+    row-stochastic weights)."""
+    logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
+    weights = ad.softmax(logits, axis=1)
+    return ad.matmul(weights, v), weights
+
+
+def attention_and_grads(attend, q, k, v, direction):
+    """Output of ``attend(q, k, v)`` and the gradients of its inner product
+    with ``direction`` with respect to q, k and v."""
+    leaves = [Tensor(t.copy(), requires_grad=True) for t in (q, k, v)]
+    with Tape() as tape:
+        out = attend(*leaves)
+        loss = ad.sum(ad.mul(out, Tensor(direction)))
+    backward(tape, loss)
+    return [out.data] + [t.grad for t in leaves]
+
+
+def attention_inputs(n, m, d, d_v, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    return (rng.normal(0, scale, (n, d)), rng.normal(0, scale, (m, d)),
+            rng.normal(size=(m, d_v)), rng.normal(size=(n, d_v)))
+
+
+# key block widths: one block of 10 keys, two of 5, and 3 + 3 + 3 + 1
+@pytest.mark.parametrize("block", [None, 5, 3], ids=["1-block", "2-blocks", "uneven"])
+def test_attention_op_matches_composed_oracle(monkeypatch, block):
+    n, m = 12, 10
+    if block is not None:
+        monkeypatch.setattr(ad, "CACHE_BYTES", 8 * n * block)
+    q, k, v, direction = attention_inputs(n, m, 4, 3, seed=30)
+    fused = attention_and_grads(ad.attention, q, k, v, direction)
+    oracle = attention_and_grads(lambda *t: scaled_dot_attention(*t)[0],
+                                 q, k, v, direction)
+    for name, got, want in zip(("out", "dq", "dk", "dv"), fused, oracle):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+
+@pytest.mark.parametrize("n, d", [(10, 8), (65, 64), (100, 64)])
+def test_attention_op_in_one_block_rounds_as_the_composed_ops(n, d):
+    q, k, v, _ = attention_inputs(n, n, d, d, seed=34)
+    fused = ad.attention(Tensor(q), Tensor(k), Tensor(v))
+    composed, _ = scaled_dot_attention(Tensor(q), Tensor(k), Tensor(v))
+    assert fused.data.tobytes() == composed.data.tobytes()
+
+
+@pytest.mark.parametrize("block", [None, 3])
+def test_attention_op_finite_on_large_logits(monkeypatch, block):
+    n, m = 12, 10
+    if block is not None:
+        monkeypatch.setattr(ad, "CACHE_BYTES", 8 * n * block)
+    q, k, v, direction = attention_inputs(n, m, 4, 3, seed=31, scale=30.0)
+    assert np.abs(q @ k.T / 2.0).max() > 1e3
+    fused = attention_and_grads(ad.attention, q, k, v, direction)
+    oracle = attention_and_grads(lambda *t: scaled_dot_attention(*t)[0],
+                                 q, k, v, direction)
+    for name, got, want in zip(("out", "dq", "dk", "dv"), fused, oracle):
+        assert np.all(np.isfinite(got)), name
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-9, err_msg=name)
+
+
+def test_attention_op_gradients_across_key_blocks(monkeypatch):
+    monkeypatch.setattr(ad, "CACHE_BYTES", 8 * 5 * 2)  # 5 queries, 2 keys a block
+    q, k, v, direction = attention_inputs(5, 7, 3, 2, seed=32)
+    args = [Tensor(q), Tensor(k), Tensor(v)]
+    for slot in range(3):
+        def loss(t, slot=slot):
+            operands = list(args)
+            operands[slot] = t
+            return ad.sum(ad.mul(ad.attention(*operands), Tensor(direction)))
+        assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-6, slot
+
+
+def test_attention_op_bit_identical_across_runs(monkeypatch):
+    monkeypatch.setattr(ad, "CACHE_BYTES", 8 * 12 * 3)
+    inputs = attention_inputs(12, 10, 4, 3, seed=33)
+    first, second = (attention_and_grads(ad.attention, *inputs) for _ in range(2))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("shapes", [((3, 4), (5, 4), (4, 2)), ((3, 4), (5, 3), (5, 2)),
+                                    ((0, 4), (5, 4), (5, 2)), ((3, 4), (0, 4), (0, 2)),
+                                    ((3, 4, 1), (5, 4), (5, 2))])
+def test_attention_op_rejects_shapes_that_do_not_fit(shapes):
+    with pytest.raises(ShapeError):
+        ad.attention(*(Tensor(np.ones(s)) for s in shapes))
+
+
 def test_zero_logits_average_value_rows():
     # W_Q = W_K = 0 makes every attention row uniform; with W_V = I the
     # output row is the mean of the value rows.
@@ -43,10 +131,11 @@ def test_zero_logits_average_value_rows():
     x = Tensor(rng.normal(size=(2, 3)))
     zero = Tensor(np.zeros((3, 3)))
     eye = Tensor(np.eye(3))
-    out, weights = scaled_dot_attention(ad.matmul(x, zero), ad.matmul(x, zero),
-                                        ad.matmul(x, eye))
-    np.testing.assert_allclose(out.data,
-                               np.tile(x.data.mean(axis=0), (2, 1)), atol=1e-12)
+    q, k, v = ad.matmul(x, zero), ad.matmul(x, zero), ad.matmul(x, eye)
+    out, weights = scaled_dot_attention(q, k, v)
+    mean_rows = np.tile(x.data.mean(axis=0), (2, 1))
+    np.testing.assert_allclose(out.data, mean_rows, atol=1e-12)
+    np.testing.assert_allclose(ad.attention(q, k, v).data, mean_rows, atol=1e-12)
     np.testing.assert_allclose(weights.data, np.full((2, 2), 0.5), atol=1e-12)
 
 

@@ -983,6 +983,17 @@ def test_stencil_matvec_keeps_no_padded_copy_of_its_operators():
     assert kept < weights.data.nbytes / 8, kept
 
 
+def test_attention_keeps_no_token_by_token_array():
+    n, d = 1500, 8  # 18 key blocks of 87 columns
+    q, k, v = (rand((n, d), seed=s) for s in (77, 78, 79))
+    for t in (q, k, v):
+        t.requires_grad = True
+    kept, peak = kept_bytes(lambda: ad.attention(q, k, v))
+    assert kept < n * n * 8 / 4, kept
+    assert kept < 4 * n * 8 + (16 << 10), kept  # the log-sum-exp of each row
+    assert peak < ad.CACHE_BYTES + 8 * n * d * 4, peak  # one key block
+
+
 def test_leaky_relu_keeps_no_mask():
     x = rand((64, 4096), seed=76)
     x.requires_grad = True
