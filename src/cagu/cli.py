@@ -18,8 +18,8 @@ from .hsi import (SynthSpec, generate_synthetic, read_container,
                   write_container, write_text_atomic)
 from .train import (GRADCHECK_CONFIG, evaluate_checkpoint,
                     export_abundance_maps, gradcheck, load_checkpoint,
-                    run_ablation, run_beta_sweep, run_snr_sweep, train)
-from . import decoder as dec
+                    run_ablation, run_beta_sweep, run_snr_sweep, train,
+                    write_metrics_csv)
 
 
 def _float_list(text: str):
@@ -149,19 +149,12 @@ def _dispatch(args) -> int:
     if args.command == "eval":
         ckpt = load_checkpoint(args.checkpoint)
         cube = read_container(args.data)
-        outputs, result = evaluate_checkpoint(ckpt, cube)
-        out_dir = Path(args.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        _, result = evaluate_checkpoint(ckpt, cube)
+        Path(args.out_dir).mkdir(parents=True, exist_ok=True)
+        write_metrics_csv(args.out_dir, Path(args.data).stem, ckpt, result)
         if result is None:
             print("scene has no ground truth; writing reconstruction stats only")
-            write_text_atomic(
-                out_dir / "metrics.csv", "dataset,seed,final_loss\n"
-                f"{Path(args.data).stem},{ckpt.config.seed},"
-                f"{ckpt.final_loss:.6f}\n")
         else:
-            rows = dec.metrics_csv_rows(result, Path(args.data).stem,
-                                        ckpt.config.seed)
-            write_text_atomic(out_dir / "metrics.csv", "\n".join(rows) + "\n")
             print(f"mean_sad {result.mean_sad:.4f} rmse {result.rmse:.4f}")
         return 0
 
@@ -196,7 +189,8 @@ def _dispatch(args) -> int:
     if args.command == "export":
         ckpt = load_checkpoint(args.checkpoint)
         cube = read_container(args.data)
-        for path in export_abundance_maps(ckpt, cube, args.out_dir):
+        for path in export_abundance_maps(ckpt, cube, args.out_dir,
+                                          Path(args.data).stem):
             print(f"wrote {path}")
         return 0
 

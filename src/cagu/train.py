@@ -458,6 +458,16 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _medians(rows: List[dict], key: str, metric: str = "mean_sad"
+             ) -> Dict[object, float]:
+    """Median of ``metric`` over the rows sharing each value of ``key``, in
+    the order the values first appear."""
+    groups: Dict[object, List[float]] = {}
+    for row in rows:
+        groups.setdefault(row[key], []).append(row[metric])
+    return {value: float(np.median(level)) for value, level in groups.items()}
+
+
 def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
                   seeds: Sequence[int], scene: Optional[dict] = None
                   ) -> SweepReport:
@@ -468,17 +478,10 @@ def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
     seeds = _seed_list(seeds)
     jobs = [(config, float(s), seed, scene) for s in snrs for seed in seeds]
     rows = sorted(_run_jobs(jobs), key=lambda r: (r["snr_db"], r["seed"]))
-    aggregates = []
-    for snr in sorted({r["snr_db"] for r in rows}):
-        level = [r for r in rows if r["snr_db"] == snr]
-        aggregates.append({
-            "snr_db": snr,
-            "seed": "median",
-            "beta": config.beta,
-            "mode": config.ablation_mode,
-            "mean_sad": float(np.median([r["mean_sad"] for r in level])),
-            "rmse": float(np.median([r["rmse"] for r in level])),
-        })
+    sad, rmse = _medians(rows, "snr_db"), _medians(rows, "snr_db", "rmse")
+    aggregates = [{"snr_db": snr, "seed": "median", "beta": config.beta,
+                   "mode": config.ablation_mode, "mean_sad": sad[snr],
+                   "rmse": rmse[snr]} for snr in sad]
     best = aggregates[-1]["mean_sad"]
     worst = aggregates[0]["mean_sad"]
     trend_ok = best <= worst
@@ -492,8 +495,9 @@ def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
     return SweepReport(rows, aggregates, notes, summary={"trend_ok": trend_ok})
 
 
-ABLATION_CASES = (("no_graph", "none"), ("static_grid", "static"),
-                  ("dynamic", "dynamic"))
+# graph mode -> the ablation case that trains it, in report order
+ABLATION_CASES = {"none": "no_graph", "static": "static_grid",
+                  "dynamic": "dynamic"}
 
 
 def run_ablation(config: TrainConfig, seeds: Sequence[int] = (0,),
@@ -501,27 +505,15 @@ def run_ablation(config: TrainConfig, seeds: Sequence[int] = (0,),
                  ) -> SweepReport:
     """Train the three graph cases side by side with shared seeds/config."""
     seeds = _seed_list(seeds)
-    jobs = []
-    for case, mode in ABLATION_CASES:
-        for seed in seeds:
-            jobs.append((replace(config, ablation_mode=mode), snr_db,
-                         seed, scene))
-    raw = _run_jobs(jobs)
-    rows = []
-    for (case, mode), chunk in zip(
-            ABLATION_CASES,
-            [raw[i:i + len(seeds)] for i in range(0, len(raw), len(seeds))]):
-        for row in chunk:
-            row = dict(row, case=case)
-            rows.append(row)
-    medians = {
-        case: float(np.median([r["mean_sad"] for r in rows if r["case"] == case]))
-        for case, _ in ABLATION_CASES
-    }
+    jobs = [(replace(config, ablation_mode=mode), snr_db, seed, scene)
+            for mode in ABLATION_CASES for seed in seeds]
+    rows = [dict(row, case=ABLATION_CASES[row["mode"]])
+            for row in _run_jobs(jobs)]
+    medians = _medians(rows, "case")
     ordered = medians["dynamic"] <= medians["static_grid"] <= medians["no_graph"]
     notes = [
         "median mean_sad: " + ", ".join(
-            f"{case}={medians[case]:.4f}" for case, _ in ABLATION_CASES),
+            f"{case}={sad:.4f}" for case, sad in medians.items()),
         f"expected ordering dynamic <= static <= none holds: {ordered} "
         "(soft check; stochastic at desk scale)",
     ]
@@ -539,10 +531,7 @@ def run_beta_sweep(config: TrainConfig, betas: Sequence[float],
     jobs = [(replace(config, beta=float(b)), snr_db, seed, scene)
             for b in betas for seed in seeds]
     rows = sorted(_run_jobs(jobs), key=lambda r: (r["beta"], r["seed"]))
-    by_beta = {}
-    for b in sorted({r["beta"] for r in rows}):
-        level = [r["mean_sad"] for r in rows if r["beta"] == b]
-        by_beta[b] = float(np.median(level))
+    by_beta = _medians(rows, "beta")
     best_beta = min(by_beta, key=by_beta.get)
     interior = min(by_beta) < best_beta < max(by_beta)
     notes = [
@@ -627,8 +616,24 @@ def gradcheck(config: Optional[TrainConfig] = None,
 # ---------------------------------------------------------------------------
 # export
 
-def export_abundance_maps(ckpt: Checkpoint, cube: HsiCube, out_dir) -> List[str]:
-    """Write one grayscale PGM per endmember plus a metrics CSV."""
+def write_metrics_csv(out_dir, dataset: str, ckpt: Checkpoint,
+                      result: Optional[dec.UnmixResult]) -> str:
+    """``out_dir/metrics.csv``: with ground truth, the aligned metrics rows
+    (``decoder.metrics_csv_rows``); without, the checkpoint's final loss.
+    ``dataset`` labels the rows; returns the path written."""
+    seed = ckpt.config.seed
+    rows = (dec.metrics_csv_rows(result, dataset, seed) if result is not None
+            else ["dataset,seed,final_loss",
+                  f"{dataset},{seed},{ckpt.final_loss:.6f}"])
+    path = Path(out_dir) / "metrics.csv"
+    write_text_atomic(path, "\n".join(rows) + "\n")
+    return str(path)
+
+
+def export_abundance_maps(ckpt: Checkpoint, cube: HsiCube, out_dir,
+                          dataset: str) -> List[str]:
+    """Write one grayscale PGM per endmember plus a metrics CSV whose rows
+    ``dataset`` labels."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     outputs, result = evaluate_checkpoint(ckpt, cube)
@@ -639,13 +644,5 @@ def export_abundance_maps(ckpt: Checkpoint, cube: HsiCube, out_dir) -> List[str]
         path = out / f"abundance_{k:02d}.pgm"
         write_pgm(path, abund[k])
         written.append(str(path))
-    csv_path = out / "metrics.csv"
-    if result is not None:
-        dataset = Path(ckpt.config.data_path).stem if ckpt.config.data_path else "scene"
-        rows = dec.metrics_csv_rows(result, dataset, ckpt.config.seed)
-    else:
-        rows = ["dataset,seed,final_loss",
-                f"scene,{ckpt.config.seed},{ckpt.final_loss:.6f}"]
-    write_text_atomic(csv_path, "\n".join(rows) + "\n")
-    written.append(str(csv_path))
+    written.append(write_metrics_csv(out, dataset, ckpt, result))
     return written

@@ -588,7 +588,8 @@ def test_gradcheck_scene_size_enforced():
 def test_export_writes_pgms_and_metrics(tiny_cube, tmp_path):
     result = train(tiny_config(), cube=tiny_cube)
     out_dir = tmp_path / "maps"
-    written = export_abundance_maps(result.checkpoint, tiny_cube, out_dir)
+    written = export_abundance_maps(result.checkpoint, tiny_cube, out_dir,
+                                    "tiny")
     pgms = sorted(p for p in written if p.endswith(".pgm"))
     assert len(pgms) == 2
     outputs, metrics = evaluate_checkpoint(result.checkpoint, tiny_cube)
