@@ -299,9 +299,16 @@ class ByteReader:
         return struct.unpack(fmt, self.read(struct.calcsize(fmt), what))
 
     def array(self, dtype: str, count: int, what: str) -> np.ndarray:
-        """Read-only view of the next ``count`` values of ``dtype``."""
-        start = self._advance(count * np.dtype(dtype).itemsize, what)
-        return np.frombuffer(self.blob, dtype, count, start)
+        """Read-only view of the next ``count`` values of the float ``dtype``;
+        FormatError at the first value that is not finite."""
+        size = np.dtype(dtype).itemsize
+        start = self._advance(count * size, what)
+        values = np.frombuffer(self.blob, dtype, count, start)
+        finite = np.isfinite(values)
+        if not finite.all():
+            raise FormatError(f"{what} holds a value that is not finite",
+                              start + size * int(np.argmin(finite)))
+        return values
 
     def end(self):
         if self.offset != len(self.blob):
@@ -310,7 +317,8 @@ class ByteReader:
 
 
 def read_container(path) -> HsiCube:
-    """Parse a container file, reporting the byte offset of any defect."""
+    """Parse a container file, reporting the byte offset of any defect,
+    including a payload value that is not finite."""
     with open(path, "rb") as fh:
         reader = ByteReader(fh.read(), "container", CONTAINER_MAGIC)
     reader.version(CONTAINER_VERSION)

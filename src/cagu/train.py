@@ -44,11 +44,19 @@ DESK_SCENE = dict(height=30, width=30, bands=60, endmembers=3)
 
 
 def worker_count() -> int:
-    """Worker cap for sweep parallelism (env CAGU_THREADS, default 1)."""
-    try:
-        return max(1, int(os.environ.get("CAGU_THREADS", "1")))
-    except ValueError:
+    """Worker cap for sweep parallelism: env CAGU_THREADS, 1 when unset or
+    empty; ConfigError when it is not a positive integer."""
+    text = os.environ.get("CAGU_THREADS", "")
+    if not text:
         return 1
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ConfigError(
+            f"CAGU_THREADS must be a positive integer, got {text!r}")
+    return workers
 
 
 # ---------------------------------------------------------------------------
@@ -166,12 +174,7 @@ def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
             raise FormatError(f"rank {ndim} of {name} is above {MAX_RANK}",
                               rank_at)
         shape = reader.unpack(f"<{max(ndim, 1)}I", f"shape of {name}")[:ndim]
-        values_at = reader.offset
-        values = reader.array("<f8", math.prod(shape), f"values of {name}")
-        finite = np.isfinite(values)
-        if not finite.all():
-            raise FormatError(f"{name} holds a value that is not finite",
-                              values_at + 8 * int(np.argmin(finite)))
+        values = reader.array("<f8", math.prod(shape), name)
         try:
             out[name] = values.reshape(shape).copy()
         except ValueError:  # a zero extent beside extents numpy cannot hold

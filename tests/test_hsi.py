@@ -196,6 +196,25 @@ def test_damaged_containers_give_a_cube_or_format_error(tmp_path_factory,
     assert isinstance(cube, HsiCube) and cube.data.ndim == 3
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("payload, index", [
+    ("data", 0), ("data", 71), ("endmembers", 4), ("abundances", 23)])
+def test_nonfinite_payload_value_raises_format_error(container_blob, tmp_path,
+                                                     payload, index, value):
+    import struct
+    bands, height, width, p = 6, 3, 4, 3  # the container_blob scene
+    start = {"data": 28, "endmembers": 28 + 4 * bands * height * width,
+             "abundances": 28 + 4 * bands * (height * width + p)}[payload]
+    at = start + 4 * index
+    path = tmp_path / "scene.hsic"
+    path.write_bytes(container_blob[:at] + struct.pack("<f", value)
+                     + container_blob[at + 4:])
+    with pytest.raises(FormatError, match=f"^{payload} holds a value that is "
+                       "not finite") as info:
+        read_container(path)
+    assert info.value.offset == at
+
+
 def test_trailing_garbage_rejected(tmp_path):
     cube = HsiCube(np.zeros((4, 2, 2)))
     path = tmp_path / "trail.hsic"

@@ -1,7 +1,9 @@
 """Training determinism, checkpoint persistence, harnesses, CLI surface."""
 
+import importlib
 import json
 import math
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -17,12 +19,12 @@ from cagu.cli import main
 from cagu.config import TrainConfig
 from cagu.errors import (ConfigError, FormatError, NonFiniteGradientError,
                          NonFiniteLossError)
-from cagu.hsi import read_pgm, write_container
+from cagu.hsi import HsiCube, read_pgm, write_container
 from damage import damage
 from cagu.train import (AdamW, evaluate_checkpoint, export_abundance_maps,
                         gradcheck, load_checkpoint, make_desk_scene,
                         params_from_checkpoint, run_ablation, run_beta_sweep,
-                        run_snr_sweep, save_checkpoint, train)
+                        run_snr_sweep, save_checkpoint, train, worker_count)
 
 TINY_SCENE = dict(height=8, width=8, bands=12, endmembers=2)
 
@@ -541,6 +543,57 @@ def test_worker_env_parallel_sweep_matches_serial(monkeypatch):
     assert serial.rows == parallel.rows
 
 
+@pytest.mark.parametrize("text", ["abc", "0", "-3", "1.5"])
+def test_bad_worker_env_raises_config_error(monkeypatch, text):
+    monkeypatch.setenv("CAGU_THREADS", text)
+    with pytest.raises(ConfigError, match=f"CAGU_THREADS.*{re.escape(text)}"):
+        worker_count()
+
+
+@pytest.mark.parametrize("text", [None, "", "1", "2"])
+def test_worker_env_unset_empty_or_positive(monkeypatch, text):
+    if text is None:
+        monkeypatch.delenv("CAGU_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CAGU_THREADS", text)
+    assert worker_count() == int(text or 1)
+
+
+def test_cli_bad_worker_env_exits_2_before_training(monkeypatch, tmp_path,
+                                                    capsys):
+    monkeypatch.setenv("CAGU_THREADS", "abc")
+    # the package's ``train`` attribute is the function, not the module
+    monkeypatch.setattr(importlib.import_module("cagu.train"), "train",
+                        lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "ablation.csv"
+    assert main(["ablate", "--seeds", "1", "--out", str(out)]) == 2
+    assert "CAGU_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# the study commands at desk scale, one epoch and one seed each
+STUDIES = [
+    (["sweep-snr", "--snrs", "20,40"],
+     lambda config: run_snr_sweep(config, [20.0, 40.0], range(1))),
+    (["ablate"], lambda config: run_ablation(config, range(1))),
+    (["sweep-beta"], lambda config: run_beta_sweep(
+        config, [0.0, 0.2, 0.4, 0.6, 0.8, 1.0], range(1))),
+]
+
+
+@pytest.mark.parametrize("command, study", STUDIES,
+                         ids=[c[0] for c, _ in STUDIES])
+def test_cli_study_csv_equals_the_harness_report(tmp_path, command, study):
+    out = tmp_path / "study.csv"
+    code = main(command + ["--seeds", "1", "--epochs", "1", "--out", str(out)])
+    report = study(TrainConfig(epochs=1).validate())
+    assert out.read_text() == report.to_csv()
+    if command[0] == "sweep-snr":
+        assert code == (0 if report.summary["trend_ok"] else 1)
+    else:
+        assert code == 0
+
+
 # ---------------------------------------------------------------------------
 # gradcheck harness
 
@@ -666,3 +719,51 @@ def test_cli_gradcheck_passes_seed_and_tolerance(monkeypatch, capsys):
     for bad in ("0", "-1e-4", "nan", "inf"):
         assert main(["gradcheck", f"--tolerance={bad}"]) == 2
     assert len(calls) == 2
+
+
+def test_cli_eval_and_export_label_rows_with_the_evaluated_scene(tmp_path):
+    # trained on train.hsic, evaluated on scenes whose stems differ from it
+    train_scene, ckpt = tmp_path / "train.hsic", tmp_path / "model.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), train_scene)
+    assert main(["train", "--data", str(train_scene), "--epochs", "1",
+                 "--patch-size", "2", "--checkpoint", str(ckpt)]) == 0
+    other = make_desk_scene(60.0, 1, TINY_SCENE)
+    for stem, cube in (("other", other), ("bare", HsiCube(other.data))):
+        scene = tmp_path / f"{stem}.hsic"
+        write_container(cube, scene)
+        csvs = []
+        for command in ("eval", "export"):
+            out = tmp_path / f"{command}_{stem}"
+            assert main([command, "--data", str(scene), "--checkpoint",
+                         str(ckpt), "--out-dir", str(out)]) == 0
+            csvs.append((out / "metrics.csv").read_text())
+        assert csvs[0] == csvs[1]
+        rows = csvs[0].splitlines()[1:]
+        assert rows and all(row.startswith(f"{stem},0,") for row in rows)
+
+
+def nan_container(path):
+    """An 8x8, 8-band container whose first data value is a float32 NaN."""
+    write_container(make_desk_scene(60.0, 0, dict(height=8, width=8, bands=8,
+                                                  endmembers=2)), path)
+    blob = path.read_bytes()
+    path.write_bytes(blob[:28] + struct.pack("<f", np.nan) + blob[32:])
+
+
+@pytest.mark.parametrize("command", ["eval", "export", "train"])
+def test_cli_nonfinite_container_exits_2(checkpoint_blob, tmp_path, capsys,
+                                         command):
+    scene, ckpt, out = tmp_path / "nan.hsic", tmp_path / "run.ckpt", tmp_path / "out"
+    nan_container(scene)
+    if command == "train":
+        args = ["train", "--data", str(scene), "--epochs", "1",
+                "--patch-size", "2", "--checkpoint", str(ckpt)]
+    else:
+        ckpt.write_bytes(checkpoint_blob)
+        args = [command, "--data", str(scene), "--checkpoint", str(ckpt),
+                "--out-dir", str(out)]
+    assert main(args) == 2
+    assert ("data holds a value that is not finite (byte offset 28)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+    assert ckpt.exists() == (command != "train")
