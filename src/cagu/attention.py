@@ -153,4 +153,4 @@ def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
                      height: int, width: int) -> Tensor:
     """``fuse_tokens``, then smoothing across block seams by a 3x3 conv."""
     fused = fuse_tokens(params, spe_seq, spa_seq, height, width)
-    return ad.conv2d(fused, params.seam_w, params.seam_b, padding=1)
+    return ad.conv2d(fused, params.seam_w, params.seam_b)

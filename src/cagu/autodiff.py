@@ -9,14 +9,14 @@ gradient once its producer has run (unless the caller holds the tensor).
 Gradients accumulate additively across fan-out; a tensor's first gradient
 is held as given and a new array is made only when a second one arrives.
 
-There is one convolution kernel: one GEMM per kernel tap over the padded,
-flattened C x H x W image, where every tap is one contiguous shift (a 1x1
-layer is a single tap over the image itself). A patch-local convolution is
-the same kernel with each tap masked where it would read across a patch
-boundary. The window (stencil) kernels use the same padded flat layout and
-work through the channels in cache-sized blocks. Scaled dot-product
-attention is one node that reads the keys in cache-sized blocks with an
-online softmax.
+There is one convolution kernel, and it keeps the image size: one GEMM per
+kernel tap over the padded, flattened C x H x W image, where every tap is one
+contiguous shift (a 1x1 layer is a single tap over the image itself). A
+patch-local convolution is the same kernel with each tap masked where it
+would read across a patch boundary. The window (stencil) kernels use the
+same padded flat layout, ``_Flat``, and work through the channels in
+cache-sized blocks. Scaled dot-product attention is one node that reads the
+keys in cache-sized blocks with an online softmax.
 
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. The conv and stencil kernels pad
@@ -590,7 +590,8 @@ def l2_norm(x: Tensor, axis: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# convolution (stride 1): one GEMM per kernel tap over the padded flat image
+# "same" convolution (stride 1): one GEMM per kernel tap over the image in
+# the ``_Flat`` layout of the window stencil kernels
 
 def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
               shifts: Sequence[int], masks: Sequence, out: np.ndarray
@@ -625,95 +626,71 @@ def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
 
 @functools.lru_cache(maxsize=8)
 def _patch_masks(height: int, width: int, k: int, m: int) -> tuple:
-    """Per-tap 0/1 masks of a k x k "same" conv kept inside m x m patches,
-    over the output columns y*Wp + x (``None``: kept everywhere), and the
-    same masks moved on by each tap's shift, over the Hp*Wp input columns."""
-    r, wp = k // 2, width + k - 1
-    y, x = np.divmod(np.arange((height - 1) * wp + width), wp)
-    fwd, bwd = [None] * k * k, [None] * k * k
-    for t in range(k * k):
-        i, j = divmod(t, k)
-        keep = ((y + i - r) // m == y // m) & ((x + j - r) // m == x // m)
-        if not keep.all():
-            fwd[t], bwd[t] = keep.astype(np.float64), np.zeros((height + k - 1) * wp)
-            bwd[t][i * wp + j:i * wp + j + keep.size] = keep
-    return tuple(fwd), tuple(bwd)
+    """Per-tap 0/1 masks, over the run of the ``_Flat`` layout, of a k x k
+    conv kept inside m x m patches (``None``: kept everywhere): tap t is kept
+    where a pixel and its neighbour ``window[t]`` further on lie in one patch,
+    and the padding lies in none. That relation is symmetric, so the mask of
+    the mirrored tap k*k - 1 - t, read over the input, masks tap t's share of
+    the input gradient."""
+    flat = _Flat(height, width, k // 2)
+    y, x = np.ogrid[:height, :width]
+    label = flat.pad(1.0 + y // m * width + x // m)  # 0 in the padding
+    keep = [flat.at(label) == flat.at(label, s) for s in flat.window]
+    return tuple(None if kt.all() else kt.astype(np.float64) for kt in keep)
 
 
-def _flat_input(a: np.ndarray, flat: "_Flat", pointwise: bool) -> np.ndarray:
-    """A conv input in the flat layout: a view for an unpadded 1x1 layer,
-    else a fresh padded copy."""
-    return a.reshape(a.shape[0], -1) if pointwise else flat.pad(a)
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], padding: int = 0,
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
            patch: Optional[int] = None) -> Tensor:
-    """Cross-correlation with C_out kernels, stride 1, of a C_in x H x W map.
+    """"Same" cross-correlation of a C_in x H x W map with C_out odd square
+    k x k kernels, stride 1, zero padding k // 2: the output is C_out x H x W.
 
-    The image is padded once into the ``_Flat`` layout (radius = padding),
-    where output pixel (y, x) starts its window at y*Wp + x and tap (i, j)
-    reads i*Wp + j further on: each tap is one GEMM over a contiguous run of
-    columns, whose padding columns hold junk that is cropped. An unpadded
-    1x1 layer has no junk and takes the image itself, a view, as its flat
-    layout. The input gradient is the same sum over the zero-padded output
-    gradient with the shifts mirrored. Backward keeps the input as given,
-    which its producer's node holds anyway, and pads it again.
+    The image is padded once into the ``_Flat`` layout of radius k // 2, where
+    tap t of a pixel reads ``window[t]`` further on: each tap is one GEMM over
+    the run, whose padding columns hold junk that is cropped. A 1x1 layer
+    has no padding and takes the image itself, a view, as its flat layout.
+    The input gradient is the same sum over the padded output gradient with
+    the window mirrored. Backward keeps the input as given, which its
+    producer's node holds anyway, and pads it again.
 
     ``patch=m`` convolves each m x m patch on its own, zero-padded as if it
     were the whole image: a tap that would cross a patch boundary is masked.
-    It needs H and W to be multiples of m and k = 2 * padding + 1.
+    It needs H and W to be multiples of m.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
     c_out, c_in, k, k2 = w.shape
-    if k != k2 or x.shape[0] != c_in:
-        raise ShapeError(f"conv2d: kernel {w.shape} (square, C_in x k x k) "
+    if k != k2 or k % 2 == 0 or x.shape[0] != c_in:
+        raise ShapeError(f"conv2d: kernel {w.shape} (odd, square, C_in x k x k) "
                          f"does not fit input {x.shape}")
-    if patch is not None and (k != 2 * padding + 1 or patch < 1
-                              or x.shape[1] % patch or x.shape[2] % patch):
-        raise ShapeError(f"conv2d: {patch} x {patch} patches do not tile {x.shape} "
-                         f"for kernel {w.shape} with padding {padding}")
-    flat = _Flat(x.shape[1], x.shape[2], padding)
-    hp, wp = flat.hp, flat.wp
-    out_h, out_w = hp - k + 1, wp - k + 1
-    if out_h < 1 or out_w < 1:
-        raise ShapeError(f"conv2d: kernel {w.shape} too large for input {x.shape}")
-    run, last = (out_h - 1) * wp + out_w, (k - 1) * (wp + 1)
-    shifts = [i * wp + j for i in range(k) for j in range(k)]
+    if patch is not None and (patch < 1 or x.shape[1] % patch or x.shape[2] % patch):
+        raise ShapeError(f"conv2d: {patch} x {patch} patches do not tile {x.shape}")
+    flat = _Flat(x.shape[1], x.shape[2], k // 2)
     taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
-    fwd_masks, bwd_masks = (_patch_masks(x.shape[1], x.shape[2], k, patch)
-                            if patch is not None else ([None] * k * k,) * 2)
-    pointwise = k == 1 and not padding
-    acc = np.empty((c_out, out_h * wp))  # pixel (y, x) at y*Wp + x
-    _tap_gemm(taps, _flat_input(x.data, flat, pointwise), shifts, fwd_masks,
-              acc[:, :run])
-    out = acc.reshape(c_out, out_h, wp)[:, :, :out_w]
+    masks = (_patch_masks(x.shape[1], x.shape[2], k, patch) if patch is not None
+             else (None,) * k * k)
+    acc = np.empty((c_out, flat.hp * flat.wp))
+    _tap_gemm(taps, flat.pad(x.data), [flat.start + s for s in flat.window],
+              masks, flat.at(acc))
+    out = flat.crop(acc)
     if bias is not None:
-        out = np.add(out, bias.data[:, None, None], out=out if pointwise else None)
-    elif not pointwise:
+        out = np.add(out, bias.data[:, None, None], out=out if k == 1 else None)
+    elif k > 1:
         out = out.copy()
 
     def bwd(g):
-        # gf: pixel (y, x) at last + y*Wp + x and zero elsewhere, so input
-        # column q reads tap t's output gradient at q + (last - shift)
-        if pointwise:
-            gf = gr = g.reshape(c_out, run)
-        else:
-            gf = np.zeros((c_out, last + hp * wp))
-            gf[:, last:last + out_h * wp].reshape(c_out, out_h, wp)[:, :, :out_w] = g
-            gr = gf[:, last:last + run]
-        xf = _flat_input(x.data, flat, pointwise)  # re-padded, not kept
-        masked = np.empty((c_in, run)) if patch is not None else None
-        gw = np.stack([gr @ (xf[:, s:s + run] if mask is None else
-                             np.multiply(xf[:, s:s + run], mask, out=masked)).T
-                       for s, mask in zip(shifts, fwd_masks)], axis=-1)
+        gf, xf = flat.pad(g), flat.pad(x.data)  # the input re-padded, not kept
+        masked = np.empty((c_in, flat.run)) if patch is not None else None
+        gw = np.stack([flat.at(gf) @ (flat.at(xf, s) if mask is None else
+                                      np.multiply(flat.at(xf, s), mask, out=masked)).T
+                       for s, mask in zip(flat.window, masks)], axis=-1)
         _accumulate(w, gw.reshape(w.shape))
         if bias is not None:
             _accumulate(bias, g.reshape(c_out, -1).sum(axis=1))
         if x.requires_grad:
-            gxf = _tap_gemm(taps.transpose(0, 2, 1), gf, [last - s for s in shifts],
-                            bwd_masks, np.empty((c_in, hp * wp)))
-            _accumulate(x, flat.crop(gxf))
+            gx = np.empty((c_in, flat.hp * flat.wp))
+            _tap_gemm(taps.transpose(0, 2, 1), gf,
+                      [flat.start - s for s in flat.window], masks[::-1], flat.at(gx))
+            _accumulate(x, flat.crop(gx))
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _record("conv2d", inputs, out, bwd)
@@ -781,8 +758,9 @@ class _Flat:
     (y + dr, x + dc) ``dr * Wp + dc`` further on, in the padding (so zero)
     when it is off the grid. ``at(a, shift)`` is that shifted slice over the
     run from the first pixel to the last; the padding columns inside the run
-    hold junk, which ``crop`` drops. ``shifts`` run over the window in
-    row-major order without the centre, so reversing them negates them.
+    hold junk, which ``crop`` drops. ``window`` runs over the window in
+    row-major order, so reversing it negates it; ``shifts`` is ``window``
+    without the centre. ``conv2d`` reads its taps from the layout too.
     """
 
     def __init__(self, height: int, width: int, radius: int):
@@ -790,9 +768,9 @@ class _Flat:
         self.hp, self.wp = height + 2 * radius, width + 2 * radius
         self.start = radius * self.wp + radius
         self.run = (height - 1) * self.wp + width
-        self.shifts = [dr * self.wp + dc
-                       for dr in range(-radius, radius + 1)
-                       for dc in range(-radius, radius + 1) if dr or dc]
+        self.window = [dr * self.wp + dc for dr in range(-radius, radius + 1)
+                       for dc in range(-radius, radius + 1)]
+        self.shifts = [s for s in self.window if s]
 
     def blocks(self, channels: int, planes: int) -> list:
         """(first, stop) channel of every block, in order, each block small
@@ -805,7 +783,11 @@ class _Flat:
         return np.zeros((channels, self.hp * self.wp))
 
     def pad(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """(..., H, W) -> (..., Hp*Wp); ``out``'s padding must be zero."""
+        """(..., H, W) -> (..., Hp*Wp); ``out``'s padding must be zero. At
+        radius 0 with no ``out`` it is ``a`` flattened, a view of a
+        contiguous ``a``."""
+        if out is None and not self.radius:
+            return a.reshape(a.shape[:-2] + (-1,))
         if out is None:
             out = np.zeros(a.shape[:-2] + (self.hp * self.wp,))
         self.crop(out)[...] = a

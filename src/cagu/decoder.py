@@ -92,7 +92,7 @@ def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:
     h = ad.leaky_relu(ad.conv2d(h, params.trunk2_w, params.trunk2_b))
     h = ad.leaky_relu(ad.conv2d(h, params.trunk3_w, params.trunk3_b))
     h = ad.conv2d(h, params.trunk4_w, params.trunk4_b)
-    logits = ad.conv2d(h, params.abun_w, params.abun_b, padding=1)
+    logits = ad.conv2d(h, params.abun_w, params.abun_b)
     abundances = ad.softmax(logits, axis=0)
     reconstruction = ad.conv2d(abundances, params.endmember_w, None)
     return abundances, reconstruction

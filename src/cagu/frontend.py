@@ -127,9 +127,9 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
     sd = float(image.data.std())
     h = ad.scale(ad.sub(image, Tensor(mu)),
                  1.0 / (sd if sd > 0 else 1.0))
-    h = ad.leaky_relu(ad.conv2d(h, params.conv1_w, params.conv1_b, padding=0))
-    h = ad.leaky_relu(ad.conv2d(h, params.conv2_w, params.conv2_b, padding=0))
-    return ad.leaky_relu(ad.conv2d(h, params.conv3_w, params.conv3_b, padding=0))
+    h = ad.leaky_relu(ad.conv2d(h, params.conv1_w, params.conv1_b))
+    h = ad.leaky_relu(ad.conv2d(h, params.conv2_w, params.conv2_b))
+    return ad.leaky_relu(ad.conv2d(h, params.conv3_w, params.conv3_b))
 
 
 def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
@@ -143,12 +143,12 @@ def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
     grid = fmap if (gh * m, gw * m) == (height, width) else ad.untile_patches(
         ad.tile_patches(fmap, m), gh * m, gw * m)  # zero-padded edge patches
 
-    spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b, padding=0)
+    spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b)
     pooled = ad.mean(ad.reshape(spe, (channels, gh, m, gw, m)), axis=(2, 4))
     pooled = ad.transpose(ad.reshape(pooled, (channels, gh * gw)))  # (n, C)
     spectral = ad.add(ad.matmul(pooled, params.spe_fc_w), params.spe_fc_b)
 
-    spa = ad.conv2d(grid, params.spa_conv_w, params.spa_conv_b, padding=1, patch=m)
+    spa = ad.conv2d(grid, params.spa_conv_w, params.spa_conv_b, patch=m)
     flat = ad.reshape(ad.tile_patches(spa, m), (gh * gw, spa.shape[0] * m * m))
     spatial = ad.add(ad.matmul(flat, params.spa_fc_w), params.spa_fc_b)
 

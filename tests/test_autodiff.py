@@ -77,7 +77,7 @@ def test_conv2d_identity_kernel():
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    out = ad.conv2d(x, Tensor(w), Tensor(np.zeros(3)), padding=0)
+    out = ad.conv2d(x, Tensor(w), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
@@ -90,7 +90,7 @@ def test_conv2d_zero_kernel_constant_bias():
 def test_conv2d_box_kernel_center():
     x = Tensor(np.ones((1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, Tensor(np.zeros(1)), padding=1)
+    out = ad.conv2d(x, w, Tensor(np.zeros(1)))
     assert out.data[0, 1, 1] == 9.0
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, w.data, np.zeros(1), 1), atol=1e-12)
@@ -102,7 +102,7 @@ def test_conv2d_matches_reference(k, padding):
     x = Tensor(rng.normal(size=(3, 6, 5)))
     w = Tensor(rng.normal(size=(4, 3, k, k)))
     b = Tensor(rng.normal(size=4))
-    out = ad.conv2d(x, w, b, padding=padding)
+    out = ad.conv2d(x, w, b)
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, w.data, b.data, padding), atol=1e-12)
 
@@ -128,11 +128,11 @@ def conv2d_reference_grads(x, w, g, padding):
             g.sum(axis=(1, 2)))
 
 
-# Full images that take the per-tap GEMMs (k > 1 or padding):
-# (c_in, c_out, height, width, k, padding)
-TAP_CASES = [(3, 4, 6, 5, 1, 1), (3, 4, 6, 5, 3, 0), (3, 2, 6, 5, 3, 1),
-             (2, 3, 7, 6, 5, 2), (3, 4, 1, 6, 3, 1), (3, 4, 6, 1, 3, 1),
-             (2, 3, 2, 5, 3, 1), (2, 3, 5, 2, 5, 2), (2, 2, 1, 1, 3, 1)]
+# Full images that take the per-tap GEMMs (k > 1), with the oracle's
+# padding k // 2: (c_in, c_out, height, width, k, padding)
+TAP_CASES = [(3, 2, 6, 5, 3, 1), (2, 3, 7, 6, 5, 2), (3, 4, 1, 6, 3, 1),
+             (3, 4, 6, 1, 3, 1), (2, 3, 2, 5, 3, 1), (2, 3, 5, 2, 5, 2),
+             (2, 2, 1, 1, 3, 1)]
 
 
 def _tap_case(c_in, c_out, h, w, k, seed):
@@ -145,17 +145,17 @@ def _tap_case(c_in, c_out, h, w, k, seed):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
 def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 60 + h * 7 + w + k)
-    out = ad.conv2d(x, kern, bias, padding)
+    out = ad.conv2d(x, kern, bias)
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, kern.data, bias.data, padding),
         rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        ad.conv2d(x, kern, None, padding).data,
+        ad.conv2d(x, kern, None).data,
         conv2d_reference(x.data, kern.data, np.zeros(c_out), padding),
         rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, padding),
-                                          Tensor(g))), x, kern, bias)
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias), Tensor(g))),
+                    x, kern, bias)
     for got, want in zip(grads, conv2d_reference_grads(x.data, kern.data, g,
                                                        padding)):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
@@ -164,15 +164,22 @@ def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
 def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 80 + h * 7 + w + k)
-    direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))
+    shape = ad.conv2d(x, kern, bias).shape  # the oracle's, padded by k // 2
+    assert shape == (c_out, h + 2 * padding - k + 1, w + 2 * padding - k + 1)
+    direction = Tensor(rng.normal(size=shape))
 
     def loss(t, which):
         args = {"x": x, "w": kern, "b": bias, which: t}
-        return ad.sum(ad.mul(
-            ad.conv2d(args["x"], args["w"], args["b"], padding), direction))
+        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
 
     for which, leaf in (("x", x), ("w", kern), ("b", bias)):
         assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+
+
+@pytest.mark.parametrize("shape", [(3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 1, 3)])
+def test_conv2d_rejects_even_or_nonsquare_kernel(shape):
+    with pytest.raises(ShapeError, match="odd, square"):
+        ad.conv2d(rand((2, 5, 5)), rand(shape), rand(3))
 
 
 def test_conv2d_rejects_stacked_input():
@@ -206,14 +213,13 @@ def per_patch_reference(x, kern, bias, g, m):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
 def test_conv2d_patch_matches_per_patch_reference(c_in, c_out, h, w, k, m):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 90 + h * 7 + w + k + m)
-    pad = k // 2
     g = rng.normal(size=(c_out, h, w))
     want, want_grads = per_patch_reference(x.data, kern.data, bias.data, g, m)
-    out = ad.conv2d(x, kern, bias, pad, patch=m)
+    out = ad.conv2d(x, kern, bias, patch=m)
     np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ad.conv2d(x, kern, None, pad, patch=m).data,
+    np.testing.assert_allclose(ad.conv2d(x, kern, None, patch=m).data,
                                want - bias.data[:, None, None], rtol=0, atol=1e-12)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, pad, patch=m),
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, patch=m),
                                           Tensor(g))), x, kern, bias)
     for got, expected in zip(grads, want_grads):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -226,26 +232,24 @@ def test_conv2d_patch_gradcheck(c_in, c_out, h, w, k, m):
 
     def loss(t, which):
         args = {"x": x, "w": kern, "b": bias, which: t}
-        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"], k // 2,
-                                       patch=m), direction))
+        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"], patch=m),
+                             direction))
 
     for which, leaf in (("x", x), ("w", kern), ("b", bias)):
         assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
 
 
-@pytest.mark.parametrize("shape,k,padding,m", [
-    ((2, 8, 6), 3, 1, 4),   # width not a multiple of m
-    ((2, 6, 8), 3, 1, 4),   # height not a multiple of m
-    ((2, 8, 8), 3, 0, 4),   # the conv would shrink every patch
-    ((2, 8, 8), 1, 1, 4),   # ... or grow it
-    ((2, 8, 8), 3, 1, 0)])
-def test_conv2d_patch_rejects_untiled_grid(shape, k, padding, m):
+@pytest.mark.parametrize("shape,k,m", [
+    ((2, 8, 6), 3, 4),   # width not a multiple of m
+    ((2, 6, 8), 3, 4),   # height not a multiple of m
+    ((2, 8, 8), 3, 0)])
+def test_conv2d_patch_rejects_untiled_grid(shape, k, m):
     with pytest.raises(ShapeError, match="patches"):
-        ad.conv2d(rand(shape), rand((3, 2, k, k)), rand(3), padding, patch=m)
+        ad.conv2d(rand(shape), rand((3, 2, k, k)), rand(3), patch=m)
 
 
 # A stack of n square samples laid side by side along the width and convolved
-# with patch=m gives each sample's own conv: (k, padding, n)
+# with patch=m gives each sample's own conv: (k, the oracle's padding, n)
 STACK_CASES = [(k, padding, n) for k, padding in ((1, 0), (3, 1)) for n in (1, 4)]
 
 
@@ -260,11 +264,11 @@ def test_conv2d_stack_matches_reference_and_per_sample_convs(k, padding, n):
     x = rng.normal(size=(n, 3, 5, 5))
     w = Tensor(rng.normal(size=(4, 3, k, k)))
     b = Tensor(rng.normal(size=4))
-    out = ad.conv2d(Tensor(side_by_side(x)), w, b, padding=padding, patch=5).data
+    out = ad.conv2d(Tensor(side_by_side(x)), w, b, patch=5).data
     reference = side_by_side([conv2d_reference(xi, w.data, b.data, padding)
                               for xi in x])
     np.testing.assert_allclose(out, reference, atol=1e-12)
-    per_sample = side_by_side([ad.conv2d(Tensor(xi), w, b, padding=padding).data
+    per_sample = side_by_side([ad.conv2d(Tensor(xi), w, b).data
                                for xi in x])
     assert np.max(np.abs(out - per_sample)) <= 1e-12
 
@@ -278,12 +282,12 @@ def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
     direction = rng.normal(size=(n, 3, 4, 4))
     stacked = Tensor(side_by_side(x))
     gx, gw, gb = grad_of(lambda: ad.sum(ad.mul(
-        ad.conv2d(stacked, w, b, padding=padding, patch=4),
+        ad.conv2d(stacked, w, b, patch=4),
         Tensor(side_by_side(direction)))), stacked, w, b)
     samples = [Tensor(xi.copy()) for xi in x]
 
     def per_sample_loss():
-        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b, padding=padding), Tensor(d)))
+        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b), Tensor(d)))
                  for t, d in zip(samples, direction)]
         total = terms[0]
         for term in terms[1:]:
@@ -310,7 +314,7 @@ def test_conv2d_stack_gradients(k, padding, n):
         def loss(t, which):
             args = {"x": x, "w": kern, "b": bias, which: t}
             return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"],
-                                           padding, patch=m), direction))
+                                           patch=m), direction))
 
         for which, leaf in (("x", x), ("w", kern), ("b", bias)):
             assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
@@ -542,12 +546,12 @@ def test_standardize_calibrates_a_conv_layer_in_place(patch):
     x = rand((2, 5, 6) if patch is None else (2, 6, 9), seed=30, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
     with ad.Standardize([(w, b)], floor=1e-3):
-        out = ad.conv2d(x, w, b, padding=1, patch=patch)
+        out = ad.conv2d(x, w, b, patch=patch)
     mu, sd = _unit_stats(out.data, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     # the rescaled layer itself now gives the standardised response
-    np.testing.assert_allclose(ad.conv2d(x, w, b, padding=1, patch=patch).data,
+    np.testing.assert_allclose(ad.conv2d(x, w, b, patch=patch).data,
                                out.data, atol=1e-12)
 
 
@@ -717,13 +721,16 @@ def test_conv2d_gradients(k, padding):
         x = Tensor(rng.normal(size=(c_in, h, w)))
         kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
         bias = Tensor(rng.normal(size=c_out))
-        direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias, padding).shape))
+        direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias).shape))
 
         def loss(t, which):
             args = {"x": x, "w": kern, "b": bias, which: t}
-            return ad.sum(ad.mul(
-                ad.conv2d(args["x"], args["w"], args["b"], padding), direction))
+            return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
 
+        grads = grad_of(lambda: loss(x, "x"), x, kern, bias)
+        for got, want in zip(grads, conv2d_reference_grads(
+                x.data, kern.data, direction.data, padding)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
         for which, leaf in (("x", x), ("w", kern), ("b", bias)):
             assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
 
@@ -970,7 +977,7 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
     w, b = rand((8, 8, 3, 3), seed=71), rand((8,), seed=72)
     for t in (x, w, b):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.conv2d(x, w, b, padding=1))
+    kept, _ = kept_bytes(lambda: ad.conv2d(x, w, b))
     assert kept < x.data.nbytes / 8, kept  # a padded copy is 1.06x the input
 
 
