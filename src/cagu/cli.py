@@ -10,6 +10,7 @@ import argparse
 import logging
 import math
 import sys
+from functools import partial
 from pathlib import Path
 
 from .config import ABLATION_MODES, TrainConfig
@@ -27,9 +28,10 @@ def _float_list(text: str):
 
 
 # TrainConfig fields settable by flag, in --help order; --ablation sets
-# ablation_mode, every other flag is its field's name with dashes
+# ablation_mode, every other flag is its field's name with dashes. The
+# studies take their seeds from --seeds, so only ``train`` adds --seed.
 _TRAIN_FLAGS = ("epochs", "lr", "weight_decay", "beta", "k_steps", "radius",
-                "patch_size", "ablation_mode", "seed")
+                "patch_size", "ablation_mode")
 
 
 def _add_train_flags(p: argparse.ArgumentParser):
@@ -54,7 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cagu",
         description="Hyperspectral unmixing with transformer features and "
                     "content-adaptive graph refinement.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # flags are spelled out: a study's --seed would abbreviate its --seeds
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=partial(
+        argparse.ArgumentParser, allow_abbrev=False))
 
     gen = sub.add_parser("gen", help="generate a synthetic scene container")
     gen.add_argument("--height", type=int, required=True)
@@ -72,6 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr = sub.add_parser("train", help="train on a scene container")
     tr.add_argument("--data", required=True)
     _add_train_flags(tr)
+    tr.add_argument("--seed", type=int, default=TrainConfig.seed)
     tr.add_argument("--checkpoint", required=True)
     tr.add_argument("--resume", action="store_true",
                     help="continue from the checkpoint file")
@@ -138,8 +143,8 @@ def _dispatch(args) -> int:
 
     if args.command == "train":
         config = _config_from_args(
-            args, data_path=args.data, checkpoint_path=args.checkpoint,
-            n_endmembers=args.endmembers)
+            args, seed=args.seed, data_path=args.data,
+            checkpoint_path=args.checkpoint, n_endmembers=args.endmembers)
         result = train(config,
                        resume_from=args.checkpoint if args.resume else None)
         print(f"final loss {result.checkpoint.final_loss:.6f} "

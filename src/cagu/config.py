@@ -53,6 +53,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be at least 1, got {self.epochs}")
         if not 0 <= self.beta < math.inf:
             raise ConfigError(f"beta must be >= 0 and finite, got {self.beta}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.k_steps < 1:
             raise ConfigError(f"k_steps must be at least 1, got {self.k_steps}")
         if self.radius < 1:

@@ -113,10 +113,16 @@ class SynthSpec:
         if self.bands <= self.endmembers:
             raise ConfigError(
                 f"bands ({self.bands}) must exceed endmembers ({self.endmembers})")
+        if self.purity_pixels and self.endmembers > self.height * self.width:
+            raise ConfigError(f"{self.endmembers} pure pixels do not fit in "
+                              f"{self.height}x{self.width} pixels")
         if not 0.0 <= self.snr_db <= 80.0:
             raise ConfigError(f"snr_db {self.snr_db} outside [0, 80]")
-        if self.dirichlet_alpha <= 0:
-            raise ConfigError("dirichlet_alpha must be positive")
+        if not 0 < self.dirichlet_alpha < np.inf:
+            raise ConfigError("dirichlet_alpha must be positive and finite, "
+                              f"got {self.dirichlet_alpha}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _bump_spectra(rng: np.random.Generator, bands: int, count: int) -> np.ndarray:

@@ -66,10 +66,11 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     if p is None:
         raise ConfigError(
             "endmember count unknown: set n_endmembers or provide ground truth")
+    # first, so a bad count fails before calibrating; it has its own rng
+    extraction = vca_extract(cube, p, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, cube.bands, p, config)
     _calibrate_scales(params, cube)
-    extraction = vca_extract(cube, p, seed=config.seed)
     params.decoder.set_endmembers(extraction.endmembers)
     return params
 

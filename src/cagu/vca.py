@@ -47,8 +47,8 @@ def vca_extract(cube: HsiCube, count: int, seed: int = 0) -> VcaResult:
         raise ConfigError(f"need at least 2 endmembers, got {count}")
     pixels = unfold(cube.data)
     bands, n = pixels.shape
-    if n < count:
-        raise ConfigError(f"scene has {n} pixels, fewer than {count} endmembers")
+    if count > min(bands, n):
+        raise ConfigError(f"{count} endmembers do not fit {bands} bands, {n} pixels")
     if not np.all(np.isfinite(pixels)):
         raise ConfigError("cube contains non-finite values")
 

@@ -73,6 +73,25 @@ def test_snr_range_enforced():
         small_spec(snr_db=90.0)
 
 
+@pytest.mark.parametrize("alpha", [np.nan, np.inf, 0.0])
+def test_dirichlet_alpha_must_be_positive_and_finite(alpha):
+    with pytest.raises(ConfigError, match="dirichlet_alpha"):
+        small_spec(dirichlet_alpha=alpha)
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed"):
+        small_spec(seed=-1)
+
+
+def test_pure_pixels_must_fit_in_the_scene():
+    with pytest.raises(ConfigError, match="pure pixels"):
+        SynthSpec(height=2, width=2, bands=8, endmembers=5)
+    generate_synthetic(SynthSpec(height=2, width=2, bands=8, endmembers=4))
+    generate_synthetic(SynthSpec(height=2, width=2, bands=8, endmembers=5,
+                                 purity_pixels=False))
+
+
 # ---------------------------------------------------------------------------
 # container
 

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cagu import autodiff as ad
+from cagu import model as mdl
 from cagu.autodiff import Tape, Tensor
-from cagu.cli import main
+from cagu.cli import build_parser, main
 from cagu.config import TrainConfig
 from cagu.errors import (ConfigError, FormatError, NonFiniteGradientError,
                          NonFiniteLossError)
@@ -256,7 +257,8 @@ def with_config(blob, **changes):
 
 @pytest.mark.parametrize("name, value", [
     ("patch_size", 2.0), ("k_steps", 2.5), ("channels", 8.0), ("seed", "x"),
-    ("epochs", 1.5), ("radius", True), ("lr", "0.001"), ("n_endmembers", 2.0)])
+    ("epochs", 1.5), ("radius", True), ("lr", "0.001"), ("n_endmembers", 2.0),
+    ("seed", -1)])
 def test_cli_eval_of_checkpoint_with_mistyped_config_exits_2(
         checkpoint_blob, tiny_cube, tmp_path, capsys, name, value):
     scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
@@ -272,7 +274,8 @@ def test_config_types_checked():
     TrainConfig(lr=1, weight_decay=0, beta=0).validate()  # ints are floats
     for bad in (dict(epochs=True), dict(seed=1.0), dict(ablation_mode=None),
                 dict(data_path=3), dict(lr=float("nan")),
-                dict(beta=float("inf")), dict(weight_decay=float("nan"))):
+                dict(beta=float("inf")), dict(weight_decay=float("nan")),
+                dict(seed=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
 
@@ -691,6 +694,65 @@ def test_cli_runtime_error_exit_1(tmp_path):
                  "--checkpoint", str(tmp_path / "nope.ckpt"),
                  "--out-dir", str(tmp_path)])
     assert code == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["gen", "--height", "4", "--width", "4", "--bands", "8", "--endmembers", "2"],
+    ["train", "--data", "scene.hsic", "--checkpoint", "run.ckpt"],
+    ["gradcheck"]], ids=["gen", "train", "gradcheck"])
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), "scene.hsic")
+    out = [] if command[0] != "gen" else ["--out", "gen.hsic"]
+    assert main(command + out + ["--seed", "-1"]) == 2
+    assert "seed must be >= 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.hsic"]
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0"])
+def test_cli_gen_with_bad_alpha_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                           alpha):
+    out = tmp_path / "scene.hsic"
+    assert main(["gen", "--height", "4", "--width", "4", "--bands", "8",
+                 "--endmembers", "2", "--alpha", alpha, "--out", str(out)]) == 2
+    assert "dirichlet_alpha" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_gen_with_more_pure_pixels_than_pixels_exits_2(tmp_path, capsys):
+    out = tmp_path / "scene.hsic"
+    assert main(["gen", "--height", "2", "--width", "2", "--bands", "8",
+                 "--endmembers", "5", "--out", str(out)]) == 2
+    assert "pure pixels" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_more_endmembers_than_bands_rejected_before_calibrating(monkeypatch):
+    cube = make_desk_scene(60.0, 0, dict(TINY_SCENE, bands=8))
+    monkeypatch.setattr(mdl, "_calibrate_scales",
+                        lambda *a: pytest.fail("calibrated"))
+    with pytest.raises(ConfigError, match="9 endmembers do not fit 8 bands"):
+        mdl.initialize_from_scene(cube, tiny_config(n_endmembers=9))
+
+
+def test_cli_train_with_more_endmembers_than_bands_exits_2(tmp_path, capsys):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(make_desk_scene(60.0, 0, dict(TINY_SCENE, bands=8)), scene)
+    assert main(["train", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--endmembers", "9", "--patch-size", "2"]) == 2
+    assert "9 endmembers do not fit 8 bands" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep-snr", "sweep-beta", "ablate"])
+def test_cli_studies_take_no_seed_flag(monkeypatch, tmp_path, command):
+    monkeypatch.setattr(importlib.import_module("cagu.train"), "train",
+                        lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "study.csv"
+    assert main([command, "--seeds", "1", "--seed", "7", "--out", str(out)]) == 2
+    assert not out.exists()
+    train_args = ["train", "--data", "d", "--checkpoint", "c", "--seed", "7"]
+    assert build_parser().parse_args(train_args).seed == 7
 
 
 def test_cli_gradcheck_smoke(capsys):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cagu.decoder import spectral_angle
-from cagu.errors import DegenerateSceneError
+from cagu.errors import ConfigError, DegenerateSceneError
 from cagu.hsi import HsiCube, SynthSpec, generate_synthetic
 from cagu.vca import vca_extract
 
@@ -60,6 +60,13 @@ def test_duplicate_pixel_scene_is_degenerate():
     cube = HsiCube(np.tile(np.linspace(0.2, 0.9, 8)[:, None, None], (1, 4, 4)))
     with pytest.raises(DegenerateSceneError):
         vca_extract(cube, 2, seed=0)
+
+
+def test_more_endmembers_than_bands_rejected():
+    cube = generate_synthetic(SynthSpec(10, 10, 9, 8, snr_db=30.0, seed=0))
+    assert len(vca_extract(cube, 9, seed=0).pixel_indices) == 9
+    with pytest.raises(ConfigError, match="10 endmembers do not fit 9 bands"):
+        vca_extract(cube, 10, seed=0)
 
 
 def test_scale_equivariance():
