@@ -114,8 +114,7 @@ def exchange_and_attend(params: AttentionParams, tokens: TokenSequences
 
 
 def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    hidden = ad.leaky_relu(ad.add(ad.matmul(x, w1), b1))
-    return ad.add(ad.matmul(hidden, w2), b2)
+    return ad.matmul(ad.leaky_relu(ad.matmul(x, w1, b1)), w2, b2)
 
 
 def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
@@ -144,7 +143,7 @@ def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
                params.spa_mlp_w1, params.spa_mlp_b1,
                params.spa_mlp_w2, params.spa_mlp_b2)
     joint = ad.concat([spe, spa], axis=1)
-    blocks = ad.add(ad.matmul(joint, params.fuse_w), params.fuse_b)
+    blocks = ad.matmul(joint, params.fuse_w, params.fuse_b)
     blocks = ad.reshape(blocks, (n_tokens, params.fused_channels, m, m))
     return ad.untile_patches(blocks, height, width)
 

@@ -6,8 +6,13 @@ node holding a backward closure. ``backward`` consumes the tape: it pops the
 nodes in reverse, runs each closure and drops the node, so the arrays a
 closure saved are freed as soon as it has run, and so is an intermediate
 gradient once its producer has run (unless the caller holds the tensor).
-Gradients accumulate additively across fan-out; a tensor's first gradient
-is held as given and a new array is made only when a second one arrives.
+Gradients accumulate additively across fan-out. A tensor's first gradient
+is held as given. A closure flags each array it made and hands over whole,
+and a tensor owns such an array: a second gradient is summed into the one
+the tensor owns, the first or else the second, and into a new array only
+when neither was handed over. Later ones add into the owned array in place,
+and the stencil kernel adds its input's share into it block by block. Each
+sum keeps its operands and their order, so where it lands moves no bit.
 
 There is one convolution kernel, and it keeps the image size: one GEMM per
 kernel tap over the padded, flattened C x H x W image, where every tap is one
@@ -16,7 +21,10 @@ patch-local convolution is the same kernel with each tap masked where it
 would read across a patch boundary. The window (stencil) kernels use the
 same padded flat layout, ``_Flat``, and work through the channels in
 cache-sized blocks. Scaled dot-product attention is one node that reads the
-keys in cache-sized blocks with an online softmax.
+keys in cache-sized blocks with an online softmax. A linear layer, matmul
+plus bias, is one node, and so is the unmixing loss (squared error plus
+spectral angle), which keeps six H x W arrays and recomputes r - y in
+backward.
 
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. The conv and stencil kernels pad
@@ -190,22 +198,32 @@ class Standardize:
         return np.divide(np.subtract(out, mu, out=out), sd, out=out)  # fresh: in place
 
 
-def _accumulate(t: Tensor, g: np.ndarray):
+def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
     """Add ``g`` to ``t.grad``, copy on write.
 
-    The first gradient is held as given, which is safe because no backward
-    closure writes into its incoming gradient or into an array it has handed
-    on. The second makes a new array, which later ones add into in place.
+    A gradient is held as given, which is safe because no backward closure
+    writes into its incoming gradient or into an array it has handed on.
+    ``fresh`` says the closure made ``g`` and hands it over whole, shared
+    with nothing, so ``t`` may own it. A second contribution is summed as
+    ``t.grad + g`` into ``g`` when fresh, else into a new array; the
+    array ``t`` owns takes later ones in place.
     """
     if not t.requires_grad:
         return
+    g = np.asarray(g, dtype=np.float64)  # a 0-d product may be a numpy scalar
     if t.grad is None:
-        t.grad = np.asarray(g, dtype=np.float64)
-        t._owned = None
+        t.grad, t._owned = g, (g if fresh else None)
     elif t.grad is t._owned:
         t.grad += g
     else:
-        t.grad = t._owned = t.grad + g
+        t.grad = t._owned = np.add(t.grad, g, out=g if fresh else None)
+
+
+def _sink(t: Tensor) -> Optional[np.ndarray]:
+    """``t``'s gradient if ``t`` owns it, else None: a closure may add a
+    contribution into it in place, block by block, which sums as
+    ``_accumulate`` would without the contribution's own array."""
+    return t.grad if t.requires_grad and t.grad is t._owned else None
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
@@ -282,18 +300,26 @@ def _check_axis(axis: int, ndim: int, op: str) -> int:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """a @ b, plus ``bias`` on every row when given: a linear layer as one
+    node, which keeps no product without the bias."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner extents differ, {a.shape} x {b.shape}")
+    if bias is not None and bias.shape != (b.shape[1],):
+        raise ShapeError(f"matmul: bias {bias.shape} does not fit {b.shape[1]} columns")
     out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        _accumulate(a, g @ b.data.T, fresh=True)
+        _accumulate(b, a.data.T @ g, fresh=True)
+        if bias is not None:
+            _accumulate(bias, _unbroadcast(g, bias.shape), fresh=True)
 
-    return _record("matmul", (a, b), out, bwd)
+    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -337,7 +363,7 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
     def bwd(g):
         gx = np.zeros_like(x.data)
         gx[idx] = g
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _record("narrow", (x,), x.data[idx].copy(), bwd)
 
@@ -375,9 +401,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape))
+            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
 
     return _record("mul", (a, b), out, bwd)
 
@@ -390,9 +416,10 @@ def divide(a: Tensor, b: Tensor) -> Tensor:
 
     def bwd(g):
         if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape))
+            _accumulate(a, _unbroadcast(g / b.data, a.shape), fresh=True)
         if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+                        fresh=True)
 
     return _record("divide", (a, b), out, bwd)
 
@@ -401,7 +428,7 @@ def scale(x: Tensor, c: float) -> Tensor:
     c = float(c)
 
     def bwd(g):
-        _accumulate(x, g * c)
+        _accumulate(x, g * c, fresh=True)
 
     return _record("scale", (x,), x.data * c, bwd)
 
@@ -410,7 +437,7 @@ def exp(x: Tensor) -> Tensor:
     out = np.exp(x.data)
 
     def bwd(g):
-        _accumulate(x, g * out)
+        _accumulate(x, g * out, fresh=True)
 
     return _record("exp", (x,), out, bwd)
 
@@ -419,14 +446,14 @@ def sqrt(x: Tensor) -> Tensor:
     out = np.sqrt(x.data)
 
     def bwd(g):
-        _accumulate(x, g * 0.5 / out)
+        _accumulate(x, g * 0.5 / out, fresh=True)
 
     return _record("sqrt", (x,), out, bwd)
 
 
 def square(x: Tensor) -> Tensor:
     def bwd(g):
-        _accumulate(x, g * 2.0 * x.data)
+        _accumulate(x, g * 2.0 * x.data, fresh=True)
 
     return _record("square", (x,), x.data * x.data, bwd)
 
@@ -435,27 +462,9 @@ def leaky_relu(x: Tensor) -> Tensor:
     out = np.maximum(x.data, LEAKY_SLOPE * x.data)
 
     def bwd(g):  # out > 0 exactly where x > 0
-        _accumulate(x, g * np.where(out > 0.0, 1.0, LEAKY_SLOPE))
+        _accumulate(x, g * np.where(out > 0.0, 1.0, LEAKY_SLOPE), fresh=True)
 
     return _record("leaky_relu", (x,), out, bwd)
-
-
-def arccos(x: Tensor) -> Tensor:
-    """arccos with a safety clamp of the input to [-1+eps, 1-eps].
-
-    The clamp's derivative is pass-through strictly inside the interval and
-    zero where the input was clipped, so spectra that align exactly do not
-    produce infinite gradients.
-    """
-    lo, hi = -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS
-    clipped = np.clip(x.data, lo, hi)
-    inside = (x.data > lo) & (x.data < hi)
-    out = np.arccos(clipped)
-
-    def bwd(g):
-        _accumulate(x, g * np.where(inside, -1.0 / np.sqrt(1.0 - clipped * clipped), 0.0))
-
-    return _record("arccos", (x,), out, bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -466,7 +475,7 @@ def softmax(x: Tensor, axis: int) -> Tensor:
 
     def bwd(g):
         dot = np.sum(g * out, axis=axis, keepdims=True)
-        _accumulate(x, out * (g - dot))
+        _accumulate(x, out * (g - dot), fresh=True)
 
     return _record("softmax", (x,), out, bwd)
 
@@ -535,9 +544,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
             np.matmul(gs.T, q.data, out=gk[j0:j1])
         gq *= c
         gk *= c
-        _accumulate(q, gq)
-        _accumulate(k, gk)
-        _accumulate(v, gv)
+        _accumulate(q, gq, fresh=True)
+        _accumulate(k, gk, fresh=True)
+        _accumulate(v, gv, fresh=True)
 
     return _record("attention", (q, k, v), out, bwd)
 
@@ -575,18 +584,64 @@ def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     return scale(sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
-def l2_norm(x: Tensor, axis: int) -> Tensor:
-    """Euclidean norm along ``axis``; subgradient 0 at the origin."""
-    axis = _check_axis(axis, x.ndim, "l2_norm")
-    out = np.sqrt(np.sum(x.data * x.data, axis=axis))
+# ---------------------------------------------------------------------------
+# unmixing loss
+
+def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
+                  ) -> Tensor:
+    """Mean squared pixel error plus mean spectral angle of bands x H x W
+    scenes, as one node differentiated in ``reconstructed`` only.
+
+    The cosine of each pixel's angle is <y, r> / (|y| |r| + guard), clamped
+    to [-1+eps, 1-eps] before the arccos; the clamp passes gradient strictly
+    inside and none where it clipped, so spectra that align exactly get no
+    infinite gradient, and a zero-norm reconstructed pixel has subgradient 0
+    through its norm. The node keeps six H x W arrays beside its inputs;
+    backward recomputes r - y. The arithmetic and its order are those of the
+    composed ops sub, square, sum, mul, the two norms, divide, arccos and
+    mean, so values and gradients are theirs bit for bit.
+    """
+    if observed.requires_grad:
+        raise ContractError("unmixing_loss: the observed scene takes no gradient")
+    if observed.ndim != 3 or observed.shape != reconstructed.shape:
+        raise ShapeError(f"unmixing_loss: scenes {observed.shape} and "
+                         f"{reconstructed.shape} are not one bands x H x W shape")
+    y, r = observed.data, reconstructed.data
+    c = 1.0 / (y.shape[1] * y.shape[2])
+    buf = np.multiply(y, y)
+    obs_norm = np.sqrt(np.sum(buf, axis=0))
+    if np.min(obs_norm) == 0.0:
+        raise NumericDomainError("observed scene has a zero-norm pixel spectrum")
+    np.subtract(r, y, out=buf)
+    re = np.sum(np.multiply(buf, buf, out=buf)) * c
+    inner = np.sum(np.multiply(y, r, out=buf), axis=0)
+    rec_norm = np.sqrt(np.sum(np.multiply(r, r, out=buf), axis=0))
+    denom = obs_norm * rec_norm + guard
+    if np.min(np.abs(denom)) < DIVIDE_FLOOR:
+        raise NumericDomainError(f"divide: divisor magnitude below {DIVIDE_FLOOR}")
+    lo, hi = -1.0 + ARCCOS_EPS, 1.0 - ARCCOS_EPS
+    cosine = inner / denom
+    clipped = np.clip(cosine, lo, hi)
+    inside = (cosine > lo) & (cosine < hi)
+    out = re + np.sum(np.arccos(clipped)) * c
 
     def bwd(g):
-        safe = np.where(out > 0.0, out, 1.0)
-        gx = np.expand_dims(g / safe, axis) * x.data
-        gx[np.broadcast_to(np.expand_dims(out == 0.0, axis), x.shape)] = 0.0
-        _accumulate(x, gx)
+        # gradient of the angle term at each pixel's cosine, then at the
+        # inner product and at the denominator
+        ga = g * c * np.where(inside, -1.0 / np.sqrt(1.0 - clipped * clipped), 0.0)
+        g_inner = ga / denom
+        g_rec_norm = -ga * inner / (denom * denom) * obs_norm
+        safe = np.where(rec_norm > 0.0, rec_norm, 1.0)
+        gr = np.multiply(g_rec_norm / safe, r)  # through |r|
+        gr[:, rec_norm == 0.0] = 0.0
+        term = np.multiply(g_inner, y)  # through <y, r>
+        gr += term
+        np.subtract(r, y, out=term)  # through the squared error
+        term *= g * c * 2.0
+        gr += term
+        _accumulate(reconstructed, gr, fresh=True)
 
-    return _record("l2_norm", (x,), out, bwd)
+    return _record("unmixing_loss", (observed, reconstructed), np.asarray(out), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -683,14 +738,14 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
         gw = np.stack([flat.at(gf) @ (flat.at(xf, s) if mask is None else
                                       np.multiply(flat.at(xf, s), mask, out=masked)).T
                        for s, mask in zip(flat.window, masks)], axis=-1)
-        _accumulate(w, gw.reshape(w.shape))
+        _accumulate(w, gw.reshape(w.shape), fresh=True)
         if bias is not None:
-            _accumulate(bias, g.reshape(c_out, -1).sum(axis=1))
+            _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
         if x.requires_grad:
             gx = np.empty((c_in, flat.hp * flat.wp))
             _tap_gemm(taps.transpose(0, 2, 1), gf,
                       [flat.start - s for s in flat.window], masks[::-1], flat.at(gx))
-            _accumulate(x, flat.crop(gx))
+            _accumulate(x, flat.crop(gx), fresh=True)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _record("conv2d", inputs, out, bwd)
@@ -867,7 +922,7 @@ def window_sqdist(x: Tensor, radius: int) -> Tensor:
                 flat.at(gk)[...] += d
                 flat.at(gk, shift)[...] -= d
             gx[c0:c1] = flat.crop(gk)
-        _accumulate(x, gx)
+        _accumulate(x, gx, fresh=True)
 
     return _record("window_sqdist", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
 
@@ -889,7 +944,7 @@ def neighbour_shift(x: Tensor, radius: int) -> Tensor:
         gx = np.zeros_like(xf)
         for o, shift in enumerate(flat.shifts):
             flat.at(gx, shift)[...] += flat.at(gf[o])
-        _accumulate(x, flat.crop(gx))
+        _accumulate(x, flat.crop(gx), fresh=True)
 
     return _record("neighbour_shift", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
 
@@ -919,8 +974,9 @@ def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Te
     def bwd(g):
         gl = flat.buffer(1)[0] if loops.requires_grad else None
         gw = flat.buffer(n_off) if weights.requires_grad else None
-        gz = np.empty_like(z.data) if z.requires_grad else None
-        if gz is not None:
+        sink = _sink(z)  # z's own gradient takes gz block by block
+        gz = np.empty_like(z.data) if z.requires_grad and sink is None else None
+        if z.requires_grad:
             lf, wf = flat.pad(loops.data), flat.pad(weights.data)
         blocks = flat.blocks(z.shape[0], 4)
         width = blocks[0][1]
@@ -938,19 +994,22 @@ def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Te
                 for o, shift in enumerate(flat.shifts):
                     np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
                     _add_rows(flat.at(gw[o]), stack[:rows + 1])
-            if gz is not None:
+            if z.requires_grad:
                 gzk = gzb[:rows]  # outside the run only padding, never read
                 np.multiply(flat.at(lf), flat.at(gk), out=flat.at(gzk))
                 for o, shift in enumerate(flat.shifts):
                     np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
                     flat.at(gzk, shift)[...] += p
-                gz[c0:c1] = flat.crop(gzk)
+                if sink is None:
+                    gz[c0:c1] = flat.crop(gzk)
+                else:
+                    sink[c0:c1] += flat.crop(gzk)
         if gl is not None:
-            _accumulate(loops, flat.crop(gl))
+            _accumulate(loops, flat.crop(gl), fresh=True)
         if gw is not None:
-            _accumulate(weights, flat.crop(gw))
+            _accumulate(weights, flat.crop(gw), fresh=True)
         if gz is not None:
-            _accumulate(z, gz)
+            _accumulate(z, gz, fresh=True)
 
     return _record("stencil_matvec", (loops, weights, z), out, bwd)
 
@@ -978,13 +1037,18 @@ def hop_mix(x: Tensor, alphas: Tensor, hops: Sequence[Tensor], beta: float
 
     def bwd(g):
         _accumulate(x, g)
-        gb = (g * beta).reshape(shape)
+        gs = g.reshape(shape)
         ga = np.empty(len(hops))
         for t, h in enumerate(hops):
-            # summed as mul's backward sums onto a broadcast (1,) operand
-            ga[t] = _unbroadcast(gb * h.data, (1,))[0]
-            _accumulate(h, gb * a[t])
-        _accumulate(alphas, ga)
+            # one array per hop: beta g h, summed as mul's backward sums onto
+            # a broadcast (1,) operand, then that hop's gradient beta g a[t]
+            gh = np.multiply(gs, beta)
+            gh *= h.data
+            ga[t] = _unbroadcast(gh, (1,))[0]
+            np.multiply(gs, beta, out=gh)
+            gh *= a[t]
+            _accumulate(h, gh, fresh=True)
+        _accumulate(alphas, ga, fresh=True)
 
     return _record("hop_mix", (x, alphas, *hops), out, bwd)
 

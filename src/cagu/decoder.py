@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterGroup, Tensor
-from .errors import NumericDomainError, ShapeError
+from .errors import ShapeError
 from .frontend import he_uniform
 
 NORM_GUARD = 1e-8            # added to angle denominators
@@ -100,23 +100,10 @@ def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:
 
 def loss(observed: Tensor, reconstructed: Tensor) -> Tensor:
     """Reconstruction objective: mean squared pixel error plus the mean
-    per-pixel spectral angle, summed unweighted."""
-    if observed.shape != reconstructed.shape:
-        raise ShapeError(
-            f"shapes differ: {observed.shape} vs {reconstructed.shape}")
-    obs_norm = ad.l2_norm(observed, axis=0)
-    if np.min(obs_norm.data) == 0.0:
-        raise NumericDomainError("observed scene has a zero-norm pixel spectrum")
-    _, height, width = observed.shape
-
-    diff = ad.sub(reconstructed, observed)
-    re_term = ad.scale(ad.sum(ad.square(diff)), 1.0 / (height * width))
-
-    inner = ad.sum(ad.mul(observed, reconstructed), axis=0)
-    denom = ad.add(ad.mul(obs_norm, ad.l2_norm(reconstructed, axis=0)),
-                   Tensor(NORM_GUARD))
-    sad_term = ad.mean(ad.arccos(ad.divide(inner, denom)))
-    return ad.add(re_term, sad_term)
+    per-pixel spectral angle, summed unweighted, as one tape node.
+    ShapeError unless both are one bands x H x W shape; NumericDomainError
+    for a zero-norm observed pixel."""
+    return ad.unmixing_loss(observed, reconstructed, NORM_GUARD)
 
 
 # ---------------------------------------------------------------------------

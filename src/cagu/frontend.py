@@ -146,10 +146,10 @@ def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
     spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b)
     pooled = ad.mean(ad.reshape(spe, (channels, gh, m, gw, m)), axis=(2, 4))
     pooled = ad.transpose(ad.reshape(pooled, (channels, gh * gw)))  # (n, C)
-    spectral = ad.add(ad.matmul(pooled, params.spe_fc_w), params.spe_fc_b)
+    spectral = ad.matmul(pooled, params.spe_fc_w, params.spe_fc_b)
 
     spa = ad.conv2d(grid, params.spa_conv_w, params.spa_conv_b, patch=m)
     flat = ad.reshape(ad.tile_patches(spa, m), (gh * gw, spa.shape[0] * m * m))
-    spatial = ad.add(ad.matmul(flat, params.spa_fc_w), params.spa_fc_b)
+    spatial = ad.matmul(flat, params.spa_fc_w, params.spa_fc_b)
 
     return TokenSequences(spectral, spatial, (gh, gw), m)

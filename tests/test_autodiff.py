@@ -53,6 +53,28 @@ def test_matmul_hand_expanded():
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(ShapeError, match=r"\(2, 3\).*\(4, 5\)"):
         ad.matmul(rand((2, 3)), rand((4, 5)))
+    with pytest.raises(ShapeError, match="bias"):
+        ad.matmul(rand((2, 3)), rand((3, 4)), rand((3,)))
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1), (5, 3, 4), (7, 6, 2)])
+def test_matmul_bias_matches_add_of_matmul_bit_for_bit(shape):
+    n, k, m = shape
+    rng = np.random.default_rng(n * 100 + k * 10 + m)
+    arrays = [rng.normal(size=(n, k)), rng.normal(size=(k, m)), rng.normal(size=m)]
+    direction = Tensor(rng.normal(size=(n, m)))
+    results = []
+    for fused in (True, False):
+        a, b, bias = (Tensor(x.copy(), requires_grad=True) for x in arrays)
+        with Tape() as tape:
+            out = (ad.matmul(a, b, bias) if fused
+                   else ad.add(ad.matmul(a, b), bias))
+            loss = ad.sum(ad.mul(out, direction))
+        assert len(tape.nodes) == (3 if fused else 4)
+        backward(tape, loss)
+        results.append([out.data, a.grad, b.grad, bias.grad])
+    for fused, composed in zip(*results):
+        assert fused.tobytes() == composed.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -359,22 +381,6 @@ def test_exp_zero():
     assert ad.exp(Tensor(np.zeros(3))).data.tolist() == [1.0, 1.0, 1.0]
 
 
-def test_arccos_identical_direction():
-    out = ad.arccos(Tensor([1.0 - 1e-7]))
-    assert 0.0 <= out.data[0] < 1e-3
-
-
-def test_arccos_clamps_out_of_range():
-    out = ad.arccos(Tensor([1.5, -1.5]))
-    assert np.all(np.isfinite(out.data))
-    (g,) = grad_of(lambda: ad.sum(ad.arccos(x)), (x := Tensor([1.5, -1.5])))
-    np.testing.assert_array_equal(g, np.zeros(2))  # clamped: subgradient 0
-
-
-def test_l2_norm_pythagorean():
-    assert ad.l2_norm(Tensor([3.0, 4.0]), axis=0).data == 5.0
-
-
 def test_divide_floor_error():
     with pytest.raises(NumericDomainError):
         ad.divide(Tensor([1.0]), Tensor([1e-13]))
@@ -534,6 +540,215 @@ def test_backward_consumes_the_tape():
 
 
 # ---------------------------------------------------------------------------
+# unmixing loss: the fused node against the composed ops it replaced
+
+def _composed_l2_norm(x):
+    """The deleted ``ad.l2_norm`` over axis 0: subgradient 0 at the origin."""
+    out = np.sqrt(np.sum(x.data * x.data, axis=0))
+
+    def bwd(g):
+        safe = np.where(out > 0.0, out, 1.0)
+        gx = np.expand_dims(g / safe, 0) * x.data
+        gx[np.broadcast_to(np.expand_dims(out == 0.0, 0), x.shape)] = 0.0
+        ad._accumulate(x, gx)
+
+    return ad._record("l2_norm", (x,), out, bwd)
+
+
+def _composed_arccos(x):
+    """The deleted ``ad.arccos``: clamped to [-1+eps, 1-eps], gradient zero
+    where the input was clipped."""
+    lo, hi = -1.0 + ad.ARCCOS_EPS, 1.0 - ad.ARCCOS_EPS
+    clipped = np.clip(x.data, lo, hi)
+    inside = (x.data > lo) & (x.data < hi)
+
+    def bwd(g):
+        ad._accumulate(x, g * np.where(inside, -1.0 / np.sqrt(1.0 - clipped * clipped), 0.0))
+
+    return ad._record("arccos", (x,), np.arccos(clipped), bwd)
+
+
+def composed_unmixing_loss(observed, reconstructed, guard):
+    """The loss as composed tape ops before it became one node."""
+    obs_norm = _composed_l2_norm(observed)
+    _, height, width = observed.shape
+    re_term = ad.scale(ad.sum(ad.square(ad.sub(reconstructed, observed))),
+                       1.0 / (height * width))
+    inner = ad.sum(ad.mul(observed, reconstructed), axis=0)
+    denom = ad.add(ad.mul(obs_norm, _composed_l2_norm(reconstructed)), Tensor(guard))
+    sad_term = ad.mean(_composed_arccos(ad.divide(inner, denom)))
+    return ad.add(re_term, sad_term)
+
+
+def loss_scene(seed, bands=7, height=5, width=6):
+    """Positive observed spectra; a reconstruction with clipped pixels
+    (r = 2y, cosine ~1), anti-aligned ones (r = -y, cosine ~-1) and one
+    zero-norm pixel among random ones."""
+    rng = np.random.default_rng(seed)
+    y = rng.random((bands, height, width)) + 0.05
+    r = rng.normal(0.5, 0.5, (bands, height, width))
+    r[:, 0, :2] = 2.0 * y[:, 0, :2]
+    r[:, 1, 1:3] = -y[:, 1, 1:3]
+    r[:, height - 1, width - 1] = 0.0
+    return y, r
+
+
+def loss_and_gradient(loss_fn, y, r, g=1.0):
+    rec = Tensor(r.copy(), requires_grad=True)
+    with Tape() as tape:
+        total = ad.scale(loss_fn(Tensor(y), rec, 1e-8), g)
+    backward(tape, total)
+    return total.data, rec.grad
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_unmixing_loss_matches_composed_ops_bit_for_bit(seed):
+    y, r = loss_scene(seed, bands=5 + seed, height=4 + seed, width=6)
+    g = [1.0, 0.5, 3.0, -2.0][seed]  # an upstream gradient that is not 1
+    value, grad = loss_and_gradient(ad.unmixing_loss, y, r, g)
+    ref_value, ref_grad = loss_and_gradient(composed_unmixing_loss, y, r, g)
+    assert value.tobytes() == ref_value.tobytes()
+    assert grad.tobytes() == ref_grad.tobytes()
+
+
+def test_unmixing_loss_is_one_node_keeping_per_pixel_arrays():
+    y, r = loss_scene(5, bands=40, height=16, width=16)
+    rec = Tensor(r, requires_grad=True)
+    with Tape() as tape:
+        ad.unmixing_loss(Tensor(y), rec, 1e-8)
+    assert [node.op for node in tape.nodes] == ["unmixing_loss"]
+    kept, _ = kept_bytes(lambda: ad.unmixing_loss(Tensor(y), rec, 1e-8))
+    assert kept <= 6 * 16 * 16 * 8 + (4 << 10), kept  # six H x W arrays
+
+
+def test_unmixing_loss_clamp_passes_no_gradient_where_clipped():
+    y, _ = loss_scene(6)
+    n = y.shape[1] * y.shape[2]
+    for r in (2.0 * y, -y):  # every pixel aligned, or anti-aligned
+        value, grad = loss_and_gradient(ad.unmixing_loss, y, r)
+        angle = 0.0 if r[0, 0, 0] > 0 else np.pi
+        re_term = np.sum((r - y) ** 2) / n
+        assert abs(value - re_term - angle) < 1e-3
+        # only the squared error is differentiated
+        np.testing.assert_allclose(grad, 2.0 * (r - y) / n, rtol=1e-14, atol=0)
+
+
+def test_unmixing_loss_zero_norm_reconstruction_has_norm_subgradient_zero():
+    y, r = loss_scene(7)
+    value, grad = loss_and_gradient(ad.unmixing_loss, y, r)
+    assert np.all(np.isfinite(grad))
+    # at r = 0 the cosine is 0: the angle term reaches r through <y, r>
+    # only, divided by the guard, and the squared error adds 2 (r - y) / n
+    n = y.shape[1] * y.shape[2]
+    pixel = y[:, -1, -1]
+    expected = -1.0 / n / 1e-8 * pixel - 2.0 * pixel / n
+    np.testing.assert_allclose(grad[:, -1, -1], expected, rtol=1e-12)
+
+
+def test_unmixing_loss_gradients():
+    rng = np.random.default_rng(34)
+    for _ in range(5):
+        b, h, w = (int(v) for v in rng.integers(2, 5, size=3))
+        y = Tensor(rng.random((b, h, w)) + 0.1)
+        r = Tensor(rng.random((b, h, w)) + 0.1)  # no pixel clipped
+        err = finite_diff_check(lambda t: ad.unmixing_loss(y, t, 1e-8), r, h=1e-6)
+        assert err < 1e-5, err
+
+
+@given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 3),
+                                    st.integers(1, 3)),
+              elements=st.floats(-100, 100)))
+@settings(max_examples=50, deadline=None)
+def test_unmixing_loss_is_finite_for_any_reconstruction(r):
+    y = np.random.default_rng(35).random(r.shape) + 0.01
+    value, grad = loss_and_gradient(ad.unmixing_loss, y, r)
+    assert np.isfinite(value) and np.all(np.isfinite(grad))
+
+
+def test_unmixing_loss_rejects_bad_scenes():
+    y, r = loss_scene(8)
+    with pytest.raises(ShapeError):
+        ad.unmixing_loss(Tensor(y), Tensor(r[:, :, 1:]), 1e-8)
+    with pytest.raises(ShapeError):
+        ad.unmixing_loss(Tensor(y[0]), Tensor(r[0]), 1e-8)
+    with pytest.raises(ContractError):
+        ad.unmixing_loss(Tensor(y, requires_grad=True), Tensor(r), 1e-8)
+    y[:, 2, 3] = 0.0
+    with pytest.raises(NumericDomainError, match="zero-norm"):
+        ad.unmixing_loss(Tensor(y), Tensor(r), 1e-8)
+    with pytest.raises(NumericDomainError, match="divisor"):
+        ad.unmixing_loss(Tensor(np.ones((2, 1, 1))), Tensor(np.zeros((2, 1, 1))), 0.0)
+
+
+# ---------------------------------------------------------------------------
+# gradient accumulation: the hand-over of a closure's own array
+
+def test_accumulate_sums_into_a_handed_over_array():
+    t = Tensor(np.zeros(3), requires_grad=True)
+    shared, own, later = np.ones(3), np.full(3, 2.0), np.full(3, 4.0)
+    ad._accumulate(t, shared)
+    assert t.grad is shared
+    ad._accumulate(t, own, fresh=True)  # summed into the closure's array
+    assert t.grad is own
+    ad._accumulate(t, later)  # into the array t now owns, in place
+    assert t.grad is own
+    np.testing.assert_array_equal(t.grad, np.full(3, 7.0))
+    np.testing.assert_array_equal(shared, np.ones(3))
+    np.testing.assert_array_equal(later, np.full(3, 4.0))
+
+
+def test_accumulate_owns_a_handed_over_first_gradient_and_copies_shared_ones():
+    t = Tensor(np.zeros(2), requires_grad=True)
+    own, shared = np.ones(2), np.full(2, 3.0)
+    ad._accumulate(t, own, fresh=True)
+    ad._accumulate(t, shared)
+    assert t.grad is own
+    np.testing.assert_array_equal(own, np.full(2, 4.0))
+    np.testing.assert_array_equal(shared, np.full(2, 3.0))
+    u = Tensor(np.zeros(2), requires_grad=True)
+    a, b = np.ones(2), np.full(2, 2.0)
+    ad._accumulate(u, a)
+    ad._accumulate(u, b)  # neither handed over: a new array
+    assert u.grad is not a and u.grad is not b
+    np.testing.assert_array_equal(u.grad, np.full(2, 3.0))
+    np.testing.assert_array_equal(a, np.ones(2))
+    np.testing.assert_array_equal(b, np.full(2, 2.0))
+
+
+def test_a_scalar_handed_over_after_a_shared_gradient():
+    # add hands its gradient to x first; scale's 0-d product g * c is a
+    # numpy scalar, which the hand-over must still sum into
+    x = Tensor(3.0)
+    (g,) = grad_of(lambda: ad.add(ad.scale(x, 2.0), x), x)
+    assert g == 3.0
+
+
+def test_stencil_matvec_adds_into_a_gradient_its_input_owns():
+    # z's other consumer runs its backward first, so z owns its gradient
+    # when the stencil's backward adds z's share into it block by block
+    rng = np.random.default_rng(36)
+    loops, weights = rng.normal(size=(5, 6)), rng.normal(size=(8, 5, 6))
+    z_data = rng.normal(size=(3, 5, 6))
+    d1, d2 = Tensor(rng.normal(size=(3, 5, 6))), Tensor(rng.normal(size=(3, 5, 6)))
+
+    def grad(stencil, other):
+        z = Tensor(z_data.copy(), requires_grad=True)
+        with Tape() as tape:
+            terms = []
+            if stencil:
+                terms.append(ad.sum(ad.mul(ad.stencil_matvec(
+                    Tensor(loops), Tensor(weights), z, 1), d1)))
+            if other:
+                terms.append(ad.sum(ad.mul(ad.scale(z, 3.0), d2)))
+            loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+        backward(tape, loss)
+        return z.grad
+
+    both, alone, other = grad(True, True), grad(True, False), grad(False, True)
+    assert both.tobytes() == (other + alone).tobytes()
+
+
+# ---------------------------------------------------------------------------
 # standardisation hook (LSUV calibration)
 
 def _unit_stats(out: np.ndarray, unit: int):
@@ -569,6 +784,21 @@ def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     np.testing.assert_allclose(ad.add(ad.matmul(x, w), b).data, out.data,
                                atol=1e-12)
+
+
+def test_standardize_calibrates_a_biased_matmul_as_the_composed_layer():
+    x = rand((9, 3), seed=38, scale=2.0)
+    layers = [(rand((3, 4), seed=39), rand(4, seed=40)) for _ in range(2)]
+    (w, b), (w2, b2) = layers
+    w2.data, b2.data = w.data.copy(), b.data.copy()
+    with ad.Standardize(layers, floor=1e-3):
+        fused = ad.matmul(x, w, b)
+        composed = ad.add(ad.matmul(x, w2), b2)
+    for got, want in ((fused.data, composed.data), (w.data, w2.data), (b.data, b2.data)):
+        assert got.tobytes() == want.tobytes()
+    mu, sd = _unit_stats(fused.data, 1)
+    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sd, 1.0, atol=1e-12)
 
 
 def test_standardize_recentres_a_dead_unit_without_rescaling():
@@ -649,12 +879,10 @@ KERNELS = {
     "softmax": lambda t: ad.softmax(t, axis=-1),
     "sum_axis": lambda t: ad.sum(t, axis=0),
     "mean": lambda t: ad.mean(t),
-    "l2_norm": lambda t: ad.l2_norm(ad.add(ad.square(t), Tensor(np.full(t.shape, 0.1))), axis=0),
     "scale": lambda t: ad.scale(t, -1.7),
     "reshape": lambda t: ad.reshape(t, (t.size,)),
     "transpose": lambda t: ad.transpose(t),
     "narrow": lambda t: ad.narrow(t, 0, 0, max(1, t.shape[0] - 1)),
-    "arccos": lambda t: ad.arccos(ad.scale(ad.softmax(t, axis=0), 0.9)),
 }
 
 
@@ -1028,5 +1256,5 @@ def test_kernels_deterministic():
 def test_forward_kernels_produce_no_nan(vals):
     x = Tensor(vals)
     for out in (ad.softmax(x, axis=1), ad.leaky_relu(x), ad.square(x),
-                ad.arccos(x), ad.sum(x, axis=0), ad.l2_norm(x, axis=1)):
+                ad.sum(x, axis=0)):
         assert not np.any(np.isnan(out.data))

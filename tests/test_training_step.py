@@ -1,5 +1,7 @@
-"""Memory held by one training step: backward consumes the tape."""
+"""Memory held by one training step: backward consumes the tape, and the
+tape keeps no scene-sized array beyond the reconstruction."""
 
+import re
 import tracemalloc
 import weakref
 
@@ -39,6 +41,27 @@ def test_backward_frees_every_intermediate_of_a_training_step(mode):
         backward(tape, loss)
 
 
+def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
+    params, observed, config = _step_inputs(
+        8, channels=6, token_dim=6, fused_channels=6, patch_size=2,
+        k_steps=2, ablation_mode="dynamic")
+    with Tape() as tape:
+        loss, outputs = mdl.training_loss(params, observed, config)
+    nodes, recon = tape.nodes, outputs.reconstruction
+    # the only bands x H x W array on the tape is the reconstruction
+    assert [n.output for n in nodes if n.output.shape == observed.shape] == [recon]
+    assert nodes[-2].op == "conv2d" and nodes[-2].output is recon
+    # the loss is one node, reading the scene and the reconstruction
+    assert nodes[-1].op == "unmixing_loss" and nodes[-1].output is loss
+    assert nodes[-1].inputs == (observed, recon)
+    # every biased layer is one node: no bias feeds an add of its own
+    biases = {id(t) for name, t in params.named_parameters().items()
+              if re.fullmatch(r".*_b\d*", name)}
+    takers = [n for n in nodes if any(id(t) in biases for t in n.inputs)]
+    assert len(takers) == len(biases)
+    assert {n.op for n in takers} == {"conv2d", "matmul"}
+
+
 def test_training_step_peak_stays_near_the_forward():
     # One step at 40x40: backward frees what it has used as it goes, so its
     # peak stays close to what the forward pass left live (1.73x when
@@ -55,4 +78,6 @@ def test_training_step_peak_stays_near_the_forward():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    print(f"\nMEMORY live {live / 1e6:.2f} peak {peak / 1e6:.2f} "
+          f"ratio {peak / live:.3f}")
     assert peak <= 1.25 * live, (peak / 1e6, live / 1e6)
