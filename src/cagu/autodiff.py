@@ -17,10 +17,10 @@ sum keeps its operands and their order, so where it lands moves no bit.
 There is one convolution kernel, and it keeps the image size: one GEMM per
 kernel tap over the padded, flattened C x H x W image, where every tap is one
 contiguous shift (a 1x1 layer is a single tap over the image itself). A
-patch-local convolution is the same kernel with each tap masked where it
-would read across a patch boundary. The window (stencil) kernels use the
-same padded flat layout, ``_Flat``, and work through the channels in
-cache-sized blocks. Scaled dot-product attention is one node that reads the
+convolution of each patch alone followed by a linear layer is one folded
+matrix, ``patch_linear``. The window (stencil) kernels use the convolution's
+padded flat layout, ``_Flat``, and work through the channels in cache-sized
+blocks. Scaled dot-product attention is one node that reads the
 keys in cache-sized blocks with an online softmax. A linear layer, matmul
 plus bias, is one node, and so is the unmixing loss (squared error plus
 spectral angle), which keeps six H x W arrays and recomputes r - y in
@@ -153,13 +153,14 @@ class Standardize:
     """LSUV scale calibration (Mishkin & Matas, "All you need is a good
     init", 2015) of the listed (weight, bias) layers, op by op.
 
-    While active, an op fed one of the listed biases rescales that layer in
-    place, exactly since it is linear in (weight, bias), so its response has
-    zero mean and unit std per unit, and returns the standardised response.
-    Units lie on the channel axis of a conv output and on the last axis of a
-    matmul output. A unit whose std is below ``floor`` is dead: it is
-    recentred, not rescaled. It and ``Tape`` refuse to open inside each
-    other, so calibration never touches a training step.
+    While active, an op that declares a listed bias as its own rescales that
+    layer in place, exactly since it is linear in (weight, bias), so its
+    response has zero mean and unit std per unit, and returns the
+    standardised response; an op that only reads it leaves it alone. Units
+    lie on the first axis of a conv response and the last of a matmul's. A
+    unit whose std is below ``floor`` is dead: it is recentred, not rescaled.
+    It and ``Tape`` refuse to open inside each other, so calibration never
+    touches a training step.
     """
 
     _active: Optional["Standardize"] = None
@@ -180,13 +181,11 @@ class Standardize:
         Standardize._active = None
         return False
 
-    def apply(self, inputs: Sequence[Tensor], out: np.ndarray) -> np.ndarray:
-        """Standardise ``out`` if ``inputs`` hold a listed bias."""
-        layer = next((self.layers[id(t)] for t in inputs if id(t) in self.layers),
-                     None)
-        if layer is None:
+    def apply(self, bias: Tensor, out: np.ndarray) -> np.ndarray:
+        """Standardise ``out``, the response of ``bias``'s layer, if listed."""
+        if id(bias) not in self.layers:
             return out
-        w, b = layer
+        w, b = self.layers[id(bias)]
         unit = 0 if w.ndim == 4 else out.ndim - 1
         axes = tuple(i for i in range(out.ndim) if i != unit)
         mu = out.mean(axis=axes, keepdims=True)
@@ -227,11 +226,12 @@ def _sink(t: Tensor) -> Optional[np.ndarray]:
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap a forward result, recording a node when gradients are wanted
-    (or standardising it, under an active ``Standardize``)."""
-    if Standardize._active is not None:
-        out_data = Standardize._active.apply(inputs, out_data)
+            backward_fn: Callable[[np.ndarray], None],
+            bias: Optional[Tensor] = None) -> Tensor:
+    """Wrap a forward result, recording a node when gradients are wanted (or
+    standardising it, under ``Standardize``, if the op declares a bias)."""
+    if Standardize._active is not None and bias is not None:
+        out_data = Standardize._active.apply(bias, out_data)
     tape = Tape._active
     wants_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=wants_grad)
@@ -319,7 +319,7 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.shape), fresh=True)
 
-    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd)
+    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd, bias)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -649,29 +649,22 @@ def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
 # the ``_Flat`` layout of the window stencil kernels
 
 def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
-              shifts: Sequence[int], masks: Sequence, out: np.ndarray
-              ) -> np.ndarray:
-    """out[:, q] = sum_t masks[t][q] * taps[t] @ src[:, q + shifts[t]], in tap
-    order, one column block at a time, summed in a contiguous buffer (adding
-    into a strided slice of ``out`` is ~3x slower) with temporaries within
-    CACHE_BYTES. A mask (``None`` keeps all) goes on the source block or the
-    product, whichever has fewer rows; a lone unmasked tap is one GEMM."""
-    rows, on_src, n = out.shape[0], src.shape[0] < out.shape[0], out.shape[1]
-    if len(taps) == 1 and masks[0] is None:
+              shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
+    """out[:, q] = sum_t taps[t] @ src[:, q + shifts[t]], in tap order, one
+    column block at a time, summed in a contiguous buffer (adding into a
+    strided slice of ``out`` is ~3x slower) with temporaries within
+    CACHE_BYTES; a lone tap is one GEMM."""
+    rows, n = out.shape
+    if len(taps) == 1:
         return np.matmul(taps[0], src[:, shifts[0]:shifts[0] + n], out=out)
-    step = min(n, max(1, CACHE_BYTES // (8 * (2 * rows + on_src * src.shape[0]))))
-    tmp_buf, masked = np.empty((rows, step)), np.empty((src.shape[0], step))
+    step = min(n, max(1, CACHE_BYTES // (16 * rows)))
+    tmp_buf = np.empty((rows, step))
     acc_buf = out if step == n else np.empty((rows, step))  # one block: in place
     for q0 in range(0, n, step):
         q1 = min(q0 + step, n)
         acc, tmp = acc_buf[:, :q1 - q0], tmp_buf[:, :q1 - q0]
-        for t, (tap, s, mask) in enumerate(zip(taps, shifts, masks)):
-            part, cols = (tmp if t else acc), src[:, s + q0:s + q1]
-            if mask is not None and on_src:
-                cols = np.multiply(cols, mask[q0:q1], out=masked[:, :q1 - q0])
-            np.matmul(tap, cols, out=part)
-            if mask is not None and not on_src:
-                part *= mask[q0:q1]
+        for t, (tap, s) in enumerate(zip(taps, shifts)):
+            np.matmul(tap, src[:, s + q0:s + q1], out=tmp if t else acc)
             if t:
                 acc += tmp
         if acc_buf is not out:
@@ -679,23 +672,7 @@ def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
     return out
 
 
-@functools.lru_cache(maxsize=8)
-def _patch_masks(height: int, width: int, k: int, m: int) -> tuple:
-    """Per-tap 0/1 masks, over the run of the ``_Flat`` layout, of a k x k
-    conv kept inside m x m patches (``None``: kept everywhere): tap t is kept
-    where a pixel and its neighbour ``window[t]`` further on lie in one patch,
-    and the padding lies in none. That relation is symmetric, so the mask of
-    the mirrored tap k*k - 1 - t, read over the input, masks tap t's share of
-    the input gradient."""
-    flat = _Flat(height, width, k // 2)
-    y, x = np.ogrid[:height, :width]
-    label = flat.pad(1.0 + y // m * width + x // m)  # 0 in the padding
-    keep = [flat.at(label) == flat.at(label, s) for s in flat.window]
-    return tuple(None if kt.all() else kt.astype(np.float64) for kt in keep)
-
-
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
-           patch: Optional[int] = None) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor]) -> Tensor:
     """"Same" cross-correlation of a C_in x H x W map with C_out odd square
     k x k kernels, stride 1, zero padding k // 2: the output is C_out x H x W.
 
@@ -706,10 +683,6 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
     The input gradient is the same sum over the padded output gradient with
     the window mirrored. Backward keeps the input as given, which its
     producer's node holds anyway, and pads it again.
-
-    ``patch=m`` convolves each m x m patch on its own, zero-padded as if it
-    were the whole image: a tap that would cross a patch boundary is masked.
-    It needs H and W to be multiples of m.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
@@ -717,15 +690,11 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
     if k != k2 or k % 2 == 0 or x.shape[0] != c_in:
         raise ShapeError(f"conv2d: kernel {w.shape} (odd, square, C_in x k x k) "
                          f"does not fit input {x.shape}")
-    if patch is not None and (patch < 1 or x.shape[1] % patch or x.shape[2] % patch):
-        raise ShapeError(f"conv2d: {patch} x {patch} patches do not tile {x.shape}")
     flat = _Flat(x.shape[1], x.shape[2], k // 2)
     taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
-    masks = (_patch_masks(x.shape[1], x.shape[2], k, patch) if patch is not None
-             else (None,) * k * k)
     acc = np.empty((c_out, flat.hp * flat.wp))
     _tap_gemm(taps, flat.pad(x.data), [flat.start + s for s in flat.window],
-              masks, flat.at(acc))
+              flat.at(acc))
     out = flat.crop(acc)
     if bias is not None:
         out = np.add(out, bias.data[:, None, None], out=out if k == 1 else None)
@@ -734,21 +703,18 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor],
 
     def bwd(g):
         gf, xf = flat.pad(g), flat.pad(x.data)  # the input re-padded, not kept
-        masked = np.empty((c_in, flat.run)) if patch is not None else None
-        gw = np.stack([flat.at(gf) @ (flat.at(xf, s) if mask is None else
-                                      np.multiply(flat.at(xf, s), mask, out=masked)).T
-                       for s, mask in zip(flat.window, masks)], axis=-1)
+        gw = np.stack([flat.at(gf) @ flat.at(xf, s).T for s in flat.window], axis=-1)
         _accumulate(w, gw.reshape(w.shape), fresh=True)
         if bias is not None:
             _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
         if x.requires_grad:
             gx = np.empty((c_in, flat.hp * flat.wp))
             _tap_gemm(taps.transpose(0, 2, 1), gf,
-                      [flat.start - s for s in flat.window], masks[::-1], flat.at(gx))
+                      [flat.start - s for s in flat.window], flat.at(gx))
             _accumulate(x, flat.crop(gx), fresh=True)
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    return _record("conv2d", inputs, out, bwd)
+    return _record("conv2d", inputs, out, bwd, bias)
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +765,68 @@ def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
                               .reshape(n, c, m, m))
 
     return _record("untile_patches", (blocks,), full[:, :height, :width].copy(), bwd)
+
+
+# ---------------------------------------------------------------------------
+# per-patch linear map: a convolution of each patch alone, then a linear layer
+
+def _patch_taps(k: int, m: int) -> list:
+    """(i, j, src, dst) of each tap (i, j) of a "same" k x k convolution of an
+    m x m patch: the (row, column) slices of the pixels it reads and of the
+    output pixels they reach. Taps that read no pixel are left out."""
+    span = {d: (slice(max(d, 0), m + min(d, 0)), slice(max(-d, 0), m - max(d, 0)))
+            for d in range(1 - m, m)}  # output pixel p reads pixel p + d
+    r = k // 2
+    return [(i, j, *zip(span[i - r], span[j - r])) for i in range(k) for j in range(k)
+            if i - r in span and j - r in span]
+
+
+def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
+                 fc_b: Tensor) -> Tensor:
+    """Patches (n, C, m, m) -> tokens (n, D): each patch through its own
+    "same" convolution (``conv_w`` O x C x k x k, ``conv_b``), flattened, then
+    ``fc_w`` (O m^2 x D) and ``fc_b``. Both are linear, so the op is
+    flat(x) @ W + b, with W (C m^2 x D) folded tap by tap on pixel-major
+    arrays (m x m x units x D). The node keeps x, W and the weights' tap and
+    pixel-major copies. Under ``Standardize`` the conv's response over every
+    patch pixel calibrates ``conv_b``'s layer first; the op declares ``fc_b``."""
+    # a wrong rank gives shapes that cannot match
+    n, c, m, m2 = x.shape if x.ndim == 4 else (0, 0, 0, -1)
+    o, c_in, k, k2 = conv_w.shape if conv_w.ndim == 4 else (0, 0, 0, -1)
+    if ((m, c_in, k, conv_b.shape, fc_b.shape) != (m2, c, k2, (o,), fc_w.shape[1:])
+            or k % 2 == 0 or fc_w.shape[:1] != (o * m * m,)):
+        raise ShapeError(f"patch_linear: patches {x.shape}, conv {conv_w.shape} "
+                         f"{conv_b.shape} and map {fc_w.shape} {fc_b.shape} do not fit")
+    taps, xf = _patch_taps(k, m), x.data.reshape(n, -1)
+    if Standardize._active is not None:  # the response, m x m x O x n
+        xt, part = x.data.transpose(2, 3, 1, 0).copy(), np.empty((m, m, o, n))
+        cw, response = conv_w.data.transpose(2, 3, 0, 1).copy(), np.empty((m, m, o, n))
+        response[...] = conv_b.data[:, None]
+        for i, j, src, dst in taps:  # one buffer for every tap's product
+            response[dst] += np.matmul(cw[i, j], xt[src], out=part[dst])
+        Standardize._active.apply(conv_b, response.transpose(2, 0, 1, 3))
+    f = np.ascontiguousarray(fc_w.data.reshape(o, m, m, -1).transpose(1, 2, 0, 3))
+    cw, w = conv_w.data.transpose(2, 3, 1, 0).copy(), np.zeros((m, m, c, f.shape[3]))
+    for i, j, src, dst in taps:
+        w[src] += np.matmul(cw[i, j], f[dst])
+    w = w.transpose(2, 0, 1, 3).reshape(c * m * m, -1)
+    out = xf @ w + fc_b.data
+    out += conv_b.data @ f.sum(axis=(0, 1))
+
+    def bwd(g):
+        gw = (xf.T @ g).reshape(c, m, m, -1).transpose(1, 2, 0, 3).copy()
+        gb, gcw = g.sum(axis=0), np.zeros(conv_w.shape)
+        gf = np.tile(np.multiply.outer(conv_b.data, gb), (m, m, 1, 1))
+        for i, j, src, dst in taps:
+            gf[dst] += np.matmul(cw[i, j].T, gw[src])
+            gcw[:, :, i, j] = np.matmul(f[dst], gw[src].swapaxes(2, 3)).sum(axis=(0, 1))
+        _accumulate(x, (g @ w.T).reshape(x.shape), fresh=True)
+        _accumulate(conv_w, gcw, fresh=True)
+        _accumulate(conv_b, f.sum(axis=(0, 1)) @ gb, fresh=True)
+        _accumulate(fc_w, gf.transpose(2, 0, 1, 3).reshape(fc_w.shape), fresh=True)
+        _accumulate(fc_b, gb, fresh=True)
+
+    return _record("patch_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd, fc_b)
 
 
 # ---------------------------------------------------------------------------
@@ -1061,19 +1089,22 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], params: Tensor,
     """Max relative disagreement between reverse-mode and central differences.
 
     ``f`` must be a deterministic scalar function of ``params``; the tensor's
-    data is perturbed in place (and restored) one coordinate at a time.
+    data is perturbed in place one coordinate at a time (restored, even if f
+    raises, as is ``requires_grad``).
     """
     if not 1e-6 <= h <= 1e-4:
         raise ContractError(f"finite_diff_check: h={h} outside [1e-6, 1e-4]")
     params.zero_grad()
     prior = params.requires_grad
     params.requires_grad = True
-    with Tape() as tape:
-        loss = f(params)
-    if loss.data.size != 1:
-        raise ContractError("finite_diff_check: f must return a scalar")
-    backward(tape, loss)
-    params.requires_grad = prior
+    try:
+        with Tape() as tape:
+            loss = f(params)
+        if loss.data.size != 1:
+            raise ContractError("finite_diff_check: f must return a scalar")
+        backward(tape, loss)
+    finally:
+        params.requires_grad = prior
     analytic = (np.zeros_like(params.data) if params.grad is None
                 else params.grad.copy())
     params.zero_grad()
@@ -1082,11 +1113,13 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], params: Tensor,
     worst = 0.0
     for i in range(flat.size):
         saved = flat[i]
-        flat[i] = saved + h
-        hi = f(params).item()
-        flat[i] = saved - h
-        lo = f(params).item()
-        flat[i] = saved
+        try:
+            flat[i] = saved + h
+            hi = f(params).item()
+            flat[i] = saved - h
+            lo = f(params).item()
+        finally:
+            flat[i] = saved
         if not (math.isfinite(hi) and math.isfinite(lo)):
             raise NumericDomainError("finite_diff_check: f produced non-finite value")
         numeric = (hi - lo) / (2.0 * h)

@@ -3,8 +3,8 @@
 The band axis is squeezed through three 1x1 convolutions, then the feature
 map is cut into non-overlapping m x m patches (edge patches zero-padded).
 Each patch yields one spectral token (1x1 conv, patch-average pool, linear
-map) and one spatial token (3x3 conv inside the patch, flatten, linear map),
-so both sequences have one token per patch and stay strictly patch-local.
+map) and one spatial token (3x3 conv inside the patch, flatten, linear map:
+one ``patch_linear``), so both sequences stay strictly patch-local.
 """
 
 from __future__ import annotations
@@ -134,22 +134,22 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
 
 def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
     """channels x H x W -> per-patch spectral and spatial token sequences,
-    both convs run once over the map zero-padded to the patch grid."""
+    from the map zero-padded to the patch grid and from its patches."""
     m = params.patch_size
     channels, height, width = fmap.shape
     if m > min(height, width):
         raise ConfigError(f"patch size {m} exceeds image extent {height}x{width}")
     gh, gw = -(-height // m), -(-width // m)
+    patches = ad.tile_patches(fmap, m)  # edge patches zero-padded
     grid = fmap if (gh * m, gw * m) == (height, width) else ad.untile_patches(
-        ad.tile_patches(fmap, m), gh * m, gw * m)  # zero-padded edge patches
+        patches, gh * m, gw * m)
 
     spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b)
     pooled = ad.mean(ad.reshape(spe, (channels, gh, m, gw, m)), axis=(2, 4))
     pooled = ad.transpose(ad.reshape(pooled, (channels, gh * gw)))  # (n, C)
     spectral = ad.matmul(pooled, params.spe_fc_w, params.spe_fc_b)
 
-    spa = ad.conv2d(grid, params.spa_conv_w, params.spa_conv_b, patch=m)
-    flat = ad.reshape(ad.tile_patches(spa, m), (gh * gw, spa.shape[0] * m * m))
-    spatial = ad.matmul(flat, params.spa_fc_w, params.spa_fc_b)
+    spatial = ad.patch_linear(patches, params.spa_conv_w, params.spa_conv_b,
+                              params.spa_fc_w, params.spa_fc_b)
 
     return TokenSequences(spectral, spatial, (gh, gw), m)

@@ -107,7 +107,7 @@ class AdamW:
 
     def zero_grad(self):
         for p in self.params.values():
-            p.grad = None
+            p.zero_grad()
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         out = {}

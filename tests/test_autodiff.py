@@ -209,8 +209,8 @@ def test_conv2d_rejects_stacked_input():
         ad.conv2d(rand((4, 2, 3, 3)), rand((3, 2, 1, 1)), rand(3))
 
 
-# Patch-local convs, each m x m patch convolved on its own:
-# (c_in, c_out, height, width, k, m)
+# Per-patch linear maps: each m x m patch of an image through its own "same"
+# conv, flattened, then one linear map: (c_in, c_out, height, width, k, m)
 PATCH_CASES = [(3, 4, 8, 12, 3, 4), (2, 3, 6, 4, 3, 2), (3, 2, 6, 9, 3, 3),
                (2, 3, 4, 6, 3, 1), (3, 4, 8, 8, 1, 4), (2, 2, 10, 5, 5, 5),
                (2, 3, 4, 4, 3, 4)]
@@ -232,114 +232,51 @@ def per_patch_reference(x, kern, bias, g, m):
     return out, (gx, gw, g.sum(axis=(1, 2)))
 
 
+def _patch_linear_case(c_in, c_out, h, w, k, m, seed):
+    """An image, the five inputs of patch_linear on its patches, the rng."""
+    image, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, seed)
+    fc_w, fc_b = Tensor(rng.normal(size=(c_out * m * m, 3))), Tensor(rng.normal(size=3))
+    return image.data, [ad.tile_patches(image, m), kern, bias, fc_w, fc_b], rng
+
+
 @pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
-def test_conv2d_patch_matches_per_patch_reference(c_in, c_out, h, w, k, m):
-    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 90 + h * 7 + w + k + m)
-    g = rng.normal(size=(c_out, h, w))
-    want, want_grads = per_patch_reference(x.data, kern.data, bias.data, g, m)
-    out = ad.conv2d(x, kern, bias, patch=m)
-    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(ad.conv2d(x, kern, None, patch=m).data,
-                               want - bias.data[:, None, None], rtol=0, atol=1e-12)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias, patch=m),
-                                          Tensor(g))), x, kern, bias)
-    for got, expected in zip(grads, want_grads):
+def test_patch_linear_matches_per_patch_reference(c_in, c_out, h, w, k, m):
+    seed = 90 + h * 7 + w + k + m
+    image, args, rng = _patch_linear_case(c_in, c_out, h, w, k, m, seed)
+    x, kern, bias, fc_w, fc_b = args
+    d = rng.normal(size=(x.shape[0], 3))  # the tokens' gradient
+    g = ad.untile_patches(Tensor((d @ fc_w.data.T).reshape(-1, c_out, m, m)), h, w)
+    conv, (gx, gk, gb) = per_patch_reference(image, kern.data, bias.data, g.data, m)
+    flat = ad.tile_patches(Tensor(conv), m).data.reshape(x.shape[0], -1)
+    np.testing.assert_allclose(ad.patch_linear(*args).data, flat @ fc_w.data + fc_b.data,
+                               rtol=0, atol=1e-12)
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.patch_linear(*args), Tensor(d))), *args)
+    want = (ad.tile_patches(Tensor(gx), m).data, gk, gb, flat.T @ d, d.sum(axis=0))
+    for got, expected in zip(grads, want):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
-def test_conv2d_patch_gradcheck(c_in, c_out, h, w, k, m):
-    x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 110 + h * 7 + w + k + m)
-    direction = Tensor(rng.normal(size=(c_out, h, w)))
-
-    def loss(t, which):
-        args = {"x": x, "w": kern, "b": bias, which: t}
-        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"], patch=m),
-                             direction))
-
-    for which, leaf in (("x", x), ("w", kern), ("b", bias)):
-        assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+def test_patch_linear_gradcheck(c_in, c_out, h, w, k, m):
+    _, args, rng = _patch_linear_case(c_in, c_out, h, w, k, m, 110 + h * 7 + w + k + m)
+    direction = Tensor(rng.normal(size=(args[0].shape[0], 3)))
+    for slot, leaf in enumerate(args):
+        def loss(t):
+            return ad.sum(ad.mul(ad.patch_linear(*args[:slot], t, *args[slot + 1:]),
+                                 direction))
+        assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
 
-@pytest.mark.parametrize("shape,k,m", [
-    ((2, 8, 6), 3, 4),   # width not a multiple of m
-    ((2, 6, 8), 3, 4),   # height not a multiple of m
-    ((2, 8, 8), 3, 0)])
-def test_conv2d_patch_rejects_untiled_grid(shape, k, m):
-    with pytest.raises(ShapeError, match="patches"):
-        ad.conv2d(rand(shape), rand((3, 2, k, k)), rand(3), patch=m)
-
-
-# A stack of n square samples laid side by side along the width and convolved
-# with patch=m gives each sample's own conv: (k, the oracle's padding, n)
-STACK_CASES = [(k, padding, n) for k, padding in ((1, 0), (3, 1)) for n in (1, 4)]
-
-
-def side_by_side(samples):
-    """n x C x m x m samples -> C x m x (n * m), sample i in columns i*m..."""
-    return np.concatenate(list(samples), axis=2)
-
-
-@pytest.mark.parametrize("k,padding,n", STACK_CASES)
-def test_conv2d_stack_matches_reference_and_per_sample_convs(k, padding, n):
-    rng = np.random.default_rng(10 * k + padding + n)
-    x = rng.normal(size=(n, 3, 5, 5))
-    w = Tensor(rng.normal(size=(4, 3, k, k)))
-    b = Tensor(rng.normal(size=4))
-    out = ad.conv2d(Tensor(side_by_side(x)), w, b, patch=5).data
-    reference = side_by_side([conv2d_reference(xi, w.data, b.data, padding)
-                              for xi in x])
-    np.testing.assert_allclose(out, reference, atol=1e-12)
-    per_sample = side_by_side([ad.conv2d(Tensor(xi), w, b).data
-                               for xi in x])
-    assert np.max(np.abs(out - per_sample)) <= 1e-12
-
-
-@pytest.mark.parametrize("k,padding,n", STACK_CASES)
-def test_conv2d_stack_gradients_match_per_sample_convs(k, padding, n):
-    rng = np.random.default_rng(20 * k + padding + n)
-    x = rng.normal(size=(n, 2, 4, 4))
-    w = Tensor(rng.normal(size=(3, 2, k, k)))
-    b = Tensor(rng.normal(size=3))
-    direction = rng.normal(size=(n, 3, 4, 4))
-    stacked = Tensor(side_by_side(x))
-    gx, gw, gb = grad_of(lambda: ad.sum(ad.mul(
-        ad.conv2d(stacked, w, b, patch=4),
-        Tensor(side_by_side(direction)))), stacked, w, b)
-    samples = [Tensor(xi.copy()) for xi in x]
-
-    def per_sample_loss():
-        terms = [ad.sum(ad.mul(ad.conv2d(t, w, b), Tensor(d)))
-                 for t, d in zip(samples, direction)]
-        total = terms[0]
-        for term in terms[1:]:
-            total = ad.add(total, term)
-        return total
-
-    grads = grad_of(per_sample_loss, *samples, w, b)
-    np.testing.assert_allclose(gx, side_by_side(grads[:n]), atol=1e-12)
-    np.testing.assert_allclose(gw, grads[n], atol=1e-12)
-    np.testing.assert_allclose(gb, grads[n + 1], atol=1e-12)
-
-
-@pytest.mark.parametrize("k,padding,n", STACK_CASES)
-def test_conv2d_stack_gradients(k, padding, n):
-    rng = np.random.default_rng(52 + 10 * k + padding + n)
-    for _ in range(3):
-        c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        m = int(rng.integers(k, 5))
-        x = Tensor(side_by_side(rng.normal(size=(n, c_in, m, m))))
-        kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
-        bias = Tensor(rng.normal(size=c_out))
-        direction = Tensor(rng.normal(size=(c_out, m, n * m)))
-
-        def loss(t, which):
-            args = {"x": x, "w": kern, "b": bias, which: t}
-            return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"],
-                                           patch=m), direction))
-
-        for which, leaf in (("x", x), ("w", kern), ("b", bias)):
-            assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
+@pytest.mark.parametrize("slot,shape", [
+    (0, (4, 2, 3, 2)), (0, (2, 3, 3)), (0, (4, 3, 3, 3)),  # patches
+    (1, (5, 2, 2, 2)), (1, (5, 2, 3, 1)), (2, (4,)),       # conv
+    (3, (44, 6)), (3, (45, 6, 1)), (4, (5,))])             # linear map
+def test_patch_linear_rejects_shapes_that_do_not_fit(slot, shape):
+    shapes = [(4, 2, 3, 3), (5, 2, 3, 3), (5,), (45, 6), (6,)]
+    assert ad.patch_linear(*map(rand, shapes)).shape == (4, 6)
+    shapes[slot] = shape
+    with pytest.raises(ShapeError, match="patch_linear"):
+        ad.patch_linear(*map(rand, shapes))
 
 
 # ---------------------------------------------------------------------------
@@ -756,18 +693,16 @@ def _unit_stats(out: np.ndarray, unit: int):
     return out.mean(axis=axes), out.std(axis=axes)
 
 
-@pytest.mark.parametrize("patch", [None, 3])
-def test_standardize_calibrates_a_conv_layer_in_place(patch):
-    x = rand((2, 5, 6) if patch is None else (2, 6, 9), seed=30, scale=3.0)
+def test_standardize_calibrates_a_conv_layer_in_place():
+    x = rand((2, 5, 6), seed=30, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
     with ad.Standardize([(w, b)], floor=1e-3):
-        out = ad.conv2d(x, w, b, patch=patch)
+        out = ad.conv2d(x, w, b)
     mu, sd = _unit_stats(out.data, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     # the rescaled layer itself now gives the standardised response
-    np.testing.assert_allclose(ad.conv2d(x, w, b, patch=patch).data,
-                               out.data, atol=1e-12)
+    np.testing.assert_allclose(ad.conv2d(x, w, b).data, out.data, atol=1e-12)
 
 
 def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
@@ -776,14 +711,13 @@ def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
     other = rand(4, seed=36)
     with ad.Standardize([(w, b)], floor=1e-3):
         raw = ad.matmul(x, w).data
-        unlisted = ad.add(ad.matmul(x, w), other)
-        out = ad.add(ad.matmul(x, w), b)
+        unlisted = ad.matmul(x, w, other)
+        out = ad.matmul(x, w, b)
     np.testing.assert_array_equal(unlisted.data, raw + other.data)
     mu, sd = _unit_stats(out.data, 1)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
-    np.testing.assert_allclose(ad.add(ad.matmul(x, w), b).data, out.data,
-                               atol=1e-12)
+    np.testing.assert_allclose(ad.matmul(x, w, b).data, out.data, atol=1e-12)
 
 
 def test_standardize_calibrates_a_biased_matmul_as_the_composed_layer():
@@ -791,10 +725,11 @@ def test_standardize_calibrates_a_biased_matmul_as_the_composed_layer():
     layers = [(rand((3, 4), seed=39), rand(4, seed=40)) for _ in range(2)]
     (w, b), (w2, b2) = layers
     w2.data, b2.data = w.data.copy(), b.data.copy()
-    with ad.Standardize(layers, floor=1e-3):
+    with ad.Standardize(layers, floor=1e-3) as calibration:
         fused = ad.matmul(x, w, b)
-        composed = ad.add(ad.matmul(x, w2), b2)
-    for got, want in ((fused.data, composed.data), (w.data, w2.data), (b.data, b2.data)):
+        # the composed layer's response, calibrated by hand: add only reads b2
+        composed = calibration.apply(b2, ad.add(ad.matmul(x, w2), b2).data)
+    for got, want in ((fused.data, composed), (w.data, w2.data), (b.data, b2.data)):
         assert got.tobytes() == want.tobytes()
     mu, sd = _unit_stats(fused.data, 1)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
@@ -807,13 +742,37 @@ def test_standardize_recentres_a_dead_unit_without_rescaling():
     w = Tensor(np.array([[0.5, 0.0], [0.0, 3.0]]))
     b = Tensor(np.array([1.0, -1.0]))
     with ad.Standardize([(w, b)], floor=1e-3):
-        out = ad.add(ad.matmul(x, w), b)
+        out = ad.matmul(x, w, b)
     np.testing.assert_array_equal(w.data[:, 0], [0.5, 0.0])
     assert b.data[0] == -1.0  # 0.5 * 2 + 1 recentred to 0
     np.testing.assert_array_equal(out.data[:, 0], 0.0)
     sd = 3.0 * np.arange(6.0).std()
     np.testing.assert_allclose(w.data[:, 1], [0.0, 3.0 / sd])
     np.testing.assert_allclose(out.data[:, 1].std(), 1.0)
+
+
+def test_standardize_leaves_a_listed_bias_that_an_op_only_reads():
+    x = rand((3, 4), seed=44)
+    w, b = rand((4, 4), seed=45), rand(4, seed=46)
+    w0, b0 = w.data.copy(), b.data.copy()
+    with ad.Standardize([(w, b)], floor=1e-3):
+        outs = [ad.reshape(b, (2, 2)), ad.add(x, b), ad.mul(x, b)]
+    for out, want in zip(outs, (b0.reshape(2, 2), x.data + b0, x.data * b0)):
+        assert out.data.tobytes() == want.tobytes()
+    assert w.data.tobytes() == w0.tobytes() and b.data.tobytes() == b0.tobytes()
+
+
+def test_standardize_calibrates_both_layers_of_a_patch_linear():
+    image, args, _ = _patch_linear_case(*PATCH_CASES[0], seed=47)
+    with ad.Standardize([args[1:3], args[3:]], floor=1e-3):
+        out = ad.patch_linear(*args)
+    # the calibrated conv, patch by patch, and the tokens read standardised
+    response, _ = per_patch_reference(image, args[1].data, args[2].data,
+                                      np.zeros((4,) + image.shape[1:]), 4)
+    for mu, sd in (_unit_stats(response, 0), _unit_stats(out.data, 1)):
+        np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+        np.testing.assert_allclose(sd, 1.0, atol=1e-12)
+    np.testing.assert_allclose(ad.patch_linear(*args).data, out.data, atol=1e-12)
 
 
 def test_standardize_refuses_to_nest_and_any_tape():
@@ -857,6 +816,24 @@ def test_finite_diff_rejects_nonfinite_objective():
     with np.errstate(over="ignore"):
         with pytest.raises(NumericDomainError):
             finite_diff_check(lambda t: ad.sum(ad.exp(ad.exp(t))), x)
+
+
+def test_finite_diff_restores_the_tensor_when_f_raises():
+    x, seen = Tensor([1.0, 2.0]), []
+    with pytest.raises(ContractError, match="scalar"):  # in the taped call
+        finite_diff_check(lambda t: ad.scale(t, 2.0), x)
+    assert not x.requires_grad and Tape._active is None
+
+    def f(t):  # raises on its third call, which sees x[0] - h
+        seen.append(t.data.tolist())
+        if len(seen) == 3:
+            raise NumericDomainError("third call")
+        return ad.sum(ad.mul(t, t))
+
+    with pytest.raises(NumericDomainError, match="third call"):
+        finite_diff_check(f, x)
+    assert seen[2] == [1.0 - 1e-5, 2.0] and x.data.tolist() == [1.0, 2.0]
+    assert not x.requires_grad
 
 
 # Every differentiable kernel against central differences, >= 10 random

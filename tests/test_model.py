@@ -25,14 +25,15 @@ def calibrated():
 @pytest.fixture
 def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
-    (graph bypassed), keyed by the bias's parameter name."""
+    (graph bypassed), keyed by the bias's parameter name; ``patch_linear``'s
+    conv is read off each patch's own "same" conv, n x O x m x m."""
     config, cube, params = calibrated
     names = {id(t): name for name, t in params.named_parameters().items()}
     seen = {}
-    conv2d, matmul = ad.conv2d, ad.matmul
+    conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
 
-    def traced_conv2d(x, w, bias, **kwargs):
-        out = conv2d(x, w, bias, **kwargs)
+    def traced_conv2d(x, w, bias):
+        out = conv2d(x, w, bias)
         if bias is not None:
             seen[names[id(bias)]] = (x.data, out.data)
         return out
@@ -43,8 +44,16 @@ def layer_io(monkeypatch, calibrated):
             seen[names[id(bias)]] = (a.data, out.data)
         return out
 
+    def traced_patch_linear(x, conv_w, conv_b, fc_w, fc_b):
+        out = patch_linear(x, conv_w, conv_b, fc_w, fc_b)
+        response = np.stack([conv2d(Tensor(p), conv_w, conv_b).data for p in x.data])
+        seen[names[id(conv_b)]] = (x.data, response)
+        seen[names[id(fc_b)]] = (x.data, out.data)
+        return out
+
     monkeypatch.setattr(ad, "conv2d", traced_conv2d)
     monkeypatch.setattr(ad, "matmul", traced_matmul)
+    monkeypatch.setattr(ad, "patch_linear", traced_patch_linear)
     forward(params, Tensor(cube.data), config)
     return params, seen
 

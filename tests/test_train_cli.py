@@ -6,6 +6,7 @@ import math
 import re
 import struct
 import tracemalloc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -377,6 +378,17 @@ def make_optimizer():
     params = {"a.w": Tensor(np.ones(3), requires_grad=True),
               "b.w": Tensor(np.ones((2, 2)), requires_grad=True)}
     return params, AdamW(params, lr=0.1, weight_decay=0.01)
+
+
+def test_zero_grad_frees_every_previous_gradient():
+    params, opt = make_optimizer()
+    with Tape() as tape:  # x * x: each parameter owns its summed gradient
+        loss = ad.add(*(ad.sum(ad.mul(t, t)) for t in params.values()))
+    ad.backward(tape, loss)
+    previous = [weakref.ref(t.grad) for t in params.values()]
+    opt.step()
+    opt.zero_grad()
+    assert [ref() for ref in previous] == [None, None]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

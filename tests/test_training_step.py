@@ -54,12 +54,14 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     # the loss is one node, reading the scene and the reconstruction
     assert nodes[-1].op == "unmixing_loss" and nodes[-1].output is loss
     assert nodes[-1].inputs == (observed, recon)
-    # every biased layer is one node: no bias feeds an add of its own
+    # every biased layer is one node: no bias feeds an add of its own, and
+    # the spatial tokens' conv and linear map are one node together
     biases = {id(t) for name, t in params.named_parameters().items()
               if re.fullmatch(r".*_b\d*", name)}
     takers = [n for n in nodes if any(id(t) in biases for t in n.inputs)]
-    assert len(takers) == len(biases)
-    assert {n.op for n in takers} == {"conv2d", "matmul"}
+    taken = [id(t) for n in takers for t in n.inputs if id(t) in biases]
+    assert sorted(taken) == sorted(biases)
+    assert {n.op for n in takers} == {"conv2d", "matmul", "patch_linear"}
 
 
 def test_training_step_peak_stays_near_the_forward():
