@@ -114,7 +114,7 @@ def exchange_and_attend(params: AttentionParams, tokens: TokenSequences
 
 
 def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    return ad.matmul(ad.leaky_relu(ad.matmul(x, w1, b1)), w2, b2)
+    return ad.matmul(ad.matmul(x, w1, b1, leaky=True), w2, b2)
 
 
 def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,

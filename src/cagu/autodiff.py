@@ -10,9 +10,8 @@ Gradients accumulate additively across fan-out. A tensor's first gradient
 is held as given. A closure flags each array it made and hands over whole,
 and a tensor owns such an array: a second gradient is summed into the one
 the tensor owns, the first or else the second, and into a new array only
-when neither was handed over. Later ones add into the owned array in place,
-and the stencil kernel adds its input's share into it block by block. Each
-sum keeps its operands and their order, so where it lands moves no bit.
+when neither was handed over. Later ones add into the owned array in place.
+Each sum keeps its operands and their order, so where it lands moves no bit.
 
 There is one convolution kernel, and it keeps the image size: one GEMM per
 kernel tap over the padded, flattened C x H x W image, where every tap is one
@@ -20,17 +19,21 @@ contiguous shift (a 1x1 layer is a single tap over the image itself). A
 convolution of each patch alone followed by a linear layer is one folded
 matrix, ``patch_linear``. The window (stencil) kernels use the convolution's
 padded flat layout, ``_Flat``, and work through the channels in cache-sized
-blocks. Scaled dot-product attention is one node that reads the
-keys in cache-sized blocks with an online softmax. A linear layer, matmul
-plus bias, is one node, and so is the unmixing loss (squared error plus
-spectral angle), which keeps six H x W arrays and recomputes r - y in
-backward.
+blocks. The graph's K-hop propagation, the window operator applied K times
+and the hops mixed into a residual update, is one node, ``propagate``, whose
+backward carries one hop-sized gradient back through the hops. Scaled
+dot-product attention is one node that reads the keys in cache-sized blocks
+with an online softmax. A layer, conv2d or matmul plus its bias and its
+LeakyReLU if it has one, is one node, and so is the unmixing loss (squared
+error plus spectral angle), which keeps six H x W arrays and recomputes
+r - y in backward.
 
 A node keeps only what its backward reads, and where it can, an array that
-is alive anyway: its inputs and its output. The conv and stencil kernels pad
-their inputs again in backward instead of keeping padded copies, and
-attention keeps no token-by-token array: backward recomputes each block's
-probabilities from the output and each row's log-sum-exp.
+is alive anyway: its inputs and its output. An activated layer keeps no
+pre-activation, the conv and propagation kernels pad their inputs again in
+backward instead of keeping padded copies, and attention keeps no
+token-by-token array: backward recomputes each block's probabilities from
+the output and each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, the window kernels accumulate shifts in a fixed offset order and sum
@@ -218,24 +221,27 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
         t.grad = t._owned = np.add(t.grad, g, out=g if fresh else None)
 
 
-def _sink(t: Tensor) -> Optional[np.ndarray]:
-    """``t``'s gradient if ``t`` owns it, else None: a closure may add a
-    contribution into it in place, block by block, which sums as
-    ``_accumulate`` would without the contribution's own array."""
-    return t.grad if t.requires_grad and t.grad is t._owned else None
-
-
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
             backward_fn: Callable[[np.ndarray], None],
-            bias: Optional[Tensor] = None) -> Tensor:
+            bias: Optional[Tensor] = None, leaky: bool = False) -> Tensor:
     """Wrap a forward result, recording a node when gradients are wanted (or
-    standardising it, under ``Standardize``, if the op declares a bias)."""
+    standardising it, under ``Standardize``, if the op declares a bias).
+    ``leaky`` then applies the LeakyReLU in place on the op's own output, so
+    calibration sees the pre-activation and no node keeps it; backward first
+    takes the gradient back through the activation."""
     if Standardize._active is not None and bias is not None:
         out_data = Standardize._active.apply(bias, out_data)
+    if leaky:
+        np.maximum(out_data, LEAKY_SLOPE * out_data, out=out_data)
     tape = Tape._active
     wants_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=wants_grad)
     if wants_grad:
+        if leaky:
+            layer_bwd = backward_fn
+
+            def backward_fn(g):  # the output is > 0 exactly where its input is
+                layer_bwd(g * np.where(out_data > 0.0, 1.0, LEAKY_SLOPE))
         tape.record(op, inputs, out, backward_fn)
     return out
 
@@ -300,9 +306,11 @@ def _check_axis(axis: int, ndim: int, op: str) -> int:
 # ---------------------------------------------------------------------------
 # linear algebra
 
-def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
-    """a @ b, plus ``bias`` on every row when given: a linear layer as one
-    node, which keeps no product without the bias."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None,
+           leaky: bool = False) -> Tensor:
+    """a @ b, plus ``bias`` on every row when given, then a LeakyReLU when
+    ``leaky``: a layer as one node, which keeps no product without the bias
+    and no pre-activation."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -319,7 +327,8 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.shape), fresh=True)
 
-    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd, bias)
+    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd,
+                   bias, leaky)
 
 
 def transpose(x: Tensor) -> Tensor:
@@ -456,15 +465,6 @@ def square(x: Tensor) -> Tensor:
         _accumulate(x, g * 2.0 * x.data, fresh=True)
 
     return _record("square", (x,), x.data * x.data, bwd)
-
-
-def leaky_relu(x: Tensor) -> Tensor:
-    out = np.maximum(x.data, LEAKY_SLOPE * x.data)
-
-    def bwd(g):  # out > 0 exactly where x > 0
-        _accumulate(x, g * np.where(out > 0.0, 1.0, LEAKY_SLOPE), fresh=True)
-
-    return _record("leaky_relu", (x,), out, bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -672,9 +672,11 @@ def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
     return out
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor]) -> Tensor:
+def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
+           ) -> Tensor:
     """"Same" cross-correlation of a C_in x H x W map with C_out odd square
-    k x k kernels, stride 1, zero padding k // 2: the output is C_out x H x W.
+    k x k kernels, stride 1, zero padding k // 2: the output is C_out x H x W,
+    through a LeakyReLU when ``leaky``.
 
     The image is padded once into the ``_Flat`` layout of radius k // 2, where
     tap t of a pixel reads ``window[t]`` further on: each tap is one GEMM over
@@ -714,7 +716,7 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor]) -> Tensor:
             _accumulate(x, flat.crop(gx), fresh=True)
 
     inputs = (x, w) if bias is None else (x, w, bias)
-    return _record("conv2d", inputs, out, bwd, bias)
+    return _record("conv2d", inputs, out, bwd, bias, leaky)
 
 
 # ---------------------------------------------------------------------------
@@ -977,87 +979,52 @@ def neighbour_shift(x: Tensor, radius: int) -> Tensor:
     return _record("neighbour_shift", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
 
 
-def stencil_matvec(loops: Tensor, weights: Tensor, z: Tensor, radius: int) -> Tensor:
-    """Window operator applied to every channel: (C, H, W) -> (C, H, W),
-    out[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o]."""
-    n_off = (2 * radius + 1) ** 2 - 1
-    if (loops.ndim != 2 or z.ndim != 3 or z.shape[1:] != loops.shape
-            or weights.shape != (n_off,) + loops.shape):
-        raise ShapeError(f"stencil_matvec: loops {loops.shape} and weights "
-                         f"{weights.shape} do not fit z {z.shape} at radius {radius}")
-    flat = _Flat(z.shape[1], z.shape[2], radius)
-    lf, wf = flat.pad(loops.data), flat.pad(weights.data)  # backward pads again
-    out = np.empty_like(z.data)
+def _stencil_matvec(flat: _Flat, lf: np.ndarray, wf: np.ndarray, z: np.ndarray
+                    ) -> np.ndarray:
+    """S z for every channel of z (C, H, W): (S z)[:, i] = loops[i] z[:, i]
+    + sum_o weights[o, i] z[:, i + o], from the padded operators lf and wf."""
+    out = np.empty_like(z)
     blocks = flat.blocks(z.shape[0], 3)
     width = blocks[0][1]
     zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
     for c0, c1 in blocks:
-        zk, acc, p = flat.pad(z.data[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
+        zk, acc, p = flat.pad(z[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
         np.multiply(flat.at(lf), flat.at(zk), out=flat.at(acc))
         for o, shift in enumerate(flat.shifts):
             np.multiply(flat.at(wf[o]), flat.at(zk, shift), out=p)
             flat.at(acc)[...] += p
         out[c0:c1] = flat.crop(acc)
-
-    def bwd(g):
-        gl = flat.buffer(1)[0] if loops.requires_grad else None
-        gw = flat.buffer(n_off) if weights.requires_grad else None
-        sink = _sink(z)  # z's own gradient takes gz block by block
-        gz = np.empty_like(z.data) if z.requires_grad and sink is None else None
-        if z.requires_grad:
-            lf, wf = flat.pad(loops.data), flat.pad(weights.data)
-        blocks = flat.blocks(z.shape[0], 4)
-        width = blocks[0][1]
-        gb, zb, gzb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
-        stack = np.empty((width + 1, flat.run))
-        for c0, c1 in blocks:
-            rows = c1 - c0
-            gk, p = flat.pad(g[c0:c1], gb[:rows]), stack[1:rows + 1]
-            if gl is not None or gw is not None:
-                zk = flat.pad(z.data[c0:c1], zb[:rows])
-            if gl is not None:
-                np.multiply(flat.at(gk), flat.at(zk), out=p)
-                _add_rows(flat.at(gl), stack[:rows + 1])
-            if gw is not None:
-                for o, shift in enumerate(flat.shifts):
-                    np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
-                    _add_rows(flat.at(gw[o]), stack[:rows + 1])
-            if z.requires_grad:
-                gzk = gzb[:rows]  # outside the run only padding, never read
-                np.multiply(flat.at(lf), flat.at(gk), out=flat.at(gzk))
-                for o, shift in enumerate(flat.shifts):
-                    np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
-                    flat.at(gzk, shift)[...] += p
-                if sink is None:
-                    gz[c0:c1] = flat.crop(gzk)
-                else:
-                    sink[c0:c1] += flat.crop(gzk)
-        if gl is not None:
-            _accumulate(loops, flat.crop(gl), fresh=True)
-        if gw is not None:
-            _accumulate(weights, flat.crop(gw), fresh=True)
-        if gz is not None:
-            _accumulate(z, gz, fresh=True)
-
-    return _record("stencil_matvec", (loops, weights, z), out, bwd)
+    return out
 
 
-def hop_mix(x: Tensor, alphas: Tensor, hops: Sequence[Tensor], beta: float
-            ) -> Tensor:
-    """Residual hop mix x + beta * sum_t alphas[t] hops[t], the hops read in
-    the shape of ``x``. The terms are summed in order, the sum is scaled by
-    beta and x is added last; only the result is kept on the tape."""
-    beta = float(beta)
-    shape = hops[0].shape if hops else None
-    if (not hops or alphas.shape != (len(hops),) or hops[0].size != x.size
-            or any(h.shape != shape for h in hops)):
-        raise ShapeError(f"hop_mix: alphas {alphas.shape} and hops "
-                         f"{[h.shape for h in hops]} do not fit x {x.shape}")
-    a = alphas.data
-    out = hops[0].data * a[0]
+def propagate(loops: Tensor, weights: Tensor, z0: Tensor, alphas: Tensor,
+              x: Tensor, beta: float, radius: int) -> Tensor:
+    """K-hop propagation and residual hop mix as one node, K = len(alphas):
+    z_t = S z_{t-1} for every channel of the C x H x W z0, with the window
+    operator S z[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o],
+    then x + beta * sum_t alphas[t-1] z_t, the hops read in the shape of x.
+    The terms are summed in order, the sum is scaled by beta and x is added
+    last. The node keeps z_0 ... z_K and pads the operators again in
+    backward, which walks the hops from K down to 1 with one gradient array
+    r, channel block by channel block: the block's share of the operators'
+    gradients, then S^T r plus the hop's own term, written over r's block.
+    At hop 1, r is z0's gradient."""
+    beta, n_off = float(beta), (2 * radius + 1) ** 2 - 1
+    if (loops.ndim != 2 or z0.ndim != 3 or z0.shape[1:] != loops.shape
+            or weights.shape != (n_off,) + loops.shape or alphas.ndim != 1
+            or alphas.size < 1 or z0.size != x.size):
+        raise ShapeError(f"propagate: loops {loops.shape}, weights {weights.shape}, "
+                         f"z0 {z0.shape}, alphas {alphas.shape} and x {x.shape} "
+                         f"do not fit at radius {radius}")
+    flat, a = _Flat(z0.shape[1], z0.shape[2], radius), alphas.data
+    lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+    zs = [z0.data]
+    for _ in a:
+        zs.append(_stencil_matvec(flat, lf, wf, zs[-1]))
+    out = zs[1] * a[0]
     term = np.empty_like(out)
-    for t in range(1, len(hops)):
-        np.multiply(hops[t].data, a[t], out=term)
+    for t in range(1, a.size):
+        np.multiply(zs[t + 1], a[t], out=term)
         out += term
     out *= beta
     out = out.reshape(x.shape)
@@ -1065,20 +1032,53 @@ def hop_mix(x: Tensor, alphas: Tensor, hops: Sequence[Tensor], beta: float
 
     def bwd(g):
         _accumulate(x, g)
-        gs = g.reshape(shape)
-        ga = np.empty(len(hops))
-        for t, h in enumerate(hops):
-            # one array per hop: beta g h, summed as mul's backward sums onto
-            # a broadcast (1,) operand, then that hop's gradient beta g a[t]
-            gh = np.multiply(gs, beta)
-            gh *= h.data
-            ga[t] = _unbroadcast(gh, (1,))[0]
-            np.multiply(gs, beta, out=gh)
-            gh *= a[t]
-            _accumulate(h, gh, fresh=True)
+        gs, ga = g.reshape(z0.shape), np.empty(a.size)
+        r = np.empty_like(gs)
+        for t in range(a.size):  # beta g z_t, summed as onto a (1,) operand
+            np.multiply(gs, beta, out=r)
+            r *= zs[t + 1]
+            ga[t] = _unbroadcast(r, (1,))[0]
         _accumulate(alphas, ga, fresh=True)
+        np.multiply(gs, beta, out=r)
+        r *= a[-1]
+        lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+        blocks = flat.blocks(z0.shape[0], 6)  # r, z, three padded planes, p
+        width = blocks[0][1]
+        gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
+        stack = np.empty((width + 1, flat.run))
+        for t in range(a.size, 0, -1):
+            gl = flat.buffer(1)[0] if loops.requires_grad else None
+            gw = flat.buffer(n_off) if weights.requires_grad else None
+            for c0, c1 in blocks:
+                rows, rk = c1 - c0, r[c0:c1]
+                gk, p = flat.pad(rk, gb[:rows]), stack[1:rows + 1]
+                if gl is not None or gw is not None:
+                    zk = flat.pad(zs[t - 1][c0:c1], zb[:rows])
+                if gl is not None:
+                    np.multiply(flat.at(gk), flat.at(zk), out=p)
+                    _add_rows(flat.at(gl), stack[:rows + 1])
+                if gw is not None:
+                    for o, shift in enumerate(flat.shifts):
+                        np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
+                        _add_rows(flat.at(gw[o]), stack[:rows + 1])
+                sk = sb[:rows]  # S^T r; outside the run only padding, never read
+                np.multiply(flat.at(lf), flat.at(gk), out=flat.at(sk))
+                for o, shift in enumerate(flat.shifts):
+                    np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
+                    flat.at(sk, shift)[...] += p
+                if t > 1:  # z_{t-1}'s own term in the mix, then S^T r
+                    np.multiply(gs[c0:c1], beta, out=rk)
+                    rk *= a[t - 2]
+                    rk += flat.crop(sk)
+                else:
+                    rk[...] = flat.crop(sk)
+            if gl is not None:
+                _accumulate(loops, flat.crop(gl), fresh=True)
+            if gw is not None:
+                _accumulate(weights, flat.crop(gw), fresh=True)
+        _accumulate(z0, r, fresh=True)
 
-    return _record("hop_mix", (x, alphas, *hops), out, bwd)
+    return _record("propagate", (loops, weights, z0, alphas, x), out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -1109,9 +1109,9 @@ def finite_diff_check(f: Callable[[Tensor], Tensor], params: Tensor,
                 else params.grad.copy())
     params.zero_grad()
 
-    flat = params.data.reshape(-1)
+    flat = params.data.flat  # the array itself, in C order, even when strided
     worst = 0.0
-    for i in range(flat.size):
+    for i in range(params.data.size):
         saved = flat[i]
         try:
             flat[i] = saved + h

@@ -88,9 +88,9 @@ class DecoderParams(ParameterGroup):
 
 def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:
     """fused channels x H x W -> (abundances P x H x W, reconstruction L x H x W)."""
-    h = ad.leaky_relu(ad.conv2d(fused, params.trunk1_w, params.trunk1_b))
-    h = ad.leaky_relu(ad.conv2d(h, params.trunk2_w, params.trunk2_b))
-    h = ad.leaky_relu(ad.conv2d(h, params.trunk3_w, params.trunk3_b))
+    h = ad.conv2d(fused, params.trunk1_w, params.trunk1_b, leaky=True)
+    h = ad.conv2d(h, params.trunk2_w, params.trunk2_b, leaky=True)
+    h = ad.conv2d(h, params.trunk3_w, params.trunk3_b, leaky=True)
     h = ad.conv2d(h, params.trunk4_w, params.trunk4_b)
     logits = ad.conv2d(h, params.abun_w, params.abun_b)
     abundances = ad.softmax(logits, axis=0)

@@ -127,9 +127,9 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
     sd = float(image.data.std())
     h = ad.scale(ad.sub(image, Tensor(mu)),
                  1.0 / (sd if sd > 0 else 1.0))
-    h = ad.leaky_relu(ad.conv2d(h, params.conv1_w, params.conv1_b))
-    h = ad.leaky_relu(ad.conv2d(h, params.conv2_w, params.conv2_b))
-    return ad.leaky_relu(ad.conv2d(h, params.conv3_w, params.conv3_b))
+    h = ad.conv2d(h, params.conv1_w, params.conv1_b, leaky=True)
+    h = ad.conv2d(h, params.conv2_w, params.conv2_b, leaky=True)
+    return ad.conv2d(h, params.conv3_w, params.conv3_b, leaky=True)
 
 
 def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:

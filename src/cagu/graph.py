@@ -5,10 +5,11 @@ kernel exp(-|dg|^2 / sigma_g^2) over a Chebyshev window of the given radius;
 the scales enter asymmetrically (sigma_f plain, sigma_g squared). Self-loops
 are added and the adjacency is symmetrically normalized. Propagation applies
 the normalized adjacency K times and mixes the hop results with softmax
-weights, feeding a residual update x + beta * y. The graph is rebuilt from
-current features every forward pass, so gradients flow through the edge
-weights. The window is a fixed stencil on the pixel grid: the graph is one
-weight image per window offset, and every stage works on shifted slices.
+weights, feeding a residual update x + beta * y; the hops and their mix are
+one tape node, ``autodiff.propagate``. The graph is rebuilt from current
+features every forward pass, so gradients flow through the edge weights. The
+window is a fixed stencil on the pixel grid: the graph is one weight image
+per window offset, and every stage works on shifted slices.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
 
     z0 = proj @ x, z_t = z_{t-1} @ A_hat, y = sum_t alpha_t z_t (t >= 1),
     returns x + beta * y. A_hat is symmetric, so each hop applies the
-    stencil to every channel image.
+    stencil to every channel image; the K hops and the mix are one node.
     """
     if params.k_steps < 1:
         raise ConfigError(f"k_steps must be at least 1, got {params.k_steps}")
@@ -199,10 +200,7 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
         raise ShapeError(
             f"x {x.shape} does not match graph over {graph.n_nodes} pixels")
     alphas = ad.softmax(params.mix_logits, axis=0)
-    z = ad.reshape(ad.matmul(params.graph_proj, x),
-                   (x.shape[0], graph.height, graph.width))
-    hops = []
-    for _ in range(params.k_steps):
-        z = ad.stencil_matvec(graph.loops, graph.adjacency, z, graph.radius)
-        hops.append(z)
-    return ad.hop_mix(x, alphas, hops, params.beta)
+    z0 = ad.reshape(ad.matmul(params.graph_proj, x),
+                    (x.shape[0], graph.height, graph.width))
+    return ad.propagate(graph.loops, graph.adjacency, z0, alphas, x,
+                        params.beta, graph.radius)

@@ -323,9 +323,64 @@ def test_divide_floor_error():
         ad.divide(Tensor([1.0]), Tensor([1e-13]))
 
 
+# ---------------------------------------------------------------------------
+# activated layers: the LeakyReLU inside conv2d and matmul
+
 def test_leaky_relu_values():
-    x = Tensor([-2.0, 0.5, 3.0])
-    np.testing.assert_allclose(ad.leaky_relu(x).data, [-0.02, 0.5, 3.0])
+    x = Tensor([[-2.0, 0.5, 3.0]])
+    np.testing.assert_allclose(ad.matmul(x, Tensor(np.eye(3)), leaky=True).data,
+                               [[-0.02, 0.5, 3.0]])
+    image = Tensor(x.data.reshape(1, 1, 3))
+    out = ad.conv2d(image, Tensor(np.ones((1, 1, 1, 1))), None, leaky=True)
+    np.testing.assert_allclose(out.data.ravel(), [-0.02, 0.5, 3.0])
+
+
+# layer(inputs..., leaky) and the shapes of its inputs
+ACTIVATED = {
+    "conv2d": (lambda x, w, b, leaky: ad.conv2d(x, w, b, leaky=leaky),
+               [(3, 6, 5), (4, 3, 3, 3), (4,)]),
+    "matmul": (lambda a, b, bias, leaky: ad.matmul(a, b, bias, leaky=leaky),
+               [(7, 3), (3, 4), (4,)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATED))
+def test_activated_layer_matches_the_layer_then_the_activation_bit_for_bit(name):
+    layer, shapes = ACTIVATED[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()))
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    pre = layer(*(Tensor(a) for a in arrays), False).data
+    direction = rng.normal(size=pre.shape)
+    # the activation's own backward, applied to the direction by hand
+    through = direction * np.where(pre > 0.0, 1.0, ad.LEAKY_SLOPE)
+    grads = []
+    for leaky, d in ((True, direction), (False, through)):
+        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = layer(*leaves, leaky)
+            loss = ad.sum(ad.mul(out, Tensor(d)))
+        assert len(tape.nodes) == 3
+        if leaky:
+            want = np.maximum(pre, ad.LEAKY_SLOPE * pre)
+            assert np.any(pre < 0.0) and out.data.tobytes() == want.tobytes()
+        backward(tape, loss)
+        grads.append([leaf.grad for leaf in leaves])
+    for fused, composed in zip(*grads):
+        assert fused.tobytes() == composed.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ACTIVATED))
+def test_activated_layer_gradients(name):
+    layer, shapes = ACTIVATED[name]
+    rng = np.random.default_rng(zlib.crc32(name.encode()) + 1)
+    for _ in range(5):
+        args = [Tensor(rng.normal(size=shape)) for shape in shapes]
+        direction = Tensor(rng.normal(size=layer(*args, True).shape))
+        for slot in range(3):
+            def loss(t):
+                return ad.sum(ad.mul(layer(*args[:slot], t, *args[slot + 1:], True),
+                                     direction))
+            assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-4, slot
 
 
 # ---------------------------------------------------------------------------
@@ -660,9 +715,9 @@ def test_a_scalar_handed_over_after_a_shared_gradient():
     assert g == 3.0
 
 
-def test_stencil_matvec_adds_into_a_gradient_its_input_owns():
-    # z's other consumer runs its backward first, so z owns its gradient
-    # when the stencil's backward adds z's share into it block by block
+def test_propagate_sums_into_a_gradient_z0_owns():
+    # z0's other consumer runs its backward first, so z0 owns its gradient
+    # when propagation hands z0's share over to be summed into it
     rng = np.random.default_rng(36)
     loops, weights = rng.normal(size=(5, 6)), rng.normal(size=(8, 5, 6))
     z_data = rng.normal(size=(3, 5, 6))
@@ -673,7 +728,7 @@ def test_stencil_matvec_adds_into_a_gradient_its_input_owns():
         with Tape() as tape:
             terms = []
             if stencil:
-                terms.append(ad.sum(ad.mul(ad.stencil_matvec(
+                terms.append(ad.sum(ad.mul(one_hop(
                     Tensor(loops), Tensor(weights), z, 1), d1)))
             if other:
                 terms.append(ad.sum(ad.mul(ad.scale(z, 3.0), d2)))
@@ -703,6 +758,20 @@ def test_standardize_calibrates_a_conv_layer_in_place():
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     # the rescaled layer itself now gives the standardised response
     np.testing.assert_allclose(ad.conv2d(x, w, b).data, out.data, atol=1e-12)
+
+
+def test_standardize_calibrates_the_pre_activation_of_an_activated_layer():
+    x = rand((2, 5, 6), seed=48, scale=3.0)
+    w, b = rand((4, 2, 3, 3), seed=49), rand(4, seed=50)
+    with ad.Standardize([(w, b)], floor=1e-3):
+        out = ad.conv2d(x, w, b, leaky=True)
+    pre = ad.conv2d(x, w, b).data  # the rescaled layer, not activated
+    mu, sd = _unit_stats(pre, 0)
+    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sd, 1.0, atol=1e-12)
+    np.testing.assert_allclose(out.data, np.maximum(pre, ad.LEAKY_SLOPE * pre),
+                               atol=1e-12)
+    assert np.any(pre < 0.0)  # the activation changed the response
 
 
 def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
@@ -818,6 +887,13 @@ def test_finite_diff_rejects_nonfinite_objective():
             finite_diff_check(lambda t: ad.sum(ad.exp(ad.exp(t))), x)
 
 
+def test_finite_diff_perturbs_a_tensor_that_is_not_contiguous():
+    x = Tensor(np.arange(6.0).reshape(2, 3).T)  # a transposed view
+    assert not x.data.flags.c_contiguous
+    assert finite_diff_check(lambda t: ad.sum(ad.mul(t, t)), x) < 1e-6
+    assert x.data.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
+
+
 def test_finite_diff_restores_the_tensor_when_f_raises():
     x, seen = Tensor([1.0, 2.0]), []
     with pytest.raises(ContractError, match="scalar"):  # in the taped call
@@ -852,7 +928,7 @@ KERNELS = {
     "exp": lambda t: ad.exp(t),
     "sqrt": lambda t: ad.sqrt(ad.add(ad.mul(t, t), Tensor(np.full(t.shape, 0.5)))),
     "square": lambda t: ad.square(t),
-    "leaky_relu": lambda t: ad.leaky_relu(t),
+    "leaky_relu": lambda t: ad.matmul(t, Tensor(np.eye(t.shape[1])), leaky=True),
     "softmax": lambda t: ad.softmax(t, axis=-1),
     "sum_axis": lambda t: ad.sum(t, axis=0),
     "mean": lambda t: ad.mean(t),
@@ -964,12 +1040,19 @@ def test_graph_kernel_gradients():
 
         def matvec_loss(t, which):
             args = {"loops": loops, "weights": weights, "z": x, which: t}
-            return ad.sum(ad.mul(ad.stencil_matvec(
+            return ad.sum(ad.mul(one_hop(
                 args["loops"], args["weights"], args["z"], radius), direction))
 
         for which, leaf in (("loops", loops), ("weights", weights), ("z", x)):
             err = finite_diff_check(lambda t: matvec_loss(t, which), leaf, h=1e-6)
             assert err < 1e-4, which
+
+
+def one_hop(loops, weights, z, radius):
+    """S z, the window operator once on every channel: propagation with one
+    hop of weight 1, beta 1 and x = 0, which adds nothing."""
+    return ad.propagate(loops, weights, z, Tensor([1.0]), Tensor(np.zeros(z.shape)),
+                        1.0, radius)
 
 
 def window_oracle(h, w, radius):
@@ -1006,7 +1089,7 @@ def test_stencil_kernels_match_loop_oracle(h, w, radius):
     np.testing.assert_array_equal(ad.neighbour_shift(Tensor(img), radius).data,
                                   shifted)
     np.testing.assert_allclose(
-        ad.stencil_matvec(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
+        one_hop(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
         matvec, atol=1e-12)
 
 
@@ -1036,7 +1119,7 @@ def directional_error(loss, leaf, rng, n_dirs=3, h=1e-4):
 def test_stencil_kernels_across_channel_blocks(radius):
     c, h, w = 70, 40, 40
     # the premise: several blocks, the last one partial, in every kernel
-    for planes in (2, 3, 4):
+    for planes in (2, 3, 6):
         blocks = ad._Flat(h, w, radius).blocks(c, planes)
         assert len(blocks) > 1
         assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
@@ -1054,80 +1137,183 @@ def test_stencil_kernels_across_channel_blocks(radius):
     np.testing.assert_allclose(ad.window_sqdist(Tensor(x), radius).data, dist,
                                atol=1e-11)
     np.testing.assert_allclose(
-        ad.stencil_matvec(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
+        one_hop(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
         matvec, atol=1e-12)
 
     off_direction = Tensor(rng.normal(size=(n_off, h, w)))
-    direction = Tensor(rng.normal(size=(c, h, w)))
+    direction = Tensor(rng.normal(size=(c, h * w)))
     assert directional_error(
         lambda t: ad.sum(ad.mul(ad.window_sqdist(t, radius), off_direction)),
         Tensor(x.copy()), rng) < 1e-6
+    # two hops: quadratic in the operators, and backward's gradient array
+    # crosses every block once per hop
     args = {"loops": Tensor(loops), "weights": Tensor(weights), "z": Tensor(x)}
+    alphas, residual = Tensor([0.3, 0.7]), Tensor(rng.normal(size=(c, h * w)))
     for which in args:
         def loss(t):
             kw = dict(args, **{which: t})
-            return ad.sum(ad.mul(ad.stencil_matvec(
-                kw["loops"], kw["weights"], kw["z"], radius), direction))
+            return ad.sum(ad.mul(ad.propagate(kw["loops"], kw["weights"], kw["z"],
+                                              alphas, residual, 0.5, radius),
+                                 direction))
         leaf = Tensor(args[which].data.copy())
         assert directional_error(loss, leaf, rng) < 1e-6, which
 
 
-def test_hop_mix_matches_composed_ops_bit_for_bit():
-    rng = np.random.default_rng(31)
-    c, h, w, k, beta = 3, 4, 5, 3, 0.3
-    hop_arrays = [rng.normal(size=(c, h, w)) for _ in range(k)]
-    arrays = [rng.normal(size=(c, h * w)), *hop_arrays, rng.normal(size=k)]
-    direction = Tensor(rng.normal(size=(c, h * w)))
-    results = []
-    for fused in (True, False):
-        x, *hops, logits = (Tensor(a.copy(), requires_grad=True) for a in arrays)
-        with Tape() as tape:
-            alphas = ad.softmax(logits, axis=0)
-            if fused:
-                out = ad.hop_mix(x, alphas, hops, beta)
-            else:
-                mixed = None
-                for t, z in enumerate(hops):
-                    term = ad.mul(z, ad.narrow(alphas, 0, t, t + 1))
-                    mixed = term if mixed is None else ad.add(mixed, term)
-                out = ad.add(x, ad.scale(ad.reshape(mixed, x.shape), beta))
-            loss = ad.sum(ad.mul(out, direction))
-        backward(tape, loss)
-        results.append([out.data] + [t.grad for t in (x, *hops, logits)])
-    for a, b in zip(*results):
-        np.testing.assert_array_equal(a, b)
+def stencil_matvec_reference(loops, weights, z, radius):
+    """The window operator as the tape op that ``propagate`` replaced, copied
+    whole: channels in blocks, and z's share of backward added into a
+    gradient z already owns."""
+    n_off = (2 * radius + 1) ** 2 - 1
+    flat = ad._Flat(z.shape[1], z.shape[2], radius)
+    lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+    out = np.empty_like(z.data)
+    blocks = flat.blocks(z.shape[0], 3)
+    width = blocks[0][1]
+    zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
+    for c0, c1 in blocks:
+        zk, acc, p = flat.pad(z.data[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
+        np.multiply(flat.at(lf), flat.at(zk), out=flat.at(acc))
+        for o, shift in enumerate(flat.shifts):
+            np.multiply(flat.at(wf[o]), flat.at(zk, shift), out=p)
+            flat.at(acc)[...] += p
+        out[c0:c1] = flat.crop(acc)
+
+    def bwd(g):
+        gl = flat.buffer(1)[0] if loops.requires_grad else None
+        gw = flat.buffer(n_off) if weights.requires_grad else None
+        sink = z.grad if z.requires_grad and z.grad is z._owned else None
+        gz = np.empty_like(z.data) if z.requires_grad and sink is None else None
+        blocks = flat.blocks(z.shape[0], 4)
+        width = blocks[0][1]
+        gb, zb, gzb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
+        stack = np.empty((width + 1, flat.run))
+        for c0, c1 in blocks:
+            rows = c1 - c0
+            gk, p = flat.pad(g[c0:c1], gb[:rows]), stack[1:rows + 1]
+            zk = flat.pad(z.data[c0:c1], zb[:rows])
+            if gl is not None:
+                np.multiply(flat.at(gk), flat.at(zk), out=p)
+                ad._add_rows(flat.at(gl), stack[:rows + 1])
+            if gw is not None:
+                for o, shift in enumerate(flat.shifts):
+                    np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
+                    ad._add_rows(flat.at(gw[o]), stack[:rows + 1])
+            if z.requires_grad:
+                gzk = gzb[:rows]
+                np.multiply(flat.at(lf), flat.at(gk), out=flat.at(gzk))
+                for o, shift in enumerate(flat.shifts):
+                    np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
+                    flat.at(gzk, shift)[...] += p
+                if sink is None:
+                    gz[c0:c1] = flat.crop(gzk)
+                else:
+                    sink[c0:c1] += flat.crop(gzk)
+        if gl is not None:
+            ad._accumulate(loops, flat.crop(gl), fresh=True)
+        if gw is not None:
+            ad._accumulate(weights, flat.crop(gw), fresh=True)
+        if gz is not None:
+            ad._accumulate(z, gz, fresh=True)
+
+    return ad._record("stencil_matvec", (loops, weights, z), out, bwd)
 
 
-def test_hop_mix_gradients():
-    rng = np.random.default_rng(32)
-    for _ in range(5):
-        c, h, w = (int(v) for v in rng.integers(1, 4, size=3))
-        k = int(rng.integers(1, 4))
-        beta = float(rng.uniform(0.1, 2.0))
-        args = [Tensor(rng.normal(size=(c, h * w))), Tensor(rng.normal(size=k))]
-        args += [Tensor(rng.normal(size=(c, h, w))) for _ in range(k)]
+def hop_mix_reference(x, alphas, hops, beta):
+    """x + beta * sum_t alphas[t] hops[t] as the tape op that ``propagate``
+    replaced, copied whole: every hop's gradient handed over at once."""
+    a, shape = alphas.data, hops[0].shape
+    out = hops[0].data * a[0]
+    term = np.empty_like(out)
+    for t in range(1, len(hops)):
+        np.multiply(hops[t].data, a[t], out=term)
+        out += term
+    out *= beta
+    out = out.reshape(x.shape)
+    out += x.data
+
+    def bwd(g):
+        ad._accumulate(x, g)
+        gs = g.reshape(shape)
+        ga = np.empty(len(hops))
+        for t, h in enumerate(hops):
+            gh = np.multiply(gs, beta)
+            gh *= h.data
+            ga[t] = ad._unbroadcast(gh, (1,))[0]
+            np.multiply(gs, beta, out=gh)
+            gh *= a[t]
+            ad._accumulate(h, gh, fresh=True)
+        ad._accumulate(alphas, ga, fresh=True)
+
+    return ad._record("hop_mix", (x, alphas, *hops), out, bwd)
+
+
+def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
+    # the second case holds more channels than one block, forward or backward
+    for c, h, w, radius, k in ((3, 4, 5, 1, 3), (70, 40, 40, 2, 2)):
+        assert (len(ad._Flat(h, w, radius).blocks(c, 6)) > 1) == (c > 3)
+        rng = np.random.default_rng(c + k)
+        n_off = (2 * radius + 1) ** 2 - 1
+        arrays = [rng.normal(size=shape) for shape in
+                  ((h, w), (n_off, h, w), (c, h, w), (k,), (c, h * w))]
         direction = Tensor(rng.normal(size=(c, h * w)))
-        for slot in range(len(args)):
-            def loss(t):
-                x, alphas, *hops = args[:slot] + [t] + args[slot + 1:]
-                return ad.sum(ad.mul(ad.hop_mix(x, alphas, hops, beta), direction))
-            assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-4, slot
+        for learned in (True, False):  # operators with gradients, or static
+            results = []
+            for fused in (True, False):
+                loops, weights, z0, logits, x = (
+                    Tensor(a.copy(), requires_grad=learned or i > 1)
+                    for i, a in enumerate(arrays))
+                with Tape() as tape:
+                    alphas = ad.softmax(logits, axis=0)
+                    if fused:
+                        out = ad.propagate(loops, weights, z0, alphas, x, 0.3, radius)
+                    else:
+                        hops, z = [], z0
+                        for _ in range(k):
+                            z = stencil_matvec_reference(loops, weights, z, radius)
+                            hops.append(z)
+                        out = hop_mix_reference(x, alphas, hops, 0.3)
+                    # z0's other consumer hands it a gradient it owns first
+                    loss = ad.add(ad.sum(ad.mul(out, direction)),
+                                  ad.sum(ad.scale(z0, 3.0)))
+                backward(tape, loss)
+                results.append([out.data, z0.grad] + [
+                    t.grad for t in (loops, weights, logits, x) if t.requires_grad])
+            assert len(results[0]) == len(results[1]) == (6 if learned else 4)
+            for a, b in zip(*results):
+                assert a.tobytes() == b.tobytes(), (c, learned)
 
 
-def test_hop_mix_rejects_mismatched_shapes():
-    z = Tensor(np.ones((2, 3, 3)))
-    with pytest.raises(ShapeError):
-        ad.hop_mix(Tensor(np.ones((2, 9))), Tensor(np.ones(2)), [z], 0.5)
-    with pytest.raises(ShapeError):
-        ad.hop_mix(Tensor(np.ones((2, 8))), Tensor(np.ones(1)), [z], 0.5)
-    with pytest.raises(ShapeError):
-        ad.hop_mix(Tensor(np.ones((2, 9))), Tensor(np.ones(0)), [], 0.5)
+def test_propagate_gradients():
+    rng = np.random.default_rng(32)
+    for k in (1, 2, 3):
+        for learned in (True, False):  # operators with gradients, or static
+            c, h, w = (int(v) for v in rng.integers(1, 4, size=3))
+            radius = int(rng.integers(1, 3))
+            n_off = (2 * radius + 1) ** 2 - 1
+            args = [Tensor(rng.normal(size=shape), requires_grad=learned and i < 2)
+                    for i, shape in enumerate(((h, w), (n_off, h, w), (c, h, w),
+                                               (k,), (c, h * w)))]
+            beta = float(rng.uniform(0.1, 2.0))
+            direction = Tensor(rng.normal(size=(c, h * w)))
+            for slot in range(5) if learned else range(2, 5):
+                def loss(t):
+                    return ad.sum(ad.mul(ad.propagate(
+                        *args[:slot], t, *args[slot + 1:], beta, radius), direction))
+                err = finite_diff_check(loss, args[slot], h=1e-6)
+                assert err < 1e-4, (k, learned, slot, err)
 
 
-def test_stencil_matvec_rejects_mismatched_weights():
-    with pytest.raises(ShapeError):
-        ad.stencil_matvec(Tensor(np.ones((3, 3))), Tensor(np.ones((8, 3, 3))),
-                          Tensor(np.ones((2, 3, 3))), 2)
+def test_propagate_rejects_mismatched_shapes():
+    good = [Tensor(np.ones(shape)) for shape in
+            ((3, 3), (8, 3, 3), (2, 3, 3), (2,), (2, 9))]
+    assert ad.propagate(*good, 0.5, 1).shape == (2, 9)
+    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3, 4)), (2, (3, 3)),
+                        (3, (0,)), (3, (1, 2)), (4, (2, 8))):
+        with pytest.raises(ShapeError, match="propagate"):
+            ad.propagate(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:],
+                         0.5, 1)
+    with pytest.raises(ShapeError):  # eight offsets are radius 1's window
+        ad.propagate(*good, 0.5, 2)
 
 
 def test_patch_kernel_gradients():
@@ -1186,13 +1372,36 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
     assert kept < x.data.nbytes / 8, kept  # a padded copy is 1.06x the input
 
 
-def test_stencil_matvec_keeps_no_padded_copy_of_its_operators():
+def test_propagate_keeps_no_padded_copy_of_its_operators():
     loops, weights = rand((64, 64), seed=73), rand((8, 64, 64), seed=74)
-    z = rand((4, 64, 64), seed=75)
-    for t in (loops, weights, z):
+    z, alphas, x = rand((4, 64, 64), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
+    for t in (loops, weights, z, alphas, x):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.stencil_matvec(loops, weights, z, 1))
-    assert kept < weights.data.nbytes / 8, kept
+    kept, _ = kept_bytes(lambda: ad.propagate(loops, weights, z, alphas, x, 0.5, 1))
+    hops = 2 * z.data.nbytes  # z_1 and z_2, for backward
+    assert 0 <= kept - hops < weights.data.nbytes / 8, kept
+
+
+def test_propagate_backward_holds_one_hop_sized_gradient():
+    # 64 channels x 100 x 100 with K = 3: a hop is 5.12 MB, and a separate
+    # hop mix node hands all K hop gradients over at once
+    rng = np.random.default_rng(82)
+    c, h, w, k = 64, 100, 100, 3
+    args = [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((h, w), (8, h, w), (c, h, w), (k,), (c, h * w))]
+    with Tape() as tape:
+        out = ad.propagate(*args, 0.5, 1)
+    (node,) = tape.nodes
+    g = rng.normal(size=out.shape)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        node.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    print(f"\npropagate backward peak +{(peak - base) / 1e6:.2f} MB")
+    assert peak - base < 2 * args[2].data.nbytes, (peak - base) / 1e6
 
 
 def test_attention_keeps_no_token_by_token_array():
@@ -1207,10 +1416,15 @@ def test_attention_keeps_no_token_by_token_array():
 
 
 def test_leaky_relu_keeps_no_mask():
-    x = rand((64, 4096), seed=76)
-    x.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.leaky_relu(x))
-    assert kept < x.data.nbytes / 64, kept  # a bool mask is 1/8 of the input
+    # an activated layer keeps neither its pre-activation nor a mask of it
+    x, w, b = rand((16, 64, 64), seed=76), rand((16, 16, 1, 1), seed=83), rand((16,), seed=84)
+    a, m, bias = rand((4096, 64), seed=85), rand((64, 64), seed=86), rand((64,), seed=87)
+    for t in (x, w, b, a, m, bias):
+        t.requires_grad = True
+    for build, size in ((lambda: ad.conv2d(x, w, b, leaky=True), x.data.nbytes),
+                        (lambda: ad.matmul(a, m, bias, leaky=True), a.data.nbytes)):
+        kept, _ = kept_bytes(build)
+        assert kept < size / 64, kept  # a bool mask is 1/8 of the output
 
 
 # ---------------------------------------------------------------------------
@@ -1232,6 +1446,7 @@ def test_kernels_deterministic():
 @settings(max_examples=50, deadline=None)
 def test_forward_kernels_produce_no_nan(vals):
     x = Tensor(vals)
-    for out in (ad.softmax(x, axis=1), ad.leaky_relu(x), ad.square(x),
+    for out in (ad.softmax(x, axis=1), ad.matmul(x, Tensor(np.eye(x.shape[1])), leaky=True),
+                ad.square(x),
                 ad.sum(x, axis=0)):
         assert not np.any(np.isnan(out.data))

@@ -25,24 +25,23 @@ def calibrated():
 @pytest.fixture
 def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
-    (graph bypassed), keyed by the bias's parameter name; ``patch_linear``'s
-    conv is read off each patch's own "same" conv, n x O x m x m."""
+    (graph bypassed), keyed by the bias's parameter name; an activated
+    layer's output is its pre-activation, and ``patch_linear``'s conv is read
+    off each patch's own "same" conv, n x O x m x m."""
     config, cube, params = calibrated
     names = {id(t): name for name, t in params.named_parameters().items()}
     seen = {}
     conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
 
-    def traced_conv2d(x, w, bias):
-        out = conv2d(x, w, bias)
+    def traced_conv2d(x, w, bias, leaky=False):
         if bias is not None:
-            seen[names[id(bias)]] = (x.data, out.data)
-        return out
+            seen[names[id(bias)]] = (x.data, conv2d(x, w, bias).data)
+        return conv2d(x, w, bias, leaky)
 
-    def traced_matmul(a, b, bias=None):
-        out = matmul(a, b, bias)
+    def traced_matmul(a, b, bias=None, leaky=False):
         if bias is not None:
-            seen[names[id(bias)]] = (a.data, out.data)
-        return out
+            seen[names[id(bias)]] = (a.data, matmul(a, b, bias).data)
+        return matmul(a, b, bias, leaky)
 
     def traced_patch_linear(x, conv_w, conv_b, fc_w, fc_b):
         out = patch_linear(x, conv_w, conv_b, fc_w, fc_b)
