@@ -1303,17 +1303,33 @@ def test_propagate_gradients():
                 assert err < 1e-4, (k, learned, slot, err)
 
 
-def test_propagate_rejects_mismatched_shapes():
+def _propagate_operands():
     good = [Tensor(np.ones(shape)) for shape in
             ((3, 3), (8, 3, 3), (2, 3, 3), (2,), (2, 9))]
     assert ad.propagate(*good, 0.5, 1).shape == (2, 9)
-    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3, 4)), (2, (3, 3)),
-                        (3, (0,)), (3, (1, 2)), (4, (2, 8))):
-        with pytest.raises(ShapeError, match="propagate"):
-            ad.propagate(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:],
-                         0.5, 1)
-    with pytest.raises(ShapeError):  # eight offsets are radius 1's window
-        ad.propagate(*good, 0.5, 2)
+    return good
+
+
+def _assert_propagate_rejects(good, slot, shape, radius=1):
+    with pytest.raises(ShapeError, match="propagate"):
+        ad.propagate(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:],
+                     0.5, radius)
+
+
+def test_stencil_matvec_rejects_mismatched_weights():
+    # the stencil operands of ad.propagate: loops, weights and z0
+    good = _propagate_operands()
+    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3, 4)), (2, (3, 3))):
+        _assert_propagate_rejects(good, slot, shape)
+    # eight offsets are radius 1's window
+    _assert_propagate_rejects(good, 1, (8, 3, 3), radius=2)
+
+
+def test_hop_mix_rejects_mismatched_shapes():
+    # the hop mix operands of ad.propagate: alphas and x
+    good = _propagate_operands()
+    for slot, shape in ((3, (0,)), (3, (1, 2)), (4, (2, 8))):
+        _assert_propagate_rejects(good, slot, shape)
 
 
 def test_patch_kernel_gradients():
