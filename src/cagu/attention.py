@@ -3,8 +3,9 @@
 Each branch prepends the *other* branch's learned class token, runs one
 single-head scaled dot-product attention block with a residual connection,
 then (after dropping class rows) an MLP. The two branches are concatenated
-per token, projected to per-pixel features for the token's patch, scattered
-back to image shape, and seam-smoothed with one 3x3 convolution.
+per token, projected to per-pixel features for the token's patch and
+scattered back to image shape by one op, ``autodiff.linear_untile``, then
+seam-smoothed with one 3x3 convolution.
 
 The attention itself is the one tape op ``autodiff.attention``: it never
 holds the token-by-token weights, so its memory grows linearly with the
@@ -123,29 +124,24 @@ def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
     before seam smoothing.
 
     Class rows are dropped, branch MLPs applied, features concatenated per
-    token, projected to one fused block per patch, and scattered back onto
-    the pixel grid.
+    token, then projected to one fused block per patch and scattered back
+    onto the pixel grid by one node, ``autodiff.linear_untile``, which
+    raises ShapeError unless the tokens tile the grid.
     """
     if spe_seq.shape[0] != spa_seq.shape[0]:
         raise ShapeError(
             f"sequence lengths differ: {spe_seq.shape} vs {spa_seq.shape}")
-    m = params.patch_size
-    n_tokens = spe_seq.shape[0] - 1
-    gh, gw = -(-height // m), -(-width // m)
-    if n_tokens != gh * gw:
-        raise ShapeError(
-            f"{n_tokens} tokens cannot tile a {height}x{width} image with m={m}")
+    rows = spe_seq.shape[0]  # the class row, then one token per patch
 
-    spe = _mlp(ad.narrow(spe_seq, 0, 1, n_tokens + 1),
+    spe = _mlp(ad.narrow(spe_seq, 0, 1, rows),
                params.spe_mlp_w1, params.spe_mlp_b1,
                params.spe_mlp_w2, params.spe_mlp_b2)
-    spa = _mlp(ad.narrow(spa_seq, 0, 1, n_tokens + 1),
+    spa = _mlp(ad.narrow(spa_seq, 0, 1, rows),
                params.spa_mlp_w1, params.spa_mlp_b1,
                params.spa_mlp_w2, params.spa_mlp_b2)
     joint = ad.concat([spe, spa], axis=1)
-    blocks = ad.matmul(joint, params.fuse_w, params.fuse_b)
-    blocks = ad.reshape(blocks, (n_tokens, params.fused_channels, m, m))
-    return ad.untile_patches(blocks, height, width)
+    return ad.linear_untile(joint, params.fuse_w, params.fuse_b, params.patch_size,
+                            height, width)
 
 
 def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,

@@ -19,21 +19,22 @@ contiguous shift (a 1x1 layer is a single tap over the image itself). A
 convolution of each patch alone followed by a linear layer is one folded
 matrix, ``patch_linear``. The window (stencil) kernels use the convolution's
 padded flat layout, ``_Flat``, and work through the channels in cache-sized
-blocks. The graph's K-hop propagation, the window operator applied K times
-and the hops mixed into a residual update, is one node, ``propagate``, whose
-backward carries one hop-sized gradient back through the hops. Scaled
-dot-product attention is one node that reads the keys in cache-sized blocks
-with an online softmax. A layer, conv2d or matmul plus its bias and its
-LeakyReLU if it has one, is one node, and so is the unmixing loss (squared
-error plus spectral angle), which keeps six H x W arrays and recomputes
-r - y in backward.
+blocks. The graph's channel projection, K-hop propagation (the window
+operator applied K times) and hop mix into a residual update are one node,
+``propagate``, whose backward carries one hop-sized gradient back through
+the hops. Scaled dot-product attention is one node that reads the keys in
+cache-sized blocks with an online softmax. A layer, conv2d or matmul plus
+its bias and its LeakyReLU if it has one, is one node; so is a linear layer
+whose rows are patch blocks put onto the grid, ``linear_untile``, and the
+unmixing loss (squared error plus spectral angle), which keeps six H x W
+arrays and recomputes r - y in backward, band block by band block.
 
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. An activated layer keeps no
 pre-activation, the conv and propagation kernels pad their inputs again in
-backward instead of keeping padded copies, and attention keeps no
-token-by-token array: backward recomputes each block's probabilities from
-the output and each row's log-sum-exp.
+backward instead of keeping padded copies, ``propagate`` keeps no z0 (one
+GEMM rebuilds it), ``linear_untile`` no block matrix, and attention no
+token-by-token array, but each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, the window kernels accumulate shifts in a fixed offset order and sum
@@ -597,9 +598,10 @@ def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
     inside and none where it clipped, so spectra that align exactly get no
     infinite gradient, and a zero-norm reconstructed pixel has subgradient 0
     through its norm. The node keeps six H x W arrays beside its inputs;
-    backward recomputes r - y. The arithmetic and its order are those of the
-    composed ops sub, square, sum, mul, the two norms, divide, arccos and
-    mean, so values and gradients are theirs bit for bit.
+    backward recomputes r - y in band blocks within CACHE_BYTES beside the
+    gradient. The arithmetic and its order are those of the composed ops
+    sub, square, sum, mul, the two norms, divide, arccos and mean, so values
+    and gradients are theirs bit for bit.
     """
     if observed.requires_grad:
         raise ContractError("unmixing_loss: the observed scene takes no gradient")
@@ -634,11 +636,15 @@ def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
         safe = np.where(rec_norm > 0.0, rec_norm, 1.0)
         gr = np.multiply(g_rec_norm / safe, r)  # through |r|
         gr[:, rec_norm == 0.0] = 0.0
-        term = np.multiply(g_inner, y)  # through <y, r>
-        gr += term
-        np.subtract(r, y, out=term)  # through the squared error
-        term *= g * c * 2.0
-        gr += term
+        step = min(len(y), max(1, CACHE_BYTES // (8 * g_inner.size)))
+        scratch = np.empty((step,) + g_inner.shape)  # one band block
+        for b in (slice(b0, b0 + step) for b0 in range(0, len(y), step)):
+            term = scratch[:len(y[b])]
+            np.multiply(g_inner, y[b], out=term)  # through <y, r>
+            gr[b] += term
+            np.subtract(r[b], y[b], out=term)  # through the squared error
+            term *= g * c * 2.0
+            gr[b] += term
         _accumulate(reconstructed, gr, fresh=True)
 
     return _record("unmixing_loss", (observed, reconstructed), np.asarray(out), bwd)
@@ -722,27 +728,35 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
 # ---------------------------------------------------------------------------
 # patch tiling
 
+def _to_blocks(a: np.ndarray, m: int) -> np.ndarray:
+    """C x H x W -> n x C x m x m, zero-padded to whole patches."""
+    c, h, w = a.shape
+    gh, gw = -(-h // m), -(-w // m)
+    if (gh * m, gw * m) != (h, w):
+        a = np.pad(a, ((0, 0), (0, gh * m - h), (0, gw * m - w)))
+    return a.reshape(c, gh, m, gw, m).transpose(1, 3, 0, 2, 4).reshape(gh * gw, c, m, m)
+
+
+def _from_blocks(blocks: np.ndarray, c: int, m: int, height: int, width: int
+                 ) -> np.ndarray:
+    """Inverse of ``_to_blocks`` (blocks of any shape), overhang cropped."""
+    gh, gw = -(-height // m), -(-width // m)
+    full = (blocks.reshape(gh, gw, c, m, m).transpose(2, 0, 3, 1, 4)
+                  .reshape(c, gh * m, gw * m))
+    return np.ascontiguousarray(full[:, :height, :width])
+
+
 def tile_patches(x: Tensor, m: int) -> Tensor:
     """C x H x W -> n x C x m x m non-overlapping patches, row-major patch
     order, bottom/right edge patches zero-padded to full size."""
     if x.ndim != 3:
         raise ShapeError(f"tile_patches expects C x H x W, got {x.shape}")
     c, h, w = x.shape
-    gh, gw = -(-h // m), -(-w // m)
-    hp, wp = gh * m, gw * m
-    xp = x.data
-    if (hp, wp) != (h, w):
-        xp = np.zeros((c, hp, wp), dtype=x.data.dtype)
-        xp[:, :h, :w] = x.data
-    blocks = np.ascontiguousarray(xp.reshape(c, gh, m, gw, m).transpose(1, 3, 0, 2, 4))
 
     def bwd(g):
-        gp = (g.reshape(gh, gw, c, m, m)
-               .transpose(2, 0, 3, 1, 4)
-               .reshape(c, hp, wp))
-        _accumulate(x, gp[:, :h, :w])
+        _accumulate(x, _from_blocks(g, c, m, h, w))
 
-    return _record("tile_patches", (x,), blocks.reshape(gh * gw, c, m, m), bwd)
+    return _record("tile_patches", (x,), _to_blocks(x.data, m), bwd)
 
 
 def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
@@ -751,22 +765,40 @@ def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
     if blocks.ndim != 4:
         raise ShapeError(f"untile_patches expects n x C x m x m, got {blocks.shape}")
     n, c, m, m2 = blocks.shape
-    gh, gw = -(-height // m), -(-width // m)
-    if m != m2 or n != gh * gw:
+    if m != m2 or n != -(-height // m) * -(-width // m):
         raise ShapeError(
             f"untile_patches: patches {blocks.shape} cannot tile {height}x{width}")
-    full = (blocks.data.reshape(gh, gw, c, m, m)
-                       .transpose(2, 0, 3, 1, 4)
-                       .reshape(c, gh * m, gw * m))
 
     def bwd(g):
-        gp = np.zeros((c, gh * m, gw * m), dtype=g.dtype)
-        gp[:, :height, :width] = g
-        _accumulate(blocks, gp.reshape(c, gh, m, gw, m)
-                              .transpose(1, 3, 0, 2, 4)
-                              .reshape(n, c, m, m))
+        _accumulate(blocks, _to_blocks(g, m))
 
-    return _record("untile_patches", (blocks,), full[:, :height, :width].copy(), bwd)
+    return _record("untile_patches", (blocks,),
+                   _from_blocks(blocks.data, c, m, height, width), bwd)
+
+
+def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
+                  width: int) -> Tensor:
+    """x @ w + b, a C x m x m block per row, put onto the height x width grid
+    as by ``untile_patches``: one node, in which the n x C m^2 response dies.
+    Under ``Standardize`` it calibrates ``b``'s layer, units last as in matmul."""
+    cm2 = w.shape[1] if w.ndim == 2 else 0
+    if (x.ndim != 2 or w.shape != (x.shape[1], cm2) or b.shape != (cm2,) or m < 1
+            or cm2 % (m * m) or x.shape[0] != -(-height // m) * -(-width // m)):
+        raise ShapeError(f"linear_untile: rows {x.shape}, map {w.shape} and bias "
+                         f"{b.shape} cannot tile {height}x{width} with m={m}")
+    blocks = x.data @ w.data
+    blocks += b.data
+    if Standardize._active is not None:
+        Standardize._active.apply(b, blocks)
+
+    def bwd(g):
+        gb = _to_blocks(g, m).reshape(-1, cm2)
+        _accumulate(x, gb @ w.data.T, fresh=True)
+        _accumulate(w, x.data.T @ gb, fresh=True)
+        _accumulate(b, _unbroadcast(gb, b.shape), fresh=True)
+
+    return _record("linear_untile", (x, w, b),
+                   _from_blocks(blocks, cm2 // (m * m), m, height, width), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -997,29 +1029,31 @@ def _stencil_matvec(flat: _Flat, lf: np.ndarray, wf: np.ndarray, z: np.ndarray
     return out
 
 
-def propagate(loops: Tensor, weights: Tensor, z0: Tensor, alphas: Tensor,
+def propagate(loops: Tensor, weights: Tensor, proj: Tensor, alphas: Tensor,
               x: Tensor, beta: float, radius: int) -> Tensor:
-    """K-hop propagation and residual hop mix as one node, K = len(alphas):
-    z_t = S z_{t-1} for every channel of the C x H x W z0, with the window
-    operator S z[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o],
-    then x + beta * sum_t alphas[t-1] z_t, the hops read in the shape of x.
-    The terms are summed in order, the sum is scaled by beta and x is added
-    last. The node keeps z_0 ... z_K and pads the operators again in
+    """Projection, K-hop propagation and residual hop mix as one node,
+    K = len(alphas): z0 = proj @ x (x C x H.W, read as C x H x W), z_t =
+    S z_{t-1} for every channel with the window operator S z[:, i] =
+    loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o], then x + beta *
+    sum_t alphas[t-1] z_t: terms summed in order, scaled by beta, x added
+    last. The node keeps z_1 ... z_K and pads the operators again in
     backward, which walks the hops from K down to 1 with one gradient array
     r, channel block by channel block: the block's share of the operators'
     gradients, then S^T r plus the hop's own term, written over r's block.
-    At hop 1, r is z0's gradient."""
+    Each hop is dropped once read for the last time; z_K's array takes z0
+    (the same GEMM again, for the operators), then x's share of r."""
     beta, n_off = float(beta), (2 * radius + 1) ** 2 - 1
-    if (loops.ndim != 2 or z0.ndim != 3 or z0.shape[1:] != loops.shape
+    c, hw = x.shape if x.ndim == 2 else (0, -1)  # a wrong rank cannot fit
+    if (loops.ndim != 2 or hw != loops.size or proj.shape != (c, c)
             or weights.shape != (n_off,) + loops.shape or alphas.ndim != 1
-            or alphas.size < 1 or z0.size != x.size):
+            or alphas.size < 1):
         raise ShapeError(f"propagate: loops {loops.shape}, weights {weights.shape}, "
-                         f"z0 {z0.shape}, alphas {alphas.shape} and x {x.shape} "
+                         f"proj {proj.shape}, alphas {alphas.shape} and x {x.shape} "
                          f"do not fit at radius {radius}")
-    flat, a = _Flat(z0.shape[1], z0.shape[2], radius), alphas.data
+    flat, shape, a = _Flat(*loops.shape, radius), (c,) + loops.shape, alphas.data
     lf, wf = flat.pad(loops.data), flat.pad(weights.data)
-    zs = [z0.data]
-    for _ in a:
+    zs = [None, _stencil_matvec(flat, lf, wf, (proj.data @ x.data).reshape(shape))]
+    for _ in a[1:]:  # z0 is not kept: backward rebuilds it
         zs.append(_stencil_matvec(flat, lf, wf, zs[-1]))
     out = zs[1] * a[0]
     term = np.empty_like(out)
@@ -1032,23 +1066,26 @@ def propagate(loops: Tensor, weights: Tensor, z0: Tensor, alphas: Tensor,
 
     def bwd(g):
         _accumulate(x, g)
-        gs, ga = g.reshape(z0.shape), np.empty(a.size)
+        gs, ga = g.reshape(shape), np.empty(a.size)
         r = np.empty_like(gs)
         for t in range(a.size):  # beta g z_t, summed as onto a (1,) operand
             np.multiply(gs, beta, out=r)
             r *= zs[t + 1]
             ga[t] = _unbroadcast(r, (1,))[0]
         _accumulate(alphas, ga, fresh=True)
+        spare = zs.pop().reshape(c, hw)  # no hop reads z_K
         np.multiply(gs, beta, out=r)
         r *= a[-1]
         lf, wf = flat.pad(loops.data), flat.pad(weights.data)
-        blocks = flat.blocks(z0.shape[0], 6)  # r, z, three padded planes, p
+        blocks = flat.blocks(c, 6)  # r, z, three padded planes, p
         width = blocks[0][1]
         gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
         stack = np.empty((width + 1, flat.run))
         for t in range(a.size, 0, -1):
             gl = flat.buffer(1)[0] if loops.requires_grad else None
             gw = flat.buffer(n_off) if weights.requires_grad else None
+            if t == 1 and (gl is not None or gw is not None):
+                zs[0] = np.matmul(proj.data, x.data, out=spare).reshape(shape)
             for c0, c1 in blocks:
                 rows, rk = c1 - c0, r[c0:c1]
                 gk, p = flat.pad(rk, gb[:rows]), stack[1:rows + 1]
@@ -1072,13 +1109,16 @@ def propagate(loops: Tensor, weights: Tensor, z0: Tensor, alphas: Tensor,
                     rk += flat.crop(sk)
                 else:
                     rk[...] = flat.crop(sk)
+            zs.pop()  # z_{t-1}: walked
             if gl is not None:
                 _accumulate(loops, flat.crop(gl), fresh=True)
             if gw is not None:
                 _accumulate(weights, flat.crop(gw), fresh=True)
-        _accumulate(z0, r, fresh=True)
+        gz = r.reshape(c, hw)
+        _accumulate(proj, gz @ x.data.T, fresh=True)
+        _accumulate(x, np.matmul(proj.data.T, gz, out=spare), fresh=True)
 
-    return _record("propagate", (loops, weights, z0, alphas, x), out, bwd)
+    return _record("propagate", (loops, weights, proj, alphas, x), out, bwd)
 
 
 # ---------------------------------------------------------------------------

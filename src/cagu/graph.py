@@ -3,13 +3,14 @@
 Edge weights combine a feature kernel exp(-|df|^2 / sigma_f) with a spatial
 kernel exp(-|dg|^2 / sigma_g^2) over a Chebyshev window of the given radius;
 the scales enter asymmetrically (sigma_f plain, sigma_g squared). Self-loops
-are added and the adjacency is symmetrically normalized. Propagation applies
-the normalized adjacency K times and mixes the hop results with softmax
-weights, feeding a residual update x + beta * y; the hops and their mix are
-one tape node, ``autodiff.propagate``. The graph is rebuilt from current
-features every forward pass, so gradients flow through the edge weights. The
-window is a fixed stencil on the pixel grid: the graph is one weight image
-per window offset, and every stage works on shifted slices.
+are added and the adjacency is symmetrically normalized. Propagation
+projects the channels, applies the normalized adjacency K times and mixes
+the hop results with softmax weights, feeding a residual update
+x + beta * y; the projection, the hops and their mix are one tape node,
+``autodiff.propagate``. The graph is rebuilt from current features every
+forward pass, so gradients flow through the edge weights. The window is a
+fixed stencil on the pixel grid: the graph is one weight image per window
+offset, and every stage works on shifted slices.
 """
 
 from __future__ import annotations
@@ -192,15 +193,11 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
 
     z0 = proj @ x, z_t = z_{t-1} @ A_hat, y = sum_t alpha_t z_t (t >= 1),
     returns x + beta * y. A_hat is symmetric, so each hop applies the
-    stencil to every channel image; the K hops and the mix are one node.
+    stencil to every channel image; the projection, the K hops and the mix
+    are one node, which keeps no z0.
     """
     if params.k_steps < 1:
         raise ConfigError(f"k_steps must be at least 1, got {params.k_steps}")
-    if x.ndim != 2 or x.shape[1] != graph.n_nodes:
-        raise ShapeError(
-            f"x {x.shape} does not match graph over {graph.n_nodes} pixels")
     alphas = ad.softmax(params.mix_logits, axis=0)
-    z0 = ad.reshape(ad.matmul(params.graph_proj, x),
-                    (x.shape[0], graph.height, graph.width))
-    return ad.propagate(graph.loops, graph.adjacency, z0, alphas, x,
-                        params.beta, graph.radius)
+    return ad.propagate(graph.loops, graph.adjacency, params.graph_proj, alphas,
+                        x, params.beta, graph.radius)

@@ -476,6 +476,8 @@ def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
                   ) -> SweepReport:
     """Train per (snr, seed); report per-run rows plus per-SNR medians and
     whether the noise trend (higher SNR, no worse SAD) holds."""
+    if len(set(snrs)) != len(snrs):  # a repeat trains one level twice
+        raise ConfigError(f"snr sweep repeats a noise level: {list(snrs)}")
     if len(snrs) < 2:
         raise ConfigError("snr sweep needs at least 2 noise levels")
     seeds = _seed_list(seeds)
@@ -528,6 +530,8 @@ def run_beta_sweep(config: TrainConfig, betas: Sequence[float],
                    seeds: Sequence[int] = (0,), snr_db: float = 80.0,
                    scene: Optional[dict] = None) -> SweepReport:
     """Train per residual strength; flag whether the best value is interior."""
+    if len(set(betas)) != len(betas):
+        raise ConfigError(f"beta sweep repeats a value: {list(betas)}")
     if not betas:
         raise ConfigError("beta sweep needs at least one value")
     seeds = _seed_list(seeds)

@@ -715,29 +715,30 @@ def test_a_scalar_handed_over_after_a_shared_gradient():
     assert g == 3.0
 
 
-def test_propagate_sums_into_a_gradient_z0_owns():
-    # z0's other consumer runs its backward first, so z0 owns its gradient
-    # when propagation hands z0's share over to be summed into it
+def test_propagate_sums_into_a_gradient_x_owns():
+    # x's other consumer runs its backward first, so x owns its gradient
+    # when propagation adds its two shares into it, the residual's and then
+    # the projection's: in the composed ops' order, bit for bit
     rng = np.random.default_rng(36)
     loops, weights = rng.normal(size=(5, 6)), rng.normal(size=(8, 5, 6))
-    z_data = rng.normal(size=(3, 5, 6))
-    d1, d2 = Tensor(rng.normal(size=(3, 5, 6))), Tensor(rng.normal(size=(3, 5, 6)))
+    proj, x_data = rng.normal(size=(3, 3)), rng.normal(size=(3, 30))
+    d1, d2 = Tensor(rng.normal(size=(3, 30))), Tensor(rng.normal(size=(3, 30)))
 
-    def grad(stencil, other):
-        z = Tensor(z_data.copy(), requires_grad=True)
+    def grad(op, other):
+        x = Tensor(x_data.copy(), requires_grad=True)
         with Tape() as tape:
-            terms = []
-            if stencil:
-                terms.append(ad.sum(ad.mul(one_hop(
-                    Tensor(loops), Tensor(weights), z, 1), d1)))
+            out = op(Tensor(loops), Tensor(weights), Tensor(proj), Tensor([1.0]), x,
+                     1.0, 1)
+            loss = ad.sum(ad.mul(out, d1))
             if other:
-                terms.append(ad.sum(ad.mul(ad.scale(z, 3.0), d2)))
-            loss = terms[0] if len(terms) == 1 else ad.add(*terms)
+                loss = ad.add(loss, ad.sum(ad.mul(ad.scale(x, 3.0), d2)))
         backward(tape, loss)
-        return z.grad
+        return x.grad
 
-    both, alone, other = grad(True, True), grad(True, False), grad(False, True)
-    assert both.tobytes() == (other + alone).tobytes()
+    both = grad(ad.propagate, True)
+    assert both.tobytes() == grad(propagate_reference, True).tobytes()
+    np.testing.assert_allclose(both, grad(ad.propagate, False) + 3.0 * d2.data,
+                               rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -842,6 +843,25 @@ def test_standardize_calibrates_both_layers_of_a_patch_linear():
         np.testing.assert_allclose(mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     np.testing.assert_allclose(ad.patch_linear(*args).data, out.data, atol=1e-12)
+
+
+def test_standardize_calibrates_a_linear_untile_on_its_block_response():
+    # units lie on the last axis of the n x C m^2 response, as for the
+    # matmul it fuses, not on the channels of the map it returns
+    x = rand((6, 3), seed=89, scale=2.0)
+    layers = [(rand((3, 8), seed=90), rand(8, seed=91)) for _ in range(2)]
+    (w, b), (w2, b2) = layers
+    w2.data, b2.data = w.data.copy(), b.data.copy()
+    with ad.Standardize(layers, floor=1e-3):
+        fused = ad.linear_untile(x, w, b, 2, 3, 5)
+        composed = ad.untile_patches(
+            ad.reshape(ad.matmul(x, w2, b2), (6, 2, 2, 2)), 3, 5)
+    for got, want in ((fused.data, composed.data), (w.data, w2.data),
+                      (b.data, b2.data)):
+        assert got.tobytes() == want.tobytes()
+    mu, sd = _unit_stats(x.data @ w.data + b.data, 1)
+    np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+    np.testing.assert_allclose(sd, 1.0, atol=1e-12)
 
 
 def test_standardize_refuses_to_nest_and_any_tape():
@@ -1049,10 +1069,13 @@ def test_graph_kernel_gradients():
 
 
 def one_hop(loops, weights, z, radius):
-    """S z, the window operator once on every channel: propagation with one
-    hop of weight 1, beta 1 and x = 0, which adds nothing."""
-    return ad.propagate(loops, weights, z, Tensor([1.0]), Tensor(np.zeros(z.shape)),
-                        1.0, radius)
+    """S z, the window operator once on every channel: propagation of z with
+    the identity projection, one hop of weight 1 and beta 1, less the
+    residual z (exact up to the rounding of that sum)."""
+    x = ad.reshape(z, (z.shape[0], z.size // z.shape[0]))
+    out = ad.propagate(loops, weights, Tensor(np.eye(z.shape[0])), Tensor([1.0]), x,
+                       1.0, radius)
+    return ad.reshape(ad.sub(out, x), z.shape)
 
 
 def window_oracle(h, w, radius):
@@ -1147,13 +1170,14 @@ def test_stencil_kernels_across_channel_blocks(radius):
         Tensor(x.copy()), rng) < 1e-6
     # two hops: quadratic in the operators, and backward's gradient array
     # crosses every block once per hop
-    args = {"loops": Tensor(loops), "weights": Tensor(weights), "z": Tensor(x)}
-    alphas, residual = Tensor([0.3, 0.7]), Tensor(rng.normal(size=(c, h * w)))
+    args = {"loops": Tensor(loops), "weights": Tensor(weights),
+            "proj": Tensor(rng.normal(size=(c, c)) / c), "x": Tensor(x.reshape(c, -1))}
+    alphas = Tensor([0.3, 0.7])
     for which in args:
         def loss(t):
             kw = dict(args, **{which: t})
-            return ad.sum(ad.mul(ad.propagate(kw["loops"], kw["weights"], kw["z"],
-                                              alphas, residual, 0.5, radius),
+            return ad.sum(ad.mul(ad.propagate(kw["loops"], kw["weights"], kw["proj"],
+                                              alphas, kw["x"], 0.5, radius),
                                  direction))
         leaf = Tensor(args[which].data.copy())
         assert directional_error(loss, leaf, rng) < 1e-6, which
@@ -1247,6 +1271,17 @@ def hop_mix_reference(x, alphas, hops, beta):
     return ad._record("hop_mix", (x, alphas, *hops), out, bwd)
 
 
+def propagate_reference(loops, weights, proj, alphas, x, beta, radius):
+    """``ad.propagate`` as the composed ops it replaced: the projection's
+    matmul, the stencil K times and the hop mix."""
+    z = ad.reshape(ad.matmul(proj, x), (x.shape[0],) + loops.shape)
+    hops = []
+    for _ in range(alphas.size):
+        z = stencil_matvec_reference(loops, weights, z, radius)
+        hops.append(z)
+    return hop_mix_reference(x, alphas, hops, beta)
+
+
 def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
     # the second case holds more channels than one block, forward or backward
     for c, h, w, radius, k in ((3, 4, 5, 1, 3), (70, 40, 40, 2, 2)):
@@ -1254,30 +1289,23 @@ def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
         rng = np.random.default_rng(c + k)
         n_off = (2 * radius + 1) ** 2 - 1
         arrays = [rng.normal(size=shape) for shape in
-                  ((h, w), (n_off, h, w), (c, h, w), (k,), (c, h * w))]
+                  ((h, w), (n_off, h, w), (c, c), (k,), (c, h * w))]
         direction = Tensor(rng.normal(size=(c, h * w)))
         for learned in (True, False):  # operators with gradients, or static
             results = []
-            for fused in (True, False):
-                loops, weights, z0, logits, x = (
+            for op in (ad.propagate, propagate_reference):
+                loops, weights, proj, logits, x = (
                     Tensor(a.copy(), requires_grad=learned or i > 1)
                     for i, a in enumerate(arrays))
                 with Tape() as tape:
                     alphas = ad.softmax(logits, axis=0)
-                    if fused:
-                        out = ad.propagate(loops, weights, z0, alphas, x, 0.3, radius)
-                    else:
-                        hops, z = [], z0
-                        for _ in range(k):
-                            z = stencil_matvec_reference(loops, weights, z, radius)
-                            hops.append(z)
-                        out = hop_mix_reference(x, alphas, hops, 0.3)
-                    # z0's other consumer hands it a gradient it owns first
+                    out = op(loops, weights, proj, alphas, x, 0.3, radius)
+                    # x's other consumer hands it a gradient it owns first
                     loss = ad.add(ad.sum(ad.mul(out, direction)),
-                                  ad.sum(ad.scale(z0, 3.0)))
+                                  ad.sum(ad.scale(x, 3.0)))
                 backward(tape, loss)
-                results.append([out.data, z0.grad] + [
-                    t.grad for t in (loops, weights, logits, x) if t.requires_grad])
+                results.append([out.data] + [
+                    t.grad for t in (loops, weights, proj, logits, x) if t.requires_grad])
             assert len(results[0]) == len(results[1]) == (6 if learned else 4)
             for a, b in zip(*results):
                 assert a.tobytes() == b.tobytes(), (c, learned)
@@ -1291,7 +1319,7 @@ def test_propagate_gradients():
             radius = int(rng.integers(1, 3))
             n_off = (2 * radius + 1) ** 2 - 1
             args = [Tensor(rng.normal(size=shape), requires_grad=learned and i < 2)
-                    for i, shape in enumerate(((h, w), (n_off, h, w), (c, h, w),
+                    for i, shape in enumerate(((h, w), (n_off, h, w), (c, c),
                                                (k,), (c, h * w)))]
             beta = float(rng.uniform(0.1, 2.0))
             direction = Tensor(rng.normal(size=(c, h * w)))
@@ -1305,7 +1333,7 @@ def test_propagate_gradients():
 
 def _propagate_operands():
     good = [Tensor(np.ones(shape)) for shape in
-            ((3, 3), (8, 3, 3), (2, 3, 3), (2,), (2, 9))]
+            ((3, 3), (8, 3, 3), (2, 2), (2,), (2, 9))]
     assert ad.propagate(*good, 0.5, 1).shape == (2, 9)
     return good
 
@@ -1317,18 +1345,22 @@ def _assert_propagate_rejects(good, slot, shape, radius=1):
 
 
 def test_stencil_matvec_rejects_mismatched_weights():
-    # the stencil operands of ad.propagate: loops, weights and z0
+    # the stencil operands of ad.propagate: loops, weights and the
+    # projection that makes z0
     good = _propagate_operands()
-    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3, 4)), (2, (3, 3))):
+    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3)), (2, (3, 3)),
+                        (2, (2, 2, 1))):
         _assert_propagate_rejects(good, slot, shape)
     # eight offsets are radius 1's window
     _assert_propagate_rejects(good, 1, (8, 3, 3), radius=2)
 
 
 def test_hop_mix_rejects_mismatched_shapes():
-    # the hop mix operands of ad.propagate: alphas and x
+    # the hop mix operands of ad.propagate: alphas and x, which the
+    # projection also reads
     good = _propagate_operands()
-    for slot, shape in ((3, (0,)), (3, (1, 2)), (4, (2, 8))):
+    for slot, shape in ((3, (0,)), (3, (1, 2)), (4, (2, 8)), (4, (3, 9)),
+                        (4, (2, 3, 3)), (4, (18,))):
         _assert_propagate_rejects(good, slot, shape)
 
 
@@ -1358,6 +1390,63 @@ def test_tile_untile_inverse():
     x = Tensor(rng.normal(size=(2, 5, 7)))
     back = ad.untile_patches(ad.tile_patches(x, 3), 5, 7)
     np.testing.assert_array_equal(back.data, x.data)
+
+
+LINEAR_UNTILE_GRIDS = ((4, 6), (5, 7))  # whole 2 x 2 patches, and not
+
+
+def _linear_untile_operands(h, w, seed, m=2, c=3, d=4):
+    rng = np.random.default_rng(seed)
+    n = -(-h // m) * -(-w // m)
+    return [Tensor(rng.normal(size=shape)) for shape in ((n, d), (d, c * m * m),
+                                                          (c * m * m,))]
+
+
+def test_linear_untile_matches_matmul_reshape_untile_bit_for_bit():
+    for h, w in LINEAR_UNTILE_GRIDS:
+        arrays = [t.data for t in _linear_untile_operands(h, w, seed=h)]
+        n = arrays[0].shape[0]
+        direction = rand((3, h, w), seed=w)
+        results = []
+        for fused in (True, False):
+            x, wt, b = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+            with Tape() as tape:
+                if fused:
+                    out = ad.linear_untile(x, wt, b, 2, h, w)
+                else:
+                    out = ad.untile_patches(
+                        ad.reshape(ad.matmul(x, wt, b), (n, 3, 2, 2)), h, w)
+                loss = ad.sum(ad.mul(out, direction))
+            backward(tape, loss)
+            results.append([out.data, x.grad, wt.grad, b.grad])
+        assert results[0][0].shape == (3, h, w)
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes(), (h, w)
+
+
+def test_linear_untile_gradients():
+    for h, w in LINEAR_UNTILE_GRIDS:
+        args = _linear_untile_operands(h, w, seed=h + w)
+        direction = rand((3, h, w), seed=h * w)
+        for slot in range(3):
+            def loss(t):
+                return ad.sum(ad.mul(ad.linear_untile(
+                    *args[:slot], t, *args[slot + 1:], 2, h, w), direction))
+            err = finite_diff_check(loss, args[slot], h=1e-6)
+            assert err < 1e-4, (h, w, slot, err)
+
+
+def test_linear_untile_rejects_mismatched_shapes():
+    good = _linear_untile_operands(3, 5, seed=0)  # 6 rows, 4 x 12 map
+    assert ad.linear_untile(*good, 2, 3, 5).shape == (3, 3, 5)
+    for slot, shape in ((0, (6, 4, 1)), (0, (5, 4)), (0, (6, 3)), (1, (4, 13)),
+                        (1, (4, 12, 1)), (2, (13,)), (2, (12, 1))):
+        with pytest.raises(ShapeError, match="linear_untile"):
+            ad.linear_untile(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:],
+                             2, 3, 5)
+    for m, h, w in ((3, 3, 5), (0, 3, 5), (2, 5, 5)):  # 12 is not 9 C; 9 patches
+        with pytest.raises(ShapeError, match="linear_untile"):
+            ad.linear_untile(*good, m, h, w)
 
 
 # ---------------------------------------------------------------------------
@@ -1390,11 +1479,11 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
 
 def test_propagate_keeps_no_padded_copy_of_its_operators():
     loops, weights = rand((64, 64), seed=73), rand((8, 64, 64), seed=74)
-    z, alphas, x = rand((4, 64, 64), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
-    for t in (loops, weights, z, alphas, x):
+    proj, alphas, x = rand((4, 4), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
+    for t in (loops, weights, proj, alphas, x):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.propagate(loops, weights, z, alphas, x, 0.5, 1))
-    hops = 2 * z.data.nbytes  # z_1 and z_2, for backward
+    kept, _ = kept_bytes(lambda: ad.propagate(loops, weights, proj, alphas, x, 0.5, 1))
+    hops = 2 * x.data.nbytes  # z_1 and z_2, for backward; z0 is rebuilt
     assert 0 <= kept - hops < weights.data.nbytes / 8, kept
 
 
@@ -1404,7 +1493,7 @@ def test_propagate_backward_holds_one_hop_sized_gradient():
     rng = np.random.default_rng(82)
     c, h, w, k = 64, 100, 100, 3
     args = [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((h, w), (8, h, w), (c, h, w), (k,), (c, h * w))]
+            for shape in ((h, w), (8, h, w), (c, c), (k,), (c, h * w))]
     with Tape() as tape:
         out = ad.propagate(*args, 0.5, 1)
     (node,) = tape.nodes
@@ -1417,7 +1506,7 @@ def test_propagate_backward_holds_one_hop_sized_gradient():
     finally:
         tracemalloc.stop()
     print(f"\npropagate backward peak +{(peak - base) / 1e6:.2f} MB")
-    assert peak - base < 2 * args[2].data.nbytes, (peak - base) / 1e6
+    assert peak - base < 2 * args[4].data.nbytes, (peak - base) / 1e6
 
 
 def test_attention_keeps_no_token_by_token_array():

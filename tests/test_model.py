@@ -26,12 +26,14 @@ def calibrated():
 def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
     (graph bypassed), keyed by the bias's parameter name; an activated
-    layer's output is its pre-activation, and ``patch_linear``'s conv is read
-    off each patch's own "same" conv, n x O x m x m."""
+    layer's output is its pre-activation, ``patch_linear``'s conv is read
+    off each patch's own "same" conv, n x O x m x m, and ``linear_untile``'s
+    layer off its n x C m^2 response before the scatter."""
     config, cube, params = calibrated
     names = {id(t): name for name, t in params.named_parameters().items()}
     seen = {}
     conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
+    linear_untile = ad.linear_untile
 
     def traced_conv2d(x, w, bias, leaky=False):
         if bias is not None:
@@ -50,9 +52,14 @@ def layer_io(monkeypatch, calibrated):
         seen[names[id(fc_b)]] = (x.data, out.data)
         return out
 
+    def traced_linear_untile(x, w, b, m, height, width):
+        seen[names[id(b)]] = (x.data, matmul(x, w, b).data)
+        return linear_untile(x, w, b, m, height, width)
+
     monkeypatch.setattr(ad, "conv2d", traced_conv2d)
     monkeypatch.setattr(ad, "matmul", traced_matmul)
     monkeypatch.setattr(ad, "patch_linear", traced_patch_linear)
+    monkeypatch.setattr(ad, "linear_untile", traced_linear_untile)
     forward(params, Tensor(cube.data), config)
     return params, seen
 

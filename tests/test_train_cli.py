@@ -539,6 +539,15 @@ def test_sweeps_reject_empty_seed_lists():
             run()
 
 
+@pytest.mark.parametrize("command", [["sweep-snr", "--snrs", "20,20"],
+                                     ["sweep-beta", "--betas", "0.2,0.4,0.2"]])
+def test_cli_sweeps_with_a_repeated_level_exit_2(command, capsys):
+    # a repeat trains one level twice: "20,20" is one noise level, whose
+    # trend against itself always holds
+    assert main(command + ["--seeds", "1", "--epochs", "1"]) == 2
+    assert "repeats" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", [["sweep-snr", "--seeds", "0"],
                                      ["ablate", "--seeds", "0"],
                                      ["sweep-beta", "--seeds", "0"],

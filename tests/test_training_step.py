@@ -61,12 +61,24 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     takers = [n for n in nodes if any(id(t) in biases for t in n.inputs)]
     taken = [id(t) for n in takers for t in n.inputs if id(t) in biases]
     assert sorted(taken) == sorted(biases)
-    assert {n.op for n in takers} == {"conv2d", "matmul", "patch_linear"}
+    assert {n.op for n in takers} == {"conv2d", "matmul", "patch_linear",
+                                      "linear_untile"}
     # every LeakyReLU runs inside its layer, and the K hops and their mix
     # are one node
     ops = [n.op for n in nodes]
     assert not {"leaky_relu", "stencil_matvec", "hop_mix"} & set(ops)
     assert ops.count("propagate") == 1
+    # the fuse layer's per-patch blocks never reach the tape: the layer and
+    # its scatter onto the grid are one node
+    m, fused = config.patch_size, config.fused_channels
+    n_patches = -(-observed.shape[1] // m) * -(-observed.shape[2] // m)
+    assert (n_patches, fused * m * m) not in {n.output.shape for n in nodes}
+    # the channel projection runs inside the propagation node
+    proj = params.graph_mix.graph_proj
+    (node,) = [n for n in nodes if n.op == "propagate"]
+    assert any(t is proj for t in node.inputs)
+    assert not [n for n in nodes if n.op == "matmul"
+                and any(t is proj for t in n.inputs)]
 
 
 def test_training_step_peak_stays_near_the_forward():
@@ -90,3 +102,7 @@ def test_training_step_peak_stays_near_the_forward():
         print(f"\nMEMORY {size}x{size} live {live / 1e6:.2f} peak {peak / 1e6:.2f} "
               f"ratio {peak / live:.3f}")
         assert peak <= 1.25 * live, (size, peak / 1e6, live / 1e6)
+        if size == 100:
+            # the forward keeps no z0 and no fuse block matrix (82.36 MB
+            # live when it kept both)
+            assert live < 75e6, live / 1e6
