@@ -19,22 +19,26 @@ contiguous shift (a 1x1 layer is a single tap over the image itself). A
 convolution of each patch alone followed by a linear layer is one folded
 matrix, ``patch_linear``. The window (stencil) kernels use the convolution's
 padded flat layout, ``_Flat``, and work through the channels in cache-sized
-blocks. The graph's channel projection, K-hop propagation (the window
-operator applied K times) and hop mix into a residual update are one node,
-``propagate``, whose backward carries one hop-sized gradient back through
-the hops. Scaled dot-product attention is one node that reads the keys in
-cache-sized blocks with an online softmax. A layer, conv2d or matmul plus
-its bias and its LeakyReLU if it has one, is one node; so is a linear layer
-whose rows are patch blocks put onto the grid, ``linear_untile``, and the
-unmixing loss (squared error plus spectral angle), which keeps six H x W
-arrays and recomputes r - y in backward, band block by band block.
+blocks. The whole normalised pixel graph, from the feature map's window
+distances to the self-loops and adjacency stacked as one operator, is one
+node, ``window_graph``. The graph's channel projection, K-hop propagation
+(the window operator applied K times) and hop mix into a residual update
+are one node, ``propagate``, whose backward carries one hop-sized gradient
+back through the hops. Scaled dot-product attention is one node that reads
+the keys in cache-sized blocks with an online softmax. A layer, conv2d or
+matmul plus its bias and its LeakyReLU if it has one, is one node; so is a
+linear layer whose rows are patch blocks put onto the grid,
+``linear_untile``, and the unmixing loss (squared error plus spectral
+angle), which keeps six H x W arrays and recomputes r - y in backward, band
+block by band block.
 
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. An activated layer keeps no
 pre-activation, the conv and propagation kernels pad their inputs again in
 backward instead of keeping padded copies, ``propagate`` keeps no z0 (one
-GEMM rebuilds it), ``linear_untile`` no block matrix, and attention no
-token-by-token array, but each row's log-sum-exp.
+GEMM rebuilds it), ``window_graph`` no distances (backward recomputes the
+differences) but its feature term, ``linear_untile`` no block matrix, and
+attention no token-by-token array, but each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, the window kernels accumulate shifts in a fixed offset order and sum
@@ -45,7 +49,6 @@ order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import math
 from typing import Callable, Dict, Optional, Sequence
 
@@ -875,9 +878,10 @@ class _Flat:
     (y + dr, x + dc) ``dr * Wp + dc`` further on, in the padding (so zero)
     when it is off the grid. ``at(a, shift)`` is that shifted slice over the
     run from the first pixel to the last; the padding columns inside the run
-    hold junk, which ``crop`` drops. ``window`` runs over the window in
-    row-major order, so reversing it negates it; ``shifts`` is ``window``
-    without the centre. ``conv2d`` reads its taps from the layout too.
+    hold junk, which ``crop`` drops. ``window`` runs over the window's
+    (dr, dc) ``offsets`` in row-major order, so reversing it negates it;
+    ``shifts`` is ``window`` without the centre. ``conv2d`` reads its taps
+    from the layout too.
     """
 
     def __init__(self, height: int, width: int, radius: int):
@@ -885,8 +889,9 @@ class _Flat:
         self.hp, self.wp = height + 2 * radius, width + 2 * radius
         self.start = radius * self.wp + radius
         self.run = (height - 1) * self.wp + width
-        self.window = [dr * self.wp + dc for dr in range(-radius, radius + 1)
-                       for dc in range(-radius, radius + 1)]
+        self.offsets = [(dr, dc) for dr in range(-radius, radius + 1)
+                        for dc in range(-radius, radius + 1)]
+        self.window = [dr * self.wp + dc for dr, dc in self.offsets]
         self.shifts = [s for s in self.window if s]
 
     def blocks(self, channels: int, planes: int) -> list:
@@ -910,13 +915,18 @@ class _Flat:
         self.crop(out)[...] = a
         return out
 
-    _on_grid = functools.cached_property(  # built on first use: convs never need it
-        lambda self: self.pad(np.ones((self.height, self.width))) > 0.0)
+    def valid(self) -> np.ndarray:
+        """(n_off, H, W): True at [o, i] where pixel i + shifts[o] is on the
+        grid."""
+        return self.neighbours(np.ones((self.height, self.width))) > 0.0
 
-    def pairs(self, shift: int) -> np.ndarray:
-        """Over the run: True where the pixel and its neighbour ``shift``
-        further on are both on the grid."""
-        return self.at(self._on_grid) & self.at(self._on_grid, shift)
+    def neighbours(self, a: np.ndarray) -> np.ndarray:
+        """(H, W) -> (n_off, H, W): out[o, i] = a[i + shifts[o]], zero where
+        that pixel is off the grid."""
+        af, out = self.pad(a), self.buffer(len(self.shifts))
+        for o, shift in enumerate(self.shifts):
+            self.at(out[o])[...] = self.at(af, shift)
+        return self.crop(out)
 
     def at(self, flat: np.ndarray, shift: int = 0) -> np.ndarray:
         lo = self.start + shift
@@ -936,125 +946,142 @@ def _add_rows(acc: np.ndarray, stack: np.ndarray):
     np.sum(stack, axis=0, out=acc)
 
 
-def window_sqdist(x: Tensor, radius: int) -> Tensor:
+def _window_sqdist(flat: _Flat, x: np.ndarray) -> np.ndarray:
     """Squared distance to every window neighbour: (C, H, W) -> (n_off, H, W),
-    out[o, i] = |x[:, i] - x[:, i + o]|^2, zero where i + o is off the grid.
-    Offsets o and -o share distances, so half the window is computed and
-    mirrored; the backward pass recomputes differences from ``x``."""
-    if x.ndim != 3:
-        raise ShapeError(f"window_sqdist expects C x H x W, got {x.shape}")
-    flat = _Flat(x.shape[1], x.shape[2], radius)
-    n_off = len(flat.shifts)
-    half, last = n_off // 2, n_off - 1
+    out[o, i] = |x[:, i] - x[:, i + o]|^2 where i + o is on the grid, finite
+    junk elsewhere. Offsets o and -o share distances, so half the window is
+    computed and mirrored."""
+    half, last = len(flat.shifts) // 2, len(flat.shifts) - 1
     blocks = flat.blocks(x.shape[0], 2)
-    width = blocks[0][1]
-    dist = flat.buffer(half)
-    xb = flat.buffer(width)
-    stack = np.empty((width + 1, flat.run))
+    dist, xb = flat.buffer(last + 1), flat.buffer(blocks[0][1])
+    stack = np.empty((blocks[0][1] + 1, flat.run))
     for c0, c1 in blocks:
-        xk = flat.pad(x.data[c0:c1], xb[:c1 - c0])
-        sq = stack[1:c1 - c0 + 1]
+        xk, sq = flat.pad(x[c0:c1], xb[:c1 - c0]), stack[1:c1 - c0 + 1]
         for o, shift in enumerate(flat.shifts[:half]):
             np.subtract(flat.at(xk), flat.at(xk, shift), out=sq)
             np.multiply(sq, sq, out=sq)
             _add_rows(flat.at(dist[o]), stack[:c1 - c0 + 1])
-    out = flat.buffer(n_off)  # zero where i + o is off the grid
     for o, shift in enumerate(flat.shifts[:half]):
-        np.copyto(flat.at(out[o]), flat.at(dist[o]), where=flat.pairs(shift))
-        np.copyto(flat.at(out[last - o]), flat.at(dist[o], -shift),
-                  where=flat.pairs(-shift))
+        flat.at(dist[last - o])[...] = flat.at(dist[o], -shift)
+    return np.ascontiguousarray(flat.crop(dist))
 
-    def bwd(g):
-        gf = flat.pad(g)
-        coef = flat.buffer(half)  # zero where i + o is off the grid
+
+def _window_sqdist_grad(flat: _Flat, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The gradient in x of sum(g * _window_sqdist(flat, x)), for g zero
+    where i + o is off the grid, from the differences recomputed channel
+    block by channel block. An edge's two directions are summed first."""
+    half, last = len(flat.shifts) // 2, len(flat.shifts) - 1
+    gf, coef = flat.pad(g), flat.buffer(half)  # zero where off the grid, as g
+    for o, shift in enumerate(flat.shifts[:half]):
+        flat.at(coef[o])[...] = 2.0 * (flat.at(gf[o]) + flat.at(gf[last - o], shift))
+    blocks, gx = flat.blocks(x.shape[0], 2), np.empty_like(x)
+    xb, gb = flat.buffer(blocks[0][1]), flat.buffer(blocks[0][1])
+    diff = np.empty((blocks[0][1], flat.run))
+    for c0, c1 in blocks:
+        xk, gk, d = flat.pad(x[c0:c1], xb[:c1 - c0]), gb[:c1 - c0], diff[:c1 - c0]
+        gk.fill(0.0)
         for o, shift in enumerate(flat.shifts[:half]):
-            np.copyto(flat.at(coef[o]),
-                      2.0 * (flat.at(gf[o]) + flat.at(gf[last - o], shift)),
-                      where=flat.pairs(shift))
-        gx = np.empty_like(x.data)
-        xb, gb = flat.buffer(width), flat.buffer(width)
-        diff = np.empty((width, flat.run))
-        for c0, c1 in blocks:
-            xk = flat.pad(x.data[c0:c1], xb[:c1 - c0])
-            gk, d = gb[:c1 - c0], diff[:c1 - c0]
-            gk.fill(0.0)
-            for o, shift in enumerate(flat.shifts[:half]):
-                np.subtract(flat.at(xk), flat.at(xk, shift), out=d)
-                d *= flat.at(coef[o])
-                flat.at(gk)[...] += d
-                flat.at(gk, shift)[...] -= d
-            gx[c0:c1] = flat.crop(gk)
-        _accumulate(x, gx, fresh=True)
-
-    return _record("window_sqdist", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
+            np.subtract(flat.at(xk), flat.at(xk, shift), out=d)
+            d *= flat.at(coef[o])
+            flat.at(gk)[...] += d
+            flat.at(gk, shift)[...] -= d
+        gx[c0:c1] = flat.crop(gk)
+    return gx
 
 
-def neighbour_shift(x: Tensor, radius: int) -> Tensor:
-    """Every pixel's window neighbours: (H, W) -> (n_off, H, W),
-    out[o, i] = x[i + o], zero where i + o is off the grid. Its one image is
-    a single block."""
-    if x.ndim != 2:
-        raise ShapeError(f"neighbour_shift expects H x W, got {x.shape}")
-    flat = _Flat(x.shape[0], x.shape[1], radius)
-    xf = flat.pad(x.data)
-    out = flat.buffer(len(flat.shifts))
-    for o, shift in enumerate(flat.shifts):
-        flat.at(out[o])[...] = flat.at(xf, shift)
+def window_graph(features: Tensor, height: int, width: int, radius: int,
+                 sigma_f: float, sigma_g: float) -> Tensor:
+    """The normalised window graph of a C x H.W feature map, read as
+    C x H x W, as one node: (n_off + 1, H, W), the self-loops 1 / d at 0,
+    then the adjacency w / sqrt(d_i d_{i+o}) of each offset in ``_Flat.shifts``
+    order, zero where i + o is off the grid. The edge from pixel i to i + o,
+    o = (dr, dc), weighs exp(-|x_i - x_{i+o}|^2 / sigma_f) times one constant
+    per offset, exp(-(dr^2 + dc^2) / sigma_g^2); d = 1 + sum_o w. The node
+    keeps the feature term, the degree's root and its inverse; backward
+    recomputes the differences. It rounds as the composed ops it replaced."""
+    c, hw = features.shape if features.ndim == 2 else (0, -1)
+    if hw != height * width:
+        raise ShapeError(f"window_graph: features {features.shape} are not "
+                         f"C x {height}*{width}")
+    flat = _Flat(height, width, radius)
+    x, scale_f = features.data.reshape(c, height, width), -1.0 / sigma_f
+    feat = _window_sqdist(flat, x)
+    np.exp(np.multiply(feat, scale_f, out=feat), out=feat)
+    d2 = np.array([dr * dr + dc * dc for dr, dc in flat.offsets if dr or dc], float)
+    spatial = np.exp(-d2 / (sigma_g * sigma_g))[:, None, None]
+    w = feat * (spatial * flat.valid())
+    root = np.sqrt(1.0 + np.sum(w, axis=0))
+    inv = 1.0 / root
+    out = np.concatenate([(inv * inv)[None], inv * flat.neighbours(inv) * w])
 
     def bwd(g):
-        gf = flat.pad(g)
-        gx = np.zeros_like(xf)
+        gl, ga, shifted = g[0], g[1:], flat.neighbours(inv)
+        masked = spatial * flat.valid()
+        gm = np.multiply(feat, masked)  # w, then w ga: at inv_i inv_{i+o}
+        gm *= ga
+        # inv's gradient via loops = inv inv (once per factor), inv_i, inv_{i+o}
+        g_inv = gl * inv + gl * inv + np.sum(gm * shifted, axis=0)
+        gm *= inv
+        gf, gn = flat.pad(gm), flat.buffer(1)[0]
         for o, shift in enumerate(flat.shifts):
-            flat.at(gx, shift)[...] += flat.at(gf[o])
-        _accumulate(x, flat.crop(gx), fresh=True)
+            flat.at(gn, shift)[...] += flat.at(gf[o])
+        g_inv += flat.crop(gn)
+        gw = np.multiply(inv, shifted, out=gm)  # w's gradient, in place
+        gw *= ga
+        gw += -g_inv / (root * root) * 0.5 / root  # through the degree
+        for factor in (masked, feat, scale_f):  # masked: no junk distance takes any
+            gw *= factor
+        _accumulate(features, _window_sqdist_grad(flat, x, gw).reshape(c, hw),
+                    fresh=True)
 
-    return _record("neighbour_shift", (x,), np.ascontiguousarray(flat.crop(out)), bwd)
+    return _record("window_graph", (features,), out, bwd)
 
 
-def _stencil_matvec(flat: _Flat, lf: np.ndarray, wf: np.ndarray, z: np.ndarray
-                    ) -> np.ndarray:
+def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray) -> np.ndarray:
     """S z for every channel of z (C, H, W): (S z)[:, i] = loops[i] z[:, i]
-    + sum_o weights[o, i] z[:, i + o], from the padded operators lf and wf."""
+    + sum_o weights[o, i] z[:, i + o], from the padded operator of."""
     out = np.empty_like(z)
     blocks = flat.blocks(z.shape[0], 3)
     width = blocks[0][1]
     zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
     for c0, c1 in blocks:
         zk, acc, p = flat.pad(z[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
-        np.multiply(flat.at(lf), flat.at(zk), out=flat.at(acc))
-        for o, shift in enumerate(flat.shifts):
-            np.multiply(flat.at(wf[o]), flat.at(zk, shift), out=p)
+        np.multiply(flat.at(of[0]), flat.at(zk), out=flat.at(acc))
+        for o, shift in enumerate(flat.shifts, 1):
+            np.multiply(flat.at(of[o]), flat.at(zk, shift), out=p)
             flat.at(acc)[...] += p
         out[c0:c1] = flat.crop(acc)
     return out
 
 
-def propagate(loops: Tensor, weights: Tensor, proj: Tensor, alphas: Tensor,
-              x: Tensor, beta: float, radius: int) -> Tensor:
+def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
+              beta: float, radius: int) -> Tensor:
     """Projection, K-hop propagation and residual hop mix as one node,
     K = len(alphas): z0 = proj @ x (x C x H.W, read as C x H x W), z_t =
-    S z_{t-1} for every channel with the window operator S z[:, i] =
-    loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o], then x + beta *
-    sum_t alphas[t-1] z_t: terms summed in order, scaled by beta, x added
-    last. The node keeps z_1 ... z_K and pads the operators again in
+    S z_{t-1} for every channel with the window operator of ``operator``
+    (n_off + 1, H, W), loops then weights as ``window_graph`` stacks them,
+    S z[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o], then
+    x + beta * sum_t alphas[t-1] z_t: terms summed in order, scaled by beta,
+    x added last. The node keeps z_1 ... z_K and pads the operator again in
     backward, which walks the hops from K down to 1 with one gradient array
-    r, channel block by channel block: the block's share of the operators'
-    gradients, then S^T r plus the hop's own term, written over r's block.
+    r, channel block by channel block: the block's share of the operator's
+    gradient, then S^T r plus the hop's own term, written over r's block.
     Each hop is dropped once read for the last time; z_K's array takes z0
-    (the same GEMM again, for the operators), then x's share of r."""
+    (the same GEMM again, for the operator), then x's share of r."""
     beta, n_off = float(beta), (2 * radius + 1) ** 2 - 1
     c, hw = x.shape if x.ndim == 2 else (0, -1)  # a wrong rank cannot fit
-    if (loops.ndim != 2 or hw != loops.size or proj.shape != (c, c)
-            or weights.shape != (n_off,) + loops.shape or alphas.ndim != 1
-            or alphas.size < 1):
-        raise ShapeError(f"propagate: loops {loops.shape}, weights {weights.shape}, "
-                         f"proj {proj.shape}, alphas {alphas.shape} and x {x.shape} "
-                         f"do not fit at radius {radius}")
-    flat, shape, a = _Flat(*loops.shape, radius), (c,) + loops.shape, alphas.data
-    lf, wf = flat.pad(loops.data), flat.pad(weights.data)
-    zs = [None, _stencil_matvec(flat, lf, wf, (proj.data @ x.data).reshape(shape))]
+    grid = operator.shape[1:]
+    if (operator.ndim != 3 or operator.shape[0] != n_off + 1
+            or hw != grid[0] * grid[1] or proj.shape != (c, c)
+            or alphas.ndim != 1 or alphas.size < 1):
+        raise ShapeError(f"propagate: operator {operator.shape}, proj {proj.shape}, "
+                         f"alphas {alphas.shape} and x {x.shape} do not fit at "
+                         f"radius {radius}")
+    flat, shape, a = _Flat(*grid, radius), (c,) + grid, alphas.data
+    of = flat.pad(operator.data)
+    zs = [None, _stencil_matvec(flat, of, (proj.data @ x.data).reshape(shape))]
     for _ in a[1:]:  # z0 is not kept: backward rebuilds it
-        zs.append(_stencil_matvec(flat, lf, wf, zs[-1]))
+        zs.append(_stencil_matvec(flat, of, zs[-1]))
     out = zs[1] * a[0]
     term = np.empty_like(out)
     for t in range(1, a.size):
@@ -1076,32 +1103,27 @@ def propagate(loops: Tensor, weights: Tensor, proj: Tensor, alphas: Tensor,
         spare = zs.pop().reshape(c, hw)  # no hop reads z_K
         np.multiply(gs, beta, out=r)
         r *= a[-1]
-        lf, wf = flat.pad(loops.data), flat.pad(weights.data)
+        of = flat.pad(operator.data)
         blocks = flat.blocks(c, 6)  # r, z, three padded planes, p
         width = blocks[0][1]
         gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
         stack = np.empty((width + 1, flat.run))
         for t in range(a.size, 0, -1):
-            gl = flat.buffer(1)[0] if loops.requires_grad else None
-            gw = flat.buffer(n_off) if weights.requires_grad else None
-            if t == 1 and (gl is not None or gw is not None):
+            gop = flat.buffer(n_off + 1) if operator.requires_grad else None
+            if t == 1 and gop is not None:
                 zs[0] = np.matmul(proj.data, x.data, out=spare).reshape(shape)
             for c0, c1 in blocks:
                 rows, rk = c1 - c0, r[c0:c1]
                 gk, p = flat.pad(rk, gb[:rows]), stack[1:rows + 1]
-                if gl is not None or gw is not None:
+                if gop is not None:
                     zk = flat.pad(zs[t - 1][c0:c1], zb[:rows])
-                if gl is not None:
-                    np.multiply(flat.at(gk), flat.at(zk), out=p)
-                    _add_rows(flat.at(gl), stack[:rows + 1])
-                if gw is not None:
-                    for o, shift in enumerate(flat.shifts):
+                    for o, shift in enumerate([0] + flat.shifts):
                         np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
-                        _add_rows(flat.at(gw[o]), stack[:rows + 1])
+                        _add_rows(flat.at(gop[o]), stack[:rows + 1])
                 sk = sb[:rows]  # S^T r; outside the run only padding, never read
-                np.multiply(flat.at(lf), flat.at(gk), out=flat.at(sk))
-                for o, shift in enumerate(flat.shifts):
-                    np.multiply(flat.at(wf[o]), flat.at(gk), out=p)
+                np.multiply(flat.at(of[0]), flat.at(gk), out=flat.at(sk))
+                for o, shift in enumerate(flat.shifts, 1):
+                    np.multiply(flat.at(of[o]), flat.at(gk), out=p)
                     flat.at(sk, shift)[...] += p
                 if t > 1:  # z_{t-1}'s own term in the mix, then S^T r
                     np.multiply(gs[c0:c1], beta, out=rk)
@@ -1110,15 +1132,13 @@ def propagate(loops: Tensor, weights: Tensor, proj: Tensor, alphas: Tensor,
                 else:
                     rk[...] = flat.crop(sk)
             zs.pop()  # z_{t-1}: walked
-            if gl is not None:
-                _accumulate(loops, flat.crop(gl), fresh=True)
-            if gw is not None:
-                _accumulate(weights, flat.crop(gw), fresh=True)
+            if gop is not None:
+                _accumulate(operator, flat.crop(gop), fresh=True)
         gz = r.reshape(c, hw)
         _accumulate(proj, gz @ x.data.T, fresh=True)
         _accumulate(x, np.matmul(proj.data.T, gz, out=spare), fresh=True)
 
-    return _record("propagate", (loops, weights, proj, alphas, x), out, bwd)
+    return _record("propagate", (operator, proj, alphas, x), out, bwd)
 
 
 # ---------------------------------------------------------------------------

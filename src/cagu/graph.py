@@ -1,16 +1,19 @@
-"""Content-adaptive pixel graph: construction, normalization, propagation.
+"""Content-adaptive pixel graph: construction and propagation.
 
 Edge weights combine a feature kernel exp(-|df|^2 / sigma_f) with a spatial
 kernel exp(-|dg|^2 / sigma_g^2) over a Chebyshev window of the given radius;
 the scales enter asymmetrically (sigma_f plain, sigma_g squared). Self-loops
-are added and the adjacency is symmetrically normalized. Propagation
-projects the channels, applies the normalized adjacency K times and mixes
-the hop results with softmax weights, feeding a residual update
+are added and the adjacency is symmetrically normalized. All of that is one
+tape node, ``autodiff.window_graph``, which returns the self-loops and the
+adjacency stacked as one operator; the static grid graph is the same node
+on a constant map with no spatial decay, so one path builds every graph.
+Propagation projects the channels, applies the normalized adjacency K times
+and mixes the hop results with softmax weights, feeding a residual update
 x + beta * y; the projection, the hops and their mix are one tape node,
 ``autodiff.propagate``. The graph is rebuilt from current features every
 forward pass, so gradients flow through the edge weights. The window is a
-fixed stencil on the pixel grid: the graph is one weight image per window
-offset, and every stage works on shifted slices.
+fixed stencil on the pixel grid: the graph is one image per window offset,
+and every stage works on shifted slices.
 """
 
 from __future__ import annotations
@@ -55,105 +58,81 @@ class ContentGraph:
     """Windowed pixel graph on a height x width grid, in stencil form.
 
     Offset o runs over the (2r+1)^2 - 1 window offsets in row-major window
-    order. ``weights[o]`` is an image holding, at pixel i, the raw weight of
-    the edge from i to its neighbour i + o; ``adjacency[o]`` holds the same
-    entries of D^-1/2 (A + I) D^-1/2 and ``loops`` its diagonal, 1 / degree.
-    ``valid[o]`` is True where i + o lies on the grid; elsewhere both weight
-    images are zero.
+    order. ``operator``, the output of the one ``autodiff.window_graph``
+    node, is D^-1/2 (A + I) D^-1/2 as (n_off + 1, H, W) images: its
+    diagonal, 1 / degree, then at 1 + o the entry of the edge from pixel i
+    to i + o. ``valid[o]`` is True where i + o lies on the grid; elsewhere
+    the operator is zero.
     """
 
     height: int
     width: int
     radius: int
-    valid: np.ndarray       # (n_off, H, W) bool
-    weights: Tensor         # (n_off, H, W)
-    adjacency: Tensor       # (n_off, H, W)
-    loops: Tensor           # (H, W)
+    operator: Tensor        # (n_off + 1, H, W)
 
     @property
-    def n_nodes(self) -> int:
-        return self.height * self.width
+    def valid(self) -> np.ndarray:
+        """(n_off, H, W) bool: True where pixel i + o is on the grid."""
+        return ad._Flat(self.height, self.width, self.radius).valid()
 
     @property
     def edge_rows(self) -> np.ndarray:
         """Source pixel of every directed off-diagonal edge, offset-major."""
-        pixels = np.arange(self.n_nodes).reshape(self.height, self.width)
-        return np.broadcast_to(pixels, self.valid.shape)[self.valid]
-
-    def _dense(self, stencil: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-        r = self.radius
-        shifts = np.array([dr * self.width + dc for dr in range(-r, r + 1)
-                           for dc in range(-r, r + 1) if dr or dc])
-        a = np.diag(diagonal)
-        rows = self.edge_rows
-        a[rows, rows + shifts[np.nonzero(self.valid)[0]]] = stencil[self.valid]
-        return a
-
-    def dense_weights(self) -> np.ndarray:
-        """Dense copy of the raw off-diagonal weights (tests, small scenes)."""
-        return self._dense(self.weights.data, np.zeros(self.n_nodes))
+        _, row, col = np.nonzero(self.valid)
+        return row * self.width + col
 
     def dense_adjacency(self) -> np.ndarray:
         """Dense copy of the normalized adjacency (tests, small scenes)."""
-        return self._dense(self.adjacency.data, self.loops.data.ravel())
+        flat = ad._Flat(self.height, self.width, self.radius)
+        shifts = np.array([dr * self.width + dc for dr, dc in flat.offsets if dr or dc])
+        offset, row, col = np.nonzero(flat.valid())
+        a, rows = np.diag(self.operator.data[0].ravel()), row * self.width + col
+        a[rows, rows + shifts[offset]] = self.operator.data[1:][offset, row, col]
+        return a
+
+    def dense_weights(self) -> np.ndarray:
+        """Dense copy of the raw off-diagonal weights, recovered as
+        A_ij / (sqrt(loops_i) sqrt(loops_j)) (tests, small scenes)."""
+        loops = self.operator.data[0].ravel()
+        root = np.sqrt(loops)
+        return (self.dense_adjacency() - np.diag(loops)) / np.outer(root, root)
 
     def fingerprint(self) -> str:
         """Stable digest of structure and (rounded) normalized weights."""
         digest = hashlib.sha256()
         digest.update(np.int64([self.height, self.width, self.radius]).tobytes())
-        digest.update(np.round(self.adjacency.data, 12).tobytes())
-        digest.update(np.round(self.loops.data, 12).tobytes())
+        digest.update(np.round(self.operator.data[1:], 12).tobytes())
+        digest.update(np.round(self.operator.data[0], 12).tobytes())
         return digest.hexdigest()[:16]
-
-
-def _window_valid(height: int, width: int, radius: int) -> np.ndarray:
-    """True at [o, i] where pixel i + o is on the grid."""
-    if radius < 1:
-        raise ConfigError(f"window radius must be at least 1, got {radius}")
-    return ad.neighbour_shift(Tensor(np.ones((height, width))), radius).data > 0.0
-
-
-def _normalize(valid: np.ndarray, weights: Tensor, radius: int
-               ) -> ContentGraph:
-    """Add self-loops and apply D^-1/2 (A + I) D^-1/2."""
-    _, height, width = valid.shape
-    degree = ad.add(Tensor(np.ones((height, width))), ad.sum(weights, axis=0))
-    inv_sqrt = ad.divide(Tensor(np.ones((height, width))), ad.sqrt(degree))
-    adjacency = ad.mul(weights, ad.mul(inv_sqrt,
-                                       ad.neighbour_shift(inv_sqrt, radius)))
-    return ContentGraph(height, width, radius, valid, weights, adjacency,
-                        loops=ad.mul(inv_sqrt, inv_sqrt))
 
 
 def build_graph(features: Tensor, positions: np.ndarray, radius: int,
                 sigma_f: float, sigma_g: float) -> ContentGraph:
-    """Content-adaptive graph over pixels from transformer features.
+    """Content-adaptive graph over pixels from transformer features, one node.
 
     ``features`` is (channels, N); ``positions`` is (2, N) and must be the
     row-major grid ``grid_positions(height, width)``. Edge weights are
-    differentiable in the features.
+    differentiable in the features. A scale may be +inf, which switches
+    its kernel off.
     """
-    if sigma_f <= 0 or sigma_g <= 0:
+    if not sigma_f > 0 or not sigma_g > 0:  # NaN too
         raise ConfigError(f"kernel scales must be positive, got "
                           f"sigma_f={sigma_f}, sigma_g={sigma_g}")
+    if radius < 1:
+        raise ConfigError(f"window radius must be at least 1, got {radius}")
     if features.ndim != 2:
         raise ShapeError(f"features must be channels x N, got {features.shape}")
     height, width = _grid_shape(positions, features.shape[1])
-
-    valid = _window_valid(height, width, radius)
-    gdist2 = ad.window_sqdist(Tensor(positions.reshape(2, height, width)), radius)
-    spatial_term = Tensor(np.exp(-gdist2.data / (sigma_g * sigma_g)) * valid)
-    fmap = ad.reshape(features, (features.shape[0], height, width))
-    feat_term = ad.exp(ad.scale(ad.window_sqdist(fmap, radius), -1.0 / sigma_f))
-    weights = ad.mul(feat_term, spatial_term)
-    return _normalize(valid, weights, radius)
+    return ContentGraph(height, width, radius, ad.window_graph(
+        features, height, width, radius, sigma_f, sigma_g))
 
 
 def build_static_grid_graph(height: int, width: int, radius: int
                             ) -> ContentGraph:
-    """Feature-independent grid graph: every in-window weight fixed to 1."""
-    valid = _window_valid(height, width, radius)
-    return _normalize(valid, Tensor(valid.astype(np.float64)), radius)
+    """Feature-independent grid graph: every in-window weight fixed to 1,
+    as the content graph of a constant map with no spatial decay."""
+    return build_graph(Tensor(np.zeros((1, height * width))),
+                       grid_positions(height, width), radius, 1.0, np.inf)
 
 
 @dataclass
@@ -199,5 +178,5 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
     if params.k_steps < 1:
         raise ConfigError(f"k_steps must be at least 1, got {params.k_steps}")
     alphas = ad.softmax(params.mix_logits, axis=0)
-    return ad.propagate(graph.loops, graph.adjacency, params.graph_proj, alphas,
-                        x, params.beta, graph.radius)
+    return ad.propagate(graph.operator, params.graph_proj, alphas, x,
+                        params.beta, graph.radius)

@@ -723,12 +723,12 @@ def test_propagate_sums_into_a_gradient_x_owns():
     loops, weights = rng.normal(size=(5, 6)), rng.normal(size=(8, 5, 6))
     proj, x_data = rng.normal(size=(3, 3)), rng.normal(size=(3, 30))
     d1, d2 = Tensor(rng.normal(size=(3, 30))), Tensor(rng.normal(size=(3, 30)))
+    operator = np.concatenate([loops[None], weights])
 
     def grad(op, other):
         x = Tensor(x_data.copy(), requires_grad=True)
         with Tape() as tape:
-            out = op(Tensor(loops), Tensor(weights), Tensor(proj), Tensor([1.0]), x,
-                     1.0, 1)
+            out = op(Tensor(operator), Tensor(proj), Tensor([1.0]), x, 1.0, 1)
             loss = ad.sum(ad.mul(out, d1))
             if other:
                 loss = ad.add(loss, ad.sum(ad.mul(ad.scale(x, 3.0), d2)))
@@ -1043,37 +1043,34 @@ def test_graph_kernel_gradients():
         c, radius = int(rng.integers(1, 4)), int(rng.integers(1, 3))
         n_off = (2 * radius + 1) ** 2 - 1
         x = Tensor(rng.normal(size=(c, h, w)))
-        img = Tensor(rng.normal(size=(h, w)))
-        weights = Tensor(rng.normal(size=(n_off, h, w)))
-        loops = Tensor(rng.normal(size=(h, w)))
-        off_direction = Tensor(rng.normal(size=(n_off, h, w)))
+        operator = Tensor(rng.normal(size=(n_off + 1, h, w)))
+        features = Tensor(rng.normal(size=(c, h * w)))
+        op_direction = Tensor(rng.normal(size=(n_off + 1, h, w)))
         direction = Tensor(rng.normal(size=(c, h, w)))
 
+        # sigma_f = E|x_i - x_j|^2 keeps the weights live, around 1/e
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.window_sqdist(t, radius), off_direction)),
-            x, h=1e-6)
-        assert err < 1e-4
-        err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.neighbour_shift(t, radius), off_direction)),
-            img, h=1e-6)
+            lambda t: ad.sum(ad.mul(ad.window_graph(t, h, w, radius, 2.0 * c, 4.0),
+                                    op_direction)),
+            features, h=1e-6)
         assert err < 1e-4
 
         def matvec_loss(t, which):
-            args = {"loops": loops, "weights": weights, "z": x, which: t}
-            return ad.sum(ad.mul(one_hop(
-                args["loops"], args["weights"], args["z"], radius), direction))
+            args = {"operator": operator, "z": x, which: t}
+            return ad.sum(ad.mul(one_hop(args["operator"], args["z"], radius),
+                                 direction))
 
-        for which, leaf in (("loops", loops), ("weights", weights), ("z", x)):
+        for which, leaf in (("operator", operator), ("z", x)):
             err = finite_diff_check(lambda t: matvec_loss(t, which), leaf, h=1e-6)
             assert err < 1e-4, which
 
 
-def one_hop(loops, weights, z, radius):
+def one_hop(operator, z, radius):
     """S z, the window operator once on every channel: propagation of z with
     the identity projection, one hop of weight 1 and beta 1, less the
     residual z (exact up to the rounding of that sum)."""
     x = ad.reshape(z, (z.shape[0], z.size // z.shape[0]))
-    out = ad.propagate(loops, weights, Tensor(np.eye(z.shape[0])), Tensor([1.0]), x,
+    out = ad.propagate(operator, Tensor(np.eye(z.shape[0])), Tensor([1.0]), x,
                        1.0, radius)
     return ad.reshape(ad.sub(out, x), z.shape)
 
@@ -1090,30 +1087,41 @@ def window_oracle(h, w, radius):
                     yield o, (r, col), (r + dr, col + dc)
 
 
+def window_graph_oracle(x, radius, sigma_f, sigma_g):
+    """``window_graph``'s operator by a loop over the window, and the raw
+    weights it normalises, zero off the grid."""
+    _, h, w = x.shape
+    n_off = (2 * radius + 1) ** 2 - 1
+    weights = np.zeros((n_off, h, w))
+    for o, i, j in window_oracle(h, w, radius):
+        d, g = x[:, i[0], i[1]] - x[:, j[0], j[1]], np.subtract(i, j)
+        weights[o][i] = np.exp(-(d @ d) / sigma_f) * np.exp(-(g @ g) / sigma_g ** 2)
+    degree = 1.0 + weights.sum(axis=0)
+    out = np.zeros((n_off + 1, h, w))
+    out[0] = 1.0 / degree
+    for o, i, j in window_oracle(h, w, radius):
+        out[1 + o][i] = weights[o][i] / np.sqrt(degree[i] * degree[j])
+    return out, weights
+
+
 @pytest.mark.parametrize("h,w,radius", [(7, 5, 2), (1, 6, 2), (6, 1, 2),
                                         (2, 3, 3), (4, 4, 1)])
 def test_stencil_kernels_match_loop_oracle(h, w, radius):
     rng = np.random.default_rng(h * 10 + w)
     n_off = (2 * radius + 1) ** 2 - 1
     x = rng.normal(size=(3, h, w))
-    img = rng.normal(size=(h, w))
     weights = rng.normal(size=(n_off, h, w))
     loops = rng.normal(size=(h, w))
-    dist = np.zeros((n_off, h, w))
-    shifted = np.zeros((n_off, h, w))
     matvec = loops * x
     for o, i, j in window_oracle(h, w, radius):
-        d = x[:, i[0], i[1]] - x[:, j[0], j[1]]
-        dist[o][i] = d @ d
-        shifted[o][i] = img[j]
         matvec[:, i[0], i[1]] += weights[o][i] * x[:, j[0], j[1]]
-    np.testing.assert_allclose(ad.window_sqdist(Tensor(x), radius).data, dist,
-                               atol=1e-12)
-    np.testing.assert_array_equal(ad.neighbour_shift(Tensor(img), radius).data,
-                                  shifted)
+    # sigma_f = E|x_i - x_j|^2 keeps the weights live, around 1/e
     np.testing.assert_allclose(
-        one_hop(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
-        matvec, atol=1e-12)
+        ad.window_graph(Tensor(x.reshape(3, -1)), h, w, radius, 6.0, 2.0).data,
+        window_graph_oracle(x, radius, 6.0, 2.0)[0], rtol=1e-12, atol=1e-15)
+    operator = np.concatenate([loops[None], weights])
+    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x), radius).data,
+                               matvec, atol=1e-12)
 
 
 def directional_error(loss, leaf, rng, n_dirs=3, h=1e-4):
@@ -1149,35 +1157,36 @@ def test_stencil_kernels_across_channel_blocks(radius):
     rng = np.random.default_rng(radius)
     n_off = (2 * radius + 1) ** 2 - 1
     x = rng.normal(size=(c, h, w))
-    weights = rng.normal(size=(n_off, h, w))
-    loops = rng.normal(size=(h, w))
-    dist = np.zeros((n_off, h, w))
-    matvec = loops * x
+    operator = rng.normal(size=(n_off + 1, h, w))
+    matvec = operator[0] * x
     for o, i, j in window_oracle(h, w, radius):
-        d = x[:, i[0], i[1]] - x[:, j[0], j[1]]
-        dist[o][i] = d @ d
-        matvec[:, i[0], i[1]] += weights[o][i] * x[:, j[0], j[1]]
-    np.testing.assert_allclose(ad.window_sqdist(Tensor(x), radius).data, dist,
-                               atol=1e-11)
-    np.testing.assert_allclose(
-        one_hop(Tensor(loops), Tensor(weights), Tensor(x), radius).data,
-        matvec, atol=1e-12)
+        matvec[:, i[0], i[1]] += operator[1 + o][i] * x[:, j[0], j[1]]
+    # the median squared distance is about 2c, so sigma_f = 2c / ln(1 / 0.3)
+    # puts the median feature term near 0.3: every weight is live
+    sigma_f, sigma_g = 2.0 * c / np.log(1.0 / 0.3), float((2 * radius) ** 2)
+    graph = ad.window_graph(Tensor(x.reshape(c, -1)), h, w, radius, sigma_f, sigma_g)
+    oracle, raw = window_graph_oracle(x, radius, sigma_f, sigma_g)
+    np.testing.assert_allclose(graph.data, oracle, rtol=1e-12, atol=1e-15)
+    assert 0.2 < np.median(raw[ad._Flat(h, w, radius).valid()]) < 0.4
+    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x), radius).data,
+                               matvec, atol=1e-12)
 
-    off_direction = Tensor(rng.normal(size=(n_off, h, w)))
+    op_direction = Tensor(rng.normal(size=(n_off + 1, h, w)))
     direction = Tensor(rng.normal(size=(c, h * w)))
     assert directional_error(
-        lambda t: ad.sum(ad.mul(ad.window_sqdist(t, radius), off_direction)),
-        Tensor(x.copy()), rng) < 1e-6
-    # two hops: quadratic in the operators, and backward's gradient array
+        lambda t: ad.sum(ad.mul(ad.window_graph(t, h, w, radius, sigma_f, sigma_g),
+                                op_direction)),
+        Tensor(x.reshape(c, -1).copy()), rng) < 1e-6
+    # two hops: quadratic in the operator, and backward's gradient array
     # crosses every block once per hop
-    args = {"loops": Tensor(loops), "weights": Tensor(weights),
-            "proj": Tensor(rng.normal(size=(c, c)) / c), "x": Tensor(x.reshape(c, -1))}
+    args = {"operator": Tensor(operator), "proj": Tensor(rng.normal(size=(c, c)) / c),
+            "x": Tensor(x.reshape(c, -1))}
     alphas = Tensor([0.3, 0.7])
     for which in args:
         def loss(t):
             kw = dict(args, **{which: t})
-            return ad.sum(ad.mul(ad.propagate(kw["loops"], kw["weights"], kw["proj"],
-                                              alphas, kw["x"], 0.5, radius),
+            return ad.sum(ad.mul(ad.propagate(kw["operator"], kw["proj"], alphas,
+                                              kw["x"], 0.5, radius),
                                  direction))
         leaf = Tensor(args[which].data.copy())
         assert directional_error(loss, leaf, rng) < 1e-6, which
@@ -1271,9 +1280,12 @@ def hop_mix_reference(x, alphas, hops, beta):
     return ad._record("hop_mix", (x, alphas, *hops), out, bwd)
 
 
-def propagate_reference(loops, weights, proj, alphas, x, beta, radius):
-    """``ad.propagate`` as the composed ops it replaced: the projection's
-    matmul, the stencil K times and the hop mix."""
+def propagate_reference(operator, proj, alphas, x, beta, radius):
+    """``ad.propagate`` as the composed ops it replaced: the operator split
+    into loops and weights, the projection's matmul, the stencil K times and
+    the hop mix."""
+    loops = ad.reshape(ad.narrow(operator, 0, 0, 1), operator.shape[1:])
+    weights = ad.narrow(operator, 0, 1, operator.shape[0])
     z = ad.reshape(ad.matmul(proj, x), (x.shape[0],) + loops.shape)
     hops = []
     for _ in range(alphas.size):
@@ -1290,23 +1302,24 @@ def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
         n_off = (2 * radius + 1) ** 2 - 1
         arrays = [rng.normal(size=shape) for shape in
                   ((h, w), (n_off, h, w), (c, c), (k,), (c, h * w))]
+        arrays[:2] = [np.concatenate([arrays[0][None], arrays[1]])]
         direction = Tensor(rng.normal(size=(c, h * w)))
-        for learned in (True, False):  # operators with gradients, or static
+        for learned in (True, False):  # an operator with gradients, or static
             results = []
             for op in (ad.propagate, propagate_reference):
-                loops, weights, proj, logits, x = (
-                    Tensor(a.copy(), requires_grad=learned or i > 1)
+                operator, proj, logits, x = (
+                    Tensor(a.copy(), requires_grad=learned or i > 0)
                     for i, a in enumerate(arrays))
                 with Tape() as tape:
                     alphas = ad.softmax(logits, axis=0)
-                    out = op(loops, weights, proj, alphas, x, 0.3, radius)
+                    out = op(operator, proj, alphas, x, 0.3, radius)
                     # x's other consumer hands it a gradient it owns first
                     loss = ad.add(ad.sum(ad.mul(out, direction)),
                                   ad.sum(ad.scale(x, 3.0)))
                 backward(tape, loss)
                 results.append([out.data] + [
-                    t.grad for t in (loops, weights, proj, logits, x) if t.requires_grad])
-            assert len(results[0]) == len(results[1]) == (6 if learned else 4)
+                    t.grad for t in (operator, proj, logits, x) if t.requires_grad])
+            assert len(results[0]) == len(results[1]) == (5 if learned else 4)
             for a, b in zip(*results):
                 assert a.tobytes() == b.tobytes(), (c, learned)
 
@@ -1314,16 +1327,16 @@ def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
 def test_propagate_gradients():
     rng = np.random.default_rng(32)
     for k in (1, 2, 3):
-        for learned in (True, False):  # operators with gradients, or static
+        for learned in (True, False):  # an operator with gradients, or static
             c, h, w = (int(v) for v in rng.integers(1, 4, size=3))
             radius = int(rng.integers(1, 3))
             n_off = (2 * radius + 1) ** 2 - 1
-            args = [Tensor(rng.normal(size=shape), requires_grad=learned and i < 2)
-                    for i, shape in enumerate(((h, w), (n_off, h, w), (c, c),
-                                               (k,), (c, h * w)))]
+            args = [Tensor(rng.normal(size=shape), requires_grad=learned and i < 1)
+                    for i, shape in enumerate(((n_off + 1, h, w), (c, c), (k,),
+                                               (c, h * w)))]
             beta = float(rng.uniform(0.1, 2.0))
             direction = Tensor(rng.normal(size=(c, h * w)))
-            for slot in range(5) if learned else range(2, 5):
+            for slot in range(4) if learned else range(1, 4):
                 def loss(t):
                     return ad.sum(ad.mul(ad.propagate(
                         *args[:slot], t, *args[slot + 1:], beta, radius), direction))
@@ -1332,8 +1345,7 @@ def test_propagate_gradients():
 
 
 def _propagate_operands():
-    good = [Tensor(np.ones(shape)) for shape in
-            ((3, 3), (8, 3, 3), (2, 2), (2,), (2, 9))]
+    good = [Tensor(np.ones(shape)) for shape in ((9, 3, 3), (2, 2), (2,), (2, 9))]
     assert ad.propagate(*good, 0.5, 1).shape == (2, 9)
     return good
 
@@ -1345,22 +1357,22 @@ def _assert_propagate_rejects(good, slot, shape, radius=1):
 
 
 def test_stencil_matvec_rejects_mismatched_weights():
-    # the stencil operands of ad.propagate: loops, weights and the
-    # projection that makes z0
+    # the stencil operands of ad.propagate: the stacked operator (loops,
+    # then weights) and the projection that makes z0
     good = _propagate_operands()
-    for slot, shape in ((0, (3, 4)), (1, (24, 3, 3)), (2, (2, 3)), (2, (3, 3)),
-                        (2, (2, 2, 1))):
+    for slot, shape in ((0, (9, 3, 4)), (0, (25, 3, 3)), (0, (8, 3, 3)), (0, (9, 9)),
+                        (1, (2, 3)), (1, (3, 3)), (1, (2, 2, 1))):
         _assert_propagate_rejects(good, slot, shape)
-    # eight offsets are radius 1's window
-    _assert_propagate_rejects(good, 1, (8, 3, 3), radius=2)
+    # loops and eight offsets are radius 1's window
+    _assert_propagate_rejects(good, 0, (9, 3, 3), radius=2)
 
 
 def test_hop_mix_rejects_mismatched_shapes():
     # the hop mix operands of ad.propagate: alphas and x, which the
     # projection also reads
     good = _propagate_operands()
-    for slot, shape in ((3, (0,)), (3, (1, 2)), (4, (2, 8)), (4, (3, 9)),
-                        (4, (2, 3, 3)), (4, (18,))):
+    for slot, shape in ((2, (0,)), (2, (1, 2)), (3, (2, 8)), (3, (3, 9)),
+                        (3, (2, 3, 3)), (3, (18,))):
         _assert_propagate_rejects(good, slot, shape)
 
 
@@ -1478,35 +1490,57 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
 
 
 def test_propagate_keeps_no_padded_copy_of_its_operators():
-    loops, weights = rand((64, 64), seed=73), rand((8, 64, 64), seed=74)
+    operator = rand((9, 64, 64), seed=74)
     proj, alphas, x = rand((4, 4), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
-    for t in (loops, weights, proj, alphas, x):
+    for t in (operator, proj, alphas, x):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.propagate(loops, weights, proj, alphas, x, 0.5, 1))
+    kept, _ = kept_bytes(lambda: ad.propagate(operator, proj, alphas, x, 0.5, 1))
     hops = 2 * x.data.nbytes  # z_1 and z_2, for backward; z0 is rebuilt
-    assert 0 <= kept - hops < weights.data.nbytes / 8, kept
+    assert 0 <= kept - hops < operator.data.nbytes / 8, kept
+
+
+def test_window_graph_keeps_one_window_sized_array():
+    h = w = 64
+    x = rand((16, h * w), seed=89)
+    x.requires_grad = True
+    for radius in (1, 2):
+        n_off = (2 * radius + 1) ** 2 - 1
+        kept, _ = kept_bytes(lambda: ad.window_graph(x, h, w, radius, 32.0, 4.0))
+        # the feature term, for backward; beside it the degree's root and
+        # its inverse, one image each, and no padded or per-offset copy
+        window, image = n_off * h * w * 8, h * w * 8
+        assert 0 <= kept - window < 2 * image + image / 4, (radius, kept)
 
 
 def test_propagate_backward_holds_one_hop_sized_gradient():
     # 64 channels x 100 x 100 with K = 3: a hop is 5.12 MB, and a separate
-    # hop mix node hands all K hop gradients over at once
+    # hop mix node hands all K hop gradients over at once. Traced from
+    # before the forward, so the hops the node keeps are on the books and
+    # backward's freeing of them shows.
     rng = np.random.default_rng(82)
     c, h, w, k = 64, 100, 100, 3
     args = [Tensor(rng.normal(size=shape), requires_grad=True)
-            for shape in ((h, w), (8, h, w), (c, c), (k,), (c, h * w))]
-    with Tape() as tape:
-        out = ad.propagate(*args, 0.5, 1)
-    (node,) = tape.nodes
-    g = rng.normal(size=out.shape)
+            for shape in ((9, h, w), (c, c), (k,), (c, h * w))]
+    g = rng.normal(size=(c, h * w))
+    hop = g.nbytes
     tracemalloc.start()
     try:
-        base = tracemalloc.get_traced_memory()[0]
-        node.backward_fn(g)
-        peak = tracemalloc.get_traced_memory()[1]
+        with Tape() as tape:
+            ad.propagate(*args, 0.5, 1)
+        (node,) = tape.nodes
+        entry = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        node.backward_fn(g)  # the node, and so its closure, is still held
+        left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    print(f"\npropagate backward peak +{(peak - base) / 1e6:.2f} MB")
-    assert peak - base < 2 * args[4].data.nbytes, (peak - base) / 1e6
+    print(f"\npropagate backward peak +{(peak - entry) / 1e6:.2f} MB, "
+          f"left live {(left - entry) / 1e6:+.2f} MB")
+    assert peak - entry < 2 * hop, (peak - entry) / 1e6
+    # z_1 .. z_{K-1} are freed once walked, z_K's array holds x's gradient,
+    # and what is new is the operator's gradient and the small ones
+    operator_grad = args[0].data.nbytes
+    assert left - entry < -(k - 1) * hop + 2 * operator_grad, (left - entry) / 1e6
 
 
 def test_attention_keeps_no_token_by_token_array():

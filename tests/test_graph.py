@@ -114,6 +114,20 @@ def test_nonpositive_sigma_rejected():
         build_graph(Tensor(np.ones((2, 4))), grid_positions(2, 2), 1, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("sigmas", [(np.nan, 4.0), (1.0, np.nan)])
+def test_nan_sigma_rejected(sigmas):
+    # a NaN scale fails every comparison, so it would pass a "<= 0" test
+    # and make every weight NaN
+    with pytest.raises(ConfigError):
+        build_graph(Tensor(np.ones((2, 4))), grid_positions(2, 2), 1, *sigmas)
+
+
+def test_infinite_sigma_switches_its_kernel_off():
+    features = Tensor(np.array([[0.0, 1.0]]))
+    graph = build_graph(features, grid_positions(1, 2), 1, np.inf, np.inf)
+    np.testing.assert_array_equal(directed_pair(graph), [1.0, 1.0])
+
+
 # ---------------------------------------------------------------------------
 # static grid graph
 
@@ -139,7 +153,7 @@ def test_static_graph_independent_of_features():
     a = build_static_grid_graph(3, 4, 1)
     b = build_static_grid_graph(3, 4, 1)
     assert a.fingerprint() == b.fingerprint()
-    assert not a.adjacency.requires_grad
+    assert not a.operator.requires_grad
 
 
 # ---------------------------------------------------------------------------

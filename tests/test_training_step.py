@@ -79,6 +79,21 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     assert any(t is proj for t in node.inputs)
     assert not [n for n in nodes if n.op == "matmul"
                 and any(t is proj for t in n.inputs)]
+    # the graph is one node, which reads the flat map that propagation reads,
+    # and none of the ops it is made of reaches the tape
+    (graph,) = [n for n in nodes if n.op == "window_graph"]
+    assert len(graph.inputs) == 1 and graph.inputs[0] is node.inputs[-1]
+    assert graph.output is outputs.graph.operator and graph.output in node.inputs
+    assert not {"window_sqdist", "neighbour_shift", "exp", "sqrt", "divide"} & set(ops)
+    # the static graph is built from a constant map: no node at all
+    params, observed, config = _step_inputs(
+        8, channels=6, token_dim=6, fused_channels=6, patch_size=2,
+        k_steps=2, ablation_mode="static")
+    with Tape() as tape:
+        mdl.training_loss(params, observed, config)
+    static_ops = [n.op for n in tape.nodes]
+    assert "window_graph" not in static_ops and static_ops.count("propagate") == 1
+    assert len(static_ops) == len(ops) - 1
 
 
 def test_training_step_peak_stays_near_the_forward():
