@@ -3,9 +3,10 @@
 A small tape machine: every kernel computes its numpy forward immediately
 and, when an active tape exists and an input wants gradients, appends a
 node holding a backward closure. ``backward`` consumes the tape: it pops the
-nodes in reverse, runs each closure and drops the node, so the arrays a
-closure saved are freed as soon as it has run, and so is an intermediate
-gradient once its producer has run (unless the caller holds the tensor).
+nodes in reverse and releases each node before its closure runs, so an
+output that no closure reads is freed before its producer's backward, the
+arrays a closure saved as soon as it has run, and an intermediate gradient
+once its producer has run (unless the caller holds the tensor).
 Gradients accumulate additively across fan-out. A tensor's first gradient
 is held as given. A closure flags each array it made and hands over whole,
 and a tensor owns such an array: a second gradient is summed into the one
@@ -15,11 +16,13 @@ Each sum keeps its operands and their order, so where it lands moves no bit.
 
 There is one convolution kernel, and it keeps the image size: one GEMM per
 kernel tap over the padded, flattened C x H x W image, where every tap is one
-contiguous shift (a 1x1 layer is a single tap over the image itself). A
-convolution of each patch alone followed by a linear layer is one folded
-matrix, ``patch_linear``. The window (stencil) kernels use the convolution's
-padded flat layout, ``_Flat``, and work through the channels in cache-sized
-blocks. The whole normalised pixel graph, from the feature map's window
+contiguous shift (a 1x1 layer is a single tap over the image itself). The
+two tokenizers read the C x H x W map and tile it privately: a convolution
+of each patch alone followed by a linear layer is one folded matrix,
+``patch_linear``, and a 1x1 convolution, patch mean and linear layer is one
+node, ``patch_mean_linear``. The window (stencil) kernels use the
+convolution's padded flat layout, ``_Flat``, and work through the channels
+in cache-sized blocks. The whole normalised pixel graph, from the feature map's window
 distances to the self-loops and adjacency stacked as one operator, is one
 node, ``window_graph``. The graph's channel projection, K-hop propagation
 (the window operator applied K times) and hop mix into a residual update
@@ -35,9 +38,11 @@ block by band block.
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. An activated layer keeps no
 pre-activation, the conv and propagation kernels pad their inputs again in
-backward instead of keeping padded copies, ``propagate`` keeps no z0 (one
-GEMM rebuilds it), ``window_graph`` no distances (backward recomputes the
-differences) but its feature term, ``linear_untile`` no block matrix, and
+backward instead of keeping padded copies, ``propagate`` keeps z_1 ...
+z_{K-1} only (one GEMM rebuilds z0, and one stencil pass z_K),
+``window_graph`` no distances (backward recomputes the differences) but its
+feature term, ``linear_untile`` no block matrix, the tokenizers no tiles and
+``patch_mean_linear`` no per-pixel response, but the patch means, and
 attention no token-by-token array, but each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
@@ -254,12 +259,14 @@ def backward(tape: Tape, loss: Tensor):
     """Populate ``grad`` on every requires-grad tensor reachable from ``loss``,
     consuming the tape.
 
-    Nodes are popped in reverse order and each is dropped once its closure
-    has run: the arrays the closure saved are freed then, and a tensor
-    nobody else holds goes with its producer, gradient included. Gradients
-    accumulate additively across fan-out. Nodes whose output never received
-    a gradient (not upstream of the loss) are skipped. A consumed tape is
-    empty, and a second ``backward`` on it raises ``ContractError``.
+    Nodes are popped in reverse order and each is released before its
+    closure runs, which keeps only the output's gradient and its own saved
+    arrays: an output that no closure reads (and the caller does not hold)
+    dies before its producer's backward, and the saved arrays are freed once
+    the closure has run. Gradients accumulate additively across fan-out.
+    Nodes whose output never received a gradient (not upstream of the loss)
+    are skipped. A consumed tape is empty, and a second ``backward`` on it
+    raises ``ContractError``.
     """
     if tape.consumed:
         raise ContractError("backward already consumed this tape")
@@ -271,9 +278,10 @@ def backward(tape: Tape, loss: Tensor):
     nodes = tape.nodes
     while nodes:
         node = nodes.pop()
-        g = node.output.grad
+        g, backward_fn = node.output.grad, node.backward_fn
+        del node  # the output goes now, unless something else holds it
         if g is not None:
-            node.backward_fn(g)
+            backward_fn(g)
 
 
 def first_nonfinite(tape: Tape) -> Optional[str]:
@@ -749,40 +757,11 @@ def _from_blocks(blocks: np.ndarray, c: int, m: int, height: int, width: int
     return np.ascontiguousarray(full[:, :height, :width])
 
 
-def tile_patches(x: Tensor, m: int) -> Tensor:
-    """C x H x W -> n x C x m x m non-overlapping patches, row-major patch
-    order, bottom/right edge patches zero-padded to full size."""
-    if x.ndim != 3:
-        raise ShapeError(f"tile_patches expects C x H x W, got {x.shape}")
-    c, h, w = x.shape
-
-    def bwd(g):
-        _accumulate(x, _from_blocks(g, c, m, h, w))
-
-    return _record("tile_patches", (x,), _to_blocks(x.data, m), bwd)
-
-
-def untile_patches(blocks: Tensor, height: int, width: int) -> Tensor:
-    """Inverse of ``tile_patches``: n x C x m x m -> C x height x width,
-    cropping any padded overhang."""
-    if blocks.ndim != 4:
-        raise ShapeError(f"untile_patches expects n x C x m x m, got {blocks.shape}")
-    n, c, m, m2 = blocks.shape
-    if m != m2 or n != -(-height // m) * -(-width // m):
-        raise ShapeError(
-            f"untile_patches: patches {blocks.shape} cannot tile {height}x{width}")
-
-    def bwd(g):
-        _accumulate(blocks, _to_blocks(g, m))
-
-    return _record("untile_patches", (blocks,),
-                   _from_blocks(blocks.data, c, m, height, width), bwd)
-
-
 def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
                   width: int) -> Tensor:
     """x @ w + b, a C x m x m block per row, put onto the height x width grid
-    as by ``untile_patches``: one node, in which the n x C m^2 response dies.
+    (row-major patch order, any overhang cropped): one node, in which the
+    n x C m^2 response dies.
     Under ``Standardize`` it calibrates ``b``'s layer, units last as in matmul."""
     cm2 = w.shape[1] if w.ndim == 2 else 0
     if (x.ndim != 2 or w.shape != (x.shape[1], cm2) or b.shape != (cm2,) or m < 1
@@ -819,24 +798,29 @@ def _patch_taps(k: int, m: int) -> list:
 
 
 def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
-                 fc_b: Tensor) -> Tensor:
-    """Patches (n, C, m, m) -> tokens (n, D): each patch through its own
-    "same" convolution (``conv_w`` O x C x k x k, ``conv_b``), flattened, then
-    ``fc_w`` (O m^2 x D) and ``fc_b``. Both are linear, so the op is
-    flat(x) @ W + b, with W (C m^2 x D) folded tap by tap on pixel-major
-    arrays (m x m x units x D). The node keeps x, W and the weights' tap and
-    pixel-major copies. Under ``Standardize`` the conv's response over every
-    patch pixel calibrates ``conv_b``'s layer first; the op declares ``fc_b``."""
+                 fc_b: Tensor, m: int) -> Tensor:
+    """Map C x H x W -> tokens (n, D), one per m x m patch in row-major order,
+    edge patches zero-padded: each patch through its own "same" convolution
+    (``conv_w`` O x C x k x k, ``conv_b``), flattened, then ``fc_w``
+    (O m^2 x D) and ``fc_b``. Both are linear, so the op is flat(x) @ W + b,
+    with flat(x) the n x C m^2 tiles and W (C m^2 x D) folded tap by tap on
+    pixel-major arrays (m x m x units x D). The node keeps W and the weights'
+    tap and pixel-major copies, and no tiles: backward tiles the map again,
+    and puts the tiles' gradient onto the grid. Under ``Standardize`` the
+    conv's response over every patch pixel calibrates ``conv_b``'s layer
+    first; the op declares ``fc_b``."""
     # a wrong rank gives shapes that cannot match
-    n, c, m, m2 = x.shape if x.ndim == 4 else (0, 0, 0, -1)
+    c, height, width = x.shape if x.ndim == 3 else (0, 0, 0)
     o, c_in, k, k2 = conv_w.shape if conv_w.ndim == 4 else (0, 0, 0, -1)
-    if ((m, c_in, k, conv_b.shape, fc_b.shape) != (m2, c, k2, (o,), fc_w.shape[1:])
-            or k % 2 == 0 or fc_w.shape[:1] != (o * m * m,)):
-        raise ShapeError(f"patch_linear: patches {x.shape}, conv {conv_w.shape} "
-                         f"{conv_b.shape} and map {fc_w.shape} {fc_b.shape} do not fit")
-    taps, xf = _patch_taps(k, m), x.data.reshape(n, -1)
+    if ((c_in, k, conv_b.shape, fc_b.shape) != (c, k2, (o,), fc_w.shape[1:])
+            or k % 2 == 0 or m < 1 or fc_w.shape[:1] != (o * m * m,)):
+        raise ShapeError(f"patch_linear: map {x.shape} in {m} x {m} patches, conv "
+                         f"{conv_w.shape} {conv_b.shape} and map {fc_w.shape} "
+                         f"{fc_b.shape} do not fit")
+    taps, tiles = _patch_taps(k, m), _to_blocks(x.data, m)  # tiles: n x C x m x m
+    n = tiles.shape[0]
     if Standardize._active is not None:  # the response, m x m x O x n
-        xt, part = x.data.transpose(2, 3, 1, 0).copy(), np.empty((m, m, o, n))
+        xt, part = tiles.transpose(2, 3, 1, 0).copy(), np.empty((m, m, o, n))
         cw, response = conv_w.data.transpose(2, 3, 0, 1).copy(), np.empty((m, m, o, n))
         response[...] = conv_b.data[:, None]
         for i, j, src, dst in taps:  # one buffer for every tap's product
@@ -847,23 +831,82 @@ def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     for i, j, src, dst in taps:
         w[src] += np.matmul(cw[i, j], f[dst])
     w = w.transpose(2, 0, 1, 3).reshape(c * m * m, -1)
-    out = xf @ w + fc_b.data
+    out = tiles.reshape(n, -1) @ w + fc_b.data
     out += conv_b.data @ f.sum(axis=(0, 1))
 
     def bwd(g):
+        xf = _to_blocks(x.data, m).reshape(n, -1)  # the tiles again
         gw = (xf.T @ g).reshape(c, m, m, -1).transpose(1, 2, 0, 3).copy()
+        del xf
         gb, gcw = g.sum(axis=0), np.zeros(conv_w.shape)
         gf = np.tile(np.multiply.outer(conv_b.data, gb), (m, m, 1, 1))
         for i, j, src, dst in taps:
             gf[dst] += np.matmul(cw[i, j].T, gw[src])
             gcw[:, :, i, j] = np.matmul(f[dst], gw[src].swapaxes(2, 3)).sum(axis=(0, 1))
-        _accumulate(x, (g @ w.T).reshape(x.shape), fresh=True)
+        _accumulate(x, _from_blocks(g @ w.T, c, m, height, width), fresh=True)
         _accumulate(conv_w, gcw, fresh=True)
         _accumulate(conv_b, f.sum(axis=(0, 1)) @ gb, fresh=True)
         _accumulate(fc_w, gf.transpose(2, 0, 1, 3).reshape(fc_w.shape), fresh=True)
         _accumulate(fc_b, gb, fresh=True)
 
     return _record("patch_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd, fc_b)
+
+
+def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
+                      fc_b: Tensor, m: int) -> Tensor:
+    """Map C x H x W -> tokens (n, D), one per m x m patch in row-major order:
+    the map zero-padded to whole patches, through a 1x1 convolution (``conv_w``
+    O x C x 1 x 1, ``conv_b``), averaged over each patch, then ``fc_w``
+    (O x D) and ``fc_b``. One node, which keeps the n x O patch means and
+    neither the padded map nor its response. Forward and backward take the
+    steps of conv2d, mean, transpose and matmul, the same numpy calls in the
+    same order, so values and gradients are theirs bit for bit; the map's
+    gradient is cropped from the padded grid's. Under ``Standardize`` the
+    conv's response over every pixel of the padded grid calibrates
+    ``conv_b``'s layer first; the op declares ``fc_b``."""
+    c, h, w = x.shape if x.ndim == 3 else (0, 0, 0)
+    o = conv_w.shape[0] if conv_w.ndim == 4 else 0
+    if (conv_w.shape != (o, c, 1, 1) or conv_b.shape != (o,) or m < 1
+            or fc_w.shape[:1] != (o,) or fc_b.shape != fc_w.shape[1:]):
+        raise ShapeError(f"patch_mean_linear: map {x.shape} in {m} x {m} patches, "
+                         f"conv {conv_w.shape} {conv_b.shape} and map {fc_w.shape} "
+                         f"{fc_b.shape} do not fit")
+    gh, gw = -(-h // m), -(-w // m)
+    padding = ((0, 0), (0, gh * m - h), (0, gw * m - w))
+    c_m2 = 1.0 / (m * m)
+    tap = np.ascontiguousarray(conv_w.data.reshape(o, c))  # the 1x1 conv's one tap
+
+    def padded():  # the map on the patch grid, a view when it is whole
+        return np.pad(x.data, padding) if gh * m - h or gw * m - w else x.data
+
+    response = np.empty((o, gh * m, gw * m))
+    np.matmul(tap, padded().reshape(c, -1), out=response.reshape(o, -1))
+    np.add(response, conv_b.data[:, None, None], out=response)
+    if Standardize._active is not None:
+        Standardize._active.apply(conv_b, response)
+    means = np.sum(response.reshape(o, gh, m, gw, m), axis=(2, 4)) * c_m2
+    rows = means.reshape(o, gh * gw).T.copy()  # n x O
+    out = rows @ fc_w.data
+    out += fc_b.data
+
+    def bwd(g):
+        # the linear map, the rows' transpose, the mean: one value per patch
+        g_means = (g @ fc_w.data.T).T.reshape(o, gh, gw) * c_m2
+        _accumulate(fc_w, rows.T @ g, fresh=True)
+        _accumulate(fc_b, _unbroadcast(g, fc_b.shape), fresh=True)
+        g_resp = np.broadcast_to(np.expand_dims(g_means, (2, 4)),
+                                 (o, gh, m, gw, m)).copy().reshape(o, -1)
+        # the 1x1 conv, on the padded map
+        gcw = np.stack([g_resp @ padded().reshape(c, -1).T], axis=-1)
+        _accumulate(conv_w, gcw.reshape(conv_w.shape), fresh=True)
+        _accumulate(conv_b, g_resp.sum(axis=1), fresh=True)
+        gx = np.matmul(tap.T, g_resp, out=np.empty((c, g_resp.shape[1])))
+        del g_resp
+        _accumulate(x, np.ascontiguousarray(gx.reshape(c, gh * m, gw * m)[:, :h, :w]),
+                    fresh=True)
+
+    return _record("patch_mean_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd,
+                   fc_b)
 
 
 # ---------------------------------------------------------------------------
@@ -1037,10 +1080,13 @@ def window_graph(features: Tensor, height: int, width: int, radius: int,
     return _record("window_graph", (features,), out, bwd)
 
 
-def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray) -> np.ndarray:
+def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray,
+                    times: Optional[np.ndarray] = None) -> np.ndarray:
     """S z for every channel of z (C, H, W): (S z)[:, i] = loops[i] z[:, i]
-    + sum_o weights[o, i] z[:, i + o], from the padded operator of."""
-    out = np.empty_like(z)
+    + sum_o weights[o, i] z[:, i + o], from the padded operator of. Given
+    ``times`` (C, H, W), it returns ``times`` multiplied by S z in place,
+    channel block by channel block, and makes no S z array."""
+    out = np.empty_like(z) if times is None else times
     blocks = flat.blocks(z.shape[0], 3)
     width = blocks[0][1]
     zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
@@ -1050,7 +1096,10 @@ def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray) -> np.ndarray:
         for o, shift in enumerate(flat.shifts, 1):
             np.multiply(flat.at(of[o]), flat.at(zk, shift), out=p)
             flat.at(acc)[...] += p
-        out[c0:c1] = flat.crop(acc)
+        if times is None:
+            out[c0:c1] = flat.crop(acc)
+        else:
+            out[c0:c1] *= flat.crop(acc)
     return out
 
 
@@ -1062,12 +1111,15 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
     (n_off + 1, H, W), loops then weights as ``window_graph`` stacks them,
     S z[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o], then
     x + beta * sum_t alphas[t-1] z_t: terms summed in order, scaled by beta,
-    x added last. The node keeps z_1 ... z_K and pads the operator again in
-    backward, which walks the hops from K down to 1 with one gradient array
-    r, channel block by channel block: the block's share of the operator's
-    gradient, then S^T r plus the hop's own term, written over r's block.
-    Each hop is dropped once read for the last time; z_K's array takes z0
-    (the same GEMM again, for the operator), then x's share of r."""
+    x added last. The node keeps z_1 ... z_{K-1}: no array holds z_K, which
+    is made channel block by channel block inside its own term of the mix,
+    and rebuilt the same way inside its term of alphas' gradient (from z0,
+    rebuilt by the same GEMM, when K = 1). Backward pads the operator again
+    and walks the hops from K down to 1 with one gradient array r, channel
+    block by channel block: the block's share of the operator's gradient,
+    then S^T r plus the hop's own term, written over r's block. Each hop is
+    dropped once read for the last time; z0 is rebuilt for the operator's
+    gradient at the last hop."""
     beta, n_off = float(beta), (2 * radius + 1) ** 2 - 1
     c, hw = x.shape if x.ndim == 2 else (0, -1)  # a wrong rank cannot fit
     grid = operator.shape[1:]
@@ -1079,14 +1131,22 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
                          f"radius {radius}")
     flat, shape, a = _Flat(*grid, radius), (c,) + grid, alphas.data
     of = flat.pad(operator.data)
-    zs = [None, _stencil_matvec(flat, of, (proj.data @ x.data).reshape(shape))]
-    for _ in a[1:]:  # z0 is not kept: backward rebuilds it
-        zs.append(_stencil_matvec(flat, of, zs[-1]))
-    out = zs[1] * a[0]
-    term = np.empty_like(out)
-    for t in range(1, a.size):
-        np.multiply(zs[t + 1], a[t], out=term)
-        out += term
+    z, zs = (proj.data @ x.data).reshape(shape), [None]  # z0 is not kept
+    for _ in a[1:]:  # z_1 ... z_{K-1}, kept for backward
+        z = _stencil_matvec(flat, of, z)
+        zs.append(z)
+    # z_K is made only inside its own term, block by block: no array holds it
+    if a.size == 1:
+        out = _stencil_matvec(flat, of, z, times=np.full(shape, a[0]))
+    else:
+        out, term = zs[1] * a[0], np.empty(shape)
+        for t in range(1, a.size):
+            if t + 1 < a.size:
+                np.multiply(zs[t + 1], a[t], out=term)
+            else:
+                term.fill(a[t])
+                _stencil_matvec(flat, of, z, times=term)
+            out += term
     out *= beta
     out = out.reshape(x.shape)
     out += x.data
@@ -1094,24 +1154,28 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
     def bwd(g):
         _accumulate(x, g)
         gs, ga = g.reshape(shape), np.empty(a.size)
+        of = flat.pad(operator.data)
+        if zs[-1] is None:  # K = 1: z_K is built from z0
+            zs[0] = (proj.data @ x.data).reshape(shape)
         r = np.empty_like(gs)
         for t in range(a.size):  # beta g z_t, summed as onto a (1,) operand
             np.multiply(gs, beta, out=r)
-            r *= zs[t + 1]
+            if t + 1 < a.size:
+                r *= zs[t + 1]
+            else:  # z_K, rebuilt block by block as r's factor
+                _stencil_matvec(flat, of, zs[-1], times=r)
             ga[t] = _unbroadcast(r, (1,))[0]
         _accumulate(alphas, ga, fresh=True)
-        spare = zs.pop().reshape(c, hw)  # no hop reads z_K
         np.multiply(gs, beta, out=r)
         r *= a[-1]
-        of = flat.pad(operator.data)
         blocks = flat.blocks(c, 6)  # r, z, three padded planes, p
         width = blocks[0][1]
         gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
         stack = np.empty((width + 1, flat.run))
         for t in range(a.size, 0, -1):
             gop = flat.buffer(n_off + 1) if operator.requires_grad else None
-            if t == 1 and gop is not None:
-                zs[0] = np.matmul(proj.data, x.data, out=spare).reshape(shape)
+            if t == 1 and gop is not None and zs[0] is None:
+                zs[0] = (proj.data @ x.data).reshape(shape)
             for c0, c1 in blocks:
                 rows, rk = c1 - c0, r[c0:c1]
                 gk, p = flat.pad(rk, gb[:rows]), stack[1:rows + 1]
@@ -1136,7 +1200,7 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
                 _accumulate(operator, flat.crop(gop), fresh=True)
         gz = r.reshape(c, hw)
         _accumulate(proj, gz @ x.data.T, fresh=True)
-        _accumulate(x, np.matmul(proj.data.T, gz, out=spare), fresh=True)
+        _accumulate(x, proj.data.T @ gz, fresh=True)
 
     return _record("propagate", (operator, proj, alphas, x), out, bwd)
 

@@ -3,8 +3,10 @@
 The band axis is squeezed through three 1x1 convolutions, then the feature
 map is cut into non-overlapping m x m patches (edge patches zero-padded).
 Each patch yields one spectral token (1x1 conv, patch-average pool, linear
-map) and one spatial token (3x3 conv inside the patch, flatten, linear map:
-one ``patch_linear``), so both sequences stay strictly patch-local.
+map: one ``patch_mean_linear``) and one spatial token (3x3 conv inside the
+patch, flatten, linear map: one ``patch_linear``), so both sequences stay
+strictly patch-local. Both ops read the map itself and tile it privately,
+so the tokenizer records two tape nodes and keeps no tiles.
 """
 
 from __future__ import annotations
@@ -136,20 +138,11 @@ def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
     """channels x H x W -> per-patch spectral and spatial token sequences,
     from the map zero-padded to the patch grid and from its patches."""
     m = params.patch_size
-    channels, height, width = fmap.shape
+    _, height, width = fmap.shape
     if m > min(height, width):
         raise ConfigError(f"patch size {m} exceeds image extent {height}x{width}")
-    gh, gw = -(-height // m), -(-width // m)
-    patches = ad.tile_patches(fmap, m)  # edge patches zero-padded
-    grid = fmap if (gh * m, gw * m) == (height, width) else ad.untile_patches(
-        patches, gh * m, gw * m)
-
-    spe = ad.conv2d(grid, params.spe_conv_w, params.spe_conv_b)
-    pooled = ad.mean(ad.reshape(spe, (channels, gh, m, gw, m)), axis=(2, 4))
-    pooled = ad.transpose(ad.reshape(pooled, (channels, gh * gw)))  # (n, C)
-    spectral = ad.matmul(pooled, params.spe_fc_w, params.spe_fc_b)
-
-    spatial = ad.patch_linear(patches, params.spa_conv_w, params.spa_conv_b,
-                              params.spa_fc_w, params.spa_fc_b)
-
-    return TokenSequences(spectral, spatial, (gh, gw), m)
+    spectral = ad.patch_mean_linear(fmap, params.spe_conv_w, params.spe_conv_b,
+                                    params.spe_fc_w, params.spe_fc_b, m)
+    spatial = ad.patch_linear(fmap, params.spa_conv_w, params.spa_conv_b,
+                              params.spa_fc_w, params.spa_fc_b, m)
+    return TokenSequences(spectral, spatial, (-(-height // m), -(-width // m)), m)

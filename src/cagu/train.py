@@ -339,7 +339,7 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
         if not np.isfinite(loss_value):
             culprit = first_nonfinite(tape) or "loss"
             raise NonFiniteLossError(
-                f"epoch {epoch}: non-finite loss; first non-finite tensor "
+                f"epoch {epoch + 1}: non-finite loss; first non-finite tensor "
                 f"from {culprit}")
         if fingerprint is None:
             fingerprint = (outputs.graph.fingerprint()

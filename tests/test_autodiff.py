@@ -232,11 +232,46 @@ def per_patch_reference(x, kern, bias, g, m):
     return out, (gx, gw, g.sum(axis=(1, 2)))
 
 
+def tile(a, m):
+    """C x H x W -> n x C x m x m patches, row-major patch order, the bottom
+    and right edge patches zero-padded to full size."""
+    c, h, w = a.shape
+    a = np.pad(a, ((0, 0), (0, -h % m), (0, -w % m)))
+    gh, gw = a.shape[1] // m, a.shape[2] // m
+    return a.reshape(c, gh, m, gw, m).transpose(1, 3, 0, 2, 4).reshape(-1, c, m, m)
+
+
+def untile(blocks, height, width):
+    """The inverse of ``tile``, any padded overhang cropped."""
+    _, c, m, _ = blocks.shape
+    gh, gw = -(-height // m), -(-width // m)
+    grid = blocks.reshape(gh, gw, c, m, m).transpose(2, 0, 3, 1, 4)
+    return grid.reshape(c, gh * m, gw * m)[:, :height, :width].copy()
+
+
+def tile_patches_reference(x, m):
+    """The patch tiling tape op that the tokenizer nodes made private."""
+    def bwd(g):
+        ad._accumulate(x, untile(g, *x.shape[1:]))
+
+    return ad._record("tile_patches", (x,), tile(x.data, m), bwd)
+
+
+def untile_patches_reference(blocks, height, width):
+    """The inverse of ``tile_patches_reference`` as a tape op."""
+    def bwd(g):
+        ad._accumulate(blocks, tile(g, blocks.shape[2]))
+
+    return ad._record("untile_patches", (blocks,), untile(blocks.data, height, width),
+                      bwd)
+
+
 def _patch_linear_case(c_in, c_out, h, w, k, m, seed):
-    """An image, the five inputs of patch_linear on its patches, the rng."""
+    """An image as an array, the five tensor inputs of patch_linear (the
+    image first), the rng."""
     image, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, seed)
     fc_w, fc_b = Tensor(rng.normal(size=(c_out * m * m, 3))), Tensor(rng.normal(size=3))
-    return image.data, [ad.tile_patches(image, m), kern, bias, fc_w, fc_b], rng
+    return image.data, [image, kern, bias, fc_w, fc_b], rng
 
 
 @pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
@@ -244,14 +279,15 @@ def test_patch_linear_matches_per_patch_reference(c_in, c_out, h, w, k, m):
     seed = 90 + h * 7 + w + k + m
     image, args, rng = _patch_linear_case(c_in, c_out, h, w, k, m, seed)
     x, kern, bias, fc_w, fc_b = args
-    d = rng.normal(size=(x.shape[0], 3))  # the tokens' gradient
-    g = ad.untile_patches(Tensor((d @ fc_w.data.T).reshape(-1, c_out, m, m)), h, w)
-    conv, (gx, gk, gb) = per_patch_reference(image, kern.data, bias.data, g.data, m)
-    flat = ad.tile_patches(Tensor(conv), m).data.reshape(x.shape[0], -1)
-    np.testing.assert_allclose(ad.patch_linear(*args).data, flat @ fc_w.data + fc_b.data,
-                               rtol=0, atol=1e-12)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.patch_linear(*args), Tensor(d))), *args)
-    want = (ad.tile_patches(Tensor(gx), m).data, gk, gb, flat.T @ d, d.sum(axis=0))
+    n = -(-h // m) * -(-w // m)
+    d = rng.normal(size=(n, 3))  # the tokens' gradient
+    g = untile((d @ fc_w.data.T).reshape(-1, c_out, m, m), h, w)
+    conv, (gx, gk, gb) = per_patch_reference(image, kern.data, bias.data, g, m)
+    flat = tile(conv, m).reshape(n, -1)
+    np.testing.assert_allclose(ad.patch_linear(*args, m).data,
+                               flat @ fc_w.data + fc_b.data, rtol=0, atol=1e-12)
+    grads = grad_of(lambda: ad.sum(ad.mul(ad.patch_linear(*args, m), Tensor(d))), *args)
+    want = (gx, gk, gb, flat.T @ d, d.sum(axis=0))
     for got, expected in zip(grads, want):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
@@ -259,24 +295,96 @@ def test_patch_linear_matches_per_patch_reference(c_in, c_out, h, w, k, m):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,m", PATCH_CASES)
 def test_patch_linear_gradcheck(c_in, c_out, h, w, k, m):
     _, args, rng = _patch_linear_case(c_in, c_out, h, w, k, m, 110 + h * 7 + w + k + m)
-    direction = Tensor(rng.normal(size=(args[0].shape[0], 3)))
+    direction = Tensor(rng.normal(size=(-(-h // m) * -(-w // m), 3)))
     for slot, leaf in enumerate(args):
         def loss(t):
-            return ad.sum(ad.mul(ad.patch_linear(*args[:slot], t, *args[slot + 1:]),
+            return ad.sum(ad.mul(ad.patch_linear(*args[:slot], t, *args[slot + 1:], m),
                                  direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
 
 @pytest.mark.parametrize("slot,shape", [
-    (0, (4, 2, 3, 2)), (0, (2, 3, 3)), (0, (4, 3, 3, 3)),  # patches
-    (1, (5, 2, 2, 2)), (1, (5, 2, 3, 1)), (2, (4,)),       # conv
-    (3, (44, 6)), (3, (45, 6, 1)), (4, (5,))])             # linear map
+    (0, (2, 6, 6, 1)), (0, (2, 36)), (0, (3, 6, 6)),   # map
+    (1, (5, 2, 2, 2)), (1, (5, 2, 3, 1)), (2, (4,)),   # conv
+    (3, (44, 6)), (3, (45, 6, 1)), (4, (5,))])         # linear map
 def test_patch_linear_rejects_shapes_that_do_not_fit(slot, shape):
-    shapes = [(4, 2, 3, 3), (5, 2, 3, 3), (5,), (45, 6), (6,)]
-    assert ad.patch_linear(*map(rand, shapes)).shape == (4, 6)
+    shapes = [(2, 6, 5), (5, 2, 3, 3), (5,), (45, 6), (6,)]
+    assert ad.patch_linear(*map(rand, shapes), 3).shape == (4, 6)
+    for m in (0, 2):  # patches that the linear map does not fit
+        with pytest.raises(ShapeError, match="patch_linear"):
+            ad.patch_linear(*map(rand, shapes), m)
     shapes[slot] = shape
     with pytest.raises(ShapeError, match="patch_linear"):
-        ad.patch_linear(*map(rand, shapes))
+        ad.patch_linear(*map(rand, shapes), 3)
+
+
+# A 1x1 conv, a patch mean and a linear map: (c_in, c_out, height, width, m),
+# whole patches, and not
+PATCH_MEAN_CASES = [(3, 4, 8, 12, 4), (5, 5, 30, 30, 4), (2, 3, 7, 5, 2),
+                    (3, 2, 4, 6, 1), (4, 3, 5, 5, 5)]
+
+
+def _patch_mean_linear_case(c_in, c_out, h, w, m, seed):
+    rng = np.random.default_rng(seed)
+    return [Tensor(rng.normal(size=shape)) for shape in
+            ((c_in, h, w), (c_out, c_in, 1, 1), (c_out,), (c_out, 3), (3,))]
+
+
+def patch_mean_linear_reference(x, conv_w, conv_b, fc_w, fc_b, m):
+    """The spectral tokens as the ops that ``patch_mean_linear`` replaced:
+    the map tiled and put back onto the patch grid when it is not whole,
+    the 1x1 conv, the patch mean, the transpose and the biased matmul."""
+    c, h, w = x.shape
+    gh, gw = -(-h // m), -(-w // m)
+    patches = tile_patches_reference(x, m)
+    grid = x if (gh * m, gw * m) == (h, w) else untile_patches_reference(
+        patches, gh * m, gw * m)
+    spe = ad.conv2d(grid, conv_w, conv_b)
+    pooled = ad.mean(ad.reshape(spe, (conv_w.shape[0], gh, m, gw, m)), axis=(2, 4))
+    pooled = ad.transpose(ad.reshape(pooled, (conv_w.shape[0], gh * gw)))
+    return ad.matmul(pooled, fc_w, fc_b)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,m", PATCH_MEAN_CASES)
+def test_patch_mean_linear_matches_the_composed_ops_bit_for_bit(c_in, c_out, h, w, m):
+    arrays = [t.data for t in _patch_mean_linear_case(c_in, c_out, h, w, m, h * w + m)]
+    direction = rand((-(-h // m) * -(-w // m), 3), seed=m)
+    results = []
+    for op in (ad.patch_mean_linear, patch_mean_linear_reference):
+        args = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        with Tape() as tape:
+            out = op(*args, m)
+            # the map's other consumer hands it a gradient first, as the
+            # spatial tokens do
+            loss = ad.add(ad.sum(ad.mul(out, direction)),
+                          ad.sum(ad.scale(args[0], 3.0)))
+        backward(tape, loss)
+        results.append([out.data] + [t.grad for t in args])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (c_in, c_out, h, w, m)
+
+
+@pytest.mark.parametrize("c_in,c_out,h,w,m", PATCH_MEAN_CASES[2:])
+def test_patch_mean_linear_gradcheck(c_in, c_out, h, w, m):
+    args = _patch_mean_linear_case(c_in, c_out, h, w, m, 7 * h + w)
+    direction = rand((-(-h // m) * -(-w // m), 3), seed=h)
+    for slot, leaf in enumerate(args):
+        def loss(t):
+            return ad.sum(ad.mul(ad.patch_mean_linear(
+                *args[:slot], t, *args[slot + 1:], m), direction))
+        assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
+
+
+def test_patch_mean_linear_rejects_shapes_that_do_not_fit():
+    good = [(2, 6, 5), (4, 2, 1, 1), (4,), (4, 6), (6,)]
+    assert ad.patch_mean_linear(*map(rand, good), 3).shape == (4, 6)
+    for slot, shape in ((0, (2, 30)), (0, (3, 6, 5)), (1, (4, 2, 3, 3)), (1, (4, 2)),
+                        (2, (5,)), (3, (5, 6)), (3, (4, 6, 1)), (4, (5,))):
+        shapes = good[:slot] + [shape] + good[slot + 1:]
+        with pytest.raises(ShapeError, match="patch_mean_linear"):
+            ad.patch_mean_linear(*map(rand, shapes), 3)
+    with pytest.raises(ShapeError, match="patch_mean_linear"):
+        ad.patch_mean_linear(*map(rand, good), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +613,27 @@ def test_backward_visits_each_node_once():
         tape.record("probe", (loss,), out, lambda g: calls.append(1))
     backward(tape, out)
     assert calls == [1]
+
+
+def test_backward_releases_each_node_before_its_closure_runs():
+    # an output that no closure reads dies before its producer's backward
+    seen = []
+
+    def probe(t):
+        def bwd(g):
+            seen.append(ref())
+            ad._accumulate(t, 2.0 * g, fresh=True)
+
+        out = ad._record("probe", (t,), 2.0 * t.data, bwd)
+        ref = weakref.ref(out)
+        return out
+
+    x = Tensor(np.ones(3), requires_grad=True)
+    with Tape() as tape:
+        loss = ad.sum(probe(x))
+    backward(tape, loss)
+    assert seen == [None]
+    np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
 
 
 def test_backward_consumes_the_tape():
@@ -835,14 +964,35 @@ def test_standardize_leaves_a_listed_bias_that_an_op_only_reads():
 def test_standardize_calibrates_both_layers_of_a_patch_linear():
     image, args, _ = _patch_linear_case(*PATCH_CASES[0], seed=47)
     with ad.Standardize([args[1:3], args[3:]], floor=1e-3):
-        out = ad.patch_linear(*args)
+        out = ad.patch_linear(*args, 4)
     # the calibrated conv, patch by patch, and the tokens read standardised
     response, _ = per_patch_reference(image, args[1].data, args[2].data,
                                       np.zeros((4,) + image.shape[1:]), 4)
     for mu, sd in (_unit_stats(response, 0), _unit_stats(out.data, 1)):
         np.testing.assert_allclose(mu, 0.0, atol=1e-12)
         np.testing.assert_allclose(sd, 1.0, atol=1e-12)
-    np.testing.assert_allclose(ad.patch_linear(*args).data, out.data, atol=1e-12)
+    np.testing.assert_allclose(ad.patch_linear(*args, 4).data, out.data, atol=1e-12)
+
+
+@pytest.mark.parametrize("h,w", [(8, 12), (7, 5)])
+def test_standardize_calibrates_both_layers_of_a_patch_mean_linear(h, w):
+    # the conv over every pixel of the padded grid, as the composed ops did,
+    # then the tokens, bit for bit with them
+    arrays = [t.data for t in _patch_mean_linear_case(3, 4, h, w, 2, seed=h + w)]
+    results = []
+    for op in (ad.patch_mean_linear, patch_mean_linear_reference):
+        args = [Tensor(a.copy()) for a in arrays]
+        with ad.Standardize([args[1:3], args[3:]], floor=1e-3):
+            out = op(*args, 2)
+        results.append([out.data] + [t.data for t in args[1:]])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (h, w)
+    x, conv_w, conv_b = results[0][0], *results[0][1:3]
+    grid = np.pad(arrays[0], ((0, 0), (0, h % 2), (0, w % 2)))
+    response = np.einsum("oc,chw->ohw", conv_w[:, :, 0, 0], grid) + conv_b[:, None, None]
+    for mu, sd in (_unit_stats(response, 0), _unit_stats(x, 1)):
+        np.testing.assert_allclose(mu, 0.0, atol=1e-12)
+        np.testing.assert_allclose(sd, 1.0, atol=1e-12)
 
 
 def test_standardize_calibrates_a_linear_untile_on_its_block_response():
@@ -854,7 +1004,7 @@ def test_standardize_calibrates_a_linear_untile_on_its_block_response():
     w2.data, b2.data = w.data.copy(), b.data.copy()
     with ad.Standardize(layers, floor=1e-3):
         fused = ad.linear_untile(x, w, b, 2, 3, 5)
-        composed = ad.untile_patches(
+        composed = untile_patches_reference(
             ad.reshape(ad.matmul(x, w2, b2), (6, 2, 2, 2)), 3, 5)
     for got, want in ((fused.data, composed.data), (w.data, w2.data),
                       (b.data, b2.data)):
@@ -1296,7 +1446,7 @@ def propagate_reference(operator, proj, alphas, x, beta, radius):
 
 def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
     # the second case holds more channels than one block, forward or backward
-    for c, h, w, radius, k in ((3, 4, 5, 1, 3), (70, 40, 40, 2, 2)):
+    for c, h, w, radius, k in ((3, 4, 5, 1, 3), (70, 40, 40, 2, 2), (3, 5, 4, 1, 1)):
         assert (len(ad._Flat(h, w, radius).blocks(c, 6)) > 1) == (c > 3)
         rng = np.random.default_rng(c + k)
         n_off = (2 * radius + 1) ** 2 - 1
@@ -1377,31 +1527,37 @@ def test_hop_mix_rejects_mismatched_shapes():
 
 
 def test_patch_kernel_gradients():
+    # the tiling references: untile is tile's adjoint, as the tokenizer
+    # nodes' and linear_untile's backwards take it
     rng = np.random.default_rng(88)
     for _ in range(10):
         c = int(rng.integers(1, 4))
         h, w = int(rng.integers(2, 7)), int(rng.integers(2, 7))
         m = int(rng.integers(1, 4))
         x = Tensor(rng.normal(size=(c, h, w)))
-        blocks = ad.tile_patches(x, m)
+        blocks = tile_patches_reference(x, m)
         direction = Tensor(rng.normal(size=blocks.shape))
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.tile_patches(t, m), direction)), x, h=1e-6)
+            lambda t: ad.sum(ad.mul(tile_patches_reference(t, m), direction)), x,
+            h=1e-6)
         assert err < 1e-4
 
         blk = Tensor(rng.normal(size=blocks.shape))
         direction2 = Tensor(rng.normal(size=(c, h, w)))
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.untile_patches(t, h, w), direction2)),
+            lambda t: ad.sum(ad.mul(untile_patches_reference(t, h, w), direction2)),
             blk, h=1e-6)
         assert err < 1e-4
 
 
 def test_tile_untile_inverse():
+    # the private tiling of the patch ops, and the test-side references
     rng = np.random.default_rng(13)
-    x = Tensor(rng.normal(size=(2, 5, 7)))
-    back = ad.untile_patches(ad.tile_patches(x, 3), 5, 7)
-    np.testing.assert_array_equal(back.data, x.data)
+    x = rng.normal(size=(2, 5, 7))
+    blocks = ad._to_blocks(x, 3)
+    assert blocks.tobytes() == tile(x, 3).tobytes()
+    np.testing.assert_array_equal(ad._from_blocks(blocks, 2, 3, 5, 7), x)
+    np.testing.assert_array_equal(untile(blocks, 5, 7), x)
 
 
 LINEAR_UNTILE_GRIDS = ((4, 6), (5, 7))  # whole 2 x 2 patches, and not
@@ -1426,7 +1582,7 @@ def test_linear_untile_matches_matmul_reshape_untile_bit_for_bit():
                 if fused:
                     out = ad.linear_untile(x, wt, b, 2, h, w)
                 else:
-                    out = ad.untile_patches(
+                    out = untile_patches_reference(
                         ad.reshape(ad.matmul(x, wt, b), (n, 3, 2, 2)), h, w)
                 loss = ad.sum(ad.mul(out, direction))
             backward(tape, loss)
@@ -1495,8 +1651,22 @@ def test_propagate_keeps_no_padded_copy_of_its_operators():
     for t in (operator, proj, alphas, x):
         t.requires_grad = True
     kept, _ = kept_bytes(lambda: ad.propagate(operator, proj, alphas, x, 0.5, 1))
-    hops = 2 * x.data.nbytes  # z_1 and z_2, for backward; z0 is rebuilt
+    hops = x.data.nbytes  # z_1, for backward; z0 and z_K are rebuilt
     assert 0 <= kept - hops < operator.data.nbytes / 8, kept
+
+
+def test_tokenizer_nodes_keep_no_tiles_and_no_per_pixel_map():
+    x = rand((16, 62, 62), seed=88)  # not whole 4 x 4 patches: padded
+    spa = [rand((8, 16, 3, 3), seed=89), rand((8,), seed=90), rand((128, 6), seed=91)]
+    spe = [rand((8, 16, 1, 1), seed=92), rand((8,), seed=93), rand((8, 6), seed=94)]
+    bias = rand((6,), seed=95)
+    for t in (x, *spa, *spe, bias):
+        t.requires_grad = True
+    for build in (lambda: ad.patch_linear(x, *spa, bias, 4),
+                  lambda: ad.patch_mean_linear(x, *spe, bias, 4)):
+        kept, _ = kept_bytes(build)
+        # the folded matrix and the weights' copies, or the patch means
+        assert kept < x.data.nbytes / 8, kept
 
 
 def test_window_graph_keeps_one_window_sized_array():
@@ -1515,8 +1685,8 @@ def test_window_graph_keeps_one_window_sized_array():
 def test_propagate_backward_holds_one_hop_sized_gradient():
     # 64 channels x 100 x 100 with K = 3: a hop is 5.12 MB, and a separate
     # hop mix node hands all K hop gradients over at once. Traced from
-    # before the forward, so the hops the node keeps are on the books and
-    # backward's freeing of them shows.
+    # before the forward, so the hops the node keeps are on the books, and
+    # so are z_K rebuilt and backward's freeing of the hops it walked.
     rng = np.random.default_rng(82)
     c, h, w, k = 64, 100, 100, 3
     args = [Tensor(rng.normal(size=shape), requires_grad=True)
@@ -1525,22 +1695,30 @@ def test_propagate_backward_holds_one_hop_sized_gradient():
     hop = g.nbytes
     tracemalloc.start()
     try:
+        base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
             ad.propagate(*args, 0.5, 1)
         (node,) = tape.nodes
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        node.backward_fn(g)  # the node, and so its closure, is still held
+        node.backward_fn(g)  # the node, and so its output, is still held
         left, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    print(f"\npropagate backward peak +{(peak - entry) / 1e6:.2f} MB, "
-          f"left live {(left - entry) / 1e6:+.2f} MB")
-    assert peak - entry < 2 * hop, (peak - entry) / 1e6
+    print(f"\npropagate from before its forward: entry {(entry - base) / 1e6:+.2f} MB, "
+          f"backward peak {(peak - base) / 1e6:+.2f} MB, "
+          f"left live {(left - base) / 1e6:+.2f} MB")
+    # the output and z_1 .. z_{K-1}, z_K being rebuilt in backward, and the
+    # node's own Python objects (3.2 kB)
+    assert entry - base <= k * hop + (64 << 10), (entry - base) / 1e6
+    # beside those, backward's one gradient array r (z_K is rebuilt block by
+    # block as a factor in it), z0 at the last hop, x's gradient, and the
+    # operator's gradient and padded copy
+    assert peak - base < 6 * hop, (peak - base) / 1e6
     # z_1 .. z_{K-1} are freed once walked, z_K's array holds x's gradient,
     # and what is new is the operator's gradient and the small ones
     operator_grad = args[0].data.nbytes
-    assert left - entry < -(k - 1) * hop + 2 * operator_grad, (left - entry) / 1e6
+    assert left - base < 2 * hop + 2 * operator_grad, (left - base) / 1e6
 
 
 def test_attention_keeps_no_token_by_token_array():

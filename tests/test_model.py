@@ -27,13 +27,18 @@ def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
     (graph bypassed), keyed by the bias's parameter name; an activated
     layer's output is its pre-activation, ``patch_linear``'s conv is read
-    off each patch's own "same" conv, n x O x m x m, and ``linear_untile``'s
-    layer off its n x C m^2 response before the scatter."""
+    off each patch's own "same" conv, n x O x m x m, ``patch_mean_linear``'s
+    off the map zero-padded to whole patches, and ``linear_untile``'s layer
+    off its n x C m^2 response before the scatter."""
     config, cube, params = calibrated
     names = {id(t): name for name, t in params.named_parameters().items()}
     seen = {}
     conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
-    linear_untile = ad.linear_untile
+    patch_mean_linear, linear_untile = ad.patch_mean_linear, ad.linear_untile
+
+    def padded(x, m):  # C x H x W zero-padded to whole m x m patches
+        _, h, w = x.shape
+        return np.pad(x, ((0, 0), (0, -h % m), (0, -w % m)))
 
     def traced_conv2d(x, w, bias, leaky=False):
         if bias is not None:
@@ -45,10 +50,20 @@ def layer_io(monkeypatch, calibrated):
             seen[names[id(bias)]] = (a.data, matmul(a, b, bias).data)
         return matmul(a, b, bias, leaky)
 
-    def traced_patch_linear(x, conv_w, conv_b, fc_w, fc_b):
-        out = patch_linear(x, conv_w, conv_b, fc_w, fc_b)
-        response = np.stack([conv2d(Tensor(p), conv_w, conv_b).data for p in x.data])
+    def traced_patch_linear(x, conv_w, conv_b, fc_w, fc_b, m):
+        out = patch_linear(x, conv_w, conv_b, fc_w, fc_b, m)
+        grid = padded(x.data, m)
+        patches = [grid[:, i:i + m, j:j + m] for i in range(0, grid.shape[1], m)
+                   for j in range(0, grid.shape[2], m)]
+        response = np.stack([conv2d(Tensor(p), conv_w, conv_b).data for p in patches])
         seen[names[id(conv_b)]] = (x.data, response)
+        seen[names[id(fc_b)]] = (x.data, out.data)
+        return out
+
+    def traced_patch_mean_linear(x, conv_w, conv_b, fc_w, fc_b, m):
+        out = patch_mean_linear(x, conv_w, conv_b, fc_w, fc_b, m)
+        grid = Tensor(padded(x.data, m))
+        seen[names[id(conv_b)]] = (grid.data, conv2d(grid, conv_w, conv_b).data)
         seen[names[id(fc_b)]] = (x.data, out.data)
         return out
 
@@ -59,6 +74,7 @@ def layer_io(monkeypatch, calibrated):
     monkeypatch.setattr(ad, "conv2d", traced_conv2d)
     monkeypatch.setattr(ad, "matmul", traced_matmul)
     monkeypatch.setattr(ad, "patch_linear", traced_patch_linear)
+    monkeypatch.setattr(ad, "patch_mean_linear", traced_patch_mean_linear)
     monkeypatch.setattr(ad, "linear_untile", traced_linear_untile)
     forward(params, Tensor(cube.data), config)
     return params, seen

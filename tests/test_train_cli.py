@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import logging
 import math
 import re
 import struct
@@ -459,6 +460,17 @@ def test_nonfinite_loss_aborts_with_diagnostic(tiny_cube):
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NonFiniteLossError, match="non-finite"):
             train(tiny_config(lr=1e12, epochs=30), cube=tiny_cube)
+
+
+def test_nonfinite_loss_names_the_epoch_as_the_log_counts_it(tiny_cube, caplog):
+    # the first epoch's loss is finite (logged as epoch 1); the step it
+    # takes leaves the second epoch's loss non-finite
+    caplog.set_level(logging.INFO, logger="cagu")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(NonFiniteLossError, match="^epoch 2: non-finite"):
+            train(tiny_config(lr=1e300, epochs=3), cube=tiny_cube)
+    assert [r.getMessage().split(" loss")[0] for r in caplog.records
+            if r.getMessage().startswith("epoch ")] == ["epoch 1"]
 
 
 def test_static_mode_uses_grid_fingerprint(tiny_cube):

@@ -62,16 +62,28 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     taken = [id(t) for n in takers for t in n.inputs if id(t) in biases]
     assert sorted(taken) == sorted(biases)
     assert {n.op for n in takers} == {"conv2d", "matmul", "patch_linear",
-                                      "linear_untile"}
+                                      "patch_mean_linear", "linear_untile"}
     # every LeakyReLU runs inside its layer, and the K hops and their mix
     # are one node
     ops = [n.op for n in nodes]
     assert not {"leaky_relu", "stencil_matvec", "hop_mix"} & set(ops)
     assert ops.count("propagate") == 1
-    # the fuse layer's per-patch blocks never reach the tape: the layer and
-    # its scatter onto the grid are one node
+    # the compressed map goes to the two token sequences through two nodes,
+    # which tile it privately: no patch tiles, padded grid or spectral
+    # response on the tape, and no step of the patch mean of its own
     m, fused = config.patch_size, config.fused_channels
     n_patches = -(-observed.shape[1] // m) * -(-observed.shape[2] // m)
+    (conv3,) = [i for i, n in enumerate(nodes)
+                if any(t is params.frontend.conv3_b for t in n.inputs)]
+    fmap = nodes[conv3].output
+    readers = [i for i, n in enumerate(nodes) if any(t is fmap for t in n.inputs)]
+    assert readers == [conv3 + 1, conv3 + 2]
+    assert ops[conv3 + 1:conv3 + 3] == ["patch_mean_linear", "patch_linear"]
+    assert all(nodes[i].output.shape == (n_patches, config.token_dim) for i in readers)
+    assert not {"tile_patches", "untile_patches", "transpose", "sum"} & set(ops)
+    assert (n_patches, config.channels, m, m) not in {n.output.shape for n in nodes}
+    # the fuse layer's per-patch blocks never reach the tape: the layer and
+    # its scatter onto the grid are one node
     assert (n_patches, fused * m * m) not in {n.output.shape for n in nodes}
     # the channel projection runs inside the propagation node
     proj = params.graph_mix.graph_proj
@@ -101,23 +113,30 @@ def test_training_step_peak_stays_near_the_forward():
     # what it has used as it goes, so its peak stays close to what the
     # forward pass left live (1.73x at 40x40 when backward kept every
     # gradient and closure until the tape died, and the 3x3 convs held
-    # column matrices).
-    for size in (40, 100):
+    # column matrices). What backward adds on top, peak - live, is bounded
+    # in bytes, at a quarter of the live memory of a forward that still kept
+    # the patch tiles, the spectral response and the last hop (11.93 MB at
+    # 40x40, 67.78 MB at 100x100), so a leaner forward cannot fail it.
+    for size, extra in ((40, 0.25 * 11.93e6), (100, 0.25 * 67.78e6)):
         params, observed, config = _step_inputs(size)
         tracemalloc.start()
         try:
             with Tape() as tape:
                 loss, _ = mdl.training_loss(params, observed, config)
-            live = tracemalloc.get_traced_memory()[0]
+            live, nodes = tracemalloc.get_traced_memory()[0], len(tape.nodes)
             tracemalloc.reset_peak()
             backward(tape, loss)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        print(f"\nMEMORY {size}x{size} live {live / 1e6:.2f} peak {peak / 1e6:.2f} "
+        print(f"\nMEMORY {size}x{size} nodes {nodes} live {live / 1e6:.2f} "
+              f"peak {peak / 1e6:.2f} peak-live {(peak - live) / 1e6:.2f} "
               f"ratio {peak / live:.3f}")
-        assert peak <= 1.25 * live, (size, peak / 1e6, live / 1e6)
+        assert peak - live <= extra, (size, peak / 1e6, live / 1e6)
         if size == 100:
-            # the forward keeps no z0 and no fuse block matrix (82.36 MB
-            # live when it kept both)
-            assert live < 75e6, live / 1e6
+            # the forward keeps no z0, no fuse block matrix, no patch tiles,
+            # no spectral response and no z_K, and backward frees each
+            # node's output before its closure runs (live 82.36 MB with z0
+            # and the block matrix, 67.78 MB / peak 80.67 MB with the rest)
+            assert live < 60e6, live / 1e6
+            assert peak < 73e6, peak / 1e6
