@@ -1,5 +1,6 @@
 """Dual-branch self-attention with cross-branch class-token exchange.
 
+``exchange_and_attend`` takes the tokenizer's (spectral, spatial) pair.
 Each branch prepends the *other* branch's learned class token, runs one
 single-head scaled dot-product attention block with a residual connection,
 then (after dropping class rows) an MLP. The two branches are concatenated
@@ -22,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterGroup, Tensor
 from .errors import ConfigError, ShapeError
-from .frontend import TokenSequences, he_uniform
+from .frontend import he_uniform
 
 CLS_INIT_STD = 0.02
 
@@ -50,7 +51,6 @@ class AttentionParams(ParameterGroup):
     seam_w: Tensor  # 3x3 conv smoothing patch-block seams
     seam_b: Tensor
     patch_size: int
-    fused_channels: int
 
     prefix = "attention"
 
@@ -82,7 +82,7 @@ class AttentionParams(ParameterGroup):
         seam_b = Tensor(np.zeros(fused_channels), requires_grad=True)
         return cls(cls_spe, cls_spa, spe_q, spe_k, spe_v, spa_q, spa_k, spa_v,
                    *spe_mlp, *spa_mlp, fuse_w, fuse_b, seam_w, seam_b,
-                   patch_size, fused_channels)
+                   patch_size)
 
 
 def identity_kernel(channels: int, k: int) -> np.ndarray:
@@ -99,16 +99,16 @@ def _attend_branch(x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
     return ad.add(out, x)  # residual around the attention block
 
 
-def exchange_and_attend(params: AttentionParams, tokens: TokenSequences
-                        ) -> Tuple[Tensor, Tensor]:
-    """Prepend the opposite branch's class token to each sequence and run
-    one attention block per branch (with residual)."""
-    if tokens.spectral.shape[1] != tokens.spatial.shape[1]:
-        raise ConfigError(
-            "token dims differ between branches: "
-            f"{tokens.spectral.shape} vs {tokens.spatial.shape}")
-    seq_spe = ad.concat([params.cls_spa, tokens.spectral], axis=0)
-    seq_spa = ad.concat([params.cls_spe, tokens.spatial], axis=0)
+def exchange_and_attend(params: AttentionParams, spectral: Tensor,
+                        spatial: Tensor) -> Tuple[Tensor, Tensor]:
+    """Prepend the opposite branch's class token to each token sequence
+    (n_patches x token_dim) and run one attention block per branch (with
+    residual)."""
+    if spectral.shape[1] != spatial.shape[1]:
+        raise ConfigError("token dims differ between branches: "
+                          f"{spectral.shape} vs {spatial.shape}")
+    seq_spe = ad.concat([params.cls_spa, spectral], axis=0)
+    seq_spa = ad.concat([params.cls_spe, spatial], axis=0)
     out_spe = _attend_branch(seq_spe, params.spe_wq, params.spe_wk, params.spe_wv)
     out_spa = _attend_branch(seq_spa, params.spa_wq, params.spa_wk, params.spa_wv)
     return out_spe, out_spa

@@ -63,6 +63,7 @@ from .errors import ContractError, NumericDomainError, ShapeError
 
 ARCCOS_EPS = 1e-7      # safety clamp half-width on arccos inputs
 CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window, tap or attention kernel
+DEAD_UNIT_STD = 1e-3   # a calibrated unit whose std is below this is dead
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
 
@@ -170,16 +171,16 @@ class Standardize:
     response has zero mean and unit std per unit, and returns the
     standardised response; an op that only reads it leaves it alone. Units
     lie on the first axis of a conv response and the last of a matmul's. A
-    unit whose std is below ``floor`` is dead: it is recentred, not rescaled.
+    unit whose std is below ``DEAD_UNIT_STD`` is dead: it is recentred, not
+    rescaled.
     It and ``Tape`` refuse to open inside each other, so calibration never
     touches a training step.
     """
 
     _active: Optional["Standardize"] = None
 
-    def __init__(self, layers: Sequence[tuple], floor: float):
+    def __init__(self, layers: Sequence[tuple]):
         self.layers = {id(b): (w, b) for w, b in layers}
-        self.floor = float(floor)
 
     def __enter__(self) -> "Standardize":
         if Standardize._active is not None:
@@ -202,7 +203,7 @@ class Standardize:
         axes = tuple(i for i in range(out.ndim) if i != unit)
         mu = out.mean(axis=axes, keepdims=True)
         sd = out.std(axis=axes, keepdims=True)
-        sd = np.where(sd < self.floor, 1.0, sd)  # a dead unit keeps its scale
+        sd = np.where(sd < DEAD_UNIT_STD, 1.0, sd)  # a dead unit keeps its scale
         scale = sd.ravel()
         w.data /= scale.reshape(-1, 1, 1, 1) if w.ndim == 4 else scale
         b.data = (b.data - mu.ravel()) / scale

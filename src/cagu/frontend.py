@@ -6,7 +6,8 @@ Each patch yields one spectral token (1x1 conv, patch-average pool, linear
 map: one ``patch_mean_linear``) and one spatial token (3x3 conv inside the
 patch, flatten, linear map: one ``patch_linear``), so both sequences stay
 strictly patch-local. Both ops read the map itself and tile it privately,
-so the tokenizer records two tape nodes and keeps no tiles.
+so the tokenizer records two tape nodes and keeps no tiles. ``tokenize``
+returns the pair (spectral, spatial) of n_patches x token_dim tensors.
 """
 
 from __future__ import annotations
@@ -99,20 +100,6 @@ class FrontendParams(ParameterGroup):
         )
 
 
-@dataclass
-class TokenSequences:
-    """One spectral and one spatial token per patch, plus the patch tiling."""
-
-    spectral: Tensor  # (n_patches, token_dim)
-    spatial: Tensor   # (n_patches, token_dim)
-    patch_grid: Tuple[int, int]
-    patch_size: int
-
-    @property
-    def n_tokens(self) -> int:
-        return self.spectral.shape[0]
-
-
 def compress(params: FrontendParams, image: Tensor) -> Tensor:
     """bands x H x W -> channels x H x W via the three-conv squeeze.
 
@@ -134,9 +121,10 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
     return ad.conv2d(h, params.conv3_w, params.conv3_b, leaky=True)
 
 
-def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
-    """channels x H x W -> per-patch spectral and spatial token sequences,
-    from the map zero-padded to the patch grid and from its patches."""
+def tokenize(params: FrontendParams, fmap: Tensor) -> Tuple[Tensor, Tensor]:
+    """channels x H x W -> (spectral, spatial), each one token_dim row per
+    patch in row-major patch order, from the map zero-padded to the patch
+    grid and from its patches."""
     m = params.patch_size
     _, height, width = fmap.shape
     if m > min(height, width):
@@ -145,4 +133,4 @@ def tokenize(params: FrontendParams, fmap: Tensor) -> TokenSequences:
                                     params.spe_fc_w, params.spe_fc_b, m)
     spatial = ad.patch_linear(fmap, params.spa_conv_w, params.spa_conv_b,
                               params.spa_fc_w, params.spa_fc_b, m)
-    return TokenSequences(spectral, spatial, (-(-height // m), -(-width // m)), m)
+    return spectral, spatial

@@ -7,7 +7,8 @@ are added and the adjacency is symmetrically normalized. All of that is one
 tape node, ``autodiff.window_graph``, which returns the self-loops and the
 adjacency stacked as one operator; the static grid graph is the same node
 on a constant map with no spatial decay, so one path builds every graph.
-Propagation projects the channels, applies the normalized adjacency K times
+Propagation projects the channels, applies the normalized adjacency K times,
+K being the size of the learned hop logits ``GraphMixParams.mix_logits``,
 and mixes the hop results with softmax weights, feeding a residual update
 x + beta * y; the projection, the hops and their mix are one tape node,
 ``autodiff.propagate``. The graph is rebuilt from current features every
@@ -141,8 +142,7 @@ class GraphMixParams(ParameterGroup):
     and the residual strength."""
 
     graph_proj: Tensor  # (channels, channels)
-    mix_logits: Tensor  # (k_steps,), softmax -> convex hop weights
-    k_steps: int
+    mix_logits: Tensor  # (K,), softmax -> convex hop weights; K is its size
     beta: float
 
     prefix = "graph"
@@ -157,7 +157,6 @@ class GraphMixParams(ParameterGroup):
                 rng.uniform(-np.sqrt(6.0 / channels), np.sqrt(6.0 / channels),
                             (channels, channels))), requires_grad=True),
             mix_logits=Tensor(np.zeros(k_steps), requires_grad=True),
-            k_steps=k_steps,
             beta=beta,
         )
 
@@ -171,12 +170,10 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
     """K-hop propagation with learned convex mixing and residual injection.
 
     z0 = proj @ x, z_t = z_{t-1} @ A_hat, y = sum_t alpha_t z_t (t >= 1),
-    returns x + beta * y. A_hat is symmetric, so each hop applies the
-    stencil to every channel image; the projection, the K hops and the mix
-    are one node, which keeps no z0.
+    returns x + beta * y, with K the size of ``params.mix_logits``. A_hat
+    is symmetric, so each hop applies the stencil to every channel image;
+    the projection, the K hops and the mix are one node, which keeps no z0.
     """
-    if params.k_steps < 1:
-        raise ConfigError(f"k_steps must be at least 1, got {params.k_steps}")
     alphas = ad.softmax(params.mix_logits, axis=0)
     return ad.propagate(graph.operator, params.graph_proj, alphas, x,
                         params.beta, graph.radius)

@@ -280,13 +280,12 @@ class ByteReader:
         self.kind = kind
         self.offset = len(magic)
 
-    def version(self, supported: int) -> int:
+    def version(self, supported: int):
         start = self.offset
         (version,) = self.unpack("<I", "version")
         if version != supported:
             raise FormatError(f"unsupported {self.kind} version {version}",
                               start)
-        return version
 
     def _advance(self, size: int, what: str) -> int:
         """Step over ``size`` bytes; returns the offset they start at."""

@@ -1,6 +1,10 @@
 """Full network assembly: parameters, scene-calibrated init (LSUV, run
 through the stage functions of ``forward`` under ``autodiff.Standardize``),
-forward pass, and the training loss."""
+forward pass, and the training loss.
+
+The stages hand each other plain tensors: ``tokenize`` returns the
+(spectral, spatial) pair that ``exchange_and_attend`` takes, and the graph
+stage reads the channel count off the fused map itself."""
 
 from __future__ import annotations
 
@@ -75,9 +79,6 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     return params
 
 
-_SD_FLOOR = 1e-3  # below this a unit is considered dead: recentred, not rescaled
-
-
 def _calibrate_scales(params: ModelParams, cube: HsiCube):
     """One pass of the scene through the freshly drawn network, under
     ``ad.Standardize`` over every biased layer (``*_b``/``*_bN`` with its
@@ -88,10 +89,11 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube):
         match = re.fullmatch(r"(.*)_b(\d*)", name)
         if match:
             layers.append((named[f"{match[1]}_w{match[2]}"], bias))
-    with ad.Standardize(layers, _SD_FLOOR):
-        tokens = tokenize(params.frontend,
-                          compress(params.frontend, Tensor(cube.data)))
-        spe_seq, spa_seq = exchange_and_attend(params.attention, tokens)
+    with ad.Standardize(layers):
+        spectral, spatial = tokenize(
+            params.frontend, compress(params.frontend, Tensor(cube.data)))
+        spe_seq, spa_seq = exchange_and_attend(params.attention, spectral,
+                                               spatial)
         # Not the whole ``forward``: the decoder is calibrated on the map
         # before the seam conv and the graph stage, which are skipped for
         # cost (the full pass took 130 ms against 79 at 100x100, one
@@ -123,14 +125,14 @@ def forward(params: ModelParams, observed: Tensor, config: TrainConfig
     """
     _, height, width = observed.shape
     fmap = compress(params.frontend, observed)
-    tokens = tokenize(params.frontend, fmap)
-    spe_seq, spa_seq = exchange_and_attend(params.attention, tokens)
+    spe_seq, spa_seq = exchange_and_attend(params.attention,
+                                           *tokenize(params.frontend, fmap))
     fused = fuse_and_restore(params.attention, spe_seq, spa_seq, height, width)
 
     graph = None
     refined = fused
     if config.ablation_mode != "none" and config.beta != 0.0:
-        flat = ad.reshape(fused, (config.fused_channels, height * width))
+        flat = ad.reshape(fused, (fused.shape[0], height * width))
         if config.ablation_mode == "static":
             graph = build_static_grid_graph(height, width, config.radius)
         else:

@@ -65,13 +65,13 @@ def worker_count() -> int:
 class AdamW:
     """Adam with decoupled weight decay; state keyed by parameter name."""
 
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(self, params: Dict[str, Tensor], lr: float,
-                 weight_decay: float, betas=(0.9, 0.999), eps: float = 1e-8):
+                 weight_decay: float):
         self.params = dict(sorted(params.items()))
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
@@ -142,7 +142,6 @@ class Checkpoint:
     opt_step: int
     epoch: int
     final_loss: float
-    version: int = CHECKPOINT_VERSION
 
 
 def _pack_named_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
@@ -168,6 +167,8 @@ def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
             name = reader.read(name_len, "array name").decode("utf-8")
         except UnicodeDecodeError:
             raise FormatError("array name is not UTF-8", name_at) from None
+        if name in out:
+            raise FormatError(f"array {name} appears twice", name_at)
         rank_at = reader.offset
         (ndim,) = reader.unpack("<I", f"rank of {name}")
         if ndim > MAX_RANK:
@@ -187,7 +188,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     config_blob = ckpt.config.to_json().encode("utf-8")
     with atomic_writer(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", ckpt.version))
+        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
         fh.write(_pack_named_arrays(ckpt.parameters))
@@ -196,12 +197,13 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; a truncated or malformed file, or one holding a
-    value that is not finite, raises FormatError with the byte offset of the
-    defect."""
+    """Read a checkpoint; a truncated or malformed file, one holding a value
+    that is not finite or an array name twice, or one whose trailer is not
+    ``train``'s opt_step == epoch == config.epochs, raises FormatError with
+    the byte offset of the defect."""
     with open(path, "rb") as fh:
         reader = ByteReader(fh.read(), "checkpoint", CHECKPOINT_MAGIC)
-    version = reader.version(CHECKPOINT_VERSION)
+    reader.version(CHECKPOINT_VERSION)
     (config_len,) = reader.unpack("<I", "config length")
     config_at = reader.offset
     config_blob = reader.read(config_len, "config")
@@ -216,11 +218,16 @@ def load_checkpoint(path) -> Checkpoint:
     moments = _unpack_named_arrays(reader)
     trailer_at = reader.offset
     opt_step, epoch, final_loss = reader.unpack("<QId", "trailer")
+    if epoch != config.epochs:
+        raise FormatError(f"epoch {epoch} is not the config's {config.epochs}",
+                          trailer_at + 8)
+    if opt_step != epoch:
+        raise FormatError(f"opt_step {opt_step} is not epoch {epoch}",
+                          trailer_at)
     if not math.isfinite(final_loss):
         raise FormatError("final_loss is not finite", trailer_at + 12)
     reader.end()
-    return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss,
-                      version)
+    return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss)
 
 
 def params_from_checkpoint(ckpt: Checkpoint, bands: int) -> mdl.ModelParams:
@@ -426,6 +433,8 @@ def _seed_list(seeds: Sequence[int]) -> List[int]:
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigError("a sweep needs at least one seed")
+    if len(set(seeds)) != len(seeds):  # a repeat counts one run twice
+        raise ConfigError(f"a sweep repeats a seed: {seeds}")
     return seeds
 
 

@@ -22,7 +22,6 @@ _RANK_RTOL = 1e-9
 class VcaResult:
     endmembers: np.ndarray     # (bands, count), columns copied from pixels
     pixel_indices: np.ndarray  # (count,) distinct pixel ids
-    seed: int
 
 
 def _estimate_snr_db(pixels: np.ndarray, mean: np.ndarray,
@@ -101,4 +100,4 @@ def vca_extract(cube: HsiCube, count: int, seed: int = 0) -> VcaResult:
     if len(set(indices.tolist())) != count:
         raise DegenerateSceneError("extraction selected a pixel twice")
     return VcaResult(endmembers=pixels[:, indices].copy(),
-                     pixel_indices=indices, seed=seed)
+                     pixel_indices=indices)

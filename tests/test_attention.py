@@ -8,17 +8,17 @@ from cagu.autodiff import Tape, Tensor, backward, finite_diff_check
 from cagu.attention import (AttentionParams, exchange_and_attend,
                             fuse_and_restore, identity_kernel)
 from cagu.errors import ConfigError, ShapeError
-from cagu.frontend import TokenSequences
 
 
 def make_params(dim=4, fused=3, m=2, seed=0):
     return AttentionParams.initialize(np.random.default_rng(seed), dim, fused, m)
 
 
-def make_tokens(n=4, dim=4, seed=1, grid=(2, 2), m=2):
+def make_tokens(n=4, dim=4, seed=1):
+    """(spectral, spatial) sequences of ``n`` tokens, as ``tokenize`` returns."""
     rng = np.random.default_rng(seed)
-    return TokenSequences(Tensor(rng.normal(size=(n, dim))),
-                          Tensor(rng.normal(size=(n, dim))), grid, m)
+    return (Tensor(rng.normal(size=(n, dim))),
+            Tensor(rng.normal(size=(n, dim))))
 
 
 def reference_attention(x, wq, wk, wv):
@@ -151,11 +151,11 @@ def test_attention_rows_stochastic():
 
 def test_exchange_matches_loop_oracle():
     params = make_params(seed=4)
-    tokens = make_tokens(n=3, seed=5, grid=(1, 3))
-    out_spe, out_spa = exchange_and_attend(params, tokens)
+    spectral, spatial = make_tokens(n=3, seed=5)
+    out_spe, out_spa = exchange_and_attend(params, spectral, spatial)
 
-    seq_spe = np.vstack([params.cls_spa.data, tokens.spectral.data])
-    seq_spa = np.vstack([params.cls_spe.data, tokens.spatial.data])
+    seq_spe = np.vstack([params.cls_spa.data, spectral.data])
+    seq_spa = np.vstack([params.cls_spe.data, spatial.data])
     ref_spe = reference_attention(seq_spe, params.spe_wq.data,
                                   params.spe_wk.data, params.spe_wv.data) + seq_spe
     ref_spa = reference_attention(seq_spa, params.spa_wq.data,
@@ -169,8 +169,7 @@ def test_exchange_prepends_opposite_class_token():
     # zero projections: attention output rows are all equal to the value mean
     for name in ("spe_wq", "spe_wk", "spe_wv", "spa_wq", "spa_wk", "spa_wv"):
         getattr(params, name).data[:] = 0.0
-    tokens = make_tokens(seed=7)
-    out_spe, out_spa = exchange_and_attend(params, tokens)
+    out_spe, out_spa = exchange_and_attend(params, *make_tokens(seed=7))
     np.testing.assert_allclose(out_spe.data[0], params.cls_spa.data[0],
                                atol=1e-12)
     np.testing.assert_allclose(out_spa.data[0], params.cls_spe.data[0],
@@ -178,22 +177,19 @@ def test_exchange_prepends_opposite_class_token():
 
 
 def test_exchange_rejects_token_widths_that_differ():
-    tokens = make_tokens(dim=4)
-    narrow = TokenSequences(tokens.spectral, Tensor(tokens.spatial.data[:, :3]),
-                            tokens.patch_grid, tokens.patch_size)
+    spectral, spatial = make_tokens(dim=4)
     with pytest.raises(ConfigError, match="token dims differ"):
-        exchange_and_attend(make_params(dim=4), narrow)
+        exchange_and_attend(make_params(dim=4), spectral,
+                            Tensor(spatial.data[:, :3]))
 
 
 def test_attention_permutation_equivariant_over_tokens():
     params = make_params(seed=8)
     tokens = make_tokens(n=4, seed=9)
     perm = [2, 0, 3, 1]
-    permuted = TokenSequences(Tensor(tokens.spectral.data[perm]),
-                              Tensor(tokens.spatial.data[perm]),
-                              tokens.patch_grid, tokens.patch_size)
-    base_spe, base_spa = exchange_and_attend(params, tokens)
-    perm_spe, perm_spa = exchange_and_attend(params, permuted)
+    permuted = [Tensor(t.data[perm]) for t in tokens]
+    base_spe, base_spa = exchange_and_attend(params, *tokens)
+    perm_spe, perm_spa = exchange_and_attend(params, *permuted)
     np.testing.assert_allclose(perm_spe.data[1:], base_spe.data[1:][perm],
                                atol=1e-12)
     np.testing.assert_allclose(perm_spa.data[1:], base_spa.data[1:][perm],
@@ -273,7 +269,7 @@ def test_full_module_gradients_including_class_tokens():
     direction = Tensor(np.random.default_rng(17).normal(size=(3, 4, 4)))
 
     def loss(_):
-        spe, spa = exchange_and_attend(params, tokens)
+        spe, spa = exchange_and_attend(params, *tokens)
         fused = fuse_and_restore(params, spe, spa, 4, 4)
         return ad.sum(ad.mul(fused, direction))
 

@@ -881,7 +881,7 @@ def _unit_stats(out: np.ndarray, unit: int):
 def test_standardize_calibrates_a_conv_layer_in_place():
     x = rand((2, 5, 6), seed=30, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         out = ad.conv2d(x, w, b)
     mu, sd = _unit_stats(out.data, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
@@ -893,7 +893,7 @@ def test_standardize_calibrates_a_conv_layer_in_place():
 def test_standardize_calibrates_the_pre_activation_of_an_activated_layer():
     x = rand((2, 5, 6), seed=48, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=49), rand(4, seed=50)
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         out = ad.conv2d(x, w, b, leaky=True)
     pre = ad.conv2d(x, w, b).data  # the rescaled layer, not activated
     mu, sd = _unit_stats(pre, 0)
@@ -908,7 +908,7 @@ def test_standardize_calibrates_a_linear_layer_and_leaves_other_ops():
     x = rand((7, 3), seed=33, scale=2.0)
     w, b = rand((3, 4), seed=34), rand(4, seed=35)
     other = rand(4, seed=36)
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         raw = ad.matmul(x, w).data
         unlisted = ad.matmul(x, w, other)
         out = ad.matmul(x, w, b)
@@ -924,7 +924,7 @@ def test_standardize_calibrates_a_biased_matmul_as_the_composed_layer():
     layers = [(rand((3, 4), seed=39), rand(4, seed=40)) for _ in range(2)]
     (w, b), (w2, b2) = layers
     w2.data, b2.data = w.data.copy(), b.data.copy()
-    with ad.Standardize(layers, floor=1e-3) as calibration:
+    with ad.Standardize(layers) as calibration:
         fused = ad.matmul(x, w, b)
         # the composed layer's response, calibrated by hand: add only reads b2
         composed = calibration.apply(b2, ad.add(ad.matmul(x, w2), b2).data)
@@ -940,7 +940,7 @@ def test_standardize_recentres_a_dead_unit_without_rescaling():
     x = Tensor(np.column_stack([np.full(6, 2.0), np.arange(6.0)]))
     w = Tensor(np.array([[0.5, 0.0], [0.0, 3.0]]))
     b = Tensor(np.array([1.0, -1.0]))
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         out = ad.matmul(x, w, b)
     np.testing.assert_array_equal(w.data[:, 0], [0.5, 0.0])
     assert b.data[0] == -1.0  # 0.5 * 2 + 1 recentred to 0
@@ -954,7 +954,7 @@ def test_standardize_leaves_a_listed_bias_that_an_op_only_reads():
     x = rand((3, 4), seed=44)
     w, b = rand((4, 4), seed=45), rand(4, seed=46)
     w0, b0 = w.data.copy(), b.data.copy()
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         outs = [ad.reshape(b, (2, 2)), ad.add(x, b), ad.mul(x, b)]
     for out, want in zip(outs, (b0.reshape(2, 2), x.data + b0, x.data * b0)):
         assert out.data.tobytes() == want.tobytes()
@@ -963,7 +963,7 @@ def test_standardize_leaves_a_listed_bias_that_an_op_only_reads():
 
 def test_standardize_calibrates_both_layers_of_a_patch_linear():
     image, args, _ = _patch_linear_case(*PATCH_CASES[0], seed=47)
-    with ad.Standardize([args[1:3], args[3:]], floor=1e-3):
+    with ad.Standardize([args[1:3], args[3:]]):
         out = ad.patch_linear(*args, 4)
     # the calibrated conv, patch by patch, and the tokens read standardised
     response, _ = per_patch_reference(image, args[1].data, args[2].data,
@@ -982,7 +982,7 @@ def test_standardize_calibrates_both_layers_of_a_patch_mean_linear(h, w):
     results = []
     for op in (ad.patch_mean_linear, patch_mean_linear_reference):
         args = [Tensor(a.copy()) for a in arrays]
-        with ad.Standardize([args[1:3], args[3:]], floor=1e-3):
+        with ad.Standardize([args[1:3], args[3:]]):
             out = op(*args, 2)
         results.append([out.data] + [t.data for t in args[1:]])
     for got, want in zip(*results):
@@ -1002,7 +1002,7 @@ def test_standardize_calibrates_a_linear_untile_on_its_block_response():
     layers = [(rand((3, 8), seed=90), rand(8, seed=91)) for _ in range(2)]
     (w, b), (w2, b2) = layers
     w2.data, b2.data = w.data.copy(), b.data.copy()
-    with ad.Standardize(layers, floor=1e-3):
+    with ad.Standardize(layers):
         fused = ad.linear_untile(x, w, b, 2, 3, 5)
         composed = untile_patches_reference(
             ad.reshape(ad.matmul(x, w2, b2), (6, 2, 2, 2)), 3, 5)
@@ -1016,16 +1016,16 @@ def test_standardize_calibrates_a_linear_untile_on_its_block_response():
 
 def test_standardize_refuses_to_nest_and_any_tape():
     w, b = rand((2, 2), seed=37), Tensor(np.zeros(2))
-    with ad.Standardize([(w, b)], floor=1e-3):
+    with ad.Standardize([(w, b)]):
         with pytest.raises(ContractError):
-            with ad.Standardize([(w, b)], floor=1e-3):
+            with ad.Standardize([(w, b)]):
                 pass
         with pytest.raises(ContractError):
             with Tape():
                 pass
     with Tape():
         with pytest.raises(ContractError):
-            with ad.Standardize([(w, b)], floor=1e-3):
+            with ad.Standardize([(w, b)]):
                 pass
     assert ad.Standardize._active is None and Tape._active is None
 

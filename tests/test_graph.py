@@ -193,7 +193,7 @@ def dense_propagation(adj, mix, x):
     alphas = e / e.sum()
     z = mix.graph_proj.data @ x
     mixed = np.zeros_like(z)
-    for t in range(1, mix.k_steps + 1):
+    for t in range(1, mix.mix_logits.size + 1):
         z = z @ adj
         mixed += alphas[t - 1] * z
     return x + mix.beta * mixed

@@ -193,6 +193,34 @@ def test_damaged_checkpoints_raise_format_or_config_error(tmp_path_factory,
         pass
 
 
+def test_checkpoint_with_a_repeated_array_name_raises_format_error(
+        checkpoint_blob, tmp_path):
+    # two parameters of one shape whose names sort side by side: the second
+    # renamed to the first, whose copy used to win silently
+    at = checkpoint_blob.index(b"attention.cls_spe")
+    path = tmp_path / "repeated.ckpt"
+    path.write_bytes(checkpoint_blob[:at] + b"attention.cls_spa"
+                     + checkpoint_blob[at + len(b"attention.cls_spe"):])
+    with pytest.raises(FormatError, match="appears twice") as info:
+        load_checkpoint(path)
+    assert info.value.offset == at
+
+
+@pytest.mark.parametrize("opt_step, epoch, epochs, field", [
+    (999, 1, 1, "opt_step"), (999, 1, 2, "epoch"), (2, 2, 1, "epoch")])
+def test_checkpoint_whose_trailer_disagrees_raises_format_error(
+        checkpoint_blob, tmp_path, opt_step, epoch, epochs, field):
+    # ``train`` writes opt_step == epoch == config.epochs
+    blob = with_config(checkpoint_blob, epochs=epochs)
+    trailer_at = len(blob) - 20  # uint64 opt_step, uint32 epoch, f64 loss
+    path = tmp_path / "trailer.ckpt"
+    path.write_bytes(blob[:trailer_at] + struct.pack("<QI", opt_step, epoch)
+                     + blob[trailer_at + 12:])
+    with pytest.raises(FormatError, match=field) as info:
+        load_checkpoint(path)
+    assert info.value.offset == trailer_at + {"opt_step": 0, "epoch": 8}[field]
+
+
 def test_checkpoint_with_renamed_array_is_a_config_error(checkpoint_blob,
                                                          tiny_cube, tmp_path):
     for old in (b"decoder.endmember_w", b"m.decoder.abun_b"):
@@ -548,6 +576,15 @@ def test_sweeps_reject_empty_seed_lists():
                 lambda: run_beta_sweep(config, [0.0], seeds=range(-1),
                                        scene=REDUCED)):
         with pytest.raises(ConfigError, match="seed"):
+            run()
+    # a repeated seed trains one run twice and counts it twice in a median;
+    # each sweep refuses it before training anything
+    for run in (lambda: run_snr_sweep(config, [20.0, 60.0], [0, 0],
+                                      scene=REDUCED),
+                lambda: run_ablation(config, seeds=[1, 0, 1], scene=REDUCED),
+                lambda: run_beta_sweep(config, [0.0], seeds=(2, 2),
+                                       scene=REDUCED)):
+        with pytest.raises(ConfigError, match="repeats a seed"):
             run()
 
 
