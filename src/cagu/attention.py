@@ -4,9 +4,9 @@
 Each branch prepends the *other* branch's learned class token, runs one
 single-head scaled dot-product attention block with a residual connection,
 then (after dropping class rows) an MLP. The two branches are concatenated
-per token, projected to per-pixel features for the token's patch and
-scattered back to image shape by one op, ``autodiff.linear_untile``, then
-seam-smoothed with one 3x3 convolution.
+per token, projected to per-pixel features for the token's patch,
+scattered back to image shape and seam-smoothed with one 3x3 convolution,
+all by one op, ``autodiff.linear_untile``.
 
 The attention itself is the one tape op ``autodiff.attention``: it never
 holds the token-by-token weights, so its memory grows linearly with the
@@ -118,15 +118,16 @@ def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     return ad.matmul(ad.matmul(x, w1, b1, leaky=True), w2, b2)
 
 
-def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
-                height: int, width: int) -> Tensor:
-    """Fuse the two attended sequences into a fused_channels x H x W map,
-    before seam smoothing.
+def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
+                     height: int, width: int) -> Tensor:
+    """Fuse the two attended sequences into a fused_channels x H x W map.
 
     Class rows are dropped, branch MLPs applied, features concatenated per
-    token, then projected to one fused block per patch and scattered back
-    onto the pixel grid by one node, ``autodiff.linear_untile``, which
-    raises ShapeError unless the tokens tile the grid.
+    token, then projected to one fused block per patch, scattered back onto
+    the pixel grid and smoothed across block seams by a 3x3 conv, all three
+    one node, ``autodiff.linear_untile``, which raises ShapeError unless the
+    tokens tile the grid. Under ``Standardize`` it calibrates the fuse layer
+    only: the seam conv starts as the identity and is left so.
     """
     if spe_seq.shape[0] != spa_seq.shape[0]:
         raise ShapeError(
@@ -141,11 +142,4 @@ def fuse_tokens(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
                params.spa_mlp_w2, params.spa_mlp_b2)
     joint = ad.concat([spe, spa], axis=1)
     return ad.linear_untile(joint, params.fuse_w, params.fuse_b, params.patch_size,
-                            height, width)
-
-
-def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
-                     height: int, width: int) -> Tensor:
-    """``fuse_tokens``, then smoothing across block seams by a 3x3 conv."""
-    fused = fuse_tokens(params, spe_seq, spa_seq, height, width)
-    return ad.conv2d(fused, params.seam_w, params.seam_b)
+                            height, width, params.seam_w, params.seam_b)

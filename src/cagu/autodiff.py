@@ -30,10 +30,11 @@ are one node, ``propagate``, whose backward carries one hop-sized gradient
 back through the hops. Scaled dot-product attention is one node that reads
 the keys in cache-sized blocks with an online softmax. A layer, conv2d or
 matmul plus its bias and its LeakyReLU if it has one, is one node; so is a
-linear layer whose rows are patch blocks put onto the grid,
-``linear_untile``, and the unmixing loss (squared error plus spectral
-angle), which keeps six H x W arrays and recomputes r - y in backward, band
-block by band block.
+stack of 1x1 conv layers, ``conv1x1_stack``, a linear layer whose rows are
+patch blocks put onto the grid, ``linear_untile``, with the "same"
+convolution after it if given one, and the unmixing loss (squared error
+plus spectral angle), which keeps six H x W arrays and recomputes r - y in
+backward, band block by band block.
 
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. An activated layer keeps no
@@ -41,8 +42,10 @@ pre-activation, the conv and propagation kernels pad their inputs again in
 backward instead of keeping padded copies, ``propagate`` keeps z_1 ...
 z_{K-1} only (one GEMM rebuilds z0, and one stencil pass z_K),
 ``window_graph`` no distances (backward recomputes the differences) but its
-feature term, ``linear_untile`` no block matrix, the tokenizers no tiles and
-``patch_mean_linear`` no per-pixel response, but the patch means, and
+feature term, ``conv1x1_stack`` no inner map (backward rebuilds them from
+its input, with the forward's numpy calls), ``linear_untile`` no block
+matrix and, with a convolution, no map on the grid, the tokenizers no tiles
+and ``patch_mean_linear`` no per-pixel response, but the patch means, and
 attention no token-by-token array, but each row's log-sum-exp.
 
 All kernels are deterministic: reductions use numpy's fixed evaluation
@@ -54,6 +57,7 @@ order, so repeated runs are bit-identical.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
 from typing import Callable, Dict, Optional, Sequence
 
@@ -66,6 +70,15 @@ CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window, tap or att
 DEAD_UNIT_STD = 1e-3   # a calibrated unit whose std is below this is dead
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
+
+# glibc's malloc serves a block above its mmap threshold (128 KiB at start)
+# by mmap, and on freeing one of at most 32 MiB raises that threshold to the
+# block's size and its heap-trim threshold to twice that (mallopt(3)). One
+# untouched block just under the cap, freed at once, pins them near 30 and
+# 60 MiB for the process, so a training step's arrays come from a heap that
+# is not trimmed and faulted back in every epoch. Elsewhere it is one
+# allocation, never touched.
+np.empty(30 << 20, dtype=np.uint8)
 
 
 class Tensor:
@@ -239,10 +252,7 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
     ``leaky`` then applies the LeakyReLU in place on the op's own output, so
     calibration sees the pre-activation and no node keeps it; backward first
     takes the gradient back through the activation."""
-    if Standardize._active is not None and bias is not None:
-        out_data = Standardize._active.apply(bias, out_data)
-    if leaky:
-        np.maximum(out_data, LEAKY_SLOPE * out_data, out=out_data)
+    out_data = _activate(out_data, bias, leaky)
     tape = Tape._active
     wants_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=wants_grad)
@@ -250,10 +260,27 @@ def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
         if leaky:
             layer_bwd = backward_fn
 
-            def backward_fn(g):  # the output is > 0 exactly where its input is
-                layer_bwd(g * np.where(out_data > 0.0, 1.0, LEAKY_SLOPE))
+            def backward_fn(g):
+                layer_bwd(_leaky_grad(g, out_data))
         tape.record(op, inputs, out, backward_fn)
     return out
+
+
+def _activate(out: np.ndarray, bias: Optional[Tensor], leaky: bool) -> np.ndarray:
+    """A layer's response ``out``, standardised in place under ``Standardize``
+    when ``bias`` is a listed layer's, then through the LeakyReLU in place
+    when ``leaky``."""
+    if Standardize._active is not None and bias is not None:
+        out = Standardize._active.apply(bias, out)
+    if leaky:
+        np.maximum(out, LEAKY_SLOPE * out, out=out)
+    return out
+
+
+def _leaky_grad(g: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """``g`` taken back through the LeakyReLU whose output is ``out``: the
+    output is > 0 exactly where its input is."""
+    return g * np.where(out > 0.0, 1.0, LEAKY_SLOPE)
 
 
 def backward(tape: Tape, loss: Tensor):
@@ -690,6 +717,48 @@ def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
     return out
 
 
+def _taps(w: np.ndarray) -> np.ndarray:
+    """(k^2, C_out, C_in): a C_out x C_in x k x k kernel's taps in window
+    order."""
+    c_out, c_in, k, _ = w.shape
+    return np.ascontiguousarray(w.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
+
+
+def _conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
+    """conv2d's forward arithmetic: the C_out x H x W response to x of
+    kernel w and bias b, before any activation."""
+    c_out, _, k, _ = w.shape
+    flat = _Flat(x.shape[1], x.shape[2], k // 2)
+    acc = np.empty((c_out, flat.hp * flat.wp))
+    _tap_gemm(_taps(w), flat.pad(x), [flat.start + s for s in flat.window],
+              flat.at(acc))
+    out = flat.crop(acc)
+    if b is not None:
+        return np.add(out, b[:, None, None], out=out if k == 1 else None)
+    return out.copy() if k > 1 else out
+
+
+def _conv_grad(x: np.ndarray, w: Tensor, bias: Optional[Tensor], g: np.ndarray,
+               want_x: bool) -> Optional[np.ndarray]:
+    """conv2d's backward arithmetic for output gradient g of the conv of x:
+    accumulates the gradients of ``w`` and ``bias``, and returns x's, a
+    C_in x H x W view, when ``want_x``. x is padded here, not kept padded."""
+    c_out, c_in, k, _ = w.shape
+    flat = _Flat(x.shape[1], x.shape[2], k // 2)
+    gf, xf = flat.pad(g), flat.pad(x)
+    gw = np.stack([flat.at(gf) @ flat.at(xf, s).T for s in flat.window], axis=-1)
+    del xf
+    _accumulate(w, gw.reshape(w.shape), fresh=True)
+    if bias is not None:
+        _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
+    if not want_x:
+        return None
+    gx = np.empty((c_in, flat.hp * flat.wp))
+    _tap_gemm(_taps(w.data).transpose(0, 2, 1), gf,
+              [flat.start - s for s in flat.window], flat.at(gx))
+    return flat.crop(gx)
+
+
 def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
            ) -> Tensor:
     """"Same" cross-correlation of a C_in x H x W map with C_out odd square
@@ -706,35 +775,69 @@ def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
-    c_out, c_in, k, k2 = w.shape
+    _, c_in, k, k2 = w.shape
     if k != k2 or k % 2 == 0 or x.shape[0] != c_in:
         raise ShapeError(f"conv2d: kernel {w.shape} (odd, square, C_in x k x k) "
                          f"does not fit input {x.shape}")
-    flat = _Flat(x.shape[1], x.shape[2], k // 2)
-    taps = np.ascontiguousarray(w.data.transpose(2, 3, 0, 1)).reshape(k * k, c_out, c_in)
-    acc = np.empty((c_out, flat.hp * flat.wp))
-    _tap_gemm(taps, flat.pad(x.data), [flat.start + s for s in flat.window],
-              flat.at(acc))
-    out = flat.crop(acc)
-    if bias is not None:
-        out = np.add(out, bias.data[:, None, None], out=out if k == 1 else None)
-    elif k > 1:
-        out = out.copy()
+    out = _conv(x.data, w.data, None if bias is None else bias.data)
 
     def bwd(g):
-        gf, xf = flat.pad(g), flat.pad(x.data)  # the input re-padded, not kept
-        gw = np.stack([flat.at(gf) @ flat.at(xf, s).T for s in flat.window], axis=-1)
-        _accumulate(w, gw.reshape(w.shape), fresh=True)
-        if bias is not None:
-            _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
-        if x.requires_grad:
-            gx = np.empty((c_in, flat.hp * flat.wp))
-            _tap_gemm(taps.transpose(0, 2, 1), gf,
-                      [flat.start - s for s in flat.window], flat.at(gx))
-            _accumulate(x, flat.crop(gx), fresh=True)
+        gx = _conv_grad(x.data, w, bias, g, x.requires_grad)
+        if gx is not None:
+            _accumulate(x, gx, fresh=True)
 
     inputs = (x, w) if bias is None else (x, w, bias)
     return _record("conv2d", inputs, out, bwd, bias, leaky)
+
+
+def conv1x1_stack(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
+                  standardize: Optional[tuple] = None) -> Tensor:
+    """A stack of biased 1x1 conv layers, (weight, bias) pairs in order, over
+    a C x H x W map, each through a LeakyReLU where ``leaky`` says so, as one
+    node. Given ``standardize`` = (mean, factor), the stack reads the map
+    (x - mean) * factor.
+
+    Each layer takes conv2d's numpy calls in conv2d's order, forward and
+    backward, so values and gradients are the composed layers' bit for bit.
+    The node keeps its input only, and forward drops each inner map once the
+    next is made: backward rebuilds them the same way, from the input, and
+    frees each once read. Under ``Standardize``
+    each listed layer is calibrated in order, as its own conv2d would be.
+    """
+    c = x.shape[0] if x.ndim == 3 else -1
+    for w, b in layers:
+        if w.shape[1:] != (c, 1, 1) or b.shape != w.shape[:1]:
+            raise ShapeError(f"conv1x1_stack: layer {w.shape} {b.shape} does not "
+                             f"fit a {c}-channel map (input {x.shape})")
+        c = w.shape[0]
+    if not layers or len(leaky) != len(layers):
+        raise ShapeError(f"conv1x1_stack: {len(layers)} layers and "
+                         f"{len(leaky)} activation flags")
+
+    def maps():  # the input map, then each layer's output, made one by one
+        h = x.data if standardize is None else (x.data - standardize[0]) * standardize[1]
+        yield h
+        for (w, b), act in zip(layers, leaky):
+            h = _activate(_conv(h, w.data, b.data), b, act)
+            yield h
+
+    for out in maps():
+        pass
+
+    def bwd(g):
+        hs = list(itertools.islice(maps(), len(layers))) + [out]
+        for i in range(len(layers) - 1, -1, -1):
+            w, b = layers[i]
+            if leaky[i]:
+                g = _leaky_grad(g, hs[i + 1])
+            hs[i + 1] = None
+            g = _conv_grad(hs[i], w, b, g, i > 0 or x.requires_grad)
+        if g is not None:
+            _accumulate(x, g if standardize is None else g * standardize[1],
+                        fresh=True)
+
+    inputs = (x,) + tuple(t for layer in layers for t in layer)
+    return _record("conv1x1_stack", inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -759,29 +862,52 @@ def _from_blocks(blocks: np.ndarray, c: int, m: int, height: int, width: int
 
 
 def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
-                  width: int) -> Tensor:
+                  width: int, conv_w: Optional[Tensor] = None,
+                  conv_b: Optional[Tensor] = None) -> Tensor:
     """x @ w + b, a C x m x m block per row, put onto the height x width grid
-    (row-major patch order, any overhang cropped): one node, in which the
-    n x C m^2 response dies.
-    Under ``Standardize`` it calibrates ``b``'s layer, units last as in matmul."""
+    (row-major patch order, any overhang cropped), then, given ``conv_w``
+    and ``conv_b``, conv2d's "same" convolution of that map: one node, in
+    which the n x C m^2 response dies. With the convolution the node keeps
+    no map either: backward rebuilds the one on the grid with the same GEMM
+    and scatter, for the kernel's gradient.
+    Under ``Standardize`` it calibrates ``b``'s layer, units last as in
+    matmul, and not the convolution."""
     cm2 = w.shape[1] if w.ndim == 2 else 0
     if (x.ndim != 2 or w.shape != (x.shape[1], cm2) or b.shape != (cm2,) or m < 1
             or cm2 % (m * m) or x.shape[0] != -(-height // m) * -(-width // m)):
         raise ShapeError(f"linear_untile: rows {x.shape}, map {w.shape} and bias "
                          f"{b.shape} cannot tile {height}x{width} with m={m}")
-    blocks = x.data @ w.data
-    blocks += b.data
-    if Standardize._active is not None:
-        Standardize._active.apply(b, blocks)
+    c = cm2 // (m * m)
+    if conv_w is not None:
+        k = conv_w.shape[2] if conv_w.ndim == 4 else 0
+        b_shape = None if conv_b is None else conv_b.shape
+        if conv_w.shape[1:] != (c, k, k) or k % 2 == 0 or b_shape != conv_w.shape[:1]:
+            raise ShapeError(f"linear_untile: kernel {conv_w.shape} (odd, square) "
+                             f"and bias {b_shape} do not fit {c} channels")
+
+    def untiled():
+        blocks = x.data @ w.data
+        blocks += b.data
+        if Standardize._active is not None:
+            Standardize._active.apply(b, blocks)
+        return _from_blocks(blocks, c, m, height, width)
+
+    out = untiled() if conv_w is None else _conv(untiled(), conv_w.data, conv_b.data)
 
     def bwd(g):
+        if conv_w is not None:
+            g = _conv_grad(untiled(), conv_w, conv_b, g, True)
         gb = _to_blocks(g, m).reshape(-1, cm2)
-        _accumulate(x, gb @ w.data.T, fresh=True)
+        # w's gradient, the largest array the step keeps to its end, is
+        # made first and with the map's gradient gone, which leaves the
+        # heap the same room for it every epoch
+        del g
         _accumulate(w, x.data.T @ gb, fresh=True)
+        _accumulate(x, gb @ w.data.T, fresh=True)
         _accumulate(b, _unbroadcast(gb, b.shape), fresh=True)
 
-    return _record("linear_untile", (x, w, b),
-                   _from_blocks(blocks, cm2 // (m * m), m, height, width), bwd)
+    inputs = (x, w, b) if conv_w is None else (x, w, b, conv_w, conv_b)
+    return _record("linear_untile", inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,11 @@
 """Abundance decoder head, training loss, and aligned evaluation metrics.
 
 The decoder squeezes fused features to the endmember count through four
-1x1 convolutions, refines with a 3x3 convolution, and applies a per-pixel
-softmax, which enforces the abundance constraints structurally. The final
-1x1 convolution back to the band count has no bias; its kernel *is* the
-endmember matrix, so the reconstruction is exactly endmembers times
-abundances per pixel.
+1x1 convolutions (one tape node, ``conv1x1_stack``), refines with a 3x3
+convolution, and applies a per-pixel softmax, which enforces the abundance
+constraints structurally. The final 1x1 convolution back to the band count
+has no bias; its kernel *is* the endmember matrix, so the reconstruction is
+exactly endmembers times abundances per pixel.
 """
 
 from __future__ import annotations
@@ -88,10 +88,9 @@ class DecoderParams(ParameterGroup):
 
 def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:
     """fused channels x H x W -> (abundances P x H x W, reconstruction L x H x W)."""
-    h = ad.conv2d(fused, params.trunk1_w, params.trunk1_b, leaky=True)
-    h = ad.conv2d(h, params.trunk2_w, params.trunk2_b, leaky=True)
-    h = ad.conv2d(h, params.trunk3_w, params.trunk3_b, leaky=True)
-    h = ad.conv2d(h, params.trunk4_w, params.trunk4_b)
+    trunk = [(params.trunk1_w, params.trunk1_b), (params.trunk2_w, params.trunk2_b),
+             (params.trunk3_w, params.trunk3_b), (params.trunk4_w, params.trunk4_b)]
+    h = ad.conv1x1_stack(fused, trunk, (True, True, True, False))
     logits = ad.conv2d(h, params.abun_w, params.abun_b)
     abundances = ad.softmax(logits, axis=0)
     reconstruction = ad.conv2d(abundances, params.endmember_w, None)

@@ -19,6 +19,7 @@ and every stage works on shifted slices.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from typing import Tuple
@@ -54,7 +55,7 @@ def _grid_shape(positions: np.ndarray, n: int) -> Tuple[int, int]:
     return n // width, width
 
 
-@dataclass
+@dataclass(frozen=True)
 class ContentGraph:
     """Windowed pixel graph on a height x width grid, in stencil form.
 
@@ -128,12 +129,17 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
         features, height, width, radius, sigma_f, sigma_g))
 
 
+@functools.lru_cache(maxsize=8)
 def build_static_grid_graph(height: int, width: int, radius: int
                             ) -> ContentGraph:
     """Feature-independent grid graph: every in-window weight fixed to 1,
-    as the content graph of a constant map with no spatial decay."""
-    return build_graph(Tensor(np.zeros((1, height * width))),
-                       grid_positions(height, width), radius, 1.0, np.inf)
+    as the content graph of a constant map with no spatial decay. It is
+    built once per (height, width, radius) and shared by every caller, so
+    its operator is read-only."""
+    graph = build_graph(Tensor(np.zeros((1, height * width))),
+                        grid_positions(height, width), radius, 1.0, np.inf)
+    graph.operator.data.setflags(write=False)
+    return graph
 
 
 @dataclass

@@ -16,8 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import decoder as dec
-from .attention import (AttentionParams, exchange_and_attend, fuse_and_restore,
-                        fuse_tokens)
+from .attention import AttentionParams, exchange_and_attend, fuse_and_restore
 from .autodiff import Tensor
 from .config import TrainConfig
 from .errors import ConfigError
@@ -64,7 +63,8 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     (zero-mean, unit-std pre-activations per unit, LSUV style): the band
     funnel can get arbitrarily narrow, and uncalibrated draws routinely
     leave whole layers dead or vanishing there. One pass through the stage
-    functions of ``forward`` calibrates every biased layer but the seam conv.
+    functions of ``forward`` calibrates every biased layer but the seam conv,
+    which starts as the identity.
     """
     p = config.n_endmembers or cube.n_endmembers
     if p is None:
@@ -94,16 +94,14 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube):
             params.frontend, compress(params.frontend, Tensor(cube.data)))
         spe_seq, spa_seq = exchange_and_attend(params.attention, spectral,
                                                spatial)
-        # Not the whole ``forward``: the decoder is calibrated on the map
-        # before the seam conv and the graph stage, which are skipped for
-        # cost (the full pass took 130 ms against 79 at 100x100, one
-        # thread). Skipping the seam conv is exact: it starts as the
-        # identity, and is left so. Skipping the graph is not: propagate
-        # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
-        # which at desk init moves the map by 42% (relative L2) and its
-        # per-channel std from 1.02 to 1.11.
-        fused = fuse_tokens(params.attention, spe_seq, spa_seq,
-                            cube.height, cube.width)
+        # Not the whole ``forward``: the decoder is calibrated on the fused
+        # map, and the graph stage is skipped for cost (the full pass took
+        # 130 ms against 79 at 100x100, one thread). That is not exact:
+        # propagate returns x + beta * sum_t alpha_t A^t (proj x) with a
+        # random proj, which at desk init moves the map by 42% (relative
+        # L2) and its per-channel std from 1.02 to 1.11.
+        fused = fuse_and_restore(params.attention, spe_seq, spa_seq,
+                                 cube.height, cube.width)
         dec.decode(params.decoder, fused)
 
 

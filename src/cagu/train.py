@@ -75,6 +75,9 @@ class AdamW:
         self.step_count = 0
         self.m = {k: np.zeros_like(t.data) for k, t in self.params.items()}
         self.v = {k: np.zeros_like(t.data) for k, t in self.params.items()}
+        # the update's temporaries, two of the largest group's size
+        self._scratch = np.empty((2, max((t.data.size for t in self.params.values()),
+                                         default=0)))
 
     def step(self):
         """One update of every parameter; refuses, before changing anything,
@@ -95,15 +98,22 @@ class AdamW:
         bias2 = 1.0 - self.beta2 ** t
         for name, p in self.params.items():
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            m = self.m[name]
-            v = self.v[name]
+            m, v = self.m[name], self.v[name]
+            # m += (1 - beta1) g, v += (1 - beta2) g g and
+            # p -= lr (m / bias1) / (sqrt(v / bias2) + eps), one numpy call
+            # per operation, in their order, into two scratch buffers
+            a, b = (buf[:p.data.size].reshape(p.data.shape) for buf in self._scratch)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += np.multiply(1.0 - self.beta2, np.multiply(g, g, out=a), out=a)
+            np.divide(m, bias1, out=a)
+            np.multiply(self.lr, a, out=a)
+            np.sqrt(np.divide(v, bias2, out=b), out=b)
+            b += self.eps
+            p.data -= np.divide(a, b, out=a)
             if self.weight_decay:
-                p.data -= self.lr * self.weight_decay * p.data
+                p.data -= np.multiply(self.lr * self.weight_decay, p.data, out=a)
 
     def zero_grad(self):
         for p in self.params.values():
@@ -352,18 +362,20 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
             fingerprint = (outputs.graph.fingerprint()
                            if outputs.graph is not None else "none")
         abund = outputs.abundances.data
+        invariants.abundance_min.append(float(abund.min()))
+        invariants.abundance_sum_dev.append(
+            float(np.max(np.abs(abund.sum(axis=0) - 1.0))))
         # held past backward, the outputs would keep their tensors' gradients
-        # alive through it, and into the next epoch's forward
-        del outputs
+        # alive through it, and into the next epoch's forward; the abundances
+        # held into the next forward would sit where this epoch's heap layout
+        # put them, and each epoch's layout would drift from the last
+        del outputs, abund
         backward(tape, loss)
         del loss
         optimizer.step()
         params.decoder.clamp_endmembers()
 
         losses.append(loss_value)
-        invariants.abundance_min.append(float(abund.min()))
-        invariants.abundance_sum_dev.append(
-            float(np.max(np.abs(abund.sum(axis=0) - 1.0))))
         weights = params.graph_mix.mix_weights()
         invariants.mix_weight_sum_dev.append(abs(float(weights.sum()) - 1.0))
         invariants.mix_weight_min.append(float(weights.min()))

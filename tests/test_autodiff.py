@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from cagu import autodiff as ad
+from cagu.attention import identity_kernel
 from cagu.autodiff import Tape, Tensor, backward, finite_diff_check
 from cagu.errors import ContractError, NumericDomainError, ShapeError
 
@@ -1615,6 +1616,210 @@ def test_linear_untile_rejects_mismatched_shapes():
     for m, h, w in ((3, 3, 5), (0, 3, 5), (2, 5, 5)):  # 12 is not 9 C; 9 patches
         with pytest.raises(ShapeError, match="linear_untile"):
             ad.linear_untile(*good, m, h, w)
+
+
+# ---------------------------------------------------------------------------
+# the 1x1 conv stack and the fuse layer with its seam conv, against the
+# composed ops they replaced
+
+STACK_GRIDS = ((30, 30), (32, 32), (100, 100), (7, 12))
+
+
+def conv1x1_stack_reference(x, layers, leaky, standardize=None):
+    """The stack as one conv2d node per layer, the first reading the map
+    standardised by sub and scale."""
+    h = x if standardize is None else ad.scale(ad.sub(x, Tensor(standardize[0])),
+                                               standardize[1])
+    for (w, b), act in zip(layers, leaky):
+        h = ad.conv2d(h, w, b, leaky=act)
+    return h
+
+
+def _stack_case(widths, h, w, seed):
+    """A widths[0] x h x w map and 1x1 layers through ``widths``."""
+    rng = np.random.default_rng(seed)
+    arrays = [rng.normal(size=(widths[0], h, w)) * 3.0 + 1.0]
+    for c_in, c_out in zip(widths, widths[1:]):
+        arrays += [rng.normal(size=(c_out, c_in, 1, 1)) / np.sqrt(c_in),
+                   rng.normal(size=c_out) * 0.1]
+    return arrays
+
+
+def _stack_args(arrays, requires_grad=False):
+    ts = [Tensor(a.copy(), requires_grad=requires_grad) for a in arrays]
+    return ts[0], list(zip(ts[1::2], ts[2::2]))
+
+
+# the front end's squeeze (standardised input, every layer activated) and
+# the decoder's trunk (the last layer linear)
+STACKS = (((60, 30, 15, 32), (True, True, True), (0.25, 1.5)),
+          ((64, 32, 16, 3, 3), (True, True, True, False), None))
+
+
+@pytest.mark.parametrize("h,w", STACK_GRIDS)
+@pytest.mark.parametrize("widths,leaky,standardize", STACKS)
+def test_conv1x1_stack_matches_the_composed_layers_bit_for_bit(widths, leaky,
+                                                               standardize, h, w):
+    arrays = _stack_case(widths, h, w, seed=h + w)
+    direction = rand((widths[-1], h, w), seed=w)
+    results = []
+    for op in (ad.conv1x1_stack, conv1x1_stack_reference):
+        x, layers = _stack_args(arrays, requires_grad=True)
+        with Tape() as tape:
+            out = op(x, layers, leaky, standardize)
+            # the map's other consumer hands it a gradient first
+            loss = ad.add(ad.sum(ad.mul(out, direction)), ad.sum(ad.scale(x, 3.0)))
+        backward(tape, loss)
+        results.append([out.data, x.grad] + [t.grad for layer in layers for t in layer])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (widths, h, w)
+
+
+@pytest.mark.parametrize("h,w", STACK_GRIDS)
+@pytest.mark.parametrize("widths,leaky,standardize", STACKS)
+def test_standardize_calibrates_every_layer_of_a_conv1x1_stack(widths, leaky,
+                                                               standardize, h, w):
+    # layer by layer, in order, as each conv2d of the composed stack did
+    arrays = _stack_case(widths, h, w, seed=3 * h + w)
+    results = []
+    for op in (ad.conv1x1_stack, conv1x1_stack_reference):
+        x, layers = _stack_args(arrays)
+        with ad.Standardize(layers):
+            out = op(x, layers, leaky, standardize)
+        results.append([out.data] + [t.data for layer in layers for t in layer])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (widths, h, w)
+
+
+@pytest.mark.parametrize("widths,leaky,standardize", STACKS)
+def test_conv1x1_stack_gradcheck(widths, leaky, standardize):
+    # seed 5 puts a coordinate of x's gradient near zero, where the
+    # difference quotient's rounding reaches 6.8e-4 relative, for the
+    # composed layers too (ROADMAP item 4)
+    arrays = _stack_case(tuple(max(2, c // 8) for c in widths), 3, 4, seed=9)
+    direction = rand(arrays[-1].shape + (3, 4), seed=10)
+    leaves = [Tensor(a) for a in arrays]
+    for slot, leaf in enumerate(leaves):
+        def loss(t):
+            args = leaves[:slot] + [t] + leaves[slot + 1:]
+            out = ad.conv1x1_stack(args[0], list(zip(args[1::2], args[2::2])),
+                                   leaky, standardize)
+            return ad.sum(ad.mul(out, direction))
+        assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
+
+
+def test_conv1x1_stack_rejects_layers_that_do_not_fit():
+    x, layers = _stack_args(_stack_case((4, 3, 2), 3, 5, seed=0))
+    assert ad.conv1x1_stack(x, layers, (True, False)).shape == (2, 3, 5)
+    bad = [[(rand((3, 5, 1, 1)), layers[0][1]), layers[1]],   # reads 5 channels
+           [(rand((3, 4, 3, 3)), layers[0][1]), layers[1]],   # not 1x1
+           [(layers[0][0], rand((2,))), layers[1]],           # bias of 2 units
+           [layers[0], (rand((2, 2, 1, 1)), layers[1][1])]]   # 2 of 3 channels
+    for stack in bad:
+        with pytest.raises(ShapeError, match="conv1x1_stack"):
+            ad.conv1x1_stack(x, stack, (True, False))
+    with pytest.raises(ShapeError, match="conv1x1_stack"):
+        ad.conv1x1_stack(rand((4, 15)), layers, (True, False))
+    for stack, leaky in ((layers, (True,)), ([], ())):
+        with pytest.raises(ShapeError, match="conv1x1_stack"):
+            ad.conv1x1_stack(x, stack, leaky)
+
+
+# (grid, patch size): patches that overhang the grid, whole ones, the wide
+# benchmark's grid, and a non-square grid
+FUSE_CASES = ((30, 30, 4), (32, 32, 4), (100, 100, 4), (7, 12, 2))
+
+
+def _fuse_case(h, w, m, seed, c=6, d=5):
+    rng = np.random.default_rng(seed)
+    n = -(-h // m) * -(-w // m)
+    return [rng.normal(size=shape) for shape in (
+        (n, d), (d, c * m * m), (c * m * m,), (c, c, 3, 3), (c,))]
+
+
+@pytest.mark.parametrize("h,w,m", FUSE_CASES)
+def test_linear_untile_with_a_conv_matches_linear_untile_then_conv2d_bit_for_bit(h, w, m):
+    arrays = _fuse_case(h, w, m, seed=h * w)
+    direction = rand((6, h, w), seed=h)
+    results = []
+    for fused in (True, False):
+        x, wt, b, cw, cb = (Tensor(a.copy(), requires_grad=True) for a in arrays)
+        with Tape() as tape:
+            if fused:
+                out = ad.linear_untile(x, wt, b, m, h, w, cw, cb)
+            else:
+                out = ad.conv2d(ad.linear_untile(x, wt, b, m, h, w), cw, cb)
+            loss = ad.sum(ad.mul(out, direction))
+        backward(tape, loss)
+        results.append([out.data] + [t.grad for t in (x, wt, b, cw, cb)])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (h, w, m)
+
+
+@pytest.mark.parametrize("h,w,m", FUSE_CASES)
+def test_standardize_calibrates_the_fuse_layer_and_not_the_seam_conv(h, w, m):
+    # the fuse layer as linear_untile alone calibrates it; the seam conv,
+    # listed too, starts as the identity and is left so, and so returns the
+    # calibrated map bit for bit
+    arrays = _fuse_case(h, w, m, seed=h + m)
+    arrays[3], arrays[4] = identity_kernel(6, 3), np.zeros(6)
+    results = []
+    for fused in (True, False):
+        x, wt, b, cw, cb = (Tensor(a.copy()) for a in arrays)
+        with ad.Standardize([(wt, b), (cw, cb)]):
+            out = (ad.linear_untile(x, wt, b, m, h, w, cw, cb) if fused
+                   else ad.linear_untile(x, wt, b, m, h, w))
+        results.append([out.data] + [t.data for t in (wt, b, cw, cb)])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (h, w, m)
+    assert results[0][3].tobytes() == arrays[3].tobytes()
+
+
+def test_linear_untile_with_a_conv_gradcheck():
+    arrays = _fuse_case(5, 7, 2, seed=9, c=2, d=3)
+    direction = rand((2, 5, 7), seed=10)
+    leaves = [Tensor(a) for a in arrays]
+    for slot, leaf in enumerate(leaves):
+        def loss(t):
+            args = leaves[:slot] + [t] + leaves[slot + 1:]
+            return ad.sum(ad.mul(ad.linear_untile(*args[:3], 2, 5, 7, *args[3:]),
+                                 direction))
+        assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
+
+
+def test_linear_untile_rejects_a_conv_that_does_not_fit():
+    x, wt, b, cw, cb = map(Tensor, _fuse_case(3, 5, 2, seed=0, c=3, d=4))
+    assert ad.linear_untile(x, wt, b, 2, 3, 5, cw, cb).shape == (3, 3, 5)
+    for kernel, bias in (((3, 2, 3, 3), (3,)), ((3, 3, 2, 2), (3,)),
+                         ((3, 3, 3, 1), (3,)), ((3, 3, 3), (3,)), ((3, 3, 3, 3), (2,))):
+        with pytest.raises(ShapeError, match="linear_untile"):
+            ad.linear_untile(x, wt, b, 2, 3, 5, rand(kernel), rand(bias))
+    with pytest.raises(ShapeError, match="linear_untile"):
+        ad.linear_untile(x, wt, b, 2, 3, 5, cw, None)
+
+
+def test_rebuilding_nodes_keep_no_inner_map():
+    # what stays allocated after the forward: the conv1x1_stack keeps its
+    # output and no inner map, the fuse node its output and not the map on
+    # the grid that its conv read (composed, each is a node output: 3.5 and
+    # 1.0 maps of the output's size)
+    x, layers = _stack_args(_stack_case((60, 30, 15, 32), 64, 64, seed=1), True)
+    fuse = [Tensor(a, requires_grad=True) for a in _fuse_case(64, 64, 4, seed=2, c=16)]
+    for build, out_bytes in (
+            (lambda: ad.conv1x1_stack(x, layers, (True,) * 3, (0.5, 2.0)),
+             32 * 64 * 64 * 8),
+            (lambda: ad.linear_untile(*fuse[:3], 4, 64, 64, *fuse[3:]),
+             16 * 64 * 64 * 8)):
+        tracemalloc.start()
+        try:
+            with Tape():
+                base = tracemalloc.get_traced_memory()[0]
+                out = build()
+                kept = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert out.data.nbytes == out_bytes
+        assert kept < 1.1 * out_bytes, (kept, out_bytes)
 
 
 # ---------------------------------------------------------------------------

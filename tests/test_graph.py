@@ -1,5 +1,7 @@
 """Graph construction, normalization, and propagation against dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,9 +153,23 @@ def test_static_two_by_two_hand_computed():
 
 def test_static_graph_independent_of_features():
     a = build_static_grid_graph(3, 4, 1)
-    b = build_static_grid_graph(3, 4, 1)
+    b = build_static_grid_graph.__wrapped__(3, 4, 1)  # a second real build
+    assert a is not b
     assert a.fingerprint() == b.fingerprint()
+    np.testing.assert_array_equal(a.operator.data, b.operator.data)
     assert not a.operator.requires_grad
+
+
+def test_static_graph_is_built_once_per_grid_and_shared_read_only():
+    a = build_static_grid_graph(3, 4, 1)
+    assert build_static_grid_graph(3, 4, 1) is a
+    assert build_static_grid_graph(4, 3, 1) is not a
+    assert build_static_grid_graph(3, 4, 2) is not a
+    assert not a.operator.data.flags.writeable
+    with pytest.raises(ValueError):
+        a.operator.data[0, 0, 0] = 0.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.radius = 2
 
 
 # ---------------------------------------------------------------------------

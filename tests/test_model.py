@@ -26,15 +26,18 @@ def calibrated():
 def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
     (graph bypassed), keyed by the bias's parameter name; an activated
-    layer's output is its pre-activation, ``patch_linear``'s conv is read
+    layer's output is its pre-activation, each layer of a
+    ``conv1x1_stack`` is read off its own conv2d, ``patch_linear``'s conv
     off each patch's own "same" conv, n x O x m x m, ``patch_mean_linear``'s
-    off the map zero-padded to whole patches, and ``linear_untile``'s layer
-    off its n x C m^2 response before the scatter."""
+    off the map zero-padded to whole patches, ``linear_untile``'s layer off
+    its n x C m^2 response before the scatter, and its seam conv off the
+    map on the grid."""
     config, cube, params = calibrated
     names = {id(t): name for name, t in params.named_parameters().items()}
     seen = {}
     conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
     patch_mean_linear, linear_untile = ad.patch_mean_linear, ad.linear_untile
+    conv1x1_stack = ad.conv1x1_stack
 
     def padded(x, m):  # C x H x W zero-padded to whole m x m patches
         _, h, w = x.shape
@@ -44,6 +47,13 @@ def layer_io(monkeypatch, calibrated):
         if bias is not None:
             seen[names[id(bias)]] = (x.data, conv2d(x, w, bias).data)
         return conv2d(x, w, bias, leaky)
+
+    def traced_conv1x1_stack(x, layers, leaky, standardize=None):
+        h = x.data if standardize is None else (x.data - standardize[0]) * standardize[1]
+        for (w, b), act in zip(layers, leaky):
+            seen[names[id(b)]] = (h, conv2d(Tensor(h), w, b).data)
+            h = conv2d(Tensor(h), w, b, act).data
+        return conv1x1_stack(x, layers, leaky, standardize)
 
     def traced_matmul(a, b, bias=None, leaky=False):
         if bias is not None:
@@ -67,11 +77,16 @@ def layer_io(monkeypatch, calibrated):
         seen[names[id(fc_b)]] = (x.data, out.data)
         return out
 
-    def traced_linear_untile(x, w, b, m, height, width):
+    def traced_linear_untile(x, w, b, m, height, width, conv_w=None, conv_b=None):
         seen[names[id(b)]] = (x.data, matmul(x, w, b).data)
-        return linear_untile(x, w, b, m, height, width)
+        out = linear_untile(x, w, b, m, height, width, conv_w, conv_b)
+        if conv_b is not None:
+            grid = linear_untile(x, w, b, m, height, width)
+            seen[names[id(conv_b)]] = (grid.data, out.data)
+        return out
 
     monkeypatch.setattr(ad, "conv2d", traced_conv2d)
+    monkeypatch.setattr(ad, "conv1x1_stack", traced_conv1x1_stack)
     monkeypatch.setattr(ad, "matmul", traced_matmul)
     monkeypatch.setattr(ad, "patch_linear", traced_patch_linear)
     monkeypatch.setattr(ad, "patch_mean_linear", traced_patch_mean_linear)

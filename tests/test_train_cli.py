@@ -501,6 +501,27 @@ def test_nonfinite_loss_names_the_epoch_as_the_log_counts_it(tiny_cube, caplog):
             if r.getMessage().startswith("epoch ")] == ["epoch 1"]
 
 
+@pytest.mark.parametrize("name,node", [("frontend.conv2_w", "conv1x1_stack"),
+                                       ("attention.fuse_w", "linear_untile")])
+def test_nonfinite_loss_names_the_node_of_a_poisoned_inner_layer(
+        tiny_cube, monkeypatch, name, node):
+    # a NaN in a layer inside a node that rebuilds its inner maps in
+    # backward still surfaces in that node's output, which the diagnostic
+    # names
+    initialize = mdl.initialize_from_scene
+
+    def poisoned(cube, config):
+        params = initialize(cube, config)
+        params.named_parameters()[name].data.flat[0] = np.nan
+        return params
+
+    monkeypatch.setattr(mdl, "initialize_from_scene", poisoned)
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(NonFiniteLossError,
+                           match=rf"^epoch 1: .* from {node} \(node \d+ of \d+\)$"):
+            train(tiny_config(), cube=tiny_cube)
+
+
 def test_static_mode_uses_grid_fingerprint(tiny_cube):
     static = train(tiny_config(ablation_mode="static"), cube=tiny_cube)
     dynamic = train(tiny_config(ablation_mode="dynamic"), cube=tiny_cube)
