@@ -50,7 +50,6 @@ class AttentionParams(ParameterGroup):
     fuse_b: Tensor
     seam_w: Tensor  # 3x3 conv smoothing patch-block seams
     seam_b: Tensor
-    patch_size: int
 
     prefix = "attention"
 
@@ -81,8 +80,7 @@ class AttentionParams(ParameterGroup):
         seam_w = Tensor(identity_kernel(fused_channels, 3), requires_grad=True)
         seam_b = Tensor(np.zeros(fused_channels), requires_grad=True)
         return cls(cls_spe, cls_spa, spe_q, spe_k, spe_v, spa_q, spa_k, spa_v,
-                   *spe_mlp, *spa_mlp, fuse_w, fuse_b, seam_w, seam_b,
-                   patch_size)
+                   *spe_mlp, *spa_mlp, fuse_w, fuse_b, seam_w, seam_b)
 
 
 def identity_kernel(channels: int, k: int) -> np.ndarray:
@@ -119,8 +117,9 @@ def _mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
 
 
 def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
-                     height: int, width: int) -> Tensor:
-    """Fuse the two attended sequences into a fused_channels x H x W map.
+                     m: int, height: int, width: int) -> Tensor:
+    """Fuse the two attended sequences into a fused_channels x H x W map of
+    m x m patch blocks.
 
     Class rows are dropped, branch MLPs applied, features concatenated per
     token, then projected to one fused block per patch, scattered back onto
@@ -141,5 +140,5 @@ def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
                params.spa_mlp_w1, params.spa_mlp_b1,
                params.spa_mlp_w2, params.spa_mlp_b2)
     joint = ad.concat([spe, spa], axis=1)
-    return ad.linear_untile(joint, params.fuse_w, params.fuse_b, params.patch_size,
-                            height, width, params.seam_w, params.seam_b)
+    return ad.linear_untile(joint, params.fuse_w, params.fuse_b, m, height,
+                            width, params.seam_w, params.seam_b)

@@ -143,9 +143,9 @@ def _dispatch(args) -> int:
 
     if args.command == "train":
         config = _config_from_args(
-            args, seed=args.seed, data_path=args.data,
-            checkpoint_path=args.checkpoint, n_endmembers=args.endmembers)
-        result = train(config,
+            args, seed=args.seed, checkpoint_path=args.checkpoint,
+            n_endmembers=args.endmembers)
+        result = train(config, read_container(args.data),
                        resume_from=args.checkpoint if args.resume else None)
         print(f"final loss {result.checkpoint.final_loss:.6f} "
               f"after {config.epochs} epochs; wrote {args.checkpoint}")
@@ -216,6 +216,9 @@ def main(argv=None) -> int:
         return 2
     except (CaguError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's message names the failed allocation
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -37,7 +37,6 @@ class TrainConfig:
     ablation_mode: str = "dynamic"
     n_endmembers: Optional[int] = None  # None: take from the data's ground truth
     checkpoint_path: Optional[str] = None
-    data_path: Optional[str] = None
 
     def validate(self):
         for f in fields(self):
@@ -77,6 +76,11 @@ class TrainConfig:
     @classmethod
     def from_json(cls, text: str) -> "TrainConfig":
         raw = json.loads(text)
+        if not isinstance(raw, dict):
+            raise ConfigError("config is not a JSON object")
+        # checkpoints written before the scene left the config still hold
+        # its path
+        raw.pop("data_path", None)
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:

@@ -63,7 +63,6 @@ class FrontendParams(ParameterGroup):
     spa_conv_b: Tensor
     spa_fc_w: Tensor   # token_dim * m^2 -> token dim
     spa_fc_b: Tensor
-    patch_size: int
 
     prefix = "frontend"
 
@@ -97,7 +96,6 @@ class FrontendParams(ParameterGroup):
             spa_conv_w, spa_conv_b,
             Tensor(he_uniform(rng, (flat, token_dim), flat), requires_grad=True),
             Tensor(np.zeros(token_dim), requires_grad=True),
-            patch_size,
         )
 
 
@@ -122,11 +120,11 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
                             standardize=(mu, 1.0 / (sd if sd > 0 else 1.0)))
 
 
-def tokenize(params: FrontendParams, fmap: Tensor) -> Tuple[Tensor, Tensor]:
+def tokenize(params: FrontendParams, fmap: Tensor, m: int
+             ) -> Tuple[Tensor, Tensor]:
     """channels x H x W -> (spectral, spatial), each one token_dim row per
-    patch in row-major patch order, from the map zero-padded to the patch
-    grid and from its patches."""
-    m = params.patch_size
+    m x m patch in row-major patch order, from the map zero-padded to the
+    patch grid and from its patches."""
     _, height, width = fmap.shape
     if m > min(height, width):
         raise ConfigError(f"patch size {m} exceeds image extent {height}x{width}")

@@ -1,6 +1,6 @@
-"""Full network assembly: parameters, scene-calibrated init (LSUV, run
-through the stage functions of ``forward`` under ``autodiff.Standardize``),
-forward pass, and the training loss.
+"""Full network assembly: parameters, scene-calibrated init (LSUV, one
+``forward`` under ``autodiff.Standardize``), forward pass, and the training
+loss. ``forward`` is the one place that sequences the stages.
 
 The stages hand each other plain tensors: ``tokenize`` returns the
 (spectral, spatial) pair that ``exchange_and_attend`` takes, and the graph
@@ -9,7 +9,7 @@ stage reads the channel count off the fused map itself."""
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
 import numpy as np
@@ -62,9 +62,9 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     After the random draw, layer scales are calibrated on the scene itself
     (zero-mean, unit-std pre-activations per unit, LSUV style): the band
     funnel can get arbitrarily narrow, and uncalibrated draws routinely
-    leave whole layers dead or vanishing there. One pass through the stage
-    functions of ``forward`` calibrates every biased layer but the seam conv,
-    which starts as the identity.
+    leave whole layers dead or vanishing there. One ``forward`` with the graph
+    bypassed calibrates every biased layer but the seam conv, which starts as
+    the identity.
     """
     p = config.n_endmembers or cube.n_endmembers
     if p is None:
@@ -74,35 +74,29 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     extraction = vca_extract(cube, p, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     params = ModelParams.initialize(rng, cube.bands, p, config)
-    _calibrate_scales(params, cube)
+    _calibrate_scales(params, cube, config)
     params.decoder.set_endmembers(extraction.endmembers)
     return params
 
 
-def _calibrate_scales(params: ModelParams, cube: HsiCube):
-    """One pass of the scene through the freshly drawn network, under
+def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
+    """One ``forward`` of the scene through the freshly drawn network, under
     ``ad.Standardize`` over every biased layer (``*_b``/``*_bN`` with its
-    ``*_w``/``*_wN``), through the stage functions ``forward`` calls."""
+    ``*_w``/``*_wN``)."""
     named = params.named_parameters()
     layers = []
     for name, bias in named.items():
         match = re.fullmatch(r"(.*)_b(\d*)", name)
         if match:
             layers.append((named[f"{match[1]}_w{match[2]}"], bias))
+    # With the graph bypassed: the decoder is calibrated on the fused map,
+    # and the graph stage is skipped for cost (the full pass took 130 ms
+    # against 79 at 100x100, one thread). That is not exact: propagate
+    # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
+    # which at desk init moves the map by 42% (relative L2) and its
+    # per-channel std from 1.02 to 1.11.
     with ad.Standardize(layers):
-        spectral, spatial = tokenize(
-            params.frontend, compress(params.frontend, Tensor(cube.data)))
-        spe_seq, spa_seq = exchange_and_attend(params.attention, spectral,
-                                               spatial)
-        # Not the whole ``forward``: the decoder is calibrated on the fused
-        # map, and the graph stage is skipped for cost (the full pass took
-        # 130 ms against 79 at 100x100, one thread). That is not exact:
-        # propagate returns x + beta * sum_t alpha_t A^t (proj x) with a
-        # random proj, which at desk init moves the map by 42% (relative
-        # L2) and its per-channel std from 1.02 to 1.11.
-        fused = fuse_and_restore(params.attention, spe_seq, spa_seq,
-                                 cube.height, cube.width)
-        dec.decode(params.decoder, fused)
+        forward(params, Tensor(cube.data), replace(config, ablation_mode="none"))
 
 
 @dataclass
@@ -122,10 +116,12 @@ def forward(params: ModelParams, observed: Tensor, config: TrainConfig
     identical to running it.
     """
     _, height, width = observed.shape
+    m = config.patch_size
     fmap = compress(params.frontend, observed)
     spe_seq, spa_seq = exchange_and_attend(params.attention,
-                                           *tokenize(params.frontend, fmap))
-    fused = fuse_and_restore(params.attention, spe_seq, spa_seq, height, width)
+                                           *tokenize(params.frontend, fmap, m))
+    fused = fuse_and_restore(params.attention, spe_seq, spa_seq, m, height,
+                             width)
 
     graph = None
     refined = fused

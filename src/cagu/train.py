@@ -27,8 +27,7 @@ from .config import TrainConfig
 from .errors import (ConfigError, FormatError, NonFiniteGradientError,
                      NonFiniteLossError)
 from .hsi import (ByteReader, HsiCube, SynthSpec, atomic_writer,
-                  generate_synthetic, read_container, write_pgm,
-                  write_text_atomic)
+                  generate_synthetic, write_pgm, write_text_atomic)
 
 log = logging.getLogger("cagu")
 
@@ -144,27 +143,27 @@ class AdamW:
 
 @dataclass
 class Checkpoint:
-    """Serializable training state; round-trips byte-exactly."""
+    """Serializable training state; round-trips byte-exactly. It holds the
+    state after ``config.epochs`` epochs, one optimizer step each."""
 
     config: TrainConfig
     parameters: Dict[str, np.ndarray]
     opt_moments: Dict[str, np.ndarray]
-    opt_step: int
-    epoch: int
     final_loss: float
 
 
-def _pack_named_arrays(arrays: Dict[str, np.ndarray]) -> bytes:
-    parts = [struct.pack("<I", len(arrays))]
+def _write_named_arrays(fh, arrays: Dict[str, np.ndarray]) -> None:
+    """Each array's header, then its data from the array's own buffer, so
+    no copy of the data is made on the way to the file."""
+    fh.write(struct.pack("<I", len(arrays)))
     for name in sorted(arrays):
         arr = np.ascontiguousarray(arrays[name], dtype=np.float64)
         encoded = name.encode("utf-8")
-        parts.append(struct.pack("<I", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<I", arr.ndim))
-        parts.append(struct.pack(f"<{max(arr.ndim, 1)}I", *(arr.shape or (0,))))
-        parts.append(arr.tobytes())
-    return b"".join(parts)
+        fh.write(struct.pack("<I", len(encoded)))
+        fh.write(encoded)
+        fh.write(struct.pack("<I", arr.ndim))
+        fh.write(struct.pack(f"<{max(arr.ndim, 1)}I", *(arr.shape or (0,))))
+        fh.write(memoryview(arr))
 
 
 def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
@@ -201,9 +200,11 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
         fh.write(struct.pack("<I", len(config_blob)))
         fh.write(config_blob)
-        fh.write(_pack_named_arrays(ckpt.parameters))
-        fh.write(_pack_named_arrays(ckpt.opt_moments))
-        fh.write(struct.pack("<QId", ckpt.opt_step, ckpt.epoch, ckpt.final_loss))
+        _write_named_arrays(fh, ckpt.parameters)
+        _write_named_arrays(fh, ckpt.opt_moments)
+        # opt_step and epoch, both config.epochs
+        epochs = ckpt.config.epochs
+        fh.write(struct.pack("<QId", epochs, epochs, ckpt.final_loss))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -237,7 +238,7 @@ def load_checkpoint(path) -> Checkpoint:
     if not math.isfinite(final_loss):
         raise FormatError("final_loss is not finite", trailer_at + 12)
     reader.end()
-    return Checkpoint(config, parameters, moments, opt_step, epoch, final_loss)
+    return Checkpoint(config, parameters, moments, final_loss)
 
 
 def params_from_checkpoint(ckpt: Checkpoint, bands: int) -> mdl.ModelParams:
@@ -288,16 +289,8 @@ class TrainResult:
     graph_fingerprint: Optional[str]
 
 
-def _load_cube(config: TrainConfig, cube: Optional[HsiCube]) -> HsiCube:
-    if cube is not None:
-        return cube
-    if not config.data_path:
-        raise ConfigError("no scene: set data_path or pass a cube")
-    return read_container(config.data_path)
-
-
-# config fields a resumed run may change: the run's length and its files
-RESUMABLE_CHANGES = ("epochs", "checkpoint_path", "data_path")
+# config fields a resumed run may change: the run's length and its file
+RESUMABLE_CHANGES = ("epochs", "checkpoint_path")
 
 
 def _check_resumable(saved: TrainConfig, config: TrainConfig):
@@ -313,9 +306,10 @@ def _check_resumable(saved: TrainConfig, config: TrainConfig):
                           "in " + ", ".join(differ))
 
 
-def train(config: TrainConfig, cube: Optional[HsiCube] = None,
+def train(config: TrainConfig, cube: HsiCube,
           resume_from: Optional[str] = None) -> TrainResult:
-    """Run the configured number of full-image epochs and checkpoint the end.
+    """Run the configured number of full-image epochs on ``cube`` and
+    checkpoint the end.
 
     ``resume_from`` restores parameters and optimizer state from an earlier
     checkpoint and continues to ``config.epochs`` total; the resumed
@@ -324,7 +318,6 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
     ConfigError before training.
     """
     config.validate()
-    cube = _load_cube(config, cube)
     observed = Tensor(cube.data)
 
     start_epoch = 0
@@ -332,7 +325,7 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
         prior = load_checkpoint(resume_from)
         _check_resumable(prior.config, config)
         params = params_from_checkpoint(prior, cube.bands)
-        start_epoch = prior.epoch
+        start_epoch = prior.config.epochs
         if start_epoch >= config.epochs:
             raise ConfigError(
                 f"checkpoint already at epoch {start_epoch}, target "
@@ -343,7 +336,7 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
     named = params.named_parameters()
     optimizer = AdamW(named, lr=config.lr, weight_decay=config.weight_decay)
     if resume_from is not None:
-        optimizer.load_state(prior.opt_moments, prior.opt_step)
+        optimizer.load_state(prior.opt_moments, start_epoch)
 
     losses: List[float] = []
     invariants = InvariantLog()
@@ -387,8 +380,6 @@ def train(config: TrainConfig, cube: Optional[HsiCube] = None,
         config=config,
         parameters={k: t.data.copy() for k, t in named.items()},
         opt_moments=optimizer.state_arrays(),
-        opt_step=optimizer.step_count,
-        epoch=config.epochs,
         final_loss=losses[-1],
     )
     if config.checkpoint_path:
@@ -424,10 +415,9 @@ def make_desk_scene(snr_db: float, seed: int, scene: Optional[dict] = None
 
 def _sweep_job(args):
     config, snr_db, seed, scene = args
-    run_config = replace(config, seed=seed, checkpoint_path=None,
-                         data_path=None)
+    run_config = replace(config, seed=seed, checkpoint_path=None)
     cube = make_desk_scene(snr_db, seed, scene)
-    result = train(run_config, cube=cube)
+    result = train(run_config, cube)
     _, metrics = evaluate_checkpoint(result.checkpoint, cube)
     return {
         "snr_db": snr_db,

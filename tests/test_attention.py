@@ -223,7 +223,7 @@ def test_identity_mlp_single_patch_scatter():
     rng = np.random.default_rng(12)
     spe_seq = Tensor(rng.normal(size=(2, dim)))  # class row + one token
     spa_seq = Tensor(rng.normal(size=(2, dim)))
-    out = fuse_and_restore(params, spe_seq, spa_seq, m, m)
+    out = fuse_and_restore(params, spe_seq, spa_seq, m, m, m)
     token = np.concatenate([spe_seq.data[1], spa_seq.data[1]])
     expected = token @ proj
     for i in range(m):
@@ -236,7 +236,7 @@ def test_fuse_output_shape():
     rng = np.random.default_rng(14)
     spe = Tensor(rng.normal(size=(5, 4)))  # 4 tokens: 2x2 grid for 3x4, m=2
     spa = Tensor(rng.normal(size=(5, 4)))
-    out = fuse_and_restore(params, spe, spa, 3, 4)
+    out = fuse_and_restore(params, spe, spa, 2, 3, 4)
     assert out.shape == (3, 3, 4)
 
 
@@ -248,10 +248,10 @@ def test_fuse_locality_pre_smoothing():
     rng = np.random.default_rng(16)
     spe = Tensor(rng.normal(size=(5, 4)))  # 4 tokens, 2x2 patch grid
     spa = Tensor(rng.normal(size=(5, 4)))
-    base = fuse_and_restore(params, spe, spa, 4, 4)
+    base = fuse_and_restore(params, spe, spa, 2, 4, 4)
     poked_spe = Tensor(spe.data.copy())
     poked_spe.data[2] += 1.0  # token index 1 -> patch (0, 1)
-    poked = fuse_and_restore(params, poked_spe, spa, 4, 4)
+    poked = fuse_and_restore(params, poked_spe, spa, 2, 4, 4)
     diff = np.abs(poked.data - base.data).sum(axis=0)
     assert diff[:2, 2:].sum() > 0
     np.testing.assert_array_equal(diff[:2, :2], np.zeros((2, 2)))
@@ -270,7 +270,7 @@ def test_full_module_gradients_including_class_tokens():
 
     def loss(_):
         spe, spa = exchange_and_attend(params, *tokens)
-        fused = fuse_and_restore(params, spe, spa, 4, 4)
+        fused = fuse_and_restore(params, spe, spa, 2, 4, 4)
         return ad.sum(ad.mul(fused, direction))
 
     for name in ("cls_spe", "cls_spa", "spe_wq", "spa_wk", "spe_wv",

@@ -61,7 +61,7 @@ def test_compress_requires_four_bands():
 def test_tokenize_patch_count():
     params = make_params()
     fmap = Tensor(np.random.default_rng(3).random((6, 8, 8)))
-    spectral, spatial = tokenize(params, fmap)  # a 2 x 2 patch grid
+    spectral, spatial = tokenize(params, fmap, 4)  # a 2 x 2 patch grid
     assert spectral.shape == (4, 6)
     assert spatial.shape == (4, 6)
 
@@ -69,14 +69,14 @@ def test_tokenize_patch_count():
 def test_tokenize_edge_patches_padded():
     params = make_params(m=4)
     fmap = Tensor(np.random.default_rng(4).random((6, 9, 10)))
-    spectral, spatial = tokenize(params, fmap)  # a 3 x 3 patch grid
+    spectral, spatial = tokenize(params, fmap, 4)  # a 3 x 3 patch grid
     assert spectral.shape[0] == spatial.shape[0] == 9
 
 
 def test_tokenize_patch_too_large():
     params = make_params(m=4)
     with pytest.raises(ConfigError):
-        tokenize(params, Tensor(np.zeros((6, 3, 3))))
+        tokenize(params, Tensor(np.zeros((6, 3, 3))), 4)
 
 
 def _same_conv(x, w, b):
@@ -102,11 +102,10 @@ def _same_conv_grads(xp, w, g):
     return gxp, gw, g.sum(axis=(1, 2))
 
 
-def reference_tokens(params, fmap, d_spe, d_spa):
+def reference_tokens(params, fmap, m, d_spe, d_spa):
     """Tokens of ``fmap`` and the gradients of sum(spectral * d_spe) +
     sum(spatial * d_spa), patch by patch: reference convs on each
     zero-padded m x m patch, a mean, a flatten and the linear maps."""
-    m = params.patch_size
     c, h, w = fmap.shape
     gh, gw = -(-h // m), -(-w // m)
     grid = np.zeros((c, gh * m, gw * m))
@@ -150,12 +149,12 @@ def test_tokenize_matches_per_patch_oracle(c, h, w, m):
     n = -(-h // m) * -(-w // m)
     d_spe, d_spa = rng.normal(size=(n, 3)), rng.normal(size=(n, 3))
     (want_spe, want_spa), want_grads, want_gx = reference_tokens(
-        params, fmap.data, d_spe, d_spa)
+        params, fmap.data, m, d_spe, d_spa)
     fmap.requires_grad = True
     for t in params.named().values():
         t.zero_grad()
     with ad.Tape() as tape:
-        spectral, spatial = tokenize(params, fmap)
+        spectral, spatial = tokenize(params, fmap, m)
         loss = ad.add(ad.sum(ad.mul(spectral, Tensor(d_spe))),
                       ad.sum(ad.mul(spatial, Tensor(d_spa))))
     ad.backward(tape, loss)
@@ -172,8 +171,8 @@ def test_spectral_token_pooling_invariant_to_pixel_order():
     rng = np.random.default_rng(5)
     fmap = rng.random((6, 4, 4))
     shuffled = fmap.reshape(6, 16)[:, rng.permutation(16)].reshape(6, 4, 4)
-    spe_a, _ = tokenize(params, Tensor(fmap))
-    spe_b, _ = tokenize(params, Tensor(shuffled))
+    spe_a, _ = tokenize(params, Tensor(fmap), 4)
+    spe_b, _ = tokenize(params, Tensor(shuffled), 4)
     np.testing.assert_allclose(spe_a.data, spe_b.data, atol=1e-12)
 
 
@@ -184,8 +183,8 @@ def test_tokens_are_patch_local():
     poked = base.copy()
     poked[:, 5:, :] += rng.random((6, 3, 8))  # patches 2 and 3 only
     # (spectral, spatial) of each map, branch by branch
-    for a, b in zip(tokenize(params, Tensor(base)),
-                    tokenize(params, Tensor(poked))):
+    for a, b in zip(tokenize(params, Tensor(base), 4),
+                    tokenize(params, Tensor(poked), 4)):
         a, b = a.data, b.data
         np.testing.assert_array_equal(a[:2], b[:2])   # top-row patches
         assert not np.allclose(a[2:], b[2:])
@@ -209,7 +208,8 @@ def test_frontend_gradients_pass_finite_differences():
     spa_dir = Tensor(rng.normal(size=(4, 4)))
 
     def loss(_):
-        spectral, spatial = tokenize(params, compress(params, image))
+        spectral, spatial = tokenize(params, compress(params, image),
+                                     config.patch_size)
         return ad.add(ad.sum(ad.mul(spectral, spe_dir)),
                       ad.sum(ad.mul(spatial, spa_dir)))
 

@@ -1,11 +1,13 @@
 """Scene calibration of the initial parameters: LSUV through the forward pass."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from cagu import autodiff as ad
+from cagu import model as mdl
 from cagu.autodiff import Tensor
 from cagu.config import TrainConfig
 from cagu.model import forward, initialize_from_scene
@@ -115,3 +117,18 @@ def test_seam_conv_returns_its_input_bit_for_bit_at_init(layer_io):
     _, seen = layer_io
     x, out = seen["attention.seam_b"]
     assert out.tobytes() == x.tobytes()
+
+
+def test_calibration_is_one_forward_with_the_graph_bypassed(monkeypatch,
+                                                            calibrated):
+    config, cube, _ = calibrated
+    seen = []
+    real_forward = forward
+
+    def recording_forward(params, observed, run_config):
+        seen.append((run_config.ablation_mode, ad.Standardize._active is not None))
+        return real_forward(params, observed, run_config)
+
+    monkeypatch.setattr(mdl, "forward", recording_forward)
+    initialize_from_scene(cube, replace(config, ablation_mode="dynamic"))
+    assert seen == [("none", True)]

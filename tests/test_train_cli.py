@@ -90,6 +90,38 @@ def test_resume_equals_uninterrupted(tiny_cube, tmp_path):
     assert final_path.read_bytes() == uninterrupted
 
 
+@pytest.mark.parametrize("data_path", [None, "scene.hsic"])
+def test_checkpoint_whose_config_holds_data_path_loads_and_resumes(
+        tiny_cube, tmp_path, data_path):
+    # checkpoints written while the config held the scene's path
+    full = train(tiny_config(epochs=4), tiny_cube)
+    path = tmp_path / "part.ckpt"
+    part_cfg = tiny_config(epochs=2, checkpoint_path=str(path))
+    train(part_cfg, tiny_cube)
+    path.write_bytes(with_config(path.read_bytes(), data_path=data_path))
+    ckpt = load_checkpoint(path)
+    assert ckpt.config == part_cfg
+    _, metrics = evaluate_checkpoint(ckpt, tiny_cube)
+    assert metrics is not None
+    resumed = train(tiny_config(epochs=4), tiny_cube, resume_from=str(path))
+    assert resumed.losses == full.losses[2:]
+    for name, array in full.checkpoint.parameters.items():
+        assert resumed.checkpoint.parameters[name].tobytes() == array.tobytes()
+
+
+def test_cli_checkpoint_bytes_do_not_depend_on_the_scene_path(tmp_path):
+    scene = make_desk_scene(60.0, 0, TINY_SCENE)
+    blobs = []
+    for name in ("a.hsic", "elsewhere.hsic"):
+        write_container(scene, tmp_path / name)
+        ckpt = tmp_path / "run.ckpt"
+        assert main(["train", "--data", str(tmp_path / name), "--checkpoint",
+                     str(ckpt), "--epochs", "1", "--patch-size", "2"]) == 0
+        blobs.append(ckpt.read_bytes())
+    assert blobs[0] == blobs[1]
+    assert b"hsic" not in blobs[0]
+
+
 def test_failed_checkpoint_write_keeps_previous_file(tiny_cube, tmp_path):
     path = tmp_path / "model.ckpt"
     result = train(tiny_config(checkpoint_path=str(path)), cube=tiny_cube)
@@ -176,7 +208,7 @@ def restore(ckpt, bands):
     """The model and optimizer state rebuilt from ``ckpt``, as resume does."""
     params = params_from_checkpoint(ckpt, bands)
     AdamW(params.named_parameters(), lr=1e-3, weight_decay=0.0
-          ).load_state(ckpt.opt_moments, ckpt.opt_step)
+          ).load_state(ckpt.opt_moments, ckpt.config.epochs)
 
 
 @given(st.data())
@@ -300,12 +332,26 @@ def test_cli_eval_of_checkpoint_with_mistyped_config_exits_2(
     assert f"{name} must be" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [b'"data_path"', b"3", b"[]",
+                                    b'[{"data_path": null}]'])
+def test_cli_eval_of_checkpoint_whose_config_is_no_object_exits_2(
+        checkpoint_blob, tiny_cube, tmp_path, capsys, config):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(tiny_cube, scene)
+    n = u32(checkpoint_blob, 8)
+    ckpt.write_bytes(checkpoint_blob[:8] + struct.pack("<I", len(config))
+                     + config + checkpoint_blob[12 + n:])
+    code = main(["eval", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")])
+    assert code == 2
+    assert "not a JSON object" in capsys.readouterr().err
+
+
 def test_config_types_checked():
     TrainConfig(lr=1, weight_decay=0, beta=0).validate()  # ints are floats
     for bad in (dict(epochs=True), dict(seed=1.0), dict(ablation_mode=None),
-                dict(data_path=3), dict(lr=float("nan")),
-                dict(beta=float("inf")), dict(weight_decay=float("nan")),
-                dict(seed=-1)):
+                dict(lr=float("nan")), dict(beta=float("inf")),
+                dict(weight_decay=float("nan")), dict(seed=-1)):
         with pytest.raises(ConfigError):
             TrainConfig(**bad).validate()
 
@@ -316,13 +362,13 @@ def test_resume_with_changed_config_rejected_before_training(tiny_cube,
     train(tiny_config(epochs=2, checkpoint_path=str(path)), cube=tiny_cube)
     before = path.read_bytes()
     changed = tiny_config(epochs=4, k_steps=3, radius=2, seed=1,
-                          checkpoint_path=str(path), data_path="elsewhere")
+                          checkpoint_path=str(path))
     with pytest.raises(ConfigError) as info:
         train(changed, cube=tiny_cube, resume_from=str(path))
     message = str(info.value)
     for name in ("k_steps", "radius", "seed"):
         assert name in message
-    for name in ("epochs", "checkpoint_path", "data_path", "patch_size"):
+    for name in ("epochs", "checkpoint_path", "patch_size"):
         assert name not in message
     assert path.read_bytes() == before
 
@@ -540,11 +586,6 @@ def test_evaluate_checkpoint_returns_metrics(tiny_cube):
     assert metrics is not None
     assert 0.0 <= metrics.mean_sad <= np.pi
     assert metrics.rmse >= 0.0
-
-
-def test_missing_data_rejected():
-    with pytest.raises(ConfigError, match="data_path"):
-        train(tiny_config())
 
 
 # ---------------------------------------------------------------------------
@@ -832,6 +873,26 @@ def test_cli_train_with_more_endmembers_than_bands_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(scene), "--checkpoint", str(ckpt),
                  "--endmembers", "9", "--patch-size", "2"]) == 2
     assert "9 endmembers do not fit 8 bands" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("message, line", [
+    ("Unable to allocate 13.0 GiB for an array",
+     "error: Unable to allocate 13.0 GiB for an array"),
+    ("", "error: out of memory")])
+def test_cli_train_out_of_memory_exits_1_with_one_line(monkeypatch, tmp_path,
+                                                       capsys, message, line):
+    import cagu.cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    monkeypatch.setattr(cagu.cli, "train", exhausted)
+    assert main(["train", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--patch-size", "2", "--radius", "100"]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
     assert not ckpt.exists()
 
 
