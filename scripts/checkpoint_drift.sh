@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Checkpoint drift between two checkouts of cagu: train one tiny synthetic
-# scene for a few epochs in each graph mode with each tree's code and print,
-# per mode, "same" or "differs" twice: for the two checkpoints' SHA-256
+# scene for a few epochs in each graph mode, and in dynamic mode with one
+# hop ("dynamic-k1", where propagation builds z_K from z0) and with radius 2
+# ("dynamic-r2", the 24-offset window), with each tree's code and print, per
+# case, "same" or "differs" twice: for the two checkpoints' SHA-256
 # ("file"), and for the SHA-256 of the bytes after their config blob, the
 # parameter and moment arrays and the trailer ("arrays"). A change to the
 # stored config alone reads "file differs" and "arrays same".
@@ -36,12 +38,16 @@ EOF
 
 cagu "$head" gen --height 16 --width 16 --bands 12 --endmembers 3 \
     --snr 40 --seed 0 --out "$work/scene.hsic" > /dev/null || exit 0
-for mode in dynamic static none; do
+for case in "dynamic" "static" "none" "dynamic-k1 --k-steps 1" \
+        "dynamic-r2 --radius 2"; do
+    read -r label flags <<< "$case"
+    mode=${label%%-*}
     for side in base head; do
         rm -f "$work/run.ckpt"
+        # $flags unquoted: each word is one more flag
         if ! { cagu "${!side}" train --data "$work/scene.hsic" --epochs 5 \
-                --ablation "$mode" --seed 0 --checkpoint "$work/run.ckpt" \
-                > "$work/train.log" 2>&1 \
+                --ablation "$mode" $flags --seed 0 \
+                --checkpoint "$work/run.ckpt" > "$work/train.log" 2>&1 \
                 && digests "$work/run.ckpt" "$work/$side"; }; then
             cat "$work/train.log"
             for part in file arrays; do
@@ -51,9 +57,9 @@ for mode in dynamic static none; do
     done
     for part in file arrays; do
         if cmp -s "$work/base.$part" "$work/head.$part"; then
-            echo "$mode $part same $(cat "$work/head.$part")"
+            echo "$label $part same $(cat "$work/head.$part")"
         else
-            echo "$mode $part differs base $(cat "$work/base.$part")" \
+            echo "$label $part differs base $(cat "$work/base.$part")" \
                 "head $(cat "$work/head.$part")"
         fi
     done

@@ -36,6 +36,12 @@ convolution after it if given one, and the unmixing loss (squared error
 plus spectral angle), which keeps six H x W arrays and recomputes r - y in
 backward, band block by band block.
 
+Beside those ten fused nodes the module has add, softmax, concat, narrow
+and reshape: fifteen ops, the ones a training step records. The composed
+ops the fused nodes replaced, and are checked against bit for bit
+(transpose, the elementwise ops and the reductions), are test references in
+``tests/composed_ops.py``, which record through ``_record`` as these do.
+
 A node keeps only what its backward reads, and where it can, an array that
 is alive anyway: its inputs and its output. An activated layer keeps no
 pre-activation, the conv and propagation kernels pad their inputs again in
@@ -371,16 +377,6 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None,
                    bias, leaky)
 
 
-def transpose(x: Tensor) -> Tensor:
-    if x.ndim != 2:
-        raise ShapeError(f"transpose needs a 2-d tensor, got {x.shape}")
-
-    def bwd(g):
-        _accumulate(x, g.T)
-
-    return _record("transpose", (x,), x.data.T.copy(), bwd)
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     shape = tuple(shape)
 
@@ -418,7 +414,7 @@ def narrow(x: Tensor, axis: int, start: int, stop: int) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# elementwise suite (a binary op computes no gradient for an operand that
+# add, softmax and attention (add computes no gradient for an operand that
 # does not require one)
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -431,80 +427,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             _accumulate(b, _unbroadcast(g, b.shape))
 
     return _record("add", (a, b), out, bwd)
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g, b.shape))
-
-    return _record("sub", (a, b), out, bwd)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data * b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.data, a.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.data, b.shape), fresh=True)
-
-    return _record("mul", (a, b), out, bwd)
-
-
-def divide(a: Tensor, b: Tensor) -> Tensor:
-    if np.min(np.abs(b.data)) < DIVIDE_FLOOR:
-        raise NumericDomainError(
-            f"divide: divisor magnitude below {DIVIDE_FLOOR}")
-    out = a.data / b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g / b.data, a.shape), fresh=True)
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape),
-                        fresh=True)
-
-    return _record("divide", (a, b), out, bwd)
-
-
-def scale(x: Tensor, c: float) -> Tensor:
-    c = float(c)
-
-    def bwd(g):
-        _accumulate(x, g * c, fresh=True)
-
-    return _record("scale", (x,), x.data * c, bwd)
-
-
-def exp(x: Tensor) -> Tensor:
-    out = np.exp(x.data)
-
-    def bwd(g):
-        _accumulate(x, g * out, fresh=True)
-
-    return _record("exp", (x,), out, bwd)
-
-
-def sqrt(x: Tensor) -> Tensor:
-    out = np.sqrt(x.data)
-
-    def bwd(g):
-        _accumulate(x, g * 0.5 / out, fresh=True)
-
-    return _record("sqrt", (x,), out, bwd)
-
-
-def square(x: Tensor) -> Tensor:
-    def bwd(g):
-        _accumulate(x, g * 2.0 * x.data, fresh=True)
-
-    return _record("square", (x,), x.data * x.data, bwd)
 
 
 def softmax(x: Tensor, axis: int) -> Tensor:
@@ -531,7 +453,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
     keeps the output and each row's log-sum-exp; backward rebuilds each
     block's probabilities from them. Blocks go in a fixed order. The output
     is kept normalised by the running sum, so with one block the forward
-    rounds exactly as softmax(scale(matmul(q, transpose(k)))) times v does.
+    rounds exactly as softmax(scale(matmul(q, transpose(k)))) times v does,
+    with the composed ``scale`` and ``transpose`` of ``tests/composed_ops.py``.
     """
     if (q.ndim != 2 or k.ndim != 2 or v.ndim != 2 or q.shape[1] != k.shape[1]
             or k.shape[0] != v.shape[0] or q.shape[0] < 1 or k.shape[0] < 1):
@@ -592,39 +515,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# reductions
-
-def sum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:  # noqa: A001
-    if axis is not None:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        axes = tuple(_check_axis(a, x.ndim, "sum") for a in axes)
-    else:
-        axes = None
-    out = np.sum(x.data, axis=axes, keepdims=keepdims)
-
-    def bwd(g):
-        if axes is None:
-            _accumulate(x, np.broadcast_to(g, x.shape).copy())
-            return
-        if not keepdims:
-            g = np.expand_dims(g, axes)
-        _accumulate(x, np.broadcast_to(g, x.shape).copy())
-
-    return _record("sum", (x,), out, bwd)
-
-
-def mean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        count = x.size
-    else:
-        axes = (axis,) if isinstance(axis, int) else tuple(axis)
-        count = 1
-        for a in axes:
-            count *= x.shape[_check_axis(a, x.ndim, "mean")]
-    return scale(sum(x, axis=axis, keepdims=keepdims), 1.0 / count)
-
-
-# ---------------------------------------------------------------------------
 # unmixing loss
 
 def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
@@ -639,8 +529,9 @@ def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
     through its norm. The node keeps six H x W arrays beside its inputs;
     backward recomputes r - y in band blocks within CACHE_BYTES beside the
     gradient. The arithmetic and its order are those of the composed ops
-    sub, square, sum, mul, the two norms, divide, arccos and mean, so values
-    and gradients are theirs bit for bit.
+    sub, square, sum, mul, the two norms, divide, arccos and mean (the
+    references in ``tests/composed_ops.py``), so values and gradients are
+    theirs bit for bit.
     """
     if observed.requires_grad:
         raise ContractError("unmixing_loss: the observed scene takes no gradient")
@@ -986,7 +877,8 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     O x C x 1 x 1, ``conv_b``), averaged over each patch, then ``fc_w``
     (O x D) and ``fc_b``. One node, which keeps the n x O patch means and
     neither the padded map nor its response. Forward and backward take the
-    steps of conv2d, mean, transpose and matmul, the same numpy calls in the
+    steps of conv2d, mean, transpose and matmul (``mean`` and ``transpose``
+    as composed in ``tests/composed_ops.py``), the same numpy calls in the
     same order, so values and gradients are theirs bit for bit; the map's
     gradient is cropped from the padded grid's. Under ``Standardize`` the
     conv's response over every pixel of the padded grid calibrates
@@ -1231,11 +1123,12 @@ def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray,
 
 
 def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
-              beta: float, radius: int) -> Tensor:
+              beta: float) -> Tensor:
     """Projection, K-hop propagation and residual hop mix as one node,
     K = len(alphas): z0 = proj @ x (x C x H.W, read as C x H x W), z_t =
     S z_{t-1} for every channel with the window operator of ``operator``
     (n_off + 1, H, W), loops then weights as ``window_graph`` stacks them,
+    whose first extent (2r + 1)^2 gives the window radius r >= 1,
     S z[:, i] = loops[i] z[:, i] + sum_o weights[o, i] z[:, i + o], then
     x + beta * sum_t alphas[t-1] z_t: terms summed in order, scaled by beta,
     x added last. The node keeps z_1 ... z_{K-1}: no array holds z_K, which
@@ -1247,15 +1140,16 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
     then S^T r plus the hop's own term, written over r's block. Each hop is
     dropped once read for the last time; z0 is rebuilt for the operator's
     gradient at the last hop."""
-    beta, n_off = float(beta), (2 * radius + 1) ** 2 - 1
+    beta = float(beta)
     c, hw = x.shape if x.ndim == 2 else (0, -1)  # a wrong rank cannot fit
-    grid = operator.shape[1:]
-    if (operator.ndim != 3 or operator.shape[0] != n_off + 1
+    side = math.isqrt(operator.shape[0]) if operator.ndim == 3 else 0
+    grid, radius = operator.shape[1:], side // 2
+    if (side < 3 or side % 2 == 0 or side * side != operator.shape[0]
             or hw != grid[0] * grid[1] or proj.shape != (c, c)
             or alphas.ndim != 1 or alphas.size < 1):
-        raise ShapeError(f"propagate: operator {operator.shape}, proj {proj.shape}, "
-                         f"alphas {alphas.shape} and x {x.shape} do not fit at "
-                         f"radius {radius}")
+        raise ShapeError(f"propagate: operator {operator.shape} (a window of "
+                         f"(2r+1)^2 >= 9 images), proj {proj.shape}, alphas "
+                         f"{alphas.shape} and x {x.shape} do not fit")
     flat, shape, a = _Flat(*grid, radius), (c,) + grid, alphas.data
     of = flat.pad(operator.data)
     z, zs = (proj.data @ x.data).reshape(shape), [None]  # z0 is not kept
@@ -1300,7 +1194,7 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
         gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
         stack = np.empty((width + 1, flat.run))
         for t in range(a.size, 0, -1):
-            gop = flat.buffer(n_off + 1) if operator.requires_grad else None
+            gop = flat.buffer(side * side) if operator.requires_grad else None
             if t == 1 and gop is not None and zs[0] is None:
                 zs[0] = (proj.data @ x.data).reshape(shape)
             for c0, c1 in blocks:

@@ -79,7 +79,8 @@ class ContentGraph:
 
     @property
     def edge_rows(self) -> np.ndarray:
-        """Source pixel of every directed off-diagonal edge, offset-major."""
+        """Source pixel of every directed off-diagonal edge, offset-major.
+        The benchmark's tracer counts ``graph.edges`` from it."""
         _, row, col = np.nonzero(self.valid)
         return row * self.width + col
 
@@ -91,13 +92,6 @@ class ContentGraph:
         a, rows = np.diag(self.operator.data[0].ravel()), row * self.width + col
         a[rows, rows + shifts[offset]] = self.operator.data[1:][offset, row, col]
         return a
-
-    def dense_weights(self) -> np.ndarray:
-        """Dense copy of the raw off-diagonal weights, recovered as
-        A_ij / (sqrt(loops_i) sqrt(loops_j)) (tests, small scenes)."""
-        loops = self.operator.data[0].ravel()
-        root = np.sqrt(loops)
-        return (self.dense_adjacency() - np.diag(loops)) / np.outer(root, root)
 
     def fingerprint(self) -> str:
         """Stable digest of structure and (rounded) normalized weights."""
@@ -115,7 +109,8 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
     ``features`` is (channels, N); ``positions`` is (2, N) and must be the
     row-major grid ``grid_positions(height, width)``. Edge weights are
     differentiable in the features. A scale may be +inf, which switches
-    its kernel off.
+    its kernel off. A radius above max(height, width) - 1 adds no
+    neighbour, and is refused (radius 1 is accepted on any grid).
     """
     if not sigma_f > 0 or not sigma_g > 0:  # NaN too
         raise ConfigError(f"kernel scales must be positive, got "
@@ -125,6 +120,10 @@ def build_graph(features: Tensor, positions: np.ndarray, radius: int,
     if features.ndim != 2:
         raise ShapeError(f"features must be channels x N, got {features.shape}")
     height, width = _grid_shape(positions, features.shape[1])
+    widest = max(height, width, 2) - 1  # radius 1 is always a window
+    if radius > widest:
+        raise ConfigError(f"window radius {radius} is wider than the {height}x"
+                          f"{width} scene, where it may be at most {widest}")
     return ContentGraph(height, width, radius, ad.window_graph(
         features, height, width, radius, sigma_f, sigma_g))
 
@@ -182,4 +181,4 @@ def propagate(graph: ContentGraph, params: GraphMixParams, x: Tensor) -> Tensor:
     """
     alphas = ad.softmax(params.mix_logits, axis=0)
     return ad.propagate(graph.operator, params.graph_proj, alphas, x,
-                        params.beta, graph.radius)
+                        params.beta)

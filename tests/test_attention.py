@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed_ops as co
 from cagu import autodiff as ad
 from cagu.autodiff import Tape, Tensor, backward, finite_diff_check
 from cagu.attention import (AttentionParams, exchange_and_attend,
@@ -38,7 +39,7 @@ def reference_attention(x, wq, wk, wv):
 def scaled_dot_attention(q, k, v):
     """Oracle of ``ad.attention`` from composed ops; returns (output,
     row-stochastic weights)."""
-    logits = ad.scale(ad.matmul(q, ad.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
+    logits = co.scale(ad.matmul(q, co.transpose(k)), 1.0 / np.sqrt(q.shape[1]))
     weights = ad.softmax(logits, axis=1)
     return ad.matmul(weights, v), weights
 
@@ -49,7 +50,7 @@ def attention_and_grads(attend, q, k, v, direction):
     leaves = [Tensor(t.copy(), requires_grad=True) for t in (q, k, v)]
     with Tape() as tape:
         out = attend(*leaves)
-        loss = ad.sum(ad.mul(out, Tensor(direction)))
+        loss = co.sum(co.mul(out, Tensor(direction)))
     backward(tape, loss)
     return [out.data] + [t.grad for t in leaves]
 
@@ -105,7 +106,7 @@ def test_attention_op_gradients_across_key_blocks(monkeypatch):
         def loss(t, slot=slot):
             operands = list(args)
             operands[slot] = t
-            return ad.sum(ad.mul(ad.attention(*operands), Tensor(direction)))
+            return co.sum(co.mul(ad.attention(*operands), Tensor(direction)))
         assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-6, slot
 
 
@@ -271,7 +272,7 @@ def test_full_module_gradients_including_class_tokens():
     def loss(_):
         spe, spa = exchange_and_attend(params, *tokens)
         fused = fuse_and_restore(params, spe, spa, 2, 4, 4)
-        return ad.sum(ad.mul(fused, direction))
+        return co.sum(co.mul(fused, direction))
 
     for name in ("cls_spe", "cls_spa", "spe_wq", "spa_wk", "spe_wv",
                  "spe_mlp_w1", "spa_mlp_b1", "fuse_w", "seam_w", "seam_b"):

@@ -1,5 +1,6 @@
 """Kernel oracles and gradient properties for the autodiff engine."""
 
+import math
 import tracemalloc
 import weakref
 import zlib
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import composed_ops as co
 from cagu import autodiff as ad
 from cagu.attention import identity_kernel
 from cagu.autodiff import Tape, Tensor, backward, finite_diff_check
@@ -70,7 +72,7 @@ def test_matmul_bias_matches_add_of_matmul_bit_for_bit(shape):
         with Tape() as tape:
             out = (ad.matmul(a, b, bias) if fused
                    else ad.add(ad.matmul(a, b), bias))
-            loss = ad.sum(ad.mul(out, direction))
+            loss = co.sum(co.mul(out, direction))
         assert len(tape.nodes) == (3 if fused else 4)
         backward(tape, loss)
         results.append([out.data, a.grad, b.grad, bias.grad])
@@ -177,7 +179,7 @@ def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
         conv2d_reference(x.data, kern.data, np.zeros(c_out), padding),
         rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.conv2d(x, kern, bias), Tensor(g))),
+    grads = grad_of(lambda: co.sum(co.mul(ad.conv2d(x, kern, bias), Tensor(g))),
                     x, kern, bias)
     for got, want in zip(grads, conv2d_reference_grads(x.data, kern.data, g,
                                                        padding)):
@@ -193,7 +195,7 @@ def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
 
     def loss(t, which):
         args = {"x": x, "w": kern, "b": bias, which: t}
-        return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
+        return co.sum(co.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
 
     for which, leaf in (("x", x), ("w", kern), ("b", bias)):
         assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
@@ -287,7 +289,7 @@ def test_patch_linear_matches_per_patch_reference(c_in, c_out, h, w, k, m):
     flat = tile(conv, m).reshape(n, -1)
     np.testing.assert_allclose(ad.patch_linear(*args, m).data,
                                flat @ fc_w.data + fc_b.data, rtol=0, atol=1e-12)
-    grads = grad_of(lambda: ad.sum(ad.mul(ad.patch_linear(*args, m), Tensor(d))), *args)
+    grads = grad_of(lambda: co.sum(co.mul(ad.patch_linear(*args, m), Tensor(d))), *args)
     want = (gx, gk, gb, flat.T @ d, d.sum(axis=0))
     for got, expected in zip(grads, want):
         np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
@@ -299,7 +301,7 @@ def test_patch_linear_gradcheck(c_in, c_out, h, w, k, m):
     direction = Tensor(rng.normal(size=(-(-h // m) * -(-w // m), 3)))
     for slot, leaf in enumerate(args):
         def loss(t):
-            return ad.sum(ad.mul(ad.patch_linear(*args[:slot], t, *args[slot + 1:], m),
+            return co.sum(co.mul(ad.patch_linear(*args[:slot], t, *args[slot + 1:], m),
                                  direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
@@ -341,8 +343,8 @@ def patch_mean_linear_reference(x, conv_w, conv_b, fc_w, fc_b, m):
     grid = x if (gh * m, gw * m) == (h, w) else untile_patches_reference(
         patches, gh * m, gw * m)
     spe = ad.conv2d(grid, conv_w, conv_b)
-    pooled = ad.mean(ad.reshape(spe, (conv_w.shape[0], gh, m, gw, m)), axis=(2, 4))
-    pooled = ad.transpose(ad.reshape(pooled, (conv_w.shape[0], gh * gw)))
+    pooled = co.mean(ad.reshape(spe, (conv_w.shape[0], gh, m, gw, m)), axis=(2, 4))
+    pooled = co.transpose(ad.reshape(pooled, (conv_w.shape[0], gh * gw)))
     return ad.matmul(pooled, fc_w, fc_b)
 
 
@@ -357,8 +359,8 @@ def test_patch_mean_linear_matches_the_composed_ops_bit_for_bit(c_in, c_out, h, 
             out = op(*args, m)
             # the map's other consumer hands it a gradient first, as the
             # spatial tokens do
-            loss = ad.add(ad.sum(ad.mul(out, direction)),
-                          ad.sum(ad.scale(args[0], 3.0)))
+            loss = ad.add(co.sum(co.mul(out, direction)),
+                          co.sum(co.scale(args[0], 3.0)))
         backward(tape, loss)
         results.append([out.data] + [t.grad for t in args])
     for got, want in zip(*results):
@@ -371,7 +373,7 @@ def test_patch_mean_linear_gradcheck(c_in, c_out, h, w, m):
     direction = rand((-(-h // m) * -(-w // m), 3), seed=h)
     for slot, leaf in enumerate(args):
         def loss(t):
-            return ad.sum(ad.mul(ad.patch_mean_linear(
+            return co.sum(co.mul(ad.patch_mean_linear(
                 *args[:slot], t, *args[slot + 1:], m), direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
@@ -424,12 +426,12 @@ def test_softmax_shift_invariant_and_normalized(vals, shift):
 # elementwise suite
 
 def test_exp_zero():
-    assert ad.exp(Tensor(np.zeros(3))).data.tolist() == [1.0, 1.0, 1.0]
+    assert co.exp(Tensor(np.zeros(3))).data.tolist() == [1.0, 1.0, 1.0]
 
 
 def test_divide_floor_error():
     with pytest.raises(NumericDomainError):
-        ad.divide(Tensor([1.0]), Tensor([1e-13]))
+        co.divide(Tensor([1.0]), Tensor([1e-13]))
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +469,7 @@ def test_activated_layer_matches_the_layer_then_the_activation_bit_for_bit(name)
         leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
         with Tape() as tape:
             out = layer(*leaves, leaky)
-            loss = ad.sum(ad.mul(out, Tensor(d)))
+            loss = co.sum(co.mul(out, Tensor(d)))
         assert len(tape.nodes) == 3
         if leaky:
             want = np.maximum(pre, ad.LEAKY_SLOPE * pre)
@@ -487,7 +489,7 @@ def test_activated_layer_gradients(name):
         direction = Tensor(rng.normal(size=layer(*args, True).shape))
         for slot in range(3):
             def loss(t):
-                return ad.sum(ad.mul(layer(*args[:slot], t, *args[slot + 1:], True),
+                return co.sum(co.mul(layer(*args[:slot], t, *args[slot + 1:], True),
                                      direction))
             assert finite_diff_check(loss, args[slot], h=1e-6) < 1e-4, slot
 
@@ -497,19 +499,19 @@ def test_activated_layer_gradients(name):
 
 def test_backward_sum_gives_ones():
     x = rand(5, seed=6)
-    (g,) = grad_of(lambda: ad.sum(x), x)
+    (g,) = grad_of(lambda: co.sum(x), x)
     np.testing.assert_array_equal(g, np.ones(5))
 
 
 def test_backward_quadratic():
     x = rand(4, seed=7)
-    (g,) = grad_of(lambda: ad.sum(ad.mul(x, x)), x)
+    (g,) = grad_of(lambda: co.sum(co.mul(x, x)), x)
     np.testing.assert_allclose(g, 2 * x.data, atol=1e-12)
 
 
 def test_backward_fanout_accumulates():
     x = rand(3, seed=8)
-    (g,) = grad_of(lambda: ad.add(ad.sum(x), ad.sum(x)), x)
+    (g,) = grad_of(lambda: ad.add(co.sum(x), co.sum(x)), x)
     np.testing.assert_array_equal(g, 2 * np.ones(3))
 
 
@@ -518,12 +520,12 @@ def test_self_add_doubles_without_touching_the_output_gradient():
     x.requires_grad = True
     with Tape() as tape:
         y = ad.add(x, x)  # hands the same array to x twice
-        loss = ad.sum(y)
+        loss = co.sum(y)
     backward(tape, loss)
     np.testing.assert_array_equal(x.grad, np.full(4, 2.0))
     np.testing.assert_array_equal(y.grad, np.ones(4))
     assert not np.shares_memory(x.grad, y.grad)
-    err = finite_diff_check(lambda t: ad.sum(ad.mul(ad.add(t, t), t)), rand(4, seed=41))
+    err = finite_diff_check(lambda t: co.sum(co.mul(ad.add(t, t), t)), rand(4, seed=41))
     assert err < 1e-6
 
 
@@ -538,8 +540,8 @@ def test_shared_first_gradient_is_not_changed_by_a_later_contribution():
     def build():
         s = ad.add(a, b)
         seen["s"] = s
-        return ad.add(ad.add(ad.sum(ad.mul(s, d)), ad.sum(ad.mul(a, e))),
-                      ad.sum(ad.mul(a, f)))
+        return ad.add(ad.add(co.sum(co.mul(s, d)), co.sum(co.mul(a, e))),
+                      co.sum(co.mul(a, f)))
 
     ga, gb = grad_of(build, a, b)
     np.testing.assert_allclose(ga, d.data + e.data + f.data, rtol=0, atol=1e-15)
@@ -555,7 +557,7 @@ def test_tensor_feeding_reshape_and_add():
     def f(t):
         flat = ad.reshape(t, (12,))  # hands on a view of its gradient
         both = ad.add(t, other)      # hands on its gradient itself
-        return ad.add(ad.sum(ad.mul(flat, d1)), ad.sum(ad.mul(both, d2)))
+        return ad.add(co.sum(co.mul(flat, d1)), co.sum(co.mul(both, d2)))
 
     x = Tensor(rng.normal(size=(3, 4)))
     gx, g_other = grad_of(lambda: f(x), x, other)
@@ -569,8 +571,8 @@ def test_parameter_used_twice():
     a, b = Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(4, 3)))
 
     def f(w):  # (3, 3) weight used by two matmuls and a square
-        return ad.add(ad.sum(ad.square(ad.matmul(a, w))),
-                      ad.add(ad.sum(ad.matmul(b, w)), ad.sum(ad.square(w))))
+        return ad.add(co.sum(co.square(ad.matmul(a, w))),
+                      ad.add(co.sum(ad.matmul(b, w)), co.sum(co.square(w))))
 
     w = Tensor(rng.normal(size=(3, 3)))
     assert finite_diff_check(f, w) < 1e-6
@@ -584,7 +586,7 @@ def test_backward_rejects_non_scalar():
     x = rand((2, 2), seed=9)
     x.requires_grad = True
     with Tape() as tape:
-        y = ad.mul(x, x)
+        y = co.mul(x, x)
     with pytest.raises(ContractError):
         backward(tape, y)
 
@@ -593,9 +595,9 @@ def test_tape_topological_order():
     x = rand(3, seed=10)
     x.requires_grad = True
     with Tape() as tape:
-        y = ad.exp(x)
-        z = ad.mul(y, x)
-        ad.sum(z)
+        y = co.exp(x)
+        z = co.mul(y, x)
+        co.sum(z)
     seen = {id(x)}
     for node in tape.nodes:
         for inp in node.inputs:
@@ -608,8 +610,8 @@ def test_backward_visits_each_node_once():
     x.requires_grad = True
     calls = []
     with Tape() as tape:
-        y = ad.mul(x, x)
-        loss = ad.sum(y)
+        y = co.mul(x, x)
+        loss = co.sum(y)
         out = Tensor(loss.data, requires_grad=True)
         tape.record("probe", (loss,), out, lambda g: calls.append(1))
     backward(tape, out)
@@ -631,7 +633,7 @@ def test_backward_releases_each_node_before_its_closure_runs():
 
     x = Tensor(np.ones(3), requires_grad=True)
     with Tape() as tape:
-        loss = ad.sum(probe(x))
+        loss = co.sum(probe(x))
     backward(tape, loss)
     assert seen == [None]
     np.testing.assert_array_equal(x.grad, [2.0, 2.0, 2.0])
@@ -643,7 +645,7 @@ def test_backward_consumes_the_tape():
     w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
     with Tape() as tape:
         held = ad.matmul(x, w)
-        loss = ad.sum(ad.square(ad.exp(held)))
+        loss = co.sum(co.square(co.exp(held)))
     dropped = [weakref.ref(node.output) for node in tape.nodes
                if node.output is not held and node.output is not loss]
     closures = [weakref.ref(node.backward_fn) for node in tape.nodes]
@@ -694,11 +696,11 @@ def composed_unmixing_loss(observed, reconstructed, guard):
     """The loss as composed tape ops before it became one node."""
     obs_norm = _composed_l2_norm(observed)
     _, height, width = observed.shape
-    re_term = ad.scale(ad.sum(ad.square(ad.sub(reconstructed, observed))),
+    re_term = co.scale(co.sum(co.square(co.sub(reconstructed, observed))),
                        1.0 / (height * width))
-    inner = ad.sum(ad.mul(observed, reconstructed), axis=0)
-    denom = ad.add(ad.mul(obs_norm, _composed_l2_norm(reconstructed)), Tensor(guard))
-    sad_term = ad.mean(_composed_arccos(ad.divide(inner, denom)))
+    inner = co.sum(co.mul(observed, reconstructed), axis=0)
+    denom = ad.add(co.mul(obs_norm, _composed_l2_norm(reconstructed)), Tensor(guard))
+    sad_term = co.mean(_composed_arccos(co.divide(inner, denom)))
     return ad.add(re_term, sad_term)
 
 
@@ -718,7 +720,7 @@ def loss_scene(seed, bands=7, height=5, width=6):
 def loss_and_gradient(loss_fn, y, r, g=1.0):
     rec = Tensor(r.copy(), requires_grad=True)
     with Tape() as tape:
-        total = ad.scale(loss_fn(Tensor(y), rec, 1e-8), g)
+        total = co.scale(loss_fn(Tensor(y), rec, 1e-8), g)
     backward(tape, total)
     return total.data, rec.grad
 
@@ -841,7 +843,7 @@ def test_a_scalar_handed_over_after_a_shared_gradient():
     # add hands its gradient to x first; scale's 0-d product g * c is a
     # numpy scalar, which the hand-over must still sum into
     x = Tensor(3.0)
-    (g,) = grad_of(lambda: ad.add(ad.scale(x, 2.0), x), x)
+    (g,) = grad_of(lambda: ad.add(co.scale(x, 2.0), x), x)
     assert g == 3.0
 
 
@@ -858,10 +860,10 @@ def test_propagate_sums_into_a_gradient_x_owns():
     def grad(op, other):
         x = Tensor(x_data.copy(), requires_grad=True)
         with Tape() as tape:
-            out = op(Tensor(operator), Tensor(proj), Tensor([1.0]), x, 1.0, 1)
-            loss = ad.sum(ad.mul(out, d1))
+            out = op(Tensor(operator), Tensor(proj), Tensor([1.0]), x, 1.0)
+            loss = co.sum(co.mul(out, d1))
             if other:
-                loss = ad.add(loss, ad.sum(ad.mul(ad.scale(x, 3.0), d2)))
+                loss = ad.add(loss, co.sum(co.mul(co.scale(x, 3.0), d2)))
         backward(tape, loss)
         return x.grad
 
@@ -956,7 +958,7 @@ def test_standardize_leaves_a_listed_bias_that_an_op_only_reads():
     w, b = rand((4, 4), seed=45), rand(4, seed=46)
     w0, b0 = w.data.copy(), b.data.copy()
     with ad.Standardize([(w, b)]):
-        outs = [ad.reshape(b, (2, 2)), ad.add(x, b), ad.mul(x, b)]
+        outs = [ad.reshape(b, (2, 2)), ad.add(x, b), co.mul(x, b)]
     for out, want in zip(outs, (b0.reshape(2, 2), x.data + b0, x.data * b0)):
         assert out.data.tobytes() == want.tobytes()
     assert w.data.tobytes() == w0.tobytes() and b.data.tobytes() == b0.tobytes()
@@ -1036,46 +1038,46 @@ def test_standardize_refuses_to_nest_and_any_tape():
 
 def test_finite_diff_quadratic_at_three():
     x = Tensor([3.0])
-    err = finite_diff_check(lambda t: ad.sum(ad.mul(t, t)), x, h=1e-5)
+    err = finite_diff_check(lambda t: co.sum(co.mul(t, t)), x, h=1e-5)
     assert err < 1e-6  # analytic derivative is 6
 
 
 def test_finite_diff_constant_function():
     x = Tensor([1.0, 2.0])
-    err = finite_diff_check(lambda t: ad.sum(ad.mul(t, Tensor([0.0, 0.0]))), x)
+    err = finite_diff_check(lambda t: co.sum(co.mul(t, Tensor([0.0, 0.0]))), x)
     assert err == 0.0
 
 
 def test_finite_diff_rejects_bad_h():
     with pytest.raises(ContractError):
-        finite_diff_check(lambda t: ad.sum(t), Tensor([1.0]), h=1e-2)
+        finite_diff_check(lambda t: co.sum(t), Tensor([1.0]), h=1e-2)
 
 
 def test_finite_diff_rejects_nonfinite_objective():
     x = Tensor([800.0])
     with np.errstate(over="ignore"):
         with pytest.raises(NumericDomainError):
-            finite_diff_check(lambda t: ad.sum(ad.exp(ad.exp(t))), x)
+            finite_diff_check(lambda t: co.sum(co.exp(co.exp(t))), x)
 
 
 def test_finite_diff_perturbs_a_tensor_that_is_not_contiguous():
     x = Tensor(np.arange(6.0).reshape(2, 3).T)  # a transposed view
     assert not x.data.flags.c_contiguous
-    assert finite_diff_check(lambda t: ad.sum(ad.mul(t, t)), x) < 1e-6
+    assert finite_diff_check(lambda t: co.sum(co.mul(t, t)), x) < 1e-6
     assert x.data.tolist() == [[0.0, 3.0], [1.0, 4.0], [2.0, 5.0]]
 
 
 def test_finite_diff_restores_the_tensor_when_f_raises():
     x, seen = Tensor([1.0, 2.0]), []
     with pytest.raises(ContractError, match="scalar"):  # in the taped call
-        finite_diff_check(lambda t: ad.scale(t, 2.0), x)
+        finite_diff_check(lambda t: co.scale(t, 2.0), x)
     assert not x.requires_grad and Tape._active is None
 
     def f(t):  # raises on its third call, which sees x[0] - h
         seen.append(t.data.tolist())
         if len(seen) == 3:
             raise NumericDomainError("third call")
-        return ad.sum(ad.mul(t, t))
+        return co.sum(co.mul(t, t))
 
     with pytest.raises(NumericDomainError, match="third call"):
         finite_diff_check(f, x)
@@ -1092,20 +1094,20 @@ def _shapes2d(rng, n):
 
 def _probe(build, x, h=1e-6):
     direction = Tensor(np.random.default_rng(99).normal(size=build(x).shape))
-    return finite_diff_check(lambda t: ad.sum(ad.mul(build(t), direction)), x, h=h)
+    return finite_diff_check(lambda t: co.sum(co.mul(build(t), direction)), x, h=h)
 
 
 KERNELS = {
-    "exp": lambda t: ad.exp(t),
-    "sqrt": lambda t: ad.sqrt(ad.add(ad.mul(t, t), Tensor(np.full(t.shape, 0.5)))),
-    "square": lambda t: ad.square(t),
+    "exp": lambda t: co.exp(t),
+    "sqrt": lambda t: co.sqrt(ad.add(co.mul(t, t), Tensor(np.full(t.shape, 0.5)))),
+    "square": lambda t: co.square(t),
     "leaky_relu": lambda t: ad.matmul(t, Tensor(np.eye(t.shape[1])), leaky=True),
     "softmax": lambda t: ad.softmax(t, axis=-1),
-    "sum_axis": lambda t: ad.sum(t, axis=0),
-    "mean": lambda t: ad.mean(t),
-    "scale": lambda t: ad.scale(t, -1.7),
+    "sum_axis": lambda t: co.sum(t, axis=0),
+    "mean": lambda t: co.mean(t),
+    "scale": lambda t: co.scale(t, -1.7),
     "reshape": lambda t: ad.reshape(t, (t.size,)),
-    "transpose": lambda t: ad.transpose(t),
+    "transpose": lambda t: co.transpose(t),
     "narrow": lambda t: ad.narrow(t, 0, 0, max(1, t.shape[0] - 1)),
 }
 
@@ -1121,10 +1123,10 @@ def test_kernel_gradients_match_finite_differences(name):
 
 @pytest.mark.parametrize("name,builder", [
     ("add", lambda a, b: ad.add(a, b)),
-    ("sub", lambda a, b: ad.sub(a, b)),
-    ("mul", lambda a, b: ad.mul(a, b)),
-    ("divide", lambda a, b: ad.divide(a, ad.add(ad.square(b), Tensor(np.full(b.shape, 0.5))))),
-    ("matmul", lambda a, b: ad.matmul(a, ad.transpose(b))),
+    ("sub", lambda a, b: co.sub(a, b)),
+    ("mul", lambda a, b: co.mul(a, b)),
+    ("divide", lambda a, b: co.divide(a, ad.add(co.square(b), Tensor(np.full(b.shape, 0.5))))),
+    ("matmul", lambda a, b: ad.matmul(a, co.transpose(b))),
     ("concat", lambda a, b: ad.concat([a, b], axis=0)),
 ])
 def test_binary_kernel_gradients(name, builder):
@@ -1135,10 +1137,10 @@ def test_binary_kernel_gradients(name, builder):
         direction = Tensor(rng.normal(size=builder(a, b).shape))
 
         def loss_a(t):
-            return ad.sum(ad.mul(builder(t, b), direction))
+            return co.sum(co.mul(builder(t, b), direction))
 
         def loss_b(t):
-            return ad.sum(ad.mul(builder(a, t), direction))
+            return co.sum(co.mul(builder(a, t), direction))
 
         assert finite_diff_check(loss_a, a, h=1e-6) < 1e-4
         assert finite_diff_check(loss_b, b, h=1e-6) < 1e-4
@@ -1149,7 +1151,7 @@ def test_constant_operand_gets_no_gradient():
     x = Tensor(np.full(3, 1e200))
     c, d = Tensor(np.full(3, 1e-200)), Tensor(np.full(3, 1e200))
     with np.errstate(over="raise"):
-        (g,) = grad_of(lambda: ad.sum(ad.mul(ad.mul(x, c), d)), x)
+        (g,) = grad_of(lambda: co.sum(co.mul(co.mul(x, c), d)), x)
     np.testing.assert_allclose(g, np.ones(3), rtol=1e-15)
     assert c.grad is None and d.grad is None
     rng = np.random.default_rng(46)
@@ -1157,8 +1159,8 @@ def test_constant_operand_gets_no_gradient():
     k3 = Tensor(np.full((2, 3), 0.5))
 
     def f(t):  # every binary op with one constant operand
-        return ad.sum(ad.divide(ad.sub(k1, ad.mul(t, k2)),
-                                ad.add(k3, ad.square(t))))
+        return co.sum(co.divide(co.sub(k1, co.mul(t, k2)),
+                                ad.add(k3, co.square(t))))
 
     assert finite_diff_check(f, Tensor(rng.normal(size=(2, 3)))) < 1e-6
     assert k1.grad is None and k2.grad is None and k3.grad is None
@@ -1177,7 +1179,7 @@ def test_conv2d_gradients(k, padding):
 
         def loss(t, which):
             args = {"x": x, "w": kern, "b": bias, which: t}
-            return ad.sum(ad.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
+            return co.sum(co.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
 
         grads = grad_of(lambda: loss(x, "x"), x, kern, bias)
         for got, want in zip(grads, conv2d_reference_grads(
@@ -1201,14 +1203,14 @@ def test_graph_kernel_gradients():
 
         # sigma_f = E|x_i - x_j|^2 keeps the weights live, around 1/e
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(ad.window_graph(t, h, w, radius, 2.0 * c, 4.0),
+            lambda t: co.sum(co.mul(ad.window_graph(t, h, w, radius, 2.0 * c, 4.0),
                                     op_direction)),
             features, h=1e-6)
         assert err < 1e-4
 
         def matvec_loss(t, which):
             args = {"operator": operator, "z": x, which: t}
-            return ad.sum(ad.mul(one_hop(args["operator"], args["z"], radius),
+            return co.sum(co.mul(one_hop(args["operator"], args["z"]),
                                  direction))
 
         for which, leaf in (("operator", operator), ("z", x)):
@@ -1216,14 +1218,13 @@ def test_graph_kernel_gradients():
             assert err < 1e-4, which
 
 
-def one_hop(operator, z, radius):
+def one_hop(operator, z):
     """S z, the window operator once on every channel: propagation of z with
     the identity projection, one hop of weight 1 and beta 1, less the
     residual z (exact up to the rounding of that sum)."""
     x = ad.reshape(z, (z.shape[0], z.size // z.shape[0]))
-    out = ad.propagate(operator, Tensor(np.eye(z.shape[0])), Tensor([1.0]), x,
-                       1.0, radius)
-    return ad.reshape(ad.sub(out, x), z.shape)
+    out = ad.propagate(operator, Tensor(np.eye(z.shape[0])), Tensor([1.0]), x, 1.0)
+    return ad.reshape(co.sub(out, x), z.shape)
 
 
 def window_oracle(h, w, radius):
@@ -1271,7 +1272,7 @@ def test_stencil_kernels_match_loop_oracle(h, w, radius):
         ad.window_graph(Tensor(x.reshape(3, -1)), h, w, radius, 6.0, 2.0).data,
         window_graph_oracle(x, radius, 6.0, 2.0)[0], rtol=1e-12, atol=1e-15)
     operator = np.concatenate([loops[None], weights])
-    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x), radius).data,
+    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x)).data,
                                matvec, atol=1e-12)
 
 
@@ -1319,13 +1320,13 @@ def test_stencil_kernels_across_channel_blocks(radius):
     oracle, raw = window_graph_oracle(x, radius, sigma_f, sigma_g)
     np.testing.assert_allclose(graph.data, oracle, rtol=1e-12, atol=1e-15)
     assert 0.2 < np.median(raw[ad._Flat(h, w, radius).valid()]) < 0.4
-    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x), radius).data,
+    np.testing.assert_allclose(one_hop(Tensor(operator), Tensor(x)).data,
                                matvec, atol=1e-12)
 
     op_direction = Tensor(rng.normal(size=(n_off + 1, h, w)))
     direction = Tensor(rng.normal(size=(c, h * w)))
     assert directional_error(
-        lambda t: ad.sum(ad.mul(ad.window_graph(t, h, w, radius, sigma_f, sigma_g),
+        lambda t: co.sum(co.mul(ad.window_graph(t, h, w, radius, sigma_f, sigma_g),
                                 op_direction)),
         Tensor(x.reshape(c, -1).copy()), rng) < 1e-6
     # two hops: quadratic in the operator, and backward's gradient array
@@ -1336,8 +1337,8 @@ def test_stencil_kernels_across_channel_blocks(radius):
     for which in args:
         def loss(t):
             kw = dict(args, **{which: t})
-            return ad.sum(ad.mul(ad.propagate(kw["operator"], kw["proj"], alphas,
-                                              kw["x"], 0.5, radius),
+            return co.sum(co.mul(ad.propagate(kw["operator"], kw["proj"], alphas,
+                                              kw["x"], 0.5),
                                  direction))
         leaf = Tensor(args[which].data.copy())
         assert directional_error(loss, leaf, rng) < 1e-6, which
@@ -1431,10 +1432,11 @@ def hop_mix_reference(x, alphas, hops, beta):
     return ad._record("hop_mix", (x, alphas, *hops), out, bwd)
 
 
-def propagate_reference(operator, proj, alphas, x, beta, radius):
+def propagate_reference(operator, proj, alphas, x, beta):
     """``ad.propagate`` as the composed ops it replaced: the operator split
     into loops and weights, the projection's matmul, the stencil K times and
     the hop mix."""
+    radius = math.isqrt(operator.shape[0]) // 2
     loops = ad.reshape(ad.narrow(operator, 0, 0, 1), operator.shape[1:])
     weights = ad.narrow(operator, 0, 1, operator.shape[0])
     z = ad.reshape(ad.matmul(proj, x), (x.shape[0],) + loops.shape)
@@ -1463,10 +1465,10 @@ def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
                     for i, a in enumerate(arrays))
                 with Tape() as tape:
                     alphas = ad.softmax(logits, axis=0)
-                    out = op(operator, proj, alphas, x, 0.3, radius)
+                    out = op(operator, proj, alphas, x, 0.3)
                     # x's other consumer hands it a gradient it owns first
-                    loss = ad.add(ad.sum(ad.mul(out, direction)),
-                                  ad.sum(ad.scale(x, 3.0)))
+                    loss = ad.add(co.sum(co.mul(out, direction)),
+                                  co.sum(co.scale(x, 3.0)))
                 backward(tape, loss)
                 results.append([out.data] + [
                     t.grad for t in (operator, proj, logits, x) if t.requires_grad])
@@ -1489,33 +1491,33 @@ def test_propagate_gradients():
             direction = Tensor(rng.normal(size=(c, h * w)))
             for slot in range(4) if learned else range(1, 4):
                 def loss(t):
-                    return ad.sum(ad.mul(ad.propagate(
-                        *args[:slot], t, *args[slot + 1:], beta, radius), direction))
+                    return co.sum(co.mul(ad.propagate(
+                        *args[:slot], t, *args[slot + 1:], beta), direction))
                 err = finite_diff_check(loss, args[slot], h=1e-6)
                 assert err < 1e-4, (k, learned, slot, err)
 
 
 def _propagate_operands():
     good = [Tensor(np.ones(shape)) for shape in ((9, 3, 3), (2, 2), (2,), (2, 9))]
-    assert ad.propagate(*good, 0.5, 1).shape == (2, 9)
+    assert ad.propagate(*good, 0.5).shape == (2, 9)
     return good
 
 
-def _assert_propagate_rejects(good, slot, shape, radius=1):
+def _assert_propagate_rejects(good, slot, shape):
     with pytest.raises(ShapeError, match="propagate"):
-        ad.propagate(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:],
-                     0.5, radius)
+        ad.propagate(*good[:slot], Tensor(np.ones(shape)), *good[slot + 1:], 0.5)
 
 
 def test_stencil_matvec_rejects_mismatched_weights():
     # the stencil operands of ad.propagate: the stacked operator (loops,
     # then weights) and the projection that makes z0
     good = _propagate_operands()
-    for slot, shape in ((0, (9, 3, 4)), (0, (25, 3, 3)), (0, (8, 3, 3)), (0, (9, 9)),
+    for slot, shape in ((0, (9, 3, 4)), (0, (1, 3, 3)), (0, (8, 3, 3)), (0, (9, 9)),
                         (1, (2, 3)), (1, (3, 3)), (1, (2, 2, 1))):
         _assert_propagate_rejects(good, slot, shape)
-    # loops and eight offsets are radius 1's window
-    _assert_propagate_rejects(good, 0, (9, 3, 3), radius=2)
+    # the first extent, loops and the window's offsets, is (2r+1)^2 for a
+    # radius r >= 1: an even square is no window
+    _assert_propagate_rejects(good, 0, (16, 3, 3))
 
 
 def test_hop_mix_rejects_mismatched_shapes():
@@ -1539,14 +1541,14 @@ def test_patch_kernel_gradients():
         blocks = tile_patches_reference(x, m)
         direction = Tensor(rng.normal(size=blocks.shape))
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(tile_patches_reference(t, m), direction)), x,
+            lambda t: co.sum(co.mul(tile_patches_reference(t, m), direction)), x,
             h=1e-6)
         assert err < 1e-4
 
         blk = Tensor(rng.normal(size=blocks.shape))
         direction2 = Tensor(rng.normal(size=(c, h, w)))
         err = finite_diff_check(
-            lambda t: ad.sum(ad.mul(untile_patches_reference(t, h, w), direction2)),
+            lambda t: co.sum(co.mul(untile_patches_reference(t, h, w), direction2)),
             blk, h=1e-6)
         assert err < 1e-4
 
@@ -1585,7 +1587,7 @@ def test_linear_untile_matches_matmul_reshape_untile_bit_for_bit():
                 else:
                     out = untile_patches_reference(
                         ad.reshape(ad.matmul(x, wt, b), (n, 3, 2, 2)), h, w)
-                loss = ad.sum(ad.mul(out, direction))
+                loss = co.sum(co.mul(out, direction))
             backward(tape, loss)
             results.append([out.data, x.grad, wt.grad, b.grad])
         assert results[0][0].shape == (3, h, w)
@@ -1599,7 +1601,7 @@ def test_linear_untile_gradients():
         direction = rand((3, h, w), seed=h * w)
         for slot in range(3):
             def loss(t):
-                return ad.sum(ad.mul(ad.linear_untile(
+                return co.sum(co.mul(ad.linear_untile(
                     *args[:slot], t, *args[slot + 1:], 2, h, w), direction))
             err = finite_diff_check(loss, args[slot], h=1e-6)
             assert err < 1e-4, (h, w, slot, err)
@@ -1628,7 +1630,7 @@ STACK_GRIDS = ((30, 30), (32, 32), (100, 100), (7, 12))
 def conv1x1_stack_reference(x, layers, leaky, standardize=None):
     """The stack as one conv2d node per layer, the first reading the map
     standardised by sub and scale."""
-    h = x if standardize is None else ad.scale(ad.sub(x, Tensor(standardize[0])),
+    h = x if standardize is None else co.scale(co.sub(x, Tensor(standardize[0])),
                                                standardize[1])
     for (w, b), act in zip(layers, leaky):
         h = ad.conv2d(h, w, b, leaky=act)
@@ -1668,7 +1670,7 @@ def test_conv1x1_stack_matches_the_composed_layers_bit_for_bit(widths, leaky,
         with Tape() as tape:
             out = op(x, layers, leaky, standardize)
             # the map's other consumer hands it a gradient first
-            loss = ad.add(ad.sum(ad.mul(out, direction)), ad.sum(ad.scale(x, 3.0)))
+            loss = ad.add(co.sum(co.mul(out, direction)), co.sum(co.scale(x, 3.0)))
         backward(tape, loss)
         results.append([out.data, x.grad] + [t.grad for layer in layers for t in layer])
     for got, want in zip(*results):
@@ -1704,7 +1706,7 @@ def test_conv1x1_stack_gradcheck(widths, leaky, standardize):
             args = leaves[:slot] + [t] + leaves[slot + 1:]
             out = ad.conv1x1_stack(args[0], list(zip(args[1::2], args[2::2])),
                                    leaky, standardize)
-            return ad.sum(ad.mul(out, direction))
+            return co.sum(co.mul(out, direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
 
@@ -1749,7 +1751,7 @@ def test_linear_untile_with_a_conv_matches_linear_untile_then_conv2d_bit_for_bit
                 out = ad.linear_untile(x, wt, b, m, h, w, cw, cb)
             else:
                 out = ad.conv2d(ad.linear_untile(x, wt, b, m, h, w), cw, cb)
-            loss = ad.sum(ad.mul(out, direction))
+            loss = co.sum(co.mul(out, direction))
         backward(tape, loss)
         results.append([out.data] + [t.grad for t in (x, wt, b, cw, cb)])
     for got, want in zip(*results):
@@ -1782,7 +1784,7 @@ def test_linear_untile_with_a_conv_gradcheck():
     for slot, leaf in enumerate(leaves):
         def loss(t):
             args = leaves[:slot] + [t] + leaves[slot + 1:]
-            return ad.sum(ad.mul(ad.linear_untile(*args[:3], 2, 5, 7, *args[3:]),
+            return co.sum(co.mul(ad.linear_untile(*args[:3], 2, 5, 7, *args[3:]),
                                  direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
@@ -1855,7 +1857,7 @@ def test_propagate_keeps_no_padded_copy_of_its_operators():
     proj, alphas, x = rand((4, 4), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
     for t in (operator, proj, alphas, x):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.propagate(operator, proj, alphas, x, 0.5, 1))
+    kept, _ = kept_bytes(lambda: ad.propagate(operator, proj, alphas, x, 0.5))
     hops = x.data.nbytes  # z_1, for backward; z0 and z_K are rebuilt
     assert 0 <= kept - hops < operator.data.nbytes / 8, kept
 
@@ -1902,7 +1904,7 @@ def test_propagate_backward_holds_one_hop_sized_gradient():
     try:
         base = tracemalloc.get_traced_memory()[0]
         with Tape() as tape:
-            ad.propagate(*args, 0.5, 1)
+            ad.propagate(*args, 0.5)
         (node,) = tape.nodes
         entry = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
@@ -1958,8 +1960,8 @@ def test_kernels_deterministic():
     runs = []
     for _ in range(2):
         t = Tensor(x.copy())
-        out = ad.softmax(ad.matmul(t, ad.transpose(t)), axis=1)
-        runs.append(ad.sum(ad.exp(out)).data.copy())
+        out = ad.softmax(ad.matmul(t, co.transpose(t)), axis=1)
+        runs.append(co.sum(co.exp(out)).data.copy())
     assert runs[0].tobytes() == runs[1].tobytes()
 
 
@@ -1969,6 +1971,6 @@ def test_kernels_deterministic():
 def test_forward_kernels_produce_no_nan(vals):
     x = Tensor(vals)
     for out in (ad.softmax(x, axis=1), ad.matmul(x, Tensor(np.eye(x.shape[1])), leaky=True),
-                ad.square(x),
-                ad.sum(x, axis=0)):
+                co.square(x),
+                co.sum(x, axis=0)):
         assert not np.any(np.isnan(out.data))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import composed_ops as co
 from cagu import autodiff as ad
 from cagu.autodiff import Tensor, finite_diff_check
 from cagu.errors import ConfigError
@@ -155,8 +156,8 @@ def test_tokenize_matches_per_patch_oracle(c, h, w, m):
         t.zero_grad()
     with ad.Tape() as tape:
         spectral, spatial = tokenize(params, fmap, m)
-        loss = ad.add(ad.sum(ad.mul(spectral, Tensor(d_spe))),
-                      ad.sum(ad.mul(spatial, Tensor(d_spa))))
+        loss = ad.add(co.sum(co.mul(spectral, Tensor(d_spe))),
+                      co.sum(co.mul(spatial, Tensor(d_spa))))
     ad.backward(tape, loss)
     np.testing.assert_allclose(spectral.data, want_spe, rtol=0, atol=1e-12)
     np.testing.assert_allclose(spatial.data, want_spa, rtol=0, atol=1e-12)
@@ -210,8 +211,8 @@ def test_frontend_gradients_pass_finite_differences():
     def loss(_):
         spectral, spatial = tokenize(params, compress(params, image),
                                      config.patch_size)
-        return ad.add(ad.sum(ad.mul(spectral, spe_dir)),
-                      ad.sum(ad.mul(spatial, spa_dir)))
+        return ad.add(co.sum(co.mul(spectral, spe_dir)),
+                      co.sum(co.mul(spatial, spa_dir)))
 
     # h trades rounding noise (shrinks with h) against LeakyReLU kink
     # straddling (grows with h); 2e-5 is comfortably inside both margins for

@@ -5,11 +5,19 @@ import dataclasses
 import numpy as np
 import pytest
 
-from cagu import autodiff as ad
+import composed_ops as co
 from cagu.autodiff import Tensor, finite_diff_check
 from cagu.errors import ConfigError, ShapeError
 from cagu.graph import (GraphMixParams, build_graph, build_static_grid_graph,
                         default_sigmas, grid_positions, propagate)
+
+
+def dense_weights(graph) -> np.ndarray:
+    """Dense copy of a graph's raw off-diagonal weights, recovered as
+    A_ij / (sqrt(loops_i) sqrt(loops_j))."""
+    loops = graph.operator.data[0].ravel()
+    root = np.sqrt(loops)
+    return (graph.dense_adjacency() - np.diag(loops)) / np.outer(root, root)
 
 
 def dense_normalized(weights: np.ndarray) -> np.ndarray:
@@ -48,7 +56,7 @@ def random_graph(n_side=3, channels=4, seed=0, radius=1):
 
 def directed_pair(graph):
     """Raw weights of the two directed edges of a 1x2 grid graph."""
-    dense = graph.dense_weights()
+    dense = dense_weights(graph)
     return [dense[0, 1], dense[1, 0]]
 
 
@@ -88,13 +96,13 @@ def test_weights_match_double_loop_oracle():
     graph, features = random_graph(seed=3)
     oracle = dense_window_weights(features.data, grid_positions(3, 3), 1,
                                   *default_sigmas(1))
-    np.testing.assert_allclose(graph.dense_weights(), oracle, atol=1e-12)
+    np.testing.assert_allclose(dense_weights(graph), oracle, atol=1e-12)
 
 
 def test_normalized_adjacency_matches_oracle_and_is_symmetric():
     graph, features = random_graph(seed=4)
     np.testing.assert_allclose(graph.dense_adjacency(),
-                               dense_normalized(graph.dense_weights()),
+                               dense_normalized(dense_weights(graph)),
                                atol=1e-12)
     adj = graph.dense_adjacency()
     assert np.max(np.abs(adj - adj.T)) < 1e-12
@@ -130,12 +138,42 @@ def test_infinite_sigma_switches_its_kernel_off():
     np.testing.assert_array_equal(directed_pair(graph), [1.0, 1.0])
 
 
+@pytest.mark.parametrize("height,width", [(4, 4), (3, 5)])
+def test_radius_wider_than_the_scene_rejected(height, width):
+    # radius max(height, width) - 1 still adds neighbours; one more adds
+    # none, and both builders refuse it (twice: the static graph's cache
+    # keeps no exception)
+    widest, features = max(height, width) - 1, Tensor(np.ones((2, height * width)))
+
+    def dynamic(radius):
+        return build_graph(features, grid_positions(height, width), radius,
+                           1.0, 4.0)
+
+    def static(radius):
+        return build_static_grid_graph(height, width, radius)
+
+    for build in (dynamic, static):
+        assert (build(widest).edge_rows.size
+                > build(widest - 1).edge_rows.size)
+        for _ in range(2):
+            with pytest.raises(ConfigError, match="wider than"):
+                build(widest + 1)
+
+
+def test_radius_one_is_accepted_on_a_single_pixel():
+    # the smallest window has no neighbour on a 1x1 grid, and is built
+    # anyway; a wider one is refused
+    assert build_static_grid_graph(1, 1, 1).edge_rows.size == 0
+    with pytest.raises(ConfigError, match="wider than"):
+        build_static_grid_graph(1, 1, 2)
+
+
 # ---------------------------------------------------------------------------
 # static grid graph
 
 def test_static_grid_degrees():
     graph = build_static_grid_graph(3, 3, 1)
-    degrees = graph.dense_weights().sum(axis=1) + 1.0  # with self-loop
+    degrees = dense_weights(graph).sum(axis=1) + 1.0  # with self-loop
     assert degrees[4] == 9.0   # interior
     assert degrees[0] == 4.0   # corner
     assert degrees[1] == 6.0   # edge
@@ -264,7 +302,7 @@ def check_graph_gradients(height, width, radius):
     def loss(_):
         graph = build_graph(features, positions, radius,
                             *default_sigmas(radius))
-        return ad.sum(ad.mul(propagate(graph, mix, x), direction))
+        return co.sum(co.mul(propagate(graph, mix, x), direction))
 
     for name, leaf in (("features", features), ("proj", mix.graph_proj),
                        ("logits", mix.mix_logits), ("x", x)):
@@ -281,9 +319,10 @@ def test_gradients_flow_through_radius_two_graph():
 
 
 # ---------------------------------------------------------------------------
-# stencil shapes: wider windows, non-square grids, grids smaller than the window
+# stencil shapes: wider windows, non-square grids, grids smaller than the
+# window (the 5x5 window of radius 2 spans more than the 2x3 grid both ways)
 
-STENCIL_GRIDS = [(7, 5, 2), (1, 6, 2), (6, 1, 2), (2, 3, 3)]
+STENCIL_GRIDS = [(7, 5, 2), (1, 6, 2), (6, 1, 2), (2, 3, 2)]
 
 
 @pytest.mark.parametrize("height,width,radius", STENCIL_GRIDS)
@@ -296,7 +335,7 @@ def test_dynamic_stencil_matches_double_loop_oracles(height, width, radius):
     graph = build_graph(features, positions, radius, *sigmas)
 
     weights = dense_window_weights(features.data, positions, radius, *sigmas)
-    np.testing.assert_allclose(graph.dense_weights(), weights, atol=1e-12)
+    np.testing.assert_allclose(dense_weights(graph), weights, atol=1e-12)
     adj = graph.dense_adjacency()
     np.testing.assert_allclose(adj, dense_normalized(weights), atol=1e-12)
     assert np.max(np.abs(adj - adj.T)) < 1e-12
@@ -318,7 +357,7 @@ def test_static_stencil_matches_window_oracle(height, width, radius):
     window = dense_window_weights(np.zeros((1, n)), positions, radius,
                                   1.0, np.inf)
     graph = build_static_grid_graph(height, width, radius)
-    np.testing.assert_array_equal(graph.dense_weights(), window)
+    np.testing.assert_array_equal(dense_weights(graph), window)
     np.testing.assert_allclose(graph.dense_adjacency(),
                                dense_normalized(window), atol=1e-15)
     assert graph.edge_rows.size == np.count_nonzero(window)

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import composed_ops as co
 from cagu import autodiff as ad
 from cagu import model as mdl
 from cagu.autodiff import Tape, Tensor
@@ -458,7 +459,7 @@ def make_optimizer():
 def test_zero_grad_frees_every_previous_gradient():
     params, opt = make_optimizer()
     with Tape() as tape:  # x * x: each parameter owns its summed gradient
-        loss = ad.add(*(ad.sum(ad.mul(t, t)) for t in params.values()))
+        loss = ad.add(*(co.sum(co.mul(t, t)) for t in params.values()))
     ad.backward(tape, loss)
     previous = [weakref.ref(t.grad) for t in params.values()]
     opt.step()
@@ -760,7 +761,7 @@ def test_gradcheck_detects_corrupted_backward(tiny_cube):
                         lambda g: ad._accumulate(t, 3.0 * g))
         return out
 
-    err = ad.finite_diff_check(lambda t: ad.sum(broken_double(t)), x, h=1e-5)
+    err = ad.finite_diff_check(lambda t: co.sum(broken_double(t)), x, h=1e-5)
     assert err > 1e-4
 
 
@@ -873,6 +874,21 @@ def test_cli_train_with_more_endmembers_than_bands_exits_2(tmp_path, capsys):
     assert main(["train", "--data", str(scene), "--checkpoint", str(ckpt),
                  "--endmembers", "9", "--patch-size", "2"]) == 2
     assert "9 endmembers do not fit 8 bands" in capsys.readouterr().err
+    assert not ckpt.exists()
+
+
+@pytest.mark.parametrize("mode", ["dynamic", "static"])
+def test_cli_train_with_a_radius_wider_than_the_scene_exits_2(tmp_path, capsys,
+                                                             mode):
+    # on the 8x8 scene radius 7 reaches every pixel, and radius 8 no more
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "run.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    assert main(["train", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--patch-size", "2", "--epochs", "2", "--ablation", mode,
+                 "--radius", "8"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line == ("error: window radius 8 is wider than the 8x8 scene, "
+                    "where it may be at most 7")
     assert not ckpt.exists()
 
 

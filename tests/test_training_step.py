@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from cagu import autodiff as ad
 from cagu import model as mdl
 from cagu.autodiff import Tape, Tensor, backward
 from cagu.config import TrainConfig
@@ -48,6 +49,23 @@ def test_backward_frees_every_intermediate_of_a_training_step(mode):
     assert params.frontend.conv1_w.grad is not None
     with pytest.raises(ContractError):
         backward(tape, loss)
+
+
+def test_autodiff_defines_only_the_ops_a_training_step_records():
+    # the public functions of cagu.autodiff by the benchmark tracer's rule,
+    # less the three that drive a tape rather than record on it
+    public = {name for name in dir(ad)
+              if not name.startswith("_") and callable(fn := getattr(ad, name))
+              and not isinstance(fn, type)
+              and getattr(fn, "__module__", None) == ad.__name__}
+    recorded = set()
+    for mode in ("dynamic", "static", "none"):
+        params, observed, config = _step_inputs(8, ablation_mode=mode)
+        with Tape() as tape:
+            mdl.training_loss(params, observed, config)
+        recorded |= {node.op for node in tape.nodes}
+    assert len(recorded) == 15
+    assert recorded == public - {"backward", "first_nonfinite", "finite_diff_check"}
 
 
 def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
