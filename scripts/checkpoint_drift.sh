@@ -1,9 +1,11 @@
 #!/usr/bin/env bash
-# Checkpoint drift between two checkouts of cagu: train one tiny synthetic
-# scene for a few epochs in each graph mode, and in dynamic mode with one
-# hop ("dynamic-k1", where propagation builds z_K from z0) and with radius 2
-# ("dynamic-r2", the 24-offset window), with each tree's code and print, per
-# case, "same" or "differs" twice: for the two checkpoints' SHA-256
+# Checkpoint drift between two checkouts of cagu: train one tiny 16x16
+# synthetic scene for a few epochs in each graph mode, and in dynamic mode
+# with one hop ("dynamic-k1", where propagation builds z_K from z0) and with
+# radius 2 ("dynamic-r2", the 24-offset window), and a 40x40 scene in
+# dynamic mode ("dynamic-40x40", whose window kernels take the 64 channels
+# in several blocks), with each tree's code and print, per case, "same" or
+# "differs" twice: for the two checkpoints' SHA-256
 # ("file"), and for the SHA-256 of the bytes after their config blob, the
 # parameter and moment arrays and the trailer ("arrays"). A change to the
 # stored config alone reads "file differs" and "arrays same".
@@ -36,16 +38,18 @@ for part, data in (("file", blob), ("arrays", blob[12 + config_len:])):
 EOF
 }
 
-cagu "$head" gen --height 16 --width 16 --bands 12 --endmembers 3 \
-    --snr 40 --seed 0 --out "$work/scene.hsic" > /dev/null || exit 0
-for case in "dynamic" "static" "none" "dynamic-k1 --k-steps 1" \
-        "dynamic-r2 --radius 2"; do
-    read -r label flags <<< "$case"
+for size in 16 40; do
+    cagu "$head" gen --height $size --width $size --bands 12 --endmembers 3 \
+        --snr 40 --seed 0 --out "$work/scene$size.hsic" > /dev/null || exit 0
+done
+for case in "dynamic 16" "static 16" "none 16" "dynamic-k1 16 --k-steps 1" \
+        "dynamic-r2 16 --radius 2" "dynamic-40x40 40"; do
+    read -r label scene flags <<< "$case"
     mode=${label%%-*}
     for side in base head; do
         rm -f "$work/run.ckpt"
         # $flags unquoted: each word is one more flag
-        if ! { cagu "${!side}" train --data "$work/scene.hsic" --epochs 5 \
+        if ! { cagu "${!side}" train --data "$work/scene$scene.hsic" --epochs 5 \
                 --ablation "$mode" $flags --seed 0 \
                 --checkpoint "$work/run.ckpt" > "$work/train.log" 2>&1 \
                 && digests "$work/run.ckpt" "$work/$side"; }; then

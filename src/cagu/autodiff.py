@@ -22,7 +22,14 @@ of each patch alone followed by a linear layer is one folded matrix,
 ``patch_linear``, and a 1x1 convolution, patch mean and linear layer is one
 node, ``patch_mean_linear``. The window (stencil) kernels use the
 convolution's padded flat layout, ``_Flat``, and work through the channels
-in cache-sized blocks. The whole normalised pixel graph, from the feature map's window
+in cache-sized blocks. A block's padded planes lie one after another in one
+buffer, and where a plane is small (``SPAN_BYTES``) each elementwise pass
+over the block is one 1-D slice, a span, from the first plane's first pixel
+to the last plane's last, with the operator image tiled under the block's
+planes; larger planes are passed plane by plane. Either way each pixel
+takes the same products in the same order, and sums over channels run one
+channel after another, so no bit depends on the block width or on the span.
+The whole normalised pixel graph, from the feature map's window
 distances to the self-loops and adjacency stacked as one operator, is one
 node, ``window_graph``. The graph's channel projection, K-hop propagation
 (the window operator applied K times) and hop mix into a residual update
@@ -57,7 +64,10 @@ attention no token-by-token array, but each row's log-sum-exp.
 All kernels are deterministic: reductions use numpy's fixed evaluation
 order, the window kernels accumulate shifts in a fixed offset order and sum
 over channels one after another, and attention takes its key blocks in
-order, so repeated runs are bit-identical.
+order, so repeated runs are bit-identical. The window kernels' bits do not
+depend on ``CACHE_BYTES`` or ``SPAN_BYTES``; the convolutions' do, since
+``CACHE_BYTES`` sets the width of their GEMMs, which BLAS rounds
+differently at different widths.
 """
 
 from __future__ import annotations
@@ -76,6 +86,12 @@ CACHE_BYTES = 1 << 20  # budget of the block temporaries of a window, tap or att
 DEAD_UNIT_STD = 1e-3   # a calibrated unit whose std is below this is dead
 DIVIDE_FLOOR = 1e-12   # smallest legal divisor magnitude
 LEAKY_SLOPE = 0.01     # negative slope used by every LeakyReLU in the network
+# A window kernel runs a channel block as one span where its padded planes
+# are at most this large, and plane by plane where they are larger: on a
+# 2-core Xeon with one BLAS thread, spans made a 50x50 grid's window kernels
+# about 20% faster (21 KiB planes at radius 1) and a 56x56 grid's (27 KiB)
+# about 14% slower, where the tiled operator no longer pays for itself.
+SPAN_BYTES = 24 << 10
 
 # glibc's malloc serves a block above its mmap threshold (128 KiB at start)
 # by mmap, and on freeing one of at most 32 MiB raises that threshold to the
@@ -587,9 +603,14 @@ def unmixing_loss(observed: Tensor, reconstructed: Tensor, guard: float
 def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
               shifts: Sequence[int], out: np.ndarray) -> np.ndarray:
     """out[:, q] = sum_t taps[t] @ src[:, q + shifts[t]], in tap order, one
-    column block at a time, summed in a contiguous buffer (adding into a
-    strided slice of ``out`` is ~3x slower) with temporaries within
-    CACHE_BYTES; a lone tap is one GEMM."""
+    column block at a time, with temporaries within CACHE_BYTES; a lone tap
+    is one GEMM. ``out`` is contiguous, the runs alone (``_Flat.crop_runs``
+    reads the image off it): one block is summed in ``out`` itself, several
+    each in a buffer, then copied in. (Adding into a strided slice of a
+    padded buffer runs one loop per row, ~3x slower at 30x30, for the same
+    bits.) The column blocks are the GEMMs' widths, and BLAS rounds a GEMM
+    differently at different widths, so the bits, unlike the window
+    kernels', depend on the block width."""
     rows, n = out.shape
     if len(taps) == 1:
         return np.matmul(taps[0], src[:, shifts[0]:shifts[0] + n], out=out)
@@ -608,6 +629,14 @@ def _tap_gemm(taps: Sequence[np.ndarray], src: np.ndarray,
     return out
 
 
+def _is_identity(w: np.ndarray) -> bool:
+    """Whether the C x C x k x k kernel ``w`` maps every channel to itself."""
+    c, _, k, _ = w.shape
+    eye = np.zeros(w.shape)
+    eye[range(c), range(c), k // 2, k // 2] = 1.0
+    return np.array_equal(w, eye)
+
+
 def _taps(w: np.ndarray) -> np.ndarray:
     """(k^2, C_out, C_in): a C_out x C_in x k x k kernel's taps in window
     order."""
@@ -620,10 +649,9 @@ def _conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
     kernel w and bias b, before any activation."""
     c_out, _, k, _ = w.shape
     flat = _Flat(x.shape[1], x.shape[2], k // 2)
-    acc = np.empty((c_out, flat.hp * flat.wp))
-    _tap_gemm(_taps(w), flat.pad(x), [flat.start + s for s in flat.window],
-              flat.at(acc))
-    out = flat.crop(acc)
+    acc = np.empty((c_out, flat.run))
+    _tap_gemm(_taps(w), flat.pad(x), [flat.start + s for s in flat.window], acc)
+    out = flat.crop_runs(acc)
     if b is not None:
         return np.add(out, b[:, None, None], out=out if k == 1 else None)
     return out.copy() if k > 1 else out
@@ -644,10 +672,10 @@ def _conv_grad(x: np.ndarray, w: Tensor, bias: Optional[Tensor], g: np.ndarray,
         _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
     if not want_x:
         return None
-    gx = np.empty((c_in, flat.hp * flat.wp))
+    gx = np.empty((c_in, flat.run))
     _tap_gemm(_taps(w.data).transpose(0, 2, 1), gf,
-              [flat.start - s for s in flat.window], flat.at(gx))
-    return flat.crop(gx)
+              [flat.start - s for s in flat.window], gx)
+    return flat.crop_runs(gx)
 
 
 def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
@@ -762,7 +790,9 @@ def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
     no map either: backward rebuilds the one on the grid with the same GEMM
     and scatter, for the kernel's gradient.
     Under ``Standardize`` it calibrates ``b``'s layer, units last as in
-    matmul, and not the convolution."""
+    matmul, and not the convolution, which it skips when it is the identity
+    (the kernel ``_is_identity`` and the bias zero): the convolution would
+    return the map bit for bit."""
     cm2 = w.shape[1] if w.ndim == 2 else 0
     if (x.ndim != 2 or w.shape != (x.shape[1], cm2) or b.shape != (cm2,) or m < 1
             or cm2 % (m * m) or x.shape[0] != -(-height // m) * -(-width // m)):
@@ -783,7 +813,9 @@ def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
             Standardize._active.apply(b, blocks)
         return _from_blocks(blocks, c, m, height, width)
 
-    out = untiled() if conv_w is None else _conv(untiled(), conv_w.data, conv_b.data)
+    skip = (conv_w is None or Standardize._active is not None
+            and not np.any(conv_b.data) and _is_identity(conv_w.data))
+    out = untiled() if skip else _conv(untiled(), conv_w.data, conv_b.data)
 
     def bwd(g):
         if conv_w is not None:
@@ -944,6 +976,23 @@ class _Flat:
     (dr, dc) ``offsets`` in row-major order, so reversing it negates it;
     ``shifts`` is ``window`` without the centre. ``conv2d`` reads its taps
     from the layout too.
+
+    The window kernels take the channels in ``blocks``, each a contiguous
+    (rows, Hp*Wp) buffer of padded planes, one after another. Where a plane
+    is at most ``SPAN_BYTES`` the layout ``spans``: ``lanes`` of a block is
+    one 1-D slice, from the first plane's first pixel to the last plane's
+    last, (rows - 1) * Hp*Wp + run long, and the same slice ``shift``
+    further on is every plane's neighbour at that shift. A per-pixel image
+    (the operator) is ``tile``d under the block's planes once per call, the
+    blocks narrow enough that the tile fits in CACHE_BYTES, and products go
+    to a ``scratch`` laid out as the planes. The positions
+    between two planes' runs are padding or cropped junk, like the padding
+    columns inside a run, and a scatter adds only zeros from them to a pixel.
+    Larger planes are passed as ``at``'s (rows, run) views, one loop per
+    plane, under the image itself, with products in rows of one run. Each
+    pixel takes the same products in the same order both ways, and the sums
+    over channels run one after another (``_add_rows``), so no bit depends
+    on the block width or on spanning.
     """
 
     def __init__(self, height: int, width: int, radius: int):
@@ -955,16 +1004,50 @@ class _Flat:
                         for dc in range(-radius, radius + 1)]
         self.window = [dr * self.wp + dc for dr, dc in self.offsets]
         self.shifts = [s for s in self.window if s]
+        self.spans = self.hp * self.wp * 8 <= SPAN_BYTES
 
-    def blocks(self, channels: int, planes: int) -> list:
+    def blocks(self, channels: int, planes: int, tiled: int = 0) -> list:
         """(first, stop) channel of every block, in order, each block small
-        enough that ``planes`` padded images per channel fit in CACHE_BYTES;
-        the first block is the widest."""
+        enough that ``planes`` padded images per channel fit in CACHE_BYTES,
+        and so, where the layout spans, does a ``tile`` of ``tiled`` planes
+        over it; the first block is the widest."""
+        planes = max(planes, tiled if self.spans else 0)
         step = max(1, CACHE_BYTES // (planes * self.hp * self.wp * 8))
         return [(c, min(c + step, channels)) for c in range(0, channels, step)]
 
     def buffer(self, channels: int) -> np.ndarray:
         return np.zeros((channels, self.hp * self.wp))
+
+    def lanes(self, block: np.ndarray, rows: int, shift: int = 0) -> np.ndarray:
+        """The runs of the first ``rows`` planes of ``block``, a contiguous
+        (n, Hp*Wp) array, ``shift`` further on: where the layout ``spans``,
+        one 1-D slice from the first plane's first pixel to the last plane's
+        last, padding between the planes included; else ``at``'s (rows, run)
+        view."""
+        if not self.spans:
+            return self.at(block[:rows], shift)
+        lo = self.start + shift
+        return block.reshape(-1)[lo:lo + (rows - 1) * self.hp * self.wp + self.run]
+
+    def scratch(self, rows: int) -> np.ndarray:
+        """Room for products on the lanes of ``rows`` planes, contiguous:
+        (rows, Hp*Wp) where the layout spans, else (rows, run). Either way
+        ``scratch[:k, :run]`` holds the runs of the first k."""
+        return np.empty((rows, self.hp * self.wp if self.spans else self.run))
+
+    def scratch_lanes(self, scratch: np.ndarray, rows: int) -> np.ndarray:
+        """The lanes of the first ``rows`` planes in a ``scratch``, one 1-D
+        slice of it where the layout spans, else its first ``rows`` rows."""
+        if not self.spans:
+            return scratch[:rows]
+        return scratch.reshape(-1)[:(rows - 1) * scratch.shape[1] + self.run]
+
+    def tile(self, planes: np.ndarray, rows: int) -> np.ndarray:
+        """(n, Hp*Wp) -> (n, rows, Hp*Wp), each plane repeated for ``rows``
+        channels where the layout ``spans``, else (n, 1, Hp*Wp), a view:
+        ``lanes(tile[o], k)`` lies on ``lanes`` of a k-channel block, k <=
+        rows, with plane o under each of its planes."""
+        return np.repeat(planes[:, None], rows, axis=1) if self.spans else planes[:, None]
 
     def pad(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """(..., H, W) -> (..., Hp*Wp); ``out``'s padding must be zero. At
@@ -994,6 +1077,13 @@ class _Flat:
         lo = self.start + shift
         return flat[..., lo:lo + self.run]
 
+    def crop_runs(self, runs: np.ndarray) -> np.ndarray:
+        """(C, run) -> (C, H, W): the pixels of a contiguous array that
+        holds each plane's run alone, as ``at`` of a padded one would, a
+        view."""
+        return np.lib.stride_tricks.as_strided(
+            runs, (len(runs), self.height, self.width), (runs.strides[0], self.wp * 8, 8))
+
     def crop(self, flat: np.ndarray) -> np.ndarray:
         """(..., Hp*Wp) -> (..., H, W), a view."""
         r = self.radius
@@ -1015,14 +1105,16 @@ def _window_sqdist(flat: _Flat, x: np.ndarray) -> np.ndarray:
     computed and mirrored."""
     half, last = len(flat.shifts) // 2, len(flat.shifts) - 1
     blocks = flat.blocks(x.shape[0], 2)
-    dist, xb = flat.buffer(last + 1), flat.buffer(blocks[0][1])
-    stack = np.empty((blocks[0][1] + 1, flat.run))
+    width = blocks[0][1]
+    dist, xb, stack = flat.buffer(last + 1), flat.buffer(width), flat.scratch(width + 1)
     for c0, c1 in blocks:
-        xk, sq = flat.pad(x[c0:c1], xb[:c1 - c0]), stack[1:c1 - c0 + 1]
+        rows = c1 - c0
+        xk = flat.pad(x[c0:c1], xb[:rows])
+        xs, sq = flat.lanes(xk, rows), flat.scratch_lanes(stack[1:], rows)
         for o, shift in enumerate(flat.shifts[:half]):
-            np.subtract(flat.at(xk), flat.at(xk, shift), out=sq)
+            np.subtract(xs, flat.lanes(xk, rows, shift), out=sq)
             np.multiply(sq, sq, out=sq)
-            _add_rows(flat.at(dist[o]), stack[:c1 - c0 + 1])
+            _add_rows(flat.at(dist[o]), stack[:rows + 1, :flat.run])
     for o, shift in enumerate(flat.shifts[:half]):
         flat.at(dist[last - o])[...] = flat.at(dist[o], -shift)
     return np.ascontiguousarray(flat.crop(dist))
@@ -1036,17 +1128,22 @@ def _window_sqdist_grad(flat: _Flat, x: np.ndarray, g: np.ndarray) -> np.ndarray
     gf, coef = flat.pad(g), flat.buffer(half)  # zero where off the grid, as g
     for o, shift in enumerate(flat.shifts[:half]):
         flat.at(coef[o])[...] = 2.0 * (flat.at(gf[o]) + flat.at(gf[last - o], shift))
-    blocks, gx = flat.blocks(x.shape[0], 2), np.empty_like(x)
-    xb, gb = flat.buffer(blocks[0][1]), flat.buffer(blocks[0][1])
-    diff = np.empty((blocks[0][1], flat.run))
+    blocks, gx = flat.blocks(x.shape[0], 2, half), np.empty_like(x)
+    width = blocks[0][1]
+    ct = flat.tile(coef, width)
+    xb, gb, diff = flat.buffer(width), flat.buffer(width), flat.scratch(width)
     for c0, c1 in blocks:
-        xk, gk, d = flat.pad(x[c0:c1], xb[:c1 - c0]), gb[:c1 - c0], diff[:c1 - c0]
+        rows = c1 - c0
+        xk, gk = flat.pad(x[c0:c1], xb[:rows]), gb[:rows]
         gk.fill(0.0)
+        xs, gs = flat.lanes(xk, rows), flat.lanes(gk, rows)
+        d = flat.scratch_lanes(diff, rows)
         for o, shift in enumerate(flat.shifts[:half]):
-            np.subtract(flat.at(xk), flat.at(xk, shift), out=d)
-            d *= flat.at(coef[o])
-            flat.at(gk)[...] += d
-            flat.at(gk, shift)[...] -= d
+            np.subtract(xs, flat.lanes(xk, rows, shift), out=d)
+            d *= flat.lanes(ct[o], rows)
+            gs += d
+            to = flat.lanes(gk, rows, shift)
+            np.subtract(to, d, out=to)
         gx[c0:c1] = flat.crop(gk)
     return gx
 
@@ -1086,7 +1183,8 @@ def window_graph(features: Tensor, height: int, width: int, radius: int,
         gm *= inv
         gf, gn = flat.pad(gm), flat.buffer(1)[0]
         for o, shift in enumerate(flat.shifts):
-            flat.at(gn, shift)[...] += flat.at(gf[o])
+            to = flat.at(gn, shift)
+            np.add(to, flat.at(gf[o]), out=to)
         g_inv += flat.crop(gn)
         gw = np.multiply(inv, shifted, out=gm)  # w's gradient, in place
         gw *= ga
@@ -1099,22 +1197,24 @@ def window_graph(features: Tensor, height: int, width: int, radius: int,
     return _record("window_graph", (features,), out, bwd)
 
 
-def _stencil_matvec(flat: _Flat, of: np.ndarray, z: np.ndarray,
+def _stencil_matvec(flat: _Flat, ot: np.ndarray, blocks: list, z: np.ndarray,
                     times: Optional[np.ndarray] = None) -> np.ndarray:
     """S z for every channel of z (C, H, W): (S z)[:, i] = loops[i] z[:, i]
-    + sum_o weights[o, i] z[:, i + o], from the padded operator of. Given
-    ``times`` (C, H, W), it returns ``times`` multiplied by S z in place,
-    channel block by channel block, and makes no S z array."""
+    + sum_o weights[o, i] z[:, i + o], channel block by channel block, from
+    the padded operator tiled over the widest block, ``ot``. Given ``times``
+    (C, H, W), it returns ``times`` multiplied by S z in place, and makes
+    no S z array."""
     out = np.empty_like(z) if times is None else times
-    blocks = flat.blocks(z.shape[0], 3)
     width = blocks[0][1]
-    zb, ob, prod = flat.buffer(width), flat.buffer(width), np.empty((width, flat.run))
+    zb, ob, prod = flat.buffer(width), flat.buffer(width), flat.scratch(width)
     for c0, c1 in blocks:
-        zk, acc, p = flat.pad(z[c0:c1], zb[:c1 - c0]), ob[:c1 - c0], prod[:c1 - c0]
-        np.multiply(flat.at(of[0]), flat.at(zk), out=flat.at(acc))
+        rows = c1 - c0
+        zk, acc = flat.pad(z[c0:c1], zb[:rows]), ob[:rows]
+        s, p = flat.lanes(acc, rows), flat.scratch_lanes(prod, rows)
+        np.multiply(flat.lanes(ot[0], rows), flat.lanes(zk, rows), out=s)
         for o, shift in enumerate(flat.shifts, 1):
-            np.multiply(flat.at(of[o]), flat.at(zk, shift), out=p)
-            flat.at(acc)[...] += p
+            np.multiply(flat.lanes(ot[o], rows), flat.lanes(zk, rows, shift), out=p)
+            s += p
         if times is None:
             out[c0:c1] = flat.crop(acc)
         else:
@@ -1134,12 +1234,12 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
     x added last. The node keeps z_1 ... z_{K-1}: no array holds z_K, which
     is made channel block by channel block inside its own term of the mix,
     and rebuilt the same way inside its term of alphas' gradient (from z0,
-    rebuilt by the same GEMM, when K = 1). Backward pads the operator again
-    and walks the hops from K down to 1 with one gradient array r, channel
-    block by channel block: the block's share of the operator's gradient,
-    then S^T r plus the hop's own term, written over r's block. Each hop is
-    dropped once read for the last time; z0 is rebuilt for the operator's
-    gradient at the last hop."""
+    rebuilt by the same GEMM, when K = 1). Backward pads (and, where the
+    layout spans, tiles) the operator again and walks the hops from K down
+    to 1 with one gradient array r, channel block by channel block: the
+    block's share of the operator's gradient, then S^T r plus the hop's own
+    term, written over r's block. Each hop is dropped once read for the
+    last time; z0 is rebuilt for the operator's gradient at the last hop."""
     beta = float(beta)
     c, hw = x.shape if x.ndim == 2 else (0, -1)  # a wrong rank cannot fit
     side = math.isqrt(operator.shape[0]) if operator.ndim == 3 else 0
@@ -1151,14 +1251,21 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
                          f"(2r+1)^2 >= 9 images), proj {proj.shape}, alphas "
                          f"{alphas.shape} and x {x.shape} do not fit")
     flat, shape, a = _Flat(*grid, radius), (c,) + grid, alphas.data
-    of = flat.pad(operator.data)
+    # S z takes z, its sum and products (3 planes a channel), backward's hop
+    # loop r, z, three padded planes and products (6); where the layout
+    # spans, the operator's side^2 planes set both, so one tile serves both
+    blocks = flat.blocks(c, 3, side * side)
+    hop_blocks = flat.blocks(c, 6, side * side)
     z, zs = (proj.data @ x.data).reshape(shape), [None]  # z0 is not kept
+    # the tile comes after z0: made before it, it left fresh desk runs some
+    # epochs of 40-70 page faults, the heap laid out anew
+    ot = flat.tile(flat.pad(operator.data), blocks[0][1])
     for _ in a[1:]:  # z_1 ... z_{K-1}, kept for backward
-        z = _stencil_matvec(flat, of, z)
+        z = _stencil_matvec(flat, ot, blocks, z)
         zs.append(z)
     # z_K is made only inside its own term, block by block: no array holds it
     if a.size == 1:
-        out = _stencil_matvec(flat, of, z, times=np.full(shape, a[0]))
+        out = _stencil_matvec(flat, ot, blocks, z, times=np.full(shape, a[0]))
     else:
         out, term = zs[1] * a[0], np.empty(shape)
         for t in range(1, a.size):
@@ -1166,8 +1273,9 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
                 np.multiply(zs[t + 1], a[t], out=term)
             else:
                 term.fill(a[t])
-                _stencil_matvec(flat, of, z, times=term)
+                _stencil_matvec(flat, ot, blocks, z, times=term)
             out += term
+    del ot  # the node keeps no tile: backward tiles the operator again
     out *= beta
     out = out.reshape(x.shape)
     out += x.data
@@ -1175,7 +1283,7 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
     def bwd(g):
         _accumulate(x, g)
         gs, ga = g.reshape(shape), np.empty(a.size)
-        of = flat.pad(operator.data)
+        ot = flat.tile(flat.pad(operator.data), blocks[0][1])
         if zs[-1] is None:  # K = 1: z_K is built from z0
             zs[0] = (proj.data @ x.data).reshape(shape)
         r = np.empty_like(gs)
@@ -1184,41 +1292,45 @@ def propagate(operator: Tensor, proj: Tensor, alphas: Tensor, x: Tensor,
             if t + 1 < a.size:
                 r *= zs[t + 1]
             else:  # z_K, rebuilt block by block as r's factor
-                _stencil_matvec(flat, of, zs[-1], times=r)
+                _stencil_matvec(flat, ot, blocks, zs[-1], times=r)
             ga[t] = _unbroadcast(r, (1,))[0]
         _accumulate(alphas, ga, fresh=True)
         np.multiply(gs, beta, out=r)
         r *= a[-1]
-        blocks = flat.blocks(c, 6)  # r, z, three padded planes, p
-        width = blocks[0][1]
+        width = hop_blocks[0][1]
         gb, zb, sb = flat.buffer(width), flat.buffer(width), flat.buffer(width)
-        stack = np.empty((width + 1, flat.run))
+        stack = flat.scratch(width + 1)  # row 0: the sum so far, then products
         for t in range(a.size, 0, -1):
             gop = flat.buffer(side * side) if operator.requires_grad else None
             if t == 1 and gop is not None and zs[0] is None:
                 zs[0] = (proj.data @ x.data).reshape(shape)
-            for c0, c1 in blocks:
+            for c0, c1 in hop_blocks:
                 rows, rk = c1 - c0, r[c0:c1]
-                gk, p = flat.pad(rk, gb[:rows]), stack[1:rows + 1]
+                gk = flat.pad(rk, gb[:rows])
+                gl, p = flat.lanes(gk, rows), flat.scratch_lanes(stack[1:], rows)
                 if gop is not None:
                     zk = flat.pad(zs[t - 1][c0:c1], zb[:rows])
                     for o, shift in enumerate([0] + flat.shifts):
-                        np.multiply(flat.at(gk), flat.at(zk, shift), out=p)
-                        _add_rows(flat.at(gop[o]), stack[:rows + 1])
-                sk = sb[:rows]  # S^T r; outside the run only padding, never read
-                np.multiply(flat.at(of[0]), flat.at(gk), out=flat.at(sk))
+                        np.multiply(gl, flat.lanes(zk, rows, shift), out=p)
+                        _add_rows(flat.at(gop[o]), stack[:rows + 1, :flat.run])
+                # S^T r; outside the runs only padding, never read
+                np.multiply(flat.lanes(ot[0], rows), gl, out=flat.lanes(sb, rows))
                 for o, shift in enumerate(flat.shifts, 1):
-                    np.multiply(flat.at(of[o]), flat.at(gk), out=p)
-                    flat.at(sk, shift)[...] += p
+                    np.multiply(flat.lanes(ot[o], rows), gl, out=p)
+                    to = flat.lanes(sb, rows, shift)
+                    np.add(to, p, out=to)
                 if t > 1:  # z_{t-1}'s own term in the mix, then S^T r
                     np.multiply(gs[c0:c1], beta, out=rk)
                     rk *= a[t - 2]
-                    rk += flat.crop(sk)
+                    rk += flat.crop(sb[:rows])
                 else:
-                    rk[...] = flat.crop(sk)
+                    rk[...] = flat.crop(sb[:rows])
             zs.pop()  # z_{t-1}: walked
             if gop is not None:
                 _accumulate(operator, flat.crop(gop), fresh=True)
+        # proj's and x's gradients outlive the step's backward: made with
+        # the tile gone, they leave the heap the same room every epoch
+        del ot
         gz = r.reshape(c, hw)
         _accumulate(proj, gz @ x.data.T, fresh=True)
         _accumulate(x, proj.data.T @ gz, fresh=True)

@@ -90,8 +90,9 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
         if match:
             layers.append((named[f"{match[1]}_w{match[2]}"], bias))
     # With the graph bypassed: the decoder is calibrated on the fused map,
-    # and the graph stage is skipped for cost (the full pass took 130 ms
-    # against 79 at 100x100, one thread). That is not exact: propagate
+    # and the graph stage is skipped for cost (the full pass took 82 ms
+    # against 53 at 100x100, one thread, both with the seam conv skipped as
+    # the identity it starts as). That is not exact: propagate
     # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
     # which at desk init moves the map by 42% (relative L2) and its
     # per-channel std from 1.02 to 1.11.

@@ -186,6 +186,29 @@ def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+def tap_gemm_in_place(taps, src, shifts, out):
+    """The taps' sum over one column block as it was once made: every tap's
+    product added into ``out`` itself, a strided slice."""
+    n, tmp = out.shape[1], np.empty(out.shape)
+    for t, (tap, s) in enumerate(zip(taps, shifts)):
+        np.matmul(tap, src[:, s:s + n], out=tmp if t else out)
+        if t:
+            out += tmp
+    return out
+
+
+@pytest.mark.parametrize("c,side,k", [(64, 30, 3), (6, 7, 5), (3, 12, 3)])
+def test_tap_gemm_sums_in_a_buffer_as_it_did_in_place(c, side, k):
+    # where it is added up moves no bit of a column block's sum
+    x, kern, _, _ = _tap_case(c, c, side, side, k, seed=side)
+    flat = ad._Flat(side, side, k // 2)
+    assert flat.run <= ad.CACHE_BYTES // (16 * c)  # one column block
+    args = (ad._taps(kern.data), flat.pad(x.data), [flat.start + s for s in flat.window])
+    got, want = (tap_sum(*args, flat.at(flat.buffer(c)))
+                 for tap_sum in (ad._tap_gemm, tap_gemm_in_place))
+    assert got.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
 def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 80 + h * 7 + w + k)
@@ -1298,14 +1321,27 @@ def directional_error(loss, leaf, rng, n_dirs=3, h=1e-4):
     return worst
 
 
+def record_blocks(monkeypatch):
+    """The block list of every ``_Flat.blocks`` call from now on, in a list
+    that the caller may clear."""
+    seen, blocks = [], ad._Flat.blocks
+
+    def recording(self, *args):
+        seen.append(blocks(self, *args))
+        return seen[-1]
+
+    monkeypatch.setattr(ad._Flat, "blocks", recording)
+    return seen
+
+
+def several_with_a_partial_last(blocks):
+    return len(blocks) > 1 and blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+
+
 @pytest.mark.parametrize("radius", [1, 2])
-def test_stencil_kernels_across_channel_blocks(radius):
-    c, h, w = 70, 40, 40
-    # the premise: several blocks, the last one partial, in every kernel
-    for planes in (2, 3, 6):
-        blocks = ad._Flat(h, w, radius).blocks(c, planes)
-        assert len(blocks) > 1
-        assert blocks[-1][1] - blocks[-1][0] < blocks[0][1] - blocks[0][0]
+def test_stencil_kernels_across_channel_blocks(monkeypatch, radius):
+    c, h, w = 71, 40, 40
+    seen = record_blocks(monkeypatch)
     rng = np.random.default_rng(radius)
     n_off = (2 * radius + 1) ** 2 - 1
     x = rng.normal(size=(c, h, w))
@@ -1342,6 +1378,54 @@ def test_stencil_kernels_across_channel_blocks(radius):
                                  direction))
         leaf = Tensor(args[which].data.copy())
         assert directional_error(loss, leaf, rng) < 1e-6, which
+    # the premise: several blocks, the last one partial, in every kernel
+    assert len(seen) > 3 and all(several_with_a_partial_last(b) for b in seen)
+
+
+# (height, width, radius, a CACHE_BYTES that cuts 64 channels into several
+# blocks with a partial last one in every window kernel): 8 KiB planes at
+# 30x30, 1.4 KiB ones at 7x12 and radius 2
+BLOCK_WIDTH_CASES = ((30, 30, 1, 90 * 8192), (7, 12, 2, 90 * 1408))
+
+
+def window_kernel_bytes(h, w, radius, k, c=64):
+    """Output and gradients, as bytes, of propagate with K = k and of
+    window_graph, each on a fixed draw of c channels."""
+    rng = np.random.default_rng(h + w + k)
+    n_op = (2 * radius + 1) ** 2
+    leaves = [Tensor(rng.normal(size=shape), requires_grad=True)
+              for shape in ((n_op, h, w), (c, c), (k,), (c, h * w), (c, h * w))]
+    operator, proj, alphas, x, features = leaves
+    directions = [Tensor(rng.normal(size=shape)) for shape in ((c, h * w), (n_op, h, w))]
+    with Tape() as tape:
+        outs = [ad.propagate(operator, proj, alphas, x, 0.3),
+                ad.window_graph(features, h, w, radius, 2.0 * c, 4.0)]
+        loss = ad.add(*(co.sum(co.mul(out, d)) for out, d in zip(outs, directions)))
+    backward(tape, loss)
+    return [t.data.tobytes() for t in outs] + [t.grad.tobytes() for t in leaves]
+
+
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("h,w,radius,partial", BLOCK_WIDTH_CASES)
+def test_window_kernels_bits_do_not_depend_on_block_width(monkeypatch, h, w, radius,
+                                                           partial, k):
+    # one channel a block, several with a partial last one, all in one; each
+    # with the block run as one span and plane by plane. (conv2d is not here:
+    # CACHE_BYTES cuts its taps' GEMMs into column blocks, and BLAS rounds
+    # a GEMM differently at different widths)
+    seen = record_blocks(monkeypatch)
+    results = []
+    for budget, premise in ((1, lambda b: len(b) == 64),
+                            (partial, several_with_a_partial_last),
+                            (1 << 40, lambda b: len(b) == 1)):
+        for span_bytes in (1 << 40, 0):
+            monkeypatch.setattr(ad, "CACHE_BYTES", budget)
+            monkeypatch.setattr(ad, "SPAN_BYTES", span_bytes)
+            seen.clear()
+            results.append(window_kernel_bytes(h, w, radius, k))
+            assert len(seen) >= 3 and all(premise(b) for b in seen), (budget, seen)
+    for got in results[1:]:
+        assert got == results[0]
 
 
 def stencil_matvec_reference(loops, weights, z, radius):
@@ -1450,7 +1534,8 @@ def propagate_reference(operator, proj, alphas, x, beta):
 def test_propagate_matches_stencil_and_hop_mix_bit_for_bit():
     # the second case holds more channels than one block, forward or backward
     for c, h, w, radius, k in ((3, 4, 5, 1, 3), (70, 40, 40, 2, 2), (3, 5, 4, 1, 1)):
-        assert (len(ad._Flat(h, w, radius).blocks(c, 6)) > 1) == (c > 3)
+        blocks = ad._Flat(h, w, radius).blocks(c, 6, (2 * radius + 1) ** 2)
+        assert (len(blocks) > 1) == (c > 3)
         rng = np.random.default_rng(c + k)
         n_off = (2 * radius + 1) ** 2 - 1
         arrays = [rng.normal(size=shape) for shape in
@@ -1777,6 +1862,28 @@ def test_standardize_calibrates_the_fuse_layer_and_not_the_seam_conv(h, w, m):
     assert results[0][3].tobytes() == arrays[3].tobytes()
 
 
+def test_standardize_convolves_a_seam_that_is_not_the_identity():
+    # only the identity kernel with a zero bias is skipped: one entry off
+    # the identity, or a bias, or any other kernel, is convolved as conv2d
+    # convolves the calibrated map
+    h, w, m = 7, 12, 2
+    arrays = _fuse_case(h, w, m, seed=5)
+    nudged = identity_kernel(6, 3)
+    nudged[0, 1, 0, 0] = 1e-3
+    seams = [(nudged, np.zeros(6)), (identity_kernel(6, 3), np.full(6, 0.5)),
+             (arrays[3], arrays[4])]
+    for cw_data, cb_data in seams:
+        results = []
+        for fused in (True, False):
+            x, wt, b, cw, cb = (Tensor(a.copy()) for a in arrays[:3] + [cw_data, cb_data])
+            with ad.Standardize([(wt, b)]):
+                out = (ad.linear_untile(x, wt, b, m, h, w, cw, cb) if fused
+                       else ad.conv2d(ad.linear_untile(x, wt, b, m, h, w), cw, cb))
+            results.append([out.data] + [t.data for t in (wt, b, cw, cb)])
+        for got, want in zip(*results):
+            assert got.tobytes() == want.tobytes()
+
+
 def test_linear_untile_with_a_conv_gradcheck():
     arrays = _fuse_case(5, 7, 2, seed=9, c=2, d=3)
     direction = rand((2, 5, 7), seed=10)
@@ -1852,14 +1959,31 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
     assert kept < x.data.nbytes / 8, kept  # a padded copy is 1.06x the input
 
 
-def test_propagate_keeps_no_padded_copy_of_its_operators():
-    operator = rand((9, 64, 64), seed=74)
-    proj, alphas, x = rand((4, 4), seed=75), rand((2,), seed=80), rand((4, 4096), seed=81)
+def propagate_kept_beyond_its_hop(c, side):
+    """Bytes a K = 2 propagate node over c channels of a side x side grid
+    keeps beyond its one hop, and its operator's size."""
+    operator = rand((9, side, side), seed=74)
+    proj, alphas = rand((c, c), seed=75), rand((2,), seed=80)
+    x = rand((c, side * side), seed=81)
     for t in (operator, proj, alphas, x):
         t.requires_grad = True
     kept, _ = kept_bytes(lambda: ad.propagate(operator, proj, alphas, x, 0.5))
     hops = x.data.nbytes  # z_1, for backward; z0 and z_K are rebuilt
-    assert 0 <= kept - hops < operator.data.nbytes / 8, kept
+    return kept - hops, operator.data.nbytes
+
+
+def test_propagate_keeps_no_padded_copy_of_its_operators():
+    beyond, operator = propagate_kept_beyond_its_hop(4, 64)
+    assert 0 <= beyond < operator / 8, beyond
+
+
+def test_propagate_keeps_no_tile_of_its_operator():
+    # at 30x30 forward tiles the operator under a block of 14 channels, 14
+    # operators' worth, and the node keeps none of it
+    flat = ad._Flat(30, 30, 1)
+    assert flat.spans and flat.blocks(64, 3, 9)[0][1] == 14
+    beyond, operator = propagate_kept_beyond_its_hop(64, 30)
+    assert 0 <= beyond < operator / 8, beyond
 
 
 def test_tokenizer_nodes_keep_no_tiles_and_no_per_pixel_map():

@@ -132,3 +132,28 @@ def test_calibration_is_one_forward_with_the_graph_bypassed(monkeypatch,
     monkeypatch.setattr(mdl, "forward", recording_forward)
     initialize_from_scene(cube, replace(config, ablation_mode="dynamic"))
     assert seen == [("none", True)]
+
+
+def test_calibration_that_skips_the_identity_seam_conv_matches_one_that_runs_it(
+        monkeypatch):
+    # under Standardize the fuse node skips its seam conv, the identity at
+    # init; made to run it, calibration gives the same bytes
+    config = TrainConfig(channels=8, token_dim=8, fused_channels=8).validate()
+    cube = make_desk_scene(60.0, 1, dict(height=12, width=10, bands=16))
+    kernels, real_conv = [], ad._conv
+
+    def recording_conv(x, w, b):
+        kernels.append(w.shape)
+        return real_conv(x, w, b)
+
+    monkeypatch.setattr(ad, "_conv", recording_conv)
+    results = []
+    for runs_seam_conv in (False, True):
+        if runs_seam_conv:
+            monkeypatch.setattr(ad, "_is_identity", lambda w: False)
+        kernels.clear()
+        params = initialize_from_scene(cube, config)
+        assert ((8, 8, 3, 3) in kernels) == runs_seam_conv
+        results.append({name: t.data.tobytes()
+                        for name, t in params.named_parameters().items()})
+    assert results[0] == results[1]
