@@ -1,20 +1,23 @@
 #!/usr/bin/env bash
 # Checkpoint drift between two checkouts of cagu: train one tiny 16x16
 # synthetic scene for a few epochs in each graph mode, and in dynamic mode
-# with one hop ("dynamic-k1", where propagation builds z_K from z0) and with
-# radius 2 ("dynamic-r2", the 24-offset window), and a 40x40 scene in
-# dynamic mode ("dynamic-40x40", whose window kernels take the 64 channels
-# in several blocks), with each tree's code and print, per case, "same" or
-# "differs" twice: for the two checkpoints' SHA-256
-# ("file"), and for the SHA-256 of the bytes after their config blob, the
-# parameter and moment arrays and the trailer ("arrays"). A change to the
-# stored config alone reads "file differs" and "arrays same".
+# with one hop ("dynamic-k1", where propagation builds z_K from z0), with
+# radius 2 ("dynamic-r2", the 24-offset window) and with 3x3 patches
+# ("dynamic-p3", which do not tile 16x16, so the tokenizers pad the map to
+# whole patches), and a 40x40 scene in dynamic mode ("dynamic-40x40", whose
+# window kernels take the 64 channels in several blocks), with each tree's
+# code and print, per case, "same" or "differs" twice: for the two
+# checkpoints' SHA-256 ("file"), and for the SHA-256 of the bytes after
+# their config blob, the parameter and moment arrays and the trailer
+# ("arrays"). A change to the stored config alone reads "file differs" and
+# "arrays same".
 #
 #   scripts/checkpoint_drift.sh BASE_TREE [HEAD_TREE]    (HEAD_TREE: .)
 #
 # It only reports and always exits 0: a change to the model may move the
 # bytes, and then says so itself. Both sides write to the same checkpoint
-# path, since the checkpoint's config records it.
+# path: a checkpoint stores its config with no path now, but a base tree
+# from before that still records the path in it.
 set -u
 base=$(cd "$1" && pwd)
 head=$(cd "${2:-.}" && pwd)
@@ -43,7 +46,8 @@ for size in 16 40; do
         --snr 40 --seed 0 --out "$work/scene$size.hsic" > /dev/null || exit 0
 done
 for case in "dynamic 16" "static 16" "none 16" "dynamic-k1 16 --k-steps 1" \
-        "dynamic-r2 16 --radius 2" "dynamic-40x40 40"; do
+        "dynamic-r2 16 --radius 2" "dynamic-p3 16 --patch-size 3" \
+        "dynamic-40x40 40"; do
     read -r label scene flags <<< "$case"
     mode=${label%%-*}
     for side in base head; do

@@ -14,13 +14,15 @@ the tensor owns, the first or else the second, and into a new array only
 when neither was handed over. Later ones add into the owned array in place.
 Each sum keeps its operands and their order, so where it lands moves no bit.
 
-There is one convolution kernel, and it keeps the image size: one GEMM per
-kernel tap over the padded, flattened C x H x W image, where every tap is one
+There is one convolution op, ``conv2d``, a stack of layers as one node, and
+one convolution kernel, which keeps the image size: one GEMM per kernel tap
+over the padded, flattened C x H x W image, where every tap is one
 contiguous shift (a 1x1 layer is a single tap over the image itself). The
 two tokenizers read the C x H x W map and tile it privately: a convolution
 of each patch alone followed by a linear layer is one folded matrix,
-``patch_linear``, and a 1x1 convolution, patch mean and linear layer is one
-node, ``patch_mean_linear``. The window (stencil) kernels use the
+``patch_linear``, and a 1x1 convolution (the same kernel, on the map padded
+to whole patches), patch mean and linear layer is one node,
+``patch_mean_linear``. The window (stencil) kernels use the
 convolution's padded flat layout, ``_Flat``, and work through the channels
 in cache-sized blocks. A block's padded planes lie one after another in one
 buffer, and where a plane is small (``SPAN_BYTES``) each elementwise pass
@@ -35,16 +37,16 @@ node, ``window_graph``. The graph's channel projection, K-hop propagation
 (the window operator applied K times) and hop mix into a residual update
 are one node, ``propagate``, whose backward carries one hop-sized gradient
 back through the hops. Scaled dot-product attention is one node that reads
-the keys in cache-sized blocks with an online softmax. A layer, conv2d or
-matmul plus its bias and its LeakyReLU if it has one, is one node; so is a
-stack of 1x1 conv layers, ``conv1x1_stack``, a linear layer whose rows are
-patch blocks put onto the grid, ``linear_untile``, with the "same"
-convolution after it if given one, and the unmixing loss (squared error
-plus spectral angle), which keeps six H x W arrays and recomputes r - y in
-backward, band block by band block.
+the keys in cache-sized blocks with an online softmax. A layer, matmul plus
+its bias and its LeakyReLU if it has one, is one node; so is a stack of
+conv layers, each with its bias and LeakyReLU if it has them, ``conv2d``, a
+linear layer whose rows are patch blocks put onto the grid,
+``linear_untile``, with the "same" convolution after it if given one, and
+the unmixing loss (squared error plus spectral angle), which keeps six
+H x W arrays and recomputes r - y in backward, band block by band block.
 
-Beside those ten fused nodes the module has add, softmax, concat, narrow
-and reshape: fifteen ops, the ones a training step records. The composed
+Beside those nine fused nodes the module has add, softmax, concat, narrow
+and reshape: fourteen ops, the ones a training step records. The composed
 ops the fused nodes replaced, and are checked against bit for bit
 (transpose, the elementwise ops and the reductions), are test references in
 ``tests/composed_ops.py``, which record through ``_record`` as these do.
@@ -55,8 +57,8 @@ pre-activation, the conv and propagation kernels pad their inputs again in
 backward instead of keeping padded copies, ``propagate`` keeps z_1 ...
 z_{K-1} only (one GEMM rebuilds z0, and one stencil pass z_K),
 ``window_graph`` no distances (backward recomputes the differences) but its
-feature term, ``conv1x1_stack`` no inner map (backward rebuilds them from
-its input, with the forward's numpy calls), ``linear_untile`` no block
+feature term, ``conv2d`` no inner map (backward rebuilds them from its
+input, with the forward's numpy calls), ``linear_untile`` no block
 matrix and, with a convolution, no map on the grid, the tokenizers no tiles
 and ``patch_mean_linear`` no per-pixel response, but the patch means, and
 attention no token-by-token array, but each row's log-sum-exp.
@@ -678,66 +680,49 @@ def _conv_grad(x: np.ndarray, w: Tensor, bias: Optional[Tensor], g: np.ndarray,
     return flat.crop_runs(gx)
 
 
-def conv2d(x: Tensor, w: Tensor, bias: Optional[Tensor], leaky: bool = False
-           ) -> Tensor:
-    """"Same" cross-correlation of a C_in x H x W map with C_out odd square
-    k x k kernels, stride 1, zero padding k // 2: the output is C_out x H x W,
-    through a LeakyReLU when ``leaky``.
+def conv2d(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
+           standardize: Optional[tuple] = None) -> Tensor:
+    """A stack of "same" convolution layers over a C x H x W map, as one
+    node. ``layers`` are (weight, bias or None) pairs in order, each weight
+    C_out x C_in x k x k with k odd: stride 1 and zero padding k // 2, so
+    every map is H x W. Each response goes through a LeakyReLU where
+    ``leaky`` says so. Given ``standardize`` = (mean, factor), the stack
+    reads the map (x - mean) * factor.
 
-    The image is padded once into the ``_Flat`` layout of radius k // 2, where
-    tap t of a pixel reads ``window[t]`` further on: each tap is one GEMM over
-    the run, whose padding columns hold junk that is cropped. A 1x1 layer
-    has no padding and takes the image itself, a view, as its flat layout.
-    The input gradient is the same sum over the padded output gradient with
-    the window mirrored. Backward keeps the input as given, which its
-    producer's node holds anyway, and pads it again.
+    A layer pads its input once into the ``_Flat`` layout of radius k // 2,
+    where tap t of a pixel reads ``window[t]`` further on: each tap is one
+    GEMM over the run, whose padding columns hold junk that is cropped. A
+    1x1 layer has no padding and takes the map itself, a view, as its flat
+    layout. The input gradient is the same sum over the padded output
+    gradient with the window mirrored.
+
+    The node keeps its input only, which its producer's node holds anyway.
+    Forward drops each inner map once the next is made; backward rebuilds
+    them from the input with the same numpy calls, frees each once read,
+    and pads each layer's input again. So a stack's values and gradients
+    are a chain of one-layer nodes' bit for bit. Under ``Standardize`` each
+    listed layer is calibrated in order, as its own node would be.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
-    _, c_in, k, k2 = w.shape
-    if k != k2 or k % 2 == 0 or x.shape[0] != c_in:
-        raise ShapeError(f"conv2d: kernel {w.shape} (odd, square, C_in x k x k) "
-                         f"does not fit input {x.shape}")
-    out = _conv(x.data, w.data, None if bias is None else bias.data)
-
-    def bwd(g):
-        gx = _conv_grad(x.data, w, bias, g, x.requires_grad)
-        if gx is not None:
-            _accumulate(x, gx, fresh=True)
-
-    inputs = (x, w) if bias is None else (x, w, bias)
-    return _record("conv2d", inputs, out, bwd, bias, leaky)
-
-
-def conv1x1_stack(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
-                  standardize: Optional[tuple] = None) -> Tensor:
-    """A stack of biased 1x1 conv layers, (weight, bias) pairs in order, over
-    a C x H x W map, each through a LeakyReLU where ``leaky`` says so, as one
-    node. Given ``standardize`` = (mean, factor), the stack reads the map
-    (x - mean) * factor.
-
-    Each layer takes conv2d's numpy calls in conv2d's order, forward and
-    backward, so values and gradients are the composed layers' bit for bit.
-    The node keeps its input only, and forward drops each inner map once the
-    next is made: backward rebuilds them the same way, from the input, and
-    frees each once read. Under ``Standardize``
-    each listed layer is calibrated in order, as its own conv2d would be.
-    """
-    c = x.shape[0] if x.ndim == 3 else -1
-    for w, b in layers:
-        if w.shape[1:] != (c, 1, 1) or b.shape != w.shape[:1]:
-            raise ShapeError(f"conv1x1_stack: layer {w.shape} {b.shape} does not "
-                             f"fit a {c}-channel map (input {x.shape})")
+    c = x.shape[0]
+    for i, (w, b) in enumerate(layers):
+        k = w.shape[-1] if w.ndim == 4 else 0
+        b_shape = None if b is None else b.shape
+        if w.shape[1:] != (c, k, k) or k % 2 == 0 or b_shape not in (None, w.shape[:1]):
+            raise ShapeError(f"conv2d: layer {i}, kernel {w.shape} (odd, square, "
+                             f"C_in x k x k) and bias {b_shape}, does not fit a "
+                             f"{c}-channel map (input {x.shape})")
         c = w.shape[0]
     if not layers or len(leaky) != len(layers):
-        raise ShapeError(f"conv1x1_stack: {len(layers)} layers and "
-                         f"{len(leaky)} activation flags")
+        raise ShapeError(f"conv2d: {len(layers)} layers and {len(leaky)} "
+                         "activation flags")
 
     def maps():  # the input map, then each layer's output, made one by one
         h = x.data if standardize is None else (x.data - standardize[0]) * standardize[1]
         yield h
         for (w, b), act in zip(layers, leaky):
-            h = _activate(_conv(h, w.data, b.data), b, act)
+            h = _activate(_conv(h, w.data, None if b is None else b.data), b, act)
             yield h
 
     for out in maps():
@@ -755,8 +740,8 @@ def conv1x1_stack(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
             _accumulate(x, g if standardize is None else g * standardize[1],
                         fresh=True)
 
-    inputs = (x,) + tuple(t for layer in layers for t in layer)
-    return _record("conv1x1_stack", inputs, out, bwd)
+    inputs = (x,) + tuple(t for layer in layers for t in layer if t is not None)
+    return _record("conv2d", inputs, out, bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -908,13 +893,14 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     the map zero-padded to whole patches, through a 1x1 convolution (``conv_w``
     O x C x 1 x 1, ``conv_b``), averaged over each patch, then ``fc_w``
     (O x D) and ``fc_b``. One node, which keeps the n x O patch means and
-    neither the padded map nor its response. Forward and backward take the
-    steps of conv2d, mean, transpose and matmul (``mean`` and ``transpose``
-    as composed in ``tests/composed_ops.py``), the same numpy calls in the
-    same order, so values and gradients are theirs bit for bit; the map's
-    gradient is cropped from the padded grid's. Under ``Standardize`` the
-    conv's response over every pixel of the padded grid calibrates
-    ``conv_b``'s layer first; the op declares ``fc_b``."""
+    neither the padded map nor its response. The convolution is conv2d's
+    own, ``_conv`` forward and ``_conv_grad`` backward on the padded map,
+    and the rest takes the steps of mean, transpose and matmul (``mean`` and
+    ``transpose`` as composed in ``tests/composed_ops.py``), the same numpy
+    calls in the same order, so values and gradients are those ops' bit for
+    bit; the map's gradient is cropped from the padded grid's. Under
+    ``Standardize`` the conv's response over every pixel of the padded grid
+    calibrates ``conv_b``'s layer first; the op declares ``fc_b``."""
     c, h, w = x.shape if x.ndim == 3 else (0, 0, 0)
     o = conv_w.shape[0] if conv_w.ndim == 4 else 0
     if (conv_w.shape != (o, c, 1, 1) or conv_b.shape != (o,) or m < 1
@@ -925,16 +911,11 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     gh, gw = -(-h // m), -(-w // m)
     padding = ((0, 0), (0, gh * m - h), (0, gw * m - w))
     c_m2 = 1.0 / (m * m)
-    tap = np.ascontiguousarray(conv_w.data.reshape(o, c))  # the 1x1 conv's one tap
 
     def padded():  # the map on the patch grid, a view when it is whole
         return np.pad(x.data, padding) if gh * m - h or gw * m - w else x.data
 
-    response = np.empty((o, gh * m, gw * m))
-    np.matmul(tap, padded().reshape(c, -1), out=response.reshape(o, -1))
-    np.add(response, conv_b.data[:, None, None], out=response)
-    if Standardize._active is not None:
-        Standardize._active.apply(conv_b, response)
+    response = _activate(_conv(padded(), conv_w.data, conv_b.data), conv_b, False)
     means = np.sum(response.reshape(o, gh, m, gw, m), axis=(2, 4)) * c_m2
     rows = means.reshape(o, gh * gw).T.copy()  # n x O
     out = rows @ fc_w.data
@@ -946,15 +927,11 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
         _accumulate(fc_w, rows.T @ g, fresh=True)
         _accumulate(fc_b, _unbroadcast(g, fc_b.shape), fresh=True)
         g_resp = np.broadcast_to(np.expand_dims(g_means, (2, 4)),
-                                 (o, gh, m, gw, m)).copy().reshape(o, -1)
+                                 (o, gh, m, gw, m)).copy().reshape(o, gh * m, gw * m)
         # the 1x1 conv, on the padded map
-        gcw = np.stack([g_resp @ padded().reshape(c, -1).T], axis=-1)
-        _accumulate(conv_w, gcw.reshape(conv_w.shape), fresh=True)
-        _accumulate(conv_b, g_resp.sum(axis=1), fresh=True)
-        gx = np.matmul(tap.T, g_resp, out=np.empty((c, g_resp.shape[1])))
+        gx = _conv_grad(padded(), conv_w, conv_b, g_resp, True)
         del g_resp
-        _accumulate(x, np.ascontiguousarray(gx.reshape(c, gh * m, gw * m)[:, :h, :w]),
-                    fresh=True)
+        _accumulate(x, np.ascontiguousarray(gx[:, :h, :w]), fresh=True)
 
     return _record("patch_mean_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd,
                    fc_b)

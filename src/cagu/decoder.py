@@ -1,11 +1,12 @@
 """Abundance decoder head, training loss, and aligned evaluation metrics.
 
 The decoder squeezes fused features to the endmember count through four
-1x1 convolutions (one tape node, ``conv1x1_stack``), refines with a 3x3
-convolution, and applies a per-pixel softmax, which enforces the abundance
-constraints structurally. The final 1x1 convolution back to the band count
-has no bias; its kernel *is* the endmember matrix, so the reconstruction is
-exactly endmembers times abundances per pixel.
+1x1 convolutions and refines with a 3x3 convolution (one tape node, a
+``conv2d`` stack), and applies a per-pixel softmax, which enforces the
+abundance constraints structurally. The final 1x1 convolution back to the
+band count (a second ``conv2d`` node) has no bias; its kernel *is* the
+endmember matrix, so the reconstruction is exactly endmembers times
+abundances per pixel.
 """
 
 from __future__ import annotations
@@ -88,12 +89,12 @@ class DecoderParams(ParameterGroup):
 
 def decode(params: DecoderParams, fused: Tensor) -> Tuple[Tensor, Tensor]:
     """fused channels x H x W -> (abundances P x H x W, reconstruction L x H x W)."""
-    trunk = [(params.trunk1_w, params.trunk1_b), (params.trunk2_w, params.trunk2_b),
-             (params.trunk3_w, params.trunk3_b), (params.trunk4_w, params.trunk4_b)]
-    h = ad.conv1x1_stack(fused, trunk, (True, True, True, False))
-    logits = ad.conv2d(h, params.abun_w, params.abun_b)
+    head = [(params.trunk1_w, params.trunk1_b), (params.trunk2_w, params.trunk2_b),
+            (params.trunk3_w, params.trunk3_b), (params.trunk4_w, params.trunk4_b),
+            (params.abun_w, params.abun_b)]
+    logits = ad.conv2d(fused, head, (True, True, True, False, False))
     abundances = ad.softmax(logits, axis=0)
-    reconstruction = ad.conv2d(abundances, params.endmember_w, None)
+    reconstruction = ad.conv2d(abundances, [(params.endmember_w, None)], (False,))
     return abundances, reconstruction
 
 

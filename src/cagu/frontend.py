@@ -1,7 +1,7 @@
 """Spectral compression and patch tokenization.
 
 The band axis is squeezed through three 1x1 convolutions (one tape node,
-``conv1x1_stack``), then the feature map is cut into non-overlapping m x m
+a ``conv2d`` stack), then the feature map is cut into non-overlapping m x m
 patches (edge patches zero-padded).
 Each patch yields one spectral token (1x1 conv, patch-average pool, linear
 map: one ``patch_mean_linear``) and one spatial token (3x3 conv inside the
@@ -101,7 +101,7 @@ class FrontendParams(ParameterGroup):
 
 def compress(params: FrontendParams, image: Tensor) -> Tensor:
     """bands x H x W -> channels x H x W via the three-conv squeeze, one
-    ``conv1x1_stack`` node, which keeps the scene and no inner map.
+    ``conv2d`` node, which keeps the scene and no inner map.
 
     The input is standardized by scene-level scalar constants before the
     first convolution: reflectance is nonnegative with a large mean, which
@@ -116,8 +116,8 @@ def compress(params: FrontendParams, image: Tensor) -> Tensor:
     sd = float(image.data.std())
     layers = [(params.conv1_w, params.conv1_b), (params.conv2_w, params.conv2_b),
               (params.conv3_w, params.conv3_b)]
-    return ad.conv1x1_stack(image, layers, (True, True, True),
-                            standardize=(mu, 1.0 / (sd if sd > 0 else 1.0)))
+    return ad.conv2d(image, layers, (True, True, True),
+                     standardize=(mu, 1.0 / (sd if sd > 0 else 1.0)))
 
 
 def tokenize(params: FrontendParams, fmap: Tensor, m: int

@@ -194,7 +194,9 @@ def _unpack_named_arrays(reader: ByteReader) -> Dict[str, np.ndarray]:
 
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    config_blob = ckpt.config.to_json().encode("utf-8")
+    """Write ``ckpt`` to ``path``; the stored config holds no checkpoint
+    path, so a run gives the same bytes wherever it is saved."""
+    config_blob = replace(ckpt.config, checkpoint_path=None).to_json().encode("utf-8")
     with atomic_writer(path) as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", CHECKPOINT_VERSION))
@@ -290,6 +292,7 @@ class TrainResult:
 
 
 # config fields a resumed run may change: the run's length and its file
+# (a checkpoint stores no path, so it always differs from a resumed run's)
 RESUMABLE_CHANGES = ("epochs", "checkpoint_path")
 
 

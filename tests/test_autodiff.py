@@ -83,6 +83,11 @@ def test_matmul_bias_matches_add_of_matmul_bit_for_bit(shape):
 # ---------------------------------------------------------------------------
 # conv2d
 
+def conv(x, w, b, leaky=False):
+    """One conv2d layer: a stack of one."""
+    return ad.conv2d(x, [(w, b)], (leaky,))
+
+
 def conv2d_reference(x, w, b, padding):
     """Direct-summation oracle."""
     c_out, c_in, k, _ = w.shape
@@ -102,20 +107,20 @@ def test_conv2d_identity_kernel():
     w = np.zeros((3, 3, 1, 1))
     for c in range(3):
         w[c, c, 0, 0] = 1.0
-    out = ad.conv2d(x, Tensor(w), Tensor(np.zeros(3)))
+    out = conv(x, Tensor(w), Tensor(np.zeros(3)))
     np.testing.assert_array_equal(out.data, x.data)
 
 
 def test_conv2d_zero_kernel_constant_bias():
     x = rand((2, 4, 4), seed=4)
-    out = ad.conv2d(x, Tensor(np.zeros((3, 2, 1, 1))), Tensor(np.full(3, 2.5)))
+    out = conv(x, Tensor(np.zeros((3, 2, 1, 1))), Tensor(np.full(3, 2.5)))
     np.testing.assert_array_equal(out.data, np.full((3, 4, 4), 2.5))
 
 
 def test_conv2d_box_kernel_center():
     x = Tensor(np.ones((1, 3, 3)))
     w = Tensor(np.ones((1, 1, 3, 3)))
-    out = ad.conv2d(x, w, Tensor(np.zeros(1)))
+    out = conv(x, w, Tensor(np.zeros(1)))
     assert out.data[0, 1, 1] == 9.0
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, w.data, np.zeros(1), 1), atol=1e-12)
@@ -127,14 +132,14 @@ def test_conv2d_matches_reference(k, padding):
     x = Tensor(rng.normal(size=(3, 6, 5)))
     w = Tensor(rng.normal(size=(4, 3, k, k)))
     b = Tensor(rng.normal(size=4))
-    out = ad.conv2d(x, w, b)
+    out = conv(x, w, b)
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, w.data, b.data, padding), atol=1e-12)
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        ad.conv2d(rand((2, 4, 4)), Tensor(np.zeros((3, 5, 1, 1))),
+        conv(rand((2, 4, 4)), Tensor(np.zeros((3, 5, 1, 1))),
                   Tensor(np.zeros(3)))
 
 
@@ -170,16 +175,16 @@ def _tap_case(c_in, c_out, h, w, k, seed):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
 def test_tap_conv2d_matches_reference(c_in, c_out, h, w, k, padding):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 60 + h * 7 + w + k)
-    out = ad.conv2d(x, kern, bias)
+    out = conv(x, kern, bias)
     np.testing.assert_allclose(
         out.data, conv2d_reference(x.data, kern.data, bias.data, padding),
         rtol=0, atol=1e-12)
     np.testing.assert_allclose(
-        ad.conv2d(x, kern, None).data,
+        conv(x, kern, None).data,
         conv2d_reference(x.data, kern.data, np.zeros(c_out), padding),
         rtol=0, atol=1e-12)
     g = rng.normal(size=out.shape)
-    grads = grad_of(lambda: co.sum(co.mul(ad.conv2d(x, kern, bias), Tensor(g))),
+    grads = grad_of(lambda: co.sum(co.mul(conv(x, kern, bias), Tensor(g))),
                     x, kern, bias)
     for got, want in zip(grads, conv2d_reference_grads(x.data, kern.data, g,
                                                        padding)):
@@ -212,27 +217,28 @@ def test_tap_gemm_sums_in_a_buffer_as_it_did_in_place(c, side, k):
 @pytest.mark.parametrize("c_in,c_out,h,w,k,padding", TAP_CASES)
 def test_tap_conv2d_gradcheck(c_in, c_out, h, w, k, padding):
     x, kern, bias, rng = _tap_case(c_in, c_out, h, w, k, 80 + h * 7 + w + k)
-    shape = ad.conv2d(x, kern, bias).shape  # the oracle's, padded by k // 2
+    shape = conv(x, kern, bias).shape  # the oracle's, padded by k // 2
     assert shape == (c_out, h + 2 * padding - k + 1, w + 2 * padding - k + 1)
     direction = Tensor(rng.normal(size=shape))
 
     def loss(t, which):
         args = {"x": x, "w": kern, "b": bias, which: t}
-        return co.sum(co.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
+        return co.sum(co.mul(conv(args["x"], args["w"], args["b"]), direction))
 
     for which, leaf in (("x", x), ("w", kern), ("b", bias)):
         assert finite_diff_check(lambda t: loss(t, which), leaf, h=1e-6) < 1e-4
 
 
-@pytest.mark.parametrize("shape", [(3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 1, 3)])
+@pytest.mark.parametrize("shape", [(3, 2, 2, 2), (3, 2, 3, 1), (3, 2, 1, 3),
+                                   (3, 2, 1), (3, 2, 1, 1, 1)])
 def test_conv2d_rejects_even_or_nonsquare_kernel(shape):
     with pytest.raises(ShapeError, match="odd, square"):
-        ad.conv2d(rand((2, 5, 5)), rand(shape), rand(3))
+        conv(rand((2, 5, 5)), rand(shape), rand(3))
 
 
 def test_conv2d_rejects_stacked_input():
     with pytest.raises(ShapeError, match="C x H x W"):
-        ad.conv2d(rand((4, 2, 3, 3)), rand((3, 2, 1, 1)), rand(3))
+        conv(rand((4, 2, 3, 3)), rand((3, 2, 1, 1)), rand(3))
 
 
 # Per-patch linear maps: each m x m patch of an image through its own "same"
@@ -365,7 +371,7 @@ def patch_mean_linear_reference(x, conv_w, conv_b, fc_w, fc_b, m):
     patches = tile_patches_reference(x, m)
     grid = x if (gh * m, gw * m) == (h, w) else untile_patches_reference(
         patches, gh * m, gw * m)
-    spe = ad.conv2d(grid, conv_w, conv_b)
+    spe = conv(grid, conv_w, conv_b)
     pooled = co.mean(ad.reshape(spe, (conv_w.shape[0], gh, m, gw, m)), axis=(2, 4))
     pooled = co.transpose(ad.reshape(pooled, (conv_w.shape[0], gh * gw)))
     return ad.matmul(pooled, fc_w, fc_b)
@@ -465,14 +471,13 @@ def test_leaky_relu_values():
     np.testing.assert_allclose(ad.matmul(x, Tensor(np.eye(3)), leaky=True).data,
                                [[-0.02, 0.5, 3.0]])
     image = Tensor(x.data.reshape(1, 1, 3))
-    out = ad.conv2d(image, Tensor(np.ones((1, 1, 1, 1))), None, leaky=True)
+    out = conv(image, Tensor(np.ones((1, 1, 1, 1))), None, leaky=True)
     np.testing.assert_allclose(out.data.ravel(), [-0.02, 0.5, 3.0])
 
 
 # layer(inputs..., leaky) and the shapes of its inputs
 ACTIVATED = {
-    "conv2d": (lambda x, w, b, leaky: ad.conv2d(x, w, b, leaky=leaky),
-               [(3, 6, 5), (4, 3, 3, 3), (4,)]),
+    "conv2d": (conv, [(3, 6, 5), (4, 3, 3, 3), (4,)]),
     "matmul": (lambda a, b, bias, leaky: ad.matmul(a, b, bias, leaky=leaky),
                [(7, 3), (3, 4), (4,)]),
 }
@@ -908,20 +913,20 @@ def test_standardize_calibrates_a_conv_layer_in_place():
     x = rand((2, 5, 6), seed=30, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=31), rand(4, seed=32)
     with ad.Standardize([(w, b)]):
-        out = ad.conv2d(x, w, b)
+        out = conv(x, w, b)
     mu, sd = _unit_stats(out.data, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
     # the rescaled layer itself now gives the standardised response
-    np.testing.assert_allclose(ad.conv2d(x, w, b).data, out.data, atol=1e-12)
+    np.testing.assert_allclose(conv(x, w, b).data, out.data, atol=1e-12)
 
 
 def test_standardize_calibrates_the_pre_activation_of_an_activated_layer():
     x = rand((2, 5, 6), seed=48, scale=3.0)
     w, b = rand((4, 2, 3, 3), seed=49), rand(4, seed=50)
     with ad.Standardize([(w, b)]):
-        out = ad.conv2d(x, w, b, leaky=True)
-    pre = ad.conv2d(x, w, b).data  # the rescaled layer, not activated
+        out = conv(x, w, b, leaky=True)
+    pre = conv(x, w, b).data  # the rescaled layer, not activated
     mu, sd = _unit_stats(pre, 0)
     np.testing.assert_allclose(mu, 0.0, atol=1e-12)
     np.testing.assert_allclose(sd, 1.0, atol=1e-12)
@@ -1198,11 +1203,11 @@ def test_conv2d_gradients(k, padding):
         x = Tensor(rng.normal(size=(c_in, h, w)))
         kern = Tensor(rng.normal(size=(c_out, c_in, k, k)))
         bias = Tensor(rng.normal(size=c_out))
-        direction = Tensor(rng.normal(size=ad.conv2d(x, kern, bias).shape))
+        direction = Tensor(rng.normal(size=conv(x, kern, bias).shape))
 
         def loss(t, which):
             args = {"x": x, "w": kern, "b": bias, which: t}
-            return co.sum(co.mul(ad.conv2d(args["x"], args["w"], args["b"]), direction))
+            return co.sum(co.mul(conv(args["x"], args["w"], args["b"]), direction))
 
         grads = grad_of(lambda: loss(x, "x"), x, kern, bias)
         for got, want in zip(grads, conv2d_reference_grads(
@@ -1706,76 +1711,134 @@ def test_linear_untile_rejects_mismatched_shapes():
 
 
 # ---------------------------------------------------------------------------
-# the 1x1 conv stack and the fuse layer with its seam conv, against the
-# composed ops they replaced
+# conv2d stacks and the fuse layer with its seam conv, against the composed
+# ops they replaced
 
 STACK_GRIDS = ((30, 30), (32, 32), (100, 100), (7, 12))
 
 
-def conv1x1_stack_reference(x, layers, leaky, standardize=None):
-    """The stack as one conv2d node per layer, the first reading the map
-    standardised by sub and scale."""
+def stack_reference(x, layers, leaky, standardize=None):
+    """The stack as a chain of one-layer conv2d nodes, the first reading the
+    map standardised by sub and scale."""
     h = x if standardize is None else co.scale(co.sub(x, Tensor(standardize[0])),
                                                standardize[1])
     for (w, b), act in zip(layers, leaky):
-        h = ad.conv2d(h, w, b, leaky=act)
+        h = conv(h, w, b, leaky=act)
     return h
 
 
-def _stack_case(widths, h, w, seed):
-    """A widths[0] x h x w map and 1x1 layers through ``widths``."""
+def _stack_case(widths, h, w, seed, kernels=None):
+    """A widths[0] x h x w map and layers through ``widths``, each of the
+    (size, biased) pair in ``kernels`` (1x1 and biased without it); a layer
+    without a bias has None in its place."""
     rng = np.random.default_rng(seed)
     arrays = [rng.normal(size=(widths[0], h, w)) * 3.0 + 1.0]
-    for c_in, c_out in zip(widths, widths[1:]):
-        arrays += [rng.normal(size=(c_out, c_in, 1, 1)) / np.sqrt(c_in),
-                   rng.normal(size=c_out) * 0.1]
+    kernels = kernels or [(1, True)] * (len(widths) - 1)
+    for c_in, c_out, (k, biased) in zip(widths, widths[1:], kernels):
+        arrays += [rng.normal(size=(c_out, c_in, k, k)) / np.sqrt(c_in * k * k),
+                   rng.normal(size=c_out) * 0.1 if biased else None]
     return arrays
 
 
 def _stack_args(arrays, requires_grad=False):
-    ts = [Tensor(a.copy(), requires_grad=requires_grad) for a in arrays]
+    ts = [None if a is None else Tensor(a.copy(), requires_grad=requires_grad)
+          for a in arrays]
     return ts[0], list(zip(ts[1::2], ts[2::2]))
 
 
-# the front end's squeeze (standardised input, every layer activated) and
-# the decoder's trunk (the last layer linear)
+def _stack_results(op, arrays, leaky, standardize, direction):
+    """Output and every gradient of ``op``'s stack over ``arrays``."""
+    x, layers = _stack_args(arrays, requires_grad=True)
+    with Tape() as tape:
+        out = op(x, layers, leaky, standardize)
+        # the map's other consumer hands it a gradient first
+        loss = ad.add(co.sum(co.mul(out, direction)), co.sum(co.scale(x, 3.0)))
+    backward(tape, loss)
+    return [out.data, x.grad] + [t.grad for layer in layers for t in layer
+                                 if t is not None]
+
+
+# stacks of 1x1 layers: the front end's squeeze (standardised input, every
+# layer activated) and the decoder's trunk (the last layer linear)
 STACKS = (((60, 30, 15, 32), (True, True, True), (0.25, 1.5)),
           ((64, 32, 16, 3, 3), (True, True, True, False), None))
+
+# stacks that mix kernel sizes: the decoder's head (its trunk, then the 3x3
+# abundance layer), and 1x1, 3x3 and 5x5 layers with one bias left out
+MIXED_STACKS = (((64, 32, 16, 3, 3, 3), ((1, True),) * 4 + ((3, True),),
+                 (True, True, True, False, False)),
+                ((6, 8, 5, 4, 3), ((1, True), (3, True), (1, False), (5, True)),
+                 (True, False, True, False)))
 
 
 @pytest.mark.parametrize("h,w", STACK_GRIDS)
 @pytest.mark.parametrize("widths,leaky,standardize", STACKS)
 def test_conv1x1_stack_matches_the_composed_layers_bit_for_bit(widths, leaky,
                                                                standardize, h, w):
+    # a stack of 1x1 layers, as the front end and the decoder trunk run
+    # one, through one conv2d node
     arrays = _stack_case(widths, h, w, seed=h + w)
     direction = rand((widths[-1], h, w), seed=w)
-    results = []
-    for op in (ad.conv1x1_stack, conv1x1_stack_reference):
-        x, layers = _stack_args(arrays, requires_grad=True)
-        with Tape() as tape:
-            out = op(x, layers, leaky, standardize)
-            # the map's other consumer hands it a gradient first
-            loss = ad.add(co.sum(co.mul(out, direction)), co.sum(co.scale(x, 3.0)))
-        backward(tape, loss)
-        results.append([out.data, x.grad] + [t.grad for layer in layers for t in layer])
-    for got, want in zip(*results):
-        assert got.tobytes() == want.tobytes(), (widths, h, w)
+    got, want = (_stack_results(op, arrays, leaky, standardize, direction)
+                 for op in (ad.conv2d, stack_reference))
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes(), (widths, h, w)
+
+
+@pytest.mark.parametrize("h,w", STACK_GRIDS)
+@pytest.mark.parametrize("standardize", [None, (0.25, 1.5)])
+@pytest.mark.parametrize("widths,kernels,leaky", MIXED_STACKS)
+def test_conv2d_mixed_stack_matches_a_chain_of_one_layer_nodes_bit_for_bit(
+        widths, kernels, leaky, standardize, h, w):
+    arrays = _stack_case(widths, h, w, seed=2 * h + w, kernels=kernels)
+    direction = rand((widths[-1], h, w), seed=h)
+    got, want = (_stack_results(op, arrays, leaky, standardize, direction)
+                 for op in (ad.conv2d, stack_reference))
+    assert len(got) == len(want) == 2 + sum(1 + biased for _, biased in kernels)
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes(), (widths, h, w)
 
 
 @pytest.mark.parametrize("h,w", STACK_GRIDS)
 @pytest.mark.parametrize("widths,leaky,standardize", STACKS)
 def test_standardize_calibrates_every_layer_of_a_conv1x1_stack(widths, leaky,
                                                                standardize, h, w):
-    # layer by layer, in order, as each conv2d of the composed stack did
+    # layer by layer, in order, as each one-layer node of the chain did
     arrays = _stack_case(widths, h, w, seed=3 * h + w)
     results = []
-    for op in (ad.conv1x1_stack, conv1x1_stack_reference):
+    for op in (ad.conv2d, stack_reference):
         x, layers = _stack_args(arrays)
         with ad.Standardize(layers):
             out = op(x, layers, leaky, standardize)
         results.append([out.data] + [t.data for layer in layers for t in layer])
     for got, want in zip(*results):
         assert got.tobytes() == want.tobytes(), (widths, h, w)
+
+
+@pytest.mark.parametrize("h,w", STACK_GRIDS)
+@pytest.mark.parametrize("widths,kernels,leaky", MIXED_STACKS)
+def test_standardize_calibrates_every_layer_of_a_mixed_stack_in_order(
+        widths, kernels, leaky, h, w):
+    arrays = _stack_case(widths, h, w, seed=5 * h + w, kernels=kernels)
+    results = []
+    for op in (ad.conv2d, stack_reference):
+        x, layers = _stack_args(arrays)
+        with ad.Standardize([(wt, b) for wt, b in layers if b is not None]):
+            out = op(x, layers, leaky, (0.25, 1.5))
+        results.append([out.data] + [t.data for layer in layers for t in layer
+                                     if t is not None])
+    for got, want in zip(*results):
+        assert got.tobytes() == want.tobytes(), (widths, h, w)
+    # each biased layer, the 3x3 one included, was calibrated on what the
+    # layers before it give once calibrated: its response is standardised
+    h_map = (x.data - 0.25) * 1.5
+    for (wt, b), act in zip(layers, leaky):
+        pre = conv(Tensor(h_map), wt, b).data
+        if b is not None:
+            mu, sd = _unit_stats(pre, 0)
+            np.testing.assert_allclose(mu, 0.0, atol=1e-9)
+            np.testing.assert_allclose(sd, 1.0, atol=1e-9)
+        h_map = np.maximum(pre, ad.LEAKY_SLOPE * pre) if act else pre
 
 
 @pytest.mark.parametrize("widths,leaky,standardize", STACKS)
@@ -1789,27 +1852,33 @@ def test_conv1x1_stack_gradcheck(widths, leaky, standardize):
     for slot, leaf in enumerate(leaves):
         def loss(t):
             args = leaves[:slot] + [t] + leaves[slot + 1:]
-            out = ad.conv1x1_stack(args[0], list(zip(args[1::2], args[2::2])),
-                                   leaky, standardize)
+            out = ad.conv2d(args[0], list(zip(args[1::2], args[2::2])), leaky,
+                            standardize)
             return co.sum(co.mul(out, direction))
         assert finite_diff_check(loss, leaf, h=1e-6) < 1e-4, slot
 
 
 def test_conv1x1_stack_rejects_layers_that_do_not_fit():
+    # every layer is checked, the bias of each as None or one per output
     x, layers = _stack_args(_stack_case((4, 3, 2), 3, 5, seed=0))
-    assert ad.conv1x1_stack(x, layers, (True, False)).shape == (2, 3, 5)
+    assert ad.conv2d(x, layers, (True, False)).shape == (2, 3, 5)
+    unbiased = [layers[0], (layers[1][0], None)]
+    assert ad.conv2d(x, unbiased, (True, False)).shape == (2, 3, 5)
     bad = [[(rand((3, 5, 1, 1)), layers[0][1]), layers[1]],   # reads 5 channels
-           [(rand((3, 4, 3, 3)), layers[0][1]), layers[1]],   # not 1x1
+           [(rand((3, 4, 2, 2)), layers[0][1]), layers[1]],   # even kernel
            [(layers[0][0], rand((2,))), layers[1]],           # bias of 2 units
-           [layers[0], (rand((2, 2, 1, 1)), layers[1][1])]]   # 2 of 3 channels
+           [(layers[0][0], rand((3, 1))), layers[1]],         # 2-d bias
+           [layers[0], (rand((2, 2, 1, 1)), layers[1][1])],   # 2 of 3 channels
+           [layers[0], (layers[1][0], rand((3,)))],           # bias of 3 units
+           [layers[0], (rand((2, 3, 1)), layers[1][1])]]      # 3-d kernel
     for stack in bad:
-        with pytest.raises(ShapeError, match="conv1x1_stack"):
-            ad.conv1x1_stack(x, stack, (True, False))
-    with pytest.raises(ShapeError, match="conv1x1_stack"):
-        ad.conv1x1_stack(rand((4, 15)), layers, (True, False))
+        with pytest.raises(ShapeError, match="conv2d"):
+            ad.conv2d(x, stack, (True, False))
+    with pytest.raises(ShapeError, match="conv2d"):
+        ad.conv2d(rand((4, 15)), layers, (True, False))
     for stack, leaky in ((layers, (True,)), ([], ())):
-        with pytest.raises(ShapeError, match="conv1x1_stack"):
-            ad.conv1x1_stack(x, stack, leaky)
+        with pytest.raises(ShapeError, match="conv2d"):
+            ad.conv2d(x, stack, leaky)
 
 
 # (grid, patch size): patches that overhang the grid, whole ones, the wide
@@ -1835,7 +1904,7 @@ def test_linear_untile_with_a_conv_matches_linear_untile_then_conv2d_bit_for_bit
             if fused:
                 out = ad.linear_untile(x, wt, b, m, h, w, cw, cb)
             else:
-                out = ad.conv2d(ad.linear_untile(x, wt, b, m, h, w), cw, cb)
+                out = conv(ad.linear_untile(x, wt, b, m, h, w), cw, cb)
             loss = co.sum(co.mul(out, direction))
         backward(tape, loss)
         results.append([out.data] + [t.grad for t in (x, wt, b, cw, cb)])
@@ -1878,7 +1947,7 @@ def test_standardize_convolves_a_seam_that_is_not_the_identity():
             x, wt, b, cw, cb = (Tensor(a.copy()) for a in arrays[:3] + [cw_data, cb_data])
             with ad.Standardize([(wt, b)]):
                 out = (ad.linear_untile(x, wt, b, m, h, w, cw, cb) if fused
-                       else ad.conv2d(ad.linear_untile(x, wt, b, m, h, w), cw, cb))
+                       else conv(ad.linear_untile(x, wt, b, m, h, w), cw, cb))
             results.append([out.data] + [t.data for t in (wt, b, cw, cb)])
         for got, want in zip(*results):
             assert got.tobytes() == want.tobytes()
@@ -1908,15 +1977,19 @@ def test_linear_untile_rejects_a_conv_that_does_not_fit():
 
 
 def test_rebuilding_nodes_keep_no_inner_map():
-    # what stays allocated after the forward: the conv1x1_stack keeps its
+    # what stays allocated after the forward: a conv2d stack keeps its
     # output and no inner map, the fuse node its output and not the map on
-    # the grid that its conv read (composed, each is a node output: 3.5 and
-    # 1.0 maps of the output's size)
+    # the grid that its conv read (composed, each is a node output: 3.5,
+    # 18 and 1.0 maps of the output's size)
     x, layers = _stack_args(_stack_case((60, 30, 15, 32), 64, 64, seed=1), True)
+    widths, kernels, head_leaky = MIXED_STACKS[0]
+    head_x, head = _stack_args(_stack_case(widths, 64, 64, seed=3, kernels=kernels),
+                               True)
     fuse = [Tensor(a, requires_grad=True) for a in _fuse_case(64, 64, 4, seed=2, c=16)]
     for build, out_bytes in (
-            (lambda: ad.conv1x1_stack(x, layers, (True,) * 3, (0.5, 2.0)),
+            (lambda: ad.conv2d(x, layers, (True,) * 3, (0.5, 2.0)),
              32 * 64 * 64 * 8),
+            (lambda: ad.conv2d(head_x, head, head_leaky), 3 * 64 * 64 * 8),
             (lambda: ad.linear_untile(*fuse[:3], 4, 64, 64, *fuse[3:]),
              16 * 64 * 64 * 8)):
         tracemalloc.start()
@@ -1955,7 +2028,7 @@ def test_conv2d_keeps_no_padded_copy_of_its_input():
     w, b = rand((8, 8, 3, 3), seed=71), rand((8,), seed=72)
     for t in (x, w, b):
         t.requires_grad = True
-    kept, _ = kept_bytes(lambda: ad.conv2d(x, w, b))
+    kept, _ = kept_bytes(lambda: conv(x, w, b))
     assert kept < x.data.nbytes / 8, kept  # a padded copy is 1.06x the input
 
 
@@ -2069,7 +2142,7 @@ def test_leaky_relu_keeps_no_mask():
     a, m, bias = rand((4096, 64), seed=85), rand((64, 64), seed=86), rand((64,), seed=87)
     for t in (x, w, b, a, m, bias):
         t.requires_grad = True
-    for build, size in ((lambda: ad.conv2d(x, w, b, leaky=True), x.data.nbytes),
+    for build, size in ((lambda: conv(x, w, b, leaky=True), x.data.nbytes),
                         (lambda: ad.matmul(a, m, bias, leaky=True), a.data.nbytes)):
         kept, _ = kept_bytes(build)
         assert kept < size / 64, kept  # a bool mask is 1/8 of the output

@@ -41,7 +41,7 @@ def test_one_hot_abundance_selects_endmember_column():
     params = make_params()
     one_hot = np.zeros((3, 2, 2))
     one_hot[1, :, :] = 1.0
-    recon = ad.conv2d(Tensor(one_hot), params.endmember_w, None)
+    recon = ad.conv2d(Tensor(one_hot), [(params.endmember_w, None)], (False,))
     column = params.endmember_matrix()[:, 1]
     for i in range(2):
         for j in range(2):

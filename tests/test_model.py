@@ -28,8 +28,8 @@ def calibrated():
 def layer_io(monkeypatch, calibrated):
     """Input and output of every biased layer in one real ``forward``
     (graph bypassed), keyed by the bias's parameter name; an activated
-    layer's output is its pre-activation, each layer of a
-    ``conv1x1_stack`` is read off its own conv2d, ``patch_linear``'s conv
+    layer's output is its pre-activation, each layer of a ``conv2d``
+    stack is read off a one-layer conv2d of its own, ``patch_linear``'s conv
     off each patch's own "same" conv, n x O x m x m, ``patch_mean_linear``'s
     off the map zero-padded to whole patches, ``linear_untile``'s layer off
     its n x C m^2 response before the scatter, and its seam conv off the
@@ -39,23 +39,21 @@ def layer_io(monkeypatch, calibrated):
     seen = {}
     conv2d, matmul, patch_linear = ad.conv2d, ad.matmul, ad.patch_linear
     patch_mean_linear, linear_untile = ad.patch_mean_linear, ad.linear_untile
-    conv1x1_stack = ad.conv1x1_stack
+
+    def conv(x, w, b, leaky=False):  # one layer
+        return conv2d(Tensor(x), [(w, b)], (leaky,)).data
 
     def padded(x, m):  # C x H x W zero-padded to whole m x m patches
         _, h, w = x.shape
         return np.pad(x, ((0, 0), (0, -h % m), (0, -w % m)))
 
-    def traced_conv2d(x, w, bias, leaky=False):
-        if bias is not None:
-            seen[names[id(bias)]] = (x.data, conv2d(x, w, bias).data)
-        return conv2d(x, w, bias, leaky)
-
-    def traced_conv1x1_stack(x, layers, leaky, standardize=None):
+    def traced_conv2d(x, layers, leaky, standardize=None):
         h = x.data if standardize is None else (x.data - standardize[0]) * standardize[1]
         for (w, b), act in zip(layers, leaky):
-            seen[names[id(b)]] = (h, conv2d(Tensor(h), w, b).data)
-            h = conv2d(Tensor(h), w, b, act).data
-        return conv1x1_stack(x, layers, leaky, standardize)
+            if b is not None:
+                seen[names[id(b)]] = (h, conv(h, w, b))
+            h = conv(h, w, b, act)
+        return conv2d(x, layers, leaky, standardize)
 
     def traced_matmul(a, b, bias=None, leaky=False):
         if bias is not None:
@@ -67,15 +65,15 @@ def layer_io(monkeypatch, calibrated):
         grid = padded(x.data, m)
         patches = [grid[:, i:i + m, j:j + m] for i in range(0, grid.shape[1], m)
                    for j in range(0, grid.shape[2], m)]
-        response = np.stack([conv2d(Tensor(p), conv_w, conv_b).data for p in patches])
+        response = np.stack([conv(p, conv_w, conv_b) for p in patches])
         seen[names[id(conv_b)]] = (x.data, response)
         seen[names[id(fc_b)]] = (x.data, out.data)
         return out
 
     def traced_patch_mean_linear(x, conv_w, conv_b, fc_w, fc_b, m):
         out = patch_mean_linear(x, conv_w, conv_b, fc_w, fc_b, m)
-        grid = Tensor(padded(x.data, m))
-        seen[names[id(conv_b)]] = (grid.data, conv2d(grid, conv_w, conv_b).data)
+        grid = padded(x.data, m)
+        seen[names[id(conv_b)]] = (grid, conv(grid, conv_w, conv_b))
         seen[names[id(fc_b)]] = (x.data, out.data)
         return out
 
@@ -88,7 +86,6 @@ def layer_io(monkeypatch, calibrated):
         return out
 
     monkeypatch.setattr(ad, "conv2d", traced_conv2d)
-    monkeypatch.setattr(ad, "conv1x1_stack", traced_conv1x1_stack)
     monkeypatch.setattr(ad, "matmul", traced_matmul)
     monkeypatch.setattr(ad, "patch_linear", traced_patch_linear)
     monkeypatch.setattr(ad, "patch_mean_linear", traced_patch_mean_linear)

@@ -101,7 +101,7 @@ def test_checkpoint_whose_config_holds_data_path_loads_and_resumes(
     train(part_cfg, tiny_cube)
     path.write_bytes(with_config(path.read_bytes(), data_path=data_path))
     ckpt = load_checkpoint(path)
-    assert ckpt.config == part_cfg
+    assert ckpt.config == replace(part_cfg, checkpoint_path=None)
     _, metrics = evaluate_checkpoint(ckpt, tiny_cube)
     assert metrics is not None
     resumed = train(tiny_config(epochs=4), tiny_cube, resume_from=str(path))
@@ -121,6 +121,25 @@ def test_cli_checkpoint_bytes_do_not_depend_on_the_scene_path(tmp_path):
         blobs.append(ckpt.read_bytes())
     assert blobs[0] == blobs[1]
     assert b"hsic" not in blobs[0]
+
+
+def test_cli_checkpoint_bytes_do_not_depend_on_the_checkpoint_path(tmp_path):
+    scene = tmp_path / "scene.hsic"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    args = ["train", "--data", str(scene), "--patch-size", "2", "--epochs"]
+    paths = [tmp_path / "a.ckpt", tmp_path / "elsewhere" / "model.ckpt"]
+    paths[1].parent.mkdir()
+    for path in paths:
+        assert main(args + ["2", "--checkpoint", str(path)]) == 0
+    assert paths[0].read_bytes() == paths[1].read_bytes()
+    assert b"ckpt" not in paths[0].read_bytes()
+    assert load_checkpoint(paths[0]).config.checkpoint_path is None
+    # the stored null is no change of config: the run resumes from either
+    # file to the bytes of an uninterrupted run
+    whole = tmp_path / "whole.ckpt"
+    assert main(args + ["4", "--checkpoint", str(whole)]) == 0
+    assert main(args + ["4", "--checkpoint", str(paths[1]), "--resume"]) == 0
+    assert paths[1].read_bytes() == whole.read_bytes()
 
 
 def test_failed_checkpoint_write_keeps_previous_file(tiny_cube, tmp_path):
@@ -548,7 +567,7 @@ def test_nonfinite_loss_names_the_epoch_as_the_log_counts_it(tiny_cube, caplog):
             if r.getMessage().startswith("epoch ")] == ["epoch 1"]
 
 
-@pytest.mark.parametrize("name,node", [("frontend.conv2_w", "conv1x1_stack"),
+@pytest.mark.parametrize("name,node", [("frontend.conv2_w", "conv2d"),
                                        ("attention.fuse_w", "linear_untile")])
 def test_nonfinite_loss_names_the_node_of_a_poisoned_inner_layer(
         tiny_cube, monkeypatch, name, node):

@@ -64,7 +64,7 @@ def test_autodiff_defines_only_the_ops_a_training_step_records():
         with Tape() as tape:
             mdl.training_loss(params, observed, config)
         recorded |= {node.op for node in tape.nodes}
-    assert len(recorded) == 15
+    assert len(recorded) == 14
     assert recorded == public - {"backward", "first_nonfinite", "finite_diff_check"}
 
 
@@ -84,30 +84,34 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     assert nodes[-1].inputs == (observed, recon)
     # every biased layer is inside one node: no bias feeds an add of its
     # own, the spatial tokens' conv and linear map are one node together,
-    # and so are each stack of 1x1 convs and the fuse layer with the seam
-    # conv, so the only conv2d nodes left are the decoder's last two layers
+    # and so are the fuse layer with the seam conv and each conv2d stack:
+    # the front end's band squeeze, and the decoder's trunk with its 3x3
+    # abundance conv
     biases = {id(t) for name, t in params.named_parameters().items()
               if re.fullmatch(r".*_b\d*", name)}
     takers = [n for n in nodes if any(id(t) in biases for t in n.inputs)]
     taken = [id(t) for n in takers for t in n.inputs if id(t) in biases]
     assert sorted(taken) == sorted(biases)
-    assert {n.op for n in takers} == {"conv1x1_stack", "conv2d", "matmul",
-                                      "patch_linear", "patch_mean_linear",
-                                      "linear_untile"}
-    front, trunk = [n for n in nodes if n.op == "conv1x1_stack"]
-    assert ops.count("conv2d") == 2 and ops.index("conv2d") == len(ops) - 4
+    assert {n.op for n in takers} == {"conv2d", "matmul", "patch_linear",
+                                      "patch_mean_linear", "linear_untile"}
+    front, head, last = [n for n in nodes if n.op == "conv2d"]
+    assert last is nodes[-2]
     # the front end's stack reads the scene itself, so no standardised copy
     # and no inner map of the band squeeze is on the tape
     assert nodes[0] is front and front.inputs[0] is observed
     bands = observed.shape[0]
     inner = {(c, *observed.shape[1:]) for c in (-(-bands // 2), -(-bands // 4))}
     assert not inner & {n.output.shape for n in nodes}
-    # the decoder's trunk reads the refined map and hands the abundance conv
-    # its last layer's output
-    refined = nodes[nodes.index(trunk) - 1]
-    assert refined.op == "reshape" and trunk.inputs[0] is refined.output
-    assert nodes[nodes.index(trunk) + 1].inputs[0] is trunk.output
-    assert len(trunk.inputs) == 9 and len(front.inputs) == 7
+    # the decoder is two conv2d nodes: its head reads the refined map and
+    # hands the softmax the logits, and the endmember conv, with no bias,
+    # reads the abundances
+    refined = nodes[nodes.index(head) - 1]
+    assert refined.op == "reshape" and head.inputs[0] is refined.output
+    softmax = nodes[nodes.index(head) + 1]
+    assert softmax.op == "softmax" and softmax.inputs == (head.output,)
+    assert last.inputs == (softmax.output, params.decoder.endmember_w)
+    assert nodes.index(last) == nodes.index(softmax) + 1
+    assert len(head.inputs) == 11 and len(front.inputs) == 7
     # the seam conv runs inside the fuse node, whose output the graph reads
     (fuse,) = [n for n in nodes if n.op == "linear_untile"]
     seam = (params.attention.seam_w, params.attention.seam_b)
@@ -153,6 +157,14 @@ def test_training_step_tape_has_one_node_per_layer_and_for_the_loss():
     static_ops = [n.op for n in tape.nodes]
     assert "window_graph" not in static_ops and static_ops.count("propagate") == 1
     assert len(static_ops) == len(ops) - 1
+
+
+def test_default_desk_step_records_32_nodes():
+    params, observed, config = _step_inputs(30)
+    with Tape() as tape:
+        mdl.training_loss(params, observed, config)
+    ops = [n.op for n in tape.nodes]
+    assert len(ops) == 32 and ops.count("conv2d") == 3, ops
 
 
 def test_training_step_peak_stays_near_the_forward():
