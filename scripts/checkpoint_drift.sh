@@ -10,7 +10,9 @@
 # checkpoints' SHA-256 ("file"), and for the SHA-256 of the bytes after
 # their config blob, the parameter and moment arrays and the trailer
 # ("arrays"). A change to the stored config alone reads "file differs" and
-# "arrays same".
+# "arrays same". Last, each tree runs the ablation study (the three graph
+# modes at desk scale, one seed, 2 epochs), and the script prints "ablate
+# csv same" or "differs" for the bytes of the two CSVs.
 #
 #   scripts/checkpoint_drift.sh BASE_TREE [HEAD_TREE]    (HEAD_TREE: .)
 #
@@ -72,4 +74,17 @@ for case in "dynamic 16" "static 16" "none 16" "dynamic-k1 16 --k-steps 1" \
         fi
     done
 done
+for side in base head; do
+    if ! cagu "${!side}" ablate --seeds 1 --epochs 2 --out "$work/$side.csv" \
+            > "$work/ablate.log" 2>&1; then
+        cat "$work/ablate.log"
+        echo "$side failed" > "$work/$side.csv"
+    fi
+done
+if cmp -s "$work/base.csv" "$work/head.csv"; then
+    echo "ablate csv same $(sha256sum < "$work/head.csv" | cut -d' ' -f1)"
+else
+    echo "ablate csv differs base $(sha256sum < "$work/base.csv" | cut -d' ' -f1)" \
+        "head $(sha256sum < "$work/head.csv" | cut -d' ' -f1)"
+fi
 exit 0

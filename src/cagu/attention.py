@@ -125,8 +125,9 @@ def fuse_and_restore(params: AttentionParams, spe_seq: Tensor, spa_seq: Tensor,
     token, then projected to one fused block per patch, scattered back onto
     the pixel grid and smoothed across block seams by a 3x3 conv, all three
     one node, ``autodiff.linear_untile``, which raises ShapeError unless the
-    tokens tile the grid. Under ``Standardize`` it calibrates the fuse layer
-    only: the seam conv starts as the identity and is left so.
+    tokens tile the grid. Under ``Standardize`` the node calibrates the fuse
+    layer only: it skips the seam conv, which starts as the identity, and
+    never hands it to the calibration hook, so the seam is left as drawn.
     """
     if spe_seq.shape[0] != spa_seq.shape[0]:
         raise ShapeError(

@@ -44,6 +44,9 @@ linear layer whose rows are patch blocks put onto the grid,
 ``linear_untile``, with the "same" convolution after it if given one, and
 the unmixing loss (squared error plus spectral angle), which keeps six
 H x W arrays and recomputes r - y in backward, band block by band block.
+Each op hands every layer (weight, bias) it computes to one hook,
+``_activate``, which applies the LeakyReLU and, under ``Standardize``,
+first calibrates the layer if it has a bias.
 
 Beside those nine fused nodes the module has add, softmax, concat, narrow
 and reshape: fourteen ops, the ones a training step records. The composed
@@ -201,23 +204,20 @@ class Tape:
 
 class Standardize:
     """LSUV scale calibration (Mishkin & Matas, "All you need is a good
-    init", 2015) of the listed (weight, bias) layers, op by op.
+    init", 2015) of every biased layer that an op computes while it is active.
 
-    While active, an op that declares a listed bias as its own rescales that
-    layer in place, exactly since it is linear in (weight, bias), so its
-    response has zero mean and unit std per unit, and returns the
-    standardised response; an op that only reads it leaves it alone. Units
-    lie on the first axis of a conv response and the last of a matmul's. A
-    unit whose std is below ``DEAD_UNIT_STD`` is dead: it is recentred, not
-    rescaled.
+    An op that computes a layer (weight, bias) hands its response to
+    ``apply``, which rescales that layer in place, exactly since it is linear
+    in (weight, bias), so its response has zero mean and unit std per unit,
+    and returns the standardised response; an op that only reads a bias
+    leaves it alone. Units lie on the first axis of a conv response and the
+    last of a matmul's. A unit whose std is below ``DEAD_UNIT_STD`` is dead:
+    it is recentred, not rescaled.
     It and ``Tape`` refuse to open inside each other, so calibration never
     touches a training step.
     """
 
     _active: Optional["Standardize"] = None
-
-    def __init__(self, layers: Sequence[tuple]):
-        self.layers = {id(b): (w, b) for w, b in layers}
 
     def __enter__(self) -> "Standardize":
         if Standardize._active is not None:
@@ -231,11 +231,8 @@ class Standardize:
         Standardize._active = None
         return False
 
-    def apply(self, bias: Tensor, out: np.ndarray) -> np.ndarray:
-        """Standardise ``out``, the response of ``bias``'s layer, if listed."""
-        if id(bias) not in self.layers:
-            return out
-        w, b = self.layers[id(bias)]
+    def apply(self, w: Tensor, b: Tensor, out: np.ndarray) -> np.ndarray:
+        """Standardise ``out``, the response of the layer (``w``, ``b``)."""
         unit = 0 if w.ndim == 4 else out.ndim - 1
         axes = tuple(i for i in range(out.ndim) if i != unit)
         mu = out.mean(axis=axes, keepdims=True)
@@ -269,33 +266,26 @@ def _accumulate(t: Tensor, g: np.ndarray, fresh: bool = False):
 
 
 def _record(op: str, inputs: Sequence[Tensor], out_data: np.ndarray,
-            backward_fn: Callable[[np.ndarray], None],
-            bias: Optional[Tensor] = None, leaky: bool = False) -> Tensor:
-    """Wrap a forward result, recording a node when gradients are wanted (or
-    standardising it, under ``Standardize``, if the op declares a bias).
-    ``leaky`` then applies the LeakyReLU in place on the op's own output, so
-    calibration sees the pre-activation and no node keeps it; backward first
-    takes the gradient back through the activation."""
-    out_data = _activate(out_data, bias, leaky)
+            backward_fn: Callable[[np.ndarray], None]) -> Tensor:
+    """Wrap a forward result, recording a node when gradients are wanted."""
     tape = Tape._active
     wants_grad = tape is not None and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=wants_grad)
     if wants_grad:
-        if leaky:
-            layer_bwd = backward_fn
-
-            def backward_fn(g):
-                layer_bwd(_leaky_grad(g, out_data))
         tape.record(op, inputs, out, backward_fn)
     return out
 
 
-def _activate(out: np.ndarray, bias: Optional[Tensor], leaky: bool) -> np.ndarray:
-    """A layer's response ``out``, standardised in place under ``Standardize``
-    when ``bias`` is a listed layer's, then through the LeakyReLU in place
-    when ``leaky``."""
-    if Standardize._active is not None and bias is not None:
-        out = Standardize._active.apply(bias, out)
+def _activate(out: np.ndarray, w: Tensor, b: Optional[Tensor],
+              leaky: bool = False) -> np.ndarray:
+    """The response ``out`` of the layer (``w``, ``b``) that an op computes:
+    under ``Standardize`` the layer, if it has a bias, is calibrated and
+    ``out`` standardised in place, then ``out`` goes through the LeakyReLU
+    in place when ``leaky``. So calibration sees the pre-activation and no
+    node keeps it; the op's backward first takes the gradient back through
+    the activation, ``_leaky_grad``."""
+    if Standardize._active is not None and b is not None:
+        out = Standardize._active.apply(w, b, out)
     if leaky:
         np.maximum(out, LEAKY_SLOPE * out, out=out)
     return out
@@ -374,7 +364,8 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None,
            leaky: bool = False) -> Tensor:
     """a @ b, plus ``bias`` on every row when given, then a LeakyReLU when
     ``leaky``: a layer as one node, which keeps no product without the bias
-    and no pre-activation."""
+    and no pre-activation. Under ``Standardize`` a biased layer (b, bias) is
+    calibrated, units last."""
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -384,15 +375,18 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None,
     out = a.data @ b.data
     if bias is not None:
         out += bias.data
+    out = _activate(out, b, bias, leaky)
+    activated = out if leaky else None  # only the LeakyReLU's gradient reads it
 
     def bwd(g):
+        if activated is not None:
+            g = _leaky_grad(g, activated)
         _accumulate(a, g @ b.data.T, fresh=True)
         _accumulate(b, a.data.T @ g, fresh=True)
         if bias is not None:
             _accumulate(bias, _unbroadcast(g, bias.shape), fresh=True)
 
-    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd,
-                   bias, leaky)
+    return _record("matmul", (a, b) if bias is None else (a, b, bias), out, bwd)
 
 
 def reshape(x: Tensor, shape) -> Tensor:
@@ -701,7 +695,7 @@ def conv2d(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
     them from the input with the same numpy calls, frees each once read,
     and pads each layer's input again. So a stack's values and gradients
     are a chain of one-layer nodes' bit for bit. Under ``Standardize`` each
-    listed layer is calibrated in order, as its own node would be.
+    biased layer is calibrated in order, as its own node would be.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv2d expects C x H x W input, got {x.shape}")
@@ -722,7 +716,7 @@ def conv2d(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
         h = x.data if standardize is None else (x.data - standardize[0]) * standardize[1]
         yield h
         for (w, b), act in zip(layers, leaky):
-            h = _activate(_conv(h, w.data, None if b is None else b.data), b, act)
+            h = _activate(_conv(h, w.data, None if b is None else b.data), w, b, act)
             yield h
 
     for out in maps():
@@ -794,9 +788,7 @@ def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
     def untiled():
         blocks = x.data @ w.data
         blocks += b.data
-        if Standardize._active is not None:
-            Standardize._active.apply(b, blocks)
-        return _from_blocks(blocks, c, m, height, width)
+        return _from_blocks(_activate(blocks, w, b), c, m, height, width)
 
     skip = (conv_w is None or Standardize._active is not None
             and not np.any(conv_b.data) and _is_identity(conv_w.data))
@@ -842,8 +834,8 @@ def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     pixel-major arrays (m x m x units x D). The node keeps W and the weights'
     tap and pixel-major copies, and no tiles: backward tiles the map again,
     and puts the tiles' gradient onto the grid. Under ``Standardize`` the
-    conv's response over every patch pixel calibrates ``conv_b``'s layer
-    first; the op declares ``fc_b``."""
+    conv's response over every patch pixel calibrates the conv first, then
+    the tokens the linear layer."""
     # a wrong rank gives shapes that cannot match
     c, height, width = x.shape if x.ndim == 3 else (0, 0, 0)
     o, c_in, k, k2 = conv_w.shape if conv_w.ndim == 4 else (0, 0, 0, -1)
@@ -860,7 +852,7 @@ def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
         response[...] = conv_b.data[:, None]
         for i, j, src, dst in taps:  # one buffer for every tap's product
             response[dst] += np.matmul(cw[i, j], xt[src], out=part[dst])
-        Standardize._active.apply(conv_b, response.transpose(2, 0, 1, 3))
+        _activate(response.transpose(2, 0, 1, 3), conv_w, conv_b)
     f = np.ascontiguousarray(fc_w.data.reshape(o, m, m, -1).transpose(1, 2, 0, 3))
     cw, w = conv_w.data.transpose(2, 3, 1, 0).copy(), np.zeros((m, m, c, f.shape[3]))
     for i, j, src, dst in taps:
@@ -868,6 +860,7 @@ def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     w = w.transpose(2, 0, 1, 3).reshape(c * m * m, -1)
     out = tiles.reshape(n, -1) @ w + fc_b.data
     out += conv_b.data @ f.sum(axis=(0, 1))
+    out = _activate(out, fc_w, fc_b)
 
     def bwd(g):
         xf = _to_blocks(x.data, m).reshape(n, -1)  # the tiles again
@@ -884,7 +877,7 @@ def patch_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
         _accumulate(fc_w, gf.transpose(2, 0, 1, 3).reshape(fc_w.shape), fresh=True)
         _accumulate(fc_b, gb, fresh=True)
 
-    return _record("patch_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd, fc_b)
+    return _record("patch_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd)
 
 
 def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
@@ -900,7 +893,7 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     calls in the same order, so values and gradients are those ops' bit for
     bit; the map's gradient is cropped from the padded grid's. Under
     ``Standardize`` the conv's response over every pixel of the padded grid
-    calibrates ``conv_b``'s layer first; the op declares ``fc_b``."""
+    calibrates the conv first, then the tokens the linear layer."""
     c, h, w = x.shape if x.ndim == 3 else (0, 0, 0)
     o = conv_w.shape[0] if conv_w.ndim == 4 else 0
     if (conv_w.shape != (o, c, 1, 1) or conv_b.shape != (o,) or m < 1
@@ -915,11 +908,12 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
     def padded():  # the map on the patch grid, a view when it is whole
         return np.pad(x.data, padding) if gh * m - h or gw * m - w else x.data
 
-    response = _activate(_conv(padded(), conv_w.data, conv_b.data), conv_b, False)
+    response = _activate(_conv(padded(), conv_w.data, conv_b.data), conv_w, conv_b)
     means = np.sum(response.reshape(o, gh, m, gw, m), axis=(2, 4)) * c_m2
     rows = means.reshape(o, gh * gw).T.copy()  # n x O
     out = rows @ fc_w.data
     out += fc_b.data
+    out = _activate(out, fc_w, fc_b)
 
     def bwd(g):
         # the linear map, the rows' transpose, the mean: one value per patch
@@ -933,8 +927,7 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
         del g_resp
         _accumulate(x, np.ascontiguousarray(gx[:, :h, :w]), fresh=True)
 
-    return _record("patch_mean_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd,
-                   fc_b)
+    return _record("patch_mean_linear", (x, conv_w, conv_b, fc_w, fc_b), out, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -328,8 +328,13 @@ def read_container(path) -> HsiCube:
         reader = ByteReader(fh.read(), "container", CONTAINER_MAGIC)
     reader.version(CONTAINER_VERSION)
     flags, bands, height, width, p = reader.unpack("<5I", "header")
-    if flags & (_FLAG_ENDMEMBERS | _FLAG_ABUNDANCES) and p == 0:
+    truths = _FLAG_ENDMEMBERS | _FLAG_ABUNDANCES
+    if flags & ~truths:
+        raise FormatError(f"unknown container flag bits {flags & ~truths:#x}", 8)
+    if flags and p == 0:
         raise FormatError("ground-truth flag set but endmember count is 0", 8)
+    if not flags and p:
+        raise FormatError(f"endmember count {p} without ground truth", 24)
 
     def take(count, what):
         return reader.array("<f4", count, what).astype(np.float64)

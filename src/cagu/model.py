@@ -8,7 +8,6 @@ stage reads the channel count off the fused map itself."""
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, replace
 from typing import Dict, Optional
 
@@ -81,14 +80,7 @@ def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
 
 def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
     """One ``forward`` of the scene through the freshly drawn network, under
-    ``ad.Standardize`` over every biased layer (``*_b``/``*_bN`` with its
-    ``*_w``/``*_wN``)."""
-    named = params.named_parameters()
-    layers = []
-    for name, bias in named.items():
-        match = re.fullmatch(r"(.*)_b(\d*)", name)
-        if match:
-            layers.append((named[f"{match[1]}_w{match[2]}"], bias))
+    ``ad.Standardize``: each op calibrates the biased layers it computes."""
     # With the graph bypassed: the decoder is calibrated on the fused map,
     # and the graph stage is skipped for cost (the full pass took 82 ms
     # against 53 at 100x100, one thread, both with the seam conv skipped as
@@ -96,7 +88,7 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
     # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
     # which at desk init moves the map by 42% (relative L2) and its
     # per-channel std from 1.02 to 1.11.
-    with ad.Standardize(layers):
+    with ad.Standardize():
         forward(params, Tensor(cube.data), replace(config, ablation_mode="none"))
 
 

@@ -409,22 +409,24 @@ def evaluate_checkpoint(ckpt: Checkpoint, cube: HsiCube
 def make_desk_scene(snr_db: float, seed: int, scene: Optional[dict] = None
                     ) -> HsiCube:
     """Canonical pure-pixel synthetic scene used by the sweep harnesses."""
+    return generate_synthetic(_desk_spec(snr_db, seed, scene))
+
+
+def _desk_spec(snr_db: float, seed: int, scene: Optional[dict]) -> SynthSpec:
     merged = dict(DESK_SCENE)
     if scene:
         merged.update(scene)
-    return generate_synthetic(SynthSpec(snr_db=snr_db, seed=seed,
-                                        purity_pixels=True, **merged))
+    return SynthSpec(snr_db=snr_db, seed=seed, purity_pixels=True, **merged)
 
 
 def _sweep_job(args):
-    config, snr_db, seed, scene = args
-    run_config = replace(config, seed=seed, checkpoint_path=None)
-    cube = make_desk_scene(snr_db, seed, scene)
+    run_config, spec = args
+    cube = generate_synthetic(spec)
     result = train(run_config, cube)
     _, metrics = evaluate_checkpoint(result.checkpoint, cube)
     return {
-        "snr_db": snr_db,
-        "seed": seed,
+        "snr_db": spec.snr_db,
+        "seed": spec.seed,
         "beta": run_config.beta,
         "mode": run_config.ablation_mode,
         "mean_sad": metrics.mean_sad,
@@ -434,16 +436,18 @@ def _sweep_job(args):
     }
 
 
-def _seed_list(seeds: Sequence[int]) -> List[int]:
+def _run_sweep(cases, seeds: Sequence[int], scene: Optional[dict]) -> List[dict]:
+    """One row per (config, snr_db) case and seed, in that order. Every run's
+    config and scene are checked before the first run trains, so a bad
+    level raises ConfigError having trained nothing."""
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigError("a sweep needs at least one seed")
     if len(set(seeds)) != len(seeds):  # a repeat counts one run twice
         raise ConfigError(f"a sweep repeats a seed: {seeds}")
-    return seeds
-
-
-def _run_jobs(jobs):
+    jobs = [(replace(config, seed=seed, checkpoint_path=None).validate(),
+             _desk_spec(snr_db, seed, scene))
+            for config, snr_db in cases for seed in seeds]
     workers = worker_count()
     if workers == 1 or len(jobs) <= 1:
         return [_sweep_job(j) for j in jobs]
@@ -494,9 +498,8 @@ def run_snr_sweep(config: TrainConfig, snrs: Sequence[float],
         raise ConfigError(f"snr sweep repeats a noise level: {list(snrs)}")
     if len(snrs) < 2:
         raise ConfigError("snr sweep needs at least 2 noise levels")
-    seeds = _seed_list(seeds)
-    jobs = [(config, float(s), seed, scene) for s in snrs for seed in seeds]
-    rows = sorted(_run_jobs(jobs), key=lambda r: (r["snr_db"], r["seed"]))
+    rows = sorted(_run_sweep([(config, float(s)) for s in snrs], seeds, scene),
+                  key=lambda r: (r["snr_db"], r["seed"]))
     sad, rmse = _medians(rows, "snr_db"), _medians(rows, "snr_db", "rmse")
     aggregates = [{"snr_db": snr, "seed": "median", "beta": config.beta,
                    "mode": config.ablation_mode, "mean_sad": sad[snr],
@@ -523,11 +526,9 @@ def run_ablation(config: TrainConfig, seeds: Sequence[int] = (0,),
                  snr_db: float = 80.0, scene: Optional[dict] = None
                  ) -> SweepReport:
     """Train the three graph cases side by side with shared seeds/config."""
-    seeds = _seed_list(seeds)
-    jobs = [(replace(config, ablation_mode=mode), snr_db, seed, scene)
-            for mode in ABLATION_CASES for seed in seeds]
+    cases = [(replace(config, ablation_mode=mode), snr_db) for mode in ABLATION_CASES]
     rows = [dict(row, case=ABLATION_CASES[row["mode"]])
-            for row in _run_jobs(jobs)]
+            for row in _run_sweep(cases, seeds, scene)]
     medians = _medians(rows, "case")
     ordered = medians["dynamic"] <= medians["static_grid"] <= medians["no_graph"]
     notes = [
@@ -548,10 +549,9 @@ def run_beta_sweep(config: TrainConfig, betas: Sequence[float],
         raise ConfigError(f"beta sweep repeats a value: {list(betas)}")
     if not betas:
         raise ConfigError("beta sweep needs at least one value")
-    seeds = _seed_list(seeds)
-    jobs = [(replace(config, beta=float(b)), snr_db, seed, scene)
-            for b in betas for seed in seeds]
-    rows = sorted(_run_jobs(jobs), key=lambda r: (r["beta"], r["seed"]))
+    cases = [(replace(config, beta=float(b)), snr_db) for b in betas]
+    rows = sorted(_run_sweep(cases, seeds, scene),
+                  key=lambda r: (r["beta"], r["seed"]))
     by_beta = _medians(rows, "beta")
     best_beta = min(by_beta, key=by_beta.get)
     interior = min(by_beta) < best_beta < max(by_beta)

@@ -187,6 +187,28 @@ def test_header_extent_overflow_is_truncation_error(tmp_path):
         read_container(path)
 
 
+@pytest.mark.parametrize("flags, p, offset, message", [
+    (7, 3, 8, "unknown container flag bits 0x4"),
+    (2**31 | 3, 3, 8, "unknown container flag bits 0x80000000"),
+    (3, 0, 8, "ground-truth flag set but endmember count is 0"),
+    (0, 5, 24, "endmember count 5 without ground truth")])
+def test_header_defect_reports_its_field_offset(tmp_path, flags, p, offset,
+                                                message):
+    import struct
+    cube = generate_synthetic(small_spec(height=3, width=4, bands=6))
+    if not flags:
+        cube = HsiCube(cube.data)
+    path = tmp_path / "scene.hsic"
+    write_container(cube, path)
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, 8, flags)
+    struct.pack_into("<I", blob, 24, p)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^{message} \\(byte offset") as info:
+        read_container(path)
+    assert info.value.offset == offset
+
+
 @pytest.fixture(scope="module")
 def container_blob(tmp_path_factory):
     """A small container with both ground truths."""

@@ -154,3 +154,39 @@ def test_calibration_that_skips_the_identity_seam_conv_matches_one_that_runs_it(
         results.append({name: t.data.tobytes()
                         for name, t in params.named_parameters().items()})
     assert results[0] == results[1]
+
+
+def test_calibration_reaches_every_biased_layer_but_the_seam_once_in_order(
+        monkeypatch):
+    # each op calibrates the biased layers it computes: every *_w / *_b
+    # (*_wN / *_bN) pair once, in forward order, but the seam conv, which
+    # starts as the identity; the layers with no bias are left as drawn
+    config = TrainConfig()
+    cube = make_desk_scene(60.0, 0, dict(height=30, width=30, bands=60,
+                                         endmembers=3))
+    names, drawn, after, calls = {}, {}, {}, []
+    real_apply, real_calibrate = ad.Standardize.apply, mdl._calibrate_scales
+
+    def recording_apply(self, w, b, out):
+        calls.append((names[id(w)], names[id(b)]))
+        return real_apply(self, w, b, out)
+
+    def recording_calibrate(params, cube, config):
+        named = params.named_parameters()
+        names.update({id(t): name for name, t in named.items()})
+        drawn.update({name: t.data.tobytes() for name, t in named.items()})
+        real_calibrate(params, cube, config)
+        after.update({name: t.data.tobytes() for name, t in named.items()})
+
+    monkeypatch.setattr(ad.Standardize, "apply", recording_apply)
+    monkeypatch.setattr(mdl, "_calibrate_scales", recording_calibrate)
+    initialize_from_scene(cube, config)
+    layers = [(f"{m[1]}_w{m[2]}", name) for name in drawn
+              if (m := re.fullmatch(r"(.*)_b(\d*)", name))]
+    assert ("attention.seam_w", "attention.seam_b") in layers
+    assert calls == [layer for layer in layers if layer[1] != "attention.seam_b"]
+    calibrated = {name for layer in calls for name in layer}
+    unchanged = {name for name in drawn if drawn[name] == after[name]}
+    assert unchanged == set(drawn) - calibrated
+    assert {"decoder.endmember_w", "attention.spe_wq", "attention.spa_wv",
+            "attention.seam_w", "attention.seam_b"} <= unchanged

@@ -690,6 +690,31 @@ def test_cli_sweeps_without_seeds_exit_2(command, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_sweeps_refuse_a_bad_level_before_training_anything(monkeypatch):
+    # every run's config and scene are built first: a negative beta, last
+    # in the list, or an SNR above 80 dB is refused with nothing trained
+    monkeypatch.setattr(importlib.import_module("cagu.train"), "train",
+                        lambda *a, **k: pytest.fail("trained"))
+    config = tiny_config(epochs=1)
+    for run, match in (
+            (lambda: run_beta_sweep(config, [0.0, 0.2, -1.0], seeds=[0]), "beta"),
+            (lambda: run_snr_sweep(config, [20.0, 90.0], [0]), "snr_db"),
+            (lambda: run_ablation(config, seeds=[0], snr_db=90.0), "snr_db")):
+        with pytest.raises(ConfigError, match=match):
+            run()
+
+
+def test_cli_sweep_with_a_bad_level_exits_2_and_writes_nothing(monkeypatch,
+                                                               tmp_path, capsys):
+    monkeypatch.setattr(importlib.import_module("cagu.train"), "train",
+                        lambda *a, **k: pytest.fail("trained"))
+    out = tmp_path / "beta.csv"
+    assert main(["sweep-beta", "--betas", "0,-1", "--seeds", "1", "--epochs", "1",
+                 "--out", str(out)]) == 2
+    assert "beta" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_worker_env_parallel_sweep_matches_serial(monkeypatch):
     config = tiny_config(epochs=2)
     serial = run_snr_sweep(config, [20.0, 60.0], [0], scene=REDUCED)
