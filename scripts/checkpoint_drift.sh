@@ -12,7 +12,10 @@
 # ("arrays"). A change to the stored config alone reads "file differs" and
 # "arrays same". Last, each tree runs the ablation study (the three graph
 # modes at desk scale, one seed, 2 epochs), and the script prints "ablate
-# csv same" or "differs" for the bytes of the two CSVs.
+# csv same" or "differs" for the bytes of the two CSVs. And each tree runs
+# "cagu export" on the base tree's "dynamic 16" checkpoint and the 16x16
+# scene, and the script prints "export same" or "differs" for a SHA-256 of
+# every file written (the abundance PGMs and metrics.csv), in name order.
 #
 #   scripts/checkpoint_drift.sh BASE_TREE [HEAD_TREE]    (HEAD_TREE: .)
 #
@@ -63,6 +66,8 @@ for case in "dynamic 16" "static 16" "none 16" "dynamic-k1 16 --k-steps 1" \
             for part in file arrays; do
                 echo "$side failed" > "$work/$side.$part"
             done
+        elif [ "$label $side" = "dynamic base" ]; then
+            cp "$work/run.ckpt" "$work/export.ckpt"
         fi
     done
     for part in file arrays; do
@@ -86,5 +91,24 @@ if cmp -s "$work/base.csv" "$work/head.csv"; then
 else
     echo "ablate csv differs base $(sha256sum < "$work/base.csv" | cut -d' ' -f1)" \
         "head $(sha256sum < "$work/head.csv" | cut -d' ' -f1)"
+fi
+for side in base head; do
+    rm -rf "$work/maps"
+    # each file's SHA-256 and name, in name order, hashed as one listing
+    if cagu "${!side}" export --checkpoint "$work/export.ckpt" \
+            --data "$work/scene16.hsic" --out-dir "$work/maps" \
+            > "$work/export.log" 2>&1; then
+        (cd "$work/maps" && LC_ALL=C sha256sum $(LC_ALL=C ls)) \
+            | sha256sum | cut -d' ' -f1 > "$work/$side.export"
+    else
+        cat "$work/export.log"
+        echo "$side failed" > "$work/$side.export"
+    fi
+done
+if cmp -s "$work/base.export" "$work/head.export"; then
+    echo "export same $(cat "$work/head.export")"
+else
+    echo "export differs base $(cat "$work/base.export")" \
+        "head $(cat "$work/head.export")"
 fi
 exit 0

@@ -653,16 +653,21 @@ def _conv(x: np.ndarray, w: np.ndarray, b: Optional[np.ndarray]) -> np.ndarray:
     return out.copy() if k > 1 else out
 
 
-def _conv_grad(x: np.ndarray, w: Tensor, bias: Optional[Tensor], g: np.ndarray,
+def _conv_grad(make_x: Callable[[], np.ndarray], w: Tensor,
+               bias: Optional[Tensor], g: np.ndarray,
                want_x: bool) -> Optional[np.ndarray]:
     """conv2d's backward arithmetic for output gradient g of the conv of x:
     accumulates the gradients of ``w`` and ``bias``, and returns x's, a
-    C_in x H x W view, when ``want_x``. x is padded here, not kept padded."""
+    C_in x H x W view, when ``want_x``. ``make_x()`` gives x, which is
+    padded here, not kept padded, and dropped once w's gradient is made: a
+    map that ``make_x`` builds dies before x's gradient is allocated (an
+    array argument would live on in the caller's frame through the call)."""
+    x = make_x()
     c_out, c_in, k, _ = w.shape
     flat = _Flat(x.shape[1], x.shape[2], k // 2)
     gf, xf = flat.pad(g), flat.pad(x)
     gw = np.stack([flat.at(gf) @ flat.at(xf, s).T for s in flat.window], axis=-1)
-    del xf
+    del xf, x
     _accumulate(w, gw.reshape(w.shape), fresh=True)
     if bias is not None:
         _accumulate(bias, g.reshape(c_out, -1).sum(axis=1), fresh=True)
@@ -729,7 +734,7 @@ def conv2d(x: Tensor, layers: Sequence[tuple], leaky: Sequence[bool],
             if leaky[i]:
                 g = _leaky_grad(g, hs[i + 1])
             hs[i + 1] = None
-            g = _conv_grad(hs[i], w, b, g, i > 0 or x.requires_grad)
+            g = _conv_grad(lambda: hs[i], w, b, g, i > 0 or x.requires_grad)
         if g is not None:
             _accumulate(x, g if standardize is None else g * standardize[1],
                         fresh=True)
@@ -796,7 +801,7 @@ def linear_untile(x: Tensor, w: Tensor, b: Tensor, m: int, height: int,
 
     def bwd(g):
         if conv_w is not None:
-            g = _conv_grad(untiled(), conv_w, conv_b, g, True)
+            g = _conv_grad(untiled, conv_w, conv_b, g, True)
         gb = _to_blocks(g, m).reshape(-1, cm2)
         # w's gradient, the largest array the step keeps to its end, is
         # made first and with the map's gradient gone, which leaves the
@@ -923,7 +928,7 @@ def patch_mean_linear(x: Tensor, conv_w: Tensor, conv_b: Tensor, fc_w: Tensor,
         g_resp = np.broadcast_to(np.expand_dims(g_means, (2, 4)),
                                  (o, gh, m, gw, m)).copy().reshape(o, gh * m, gw * m)
         # the 1x1 conv, on the padded map
-        gx = _conv_grad(padded(), conv_w, conv_b, g_resp, True)
+        gx = _conv_grad(padded, conv_w, conv_b, g_resp, True)
         del g_resp
         _accumulate(x, np.ascontiguousarray(gx[:, :h, :w]), fresh=True)
 

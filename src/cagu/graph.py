@@ -20,7 +20,6 @@ and every stage works on shifted slices.
 from __future__ import annotations
 
 import functools
-import hashlib
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -92,14 +91,6 @@ class ContentGraph:
         a, rows = np.diag(self.operator.data[0].ravel()), row * self.width + col
         a[rows, rows + shifts[offset]] = self.operator.data[1:][offset, row, col]
         return a
-
-    def fingerprint(self) -> str:
-        """Stable digest of structure and (rounded) normalized weights."""
-        digest = hashlib.sha256()
-        digest.update(np.int64([self.height, self.width, self.radius]).tobytes())
-        digest.update(np.round(self.operator.data[1:], 12).tobytes())
-        digest.update(np.round(self.operator.data[0], 12).tobytes())
-        return digest.hexdigest()[:16]
 
 
 def build_graph(features: Tensor, positions: np.ndarray, radius: int,

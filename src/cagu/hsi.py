@@ -9,10 +9,9 @@ The on-disk container stores float32 little-endian payloads behind a
 from __future__ import annotations
 
 import os
-import re
 import struct
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -359,41 +358,3 @@ def write_pgm(path, image: np.ndarray) -> None:
     with atomic_writer(path) as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(levels.astype(np.uint8).tobytes())
-
-
-_PGM_FIELD = re.compile(rb"(?:\s|#[^\r\n]*)+(\d{1,9})(?!\d)")  # separator, digits
-
-
-def read_pgm(path) -> np.ndarray:
-    """Read a binary PGM (P5), such as ``write_pgm`` writes, rescaled to [0, 1].
-
-    Width, height and maxval each follow whitespace or comments; exactly one
-    whitespace byte ends the header, so the first sample may be one too.
-    Samples are single bytes (maxval 1..255). Every defect raises
-    ``FormatError`` at the byte offset where it was found.
-    """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:2] != b"P5":
-        raise FormatError("not a binary PGM (magic P5)", 0)
-    fields, pos = [], 2
-    for name in ("width", "height", "maxval"):
-        field = _PGM_FIELD.match(blob, pos)
-        if field is None:
-            raise FormatError(f"PGM header has no valid {name}", pos)
-        fields.append(int(field[1]))
-        pos = field.end()
-    width, height, maxval = fields
-    if not 0 < maxval < 256:
-        raise FormatError(f"PGM maxval {maxval} is outside 1..255", field.start(1))
-    if not blob[pos:pos + 1].isspace():
-        raise FormatError("PGM header must end in one whitespace byte", pos)
-    pos, size = pos + 1, width * height
-    if len(blob) - pos != size:
-        raise FormatError(f"PGM raster needs {size} bytes, file holds "
-                          f"{len(blob) - pos}", min(len(blob), pos + size))
-    pixels = np.frombuffer(blob, np.uint8, size, pos)
-    if np.any(pixels > maxval):
-        raise FormatError(f"PGM sample above maxval {maxval}",
-                          pos + int(np.argmax(pixels > maxval)))
-    return pixels.reshape(height, width).astype(np.float64) / maxval

@@ -288,7 +288,6 @@ class TrainResult:
     checkpoint: Checkpoint
     losses: List[float]
     invariants: InvariantLog
-    graph_fingerprint: Optional[str]
 
 
 # config fields a resumed run may change: the run's length and its file
@@ -343,7 +342,6 @@ def train(config: TrainConfig, cube: HsiCube,
 
     losses: List[float] = []
     invariants = InvariantLog()
-    fingerprint = None
     for epoch in range(start_epoch, config.epochs):
         optimizer.zero_grad()
         with Tape() as tape:
@@ -354,9 +352,6 @@ def train(config: TrainConfig, cube: HsiCube,
             raise NonFiniteLossError(
                 f"epoch {epoch + 1}: non-finite loss; first non-finite tensor "
                 f"from {culprit}")
-        if fingerprint is None:
-            fingerprint = (outputs.graph.fingerprint()
-                           if outputs.graph is not None else "none")
         abund = outputs.abundances.data
         invariants.abundance_min.append(float(abund.min()))
         invariants.abundance_sum_dev.append(
@@ -387,7 +382,7 @@ def train(config: TrainConfig, cube: HsiCube,
     )
     if config.checkpoint_path:
         save_checkpoint(ckpt, config.checkpoint_path)
-    return TrainResult(ckpt, losses, invariants, fingerprint)
+    return TrainResult(ckpt, losses, invariants)
 
 
 def evaluate_checkpoint(ckpt: Checkpoint, cube: HsiCube
@@ -432,14 +427,14 @@ def _sweep_job(args):
         "mean_sad": metrics.mean_sad,
         "rmse": metrics.rmse,
         "final_loss": result.checkpoint.final_loss,
-        "fingerprint": result.graph_fingerprint,
     }
 
 
 def _run_sweep(cases, seeds: Sequence[int], scene: Optional[dict]) -> List[dict]:
     """One row per (config, snr_db) case and seed, in that order. Every run's
     config and scene are checked before the first run trains, so a bad
-    level raises ConfigError having trained nothing."""
+    level raises ConfigError having trained nothing. The runs share
+    min(``worker_count()``, runs) worker processes, or run serially."""
     seeds = [int(seed) for seed in seeds]
     if not seeds:
         raise ConfigError("a sweep needs at least one seed")
@@ -448,8 +443,8 @@ def _run_sweep(cases, seeds: Sequence[int], scene: Optional[dict]) -> List[dict]
     jobs = [(replace(config, seed=seed, checkpoint_path=None).validate(),
              _desk_spec(snr_db, seed, scene))
             for config, snr_db in cases for seed in seeds]
-    workers = worker_count()
-    if workers == 1 or len(jobs) <= 1:
+    workers = min(worker_count(), len(jobs))
+    if workers == 1:
         return [_sweep_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_job, jobs))

@@ -2075,6 +2075,35 @@ def test_tokenizer_nodes_keep_no_tiles_and_no_per_pixel_map():
         assert kept < x.data.nbytes / 8, kept
 
 
+def patch_mean_linear_backward_peak(side, c=32, m=4):
+    """Bytes a patch_mean_linear node over c channels of a side x side map
+    allocates in its backward at the most, above what was live at entry."""
+    args = [rand(shape, seed=96 + i) for i, shape in enumerate(
+        ((c, side, side), (c, c, 1, 1), (c,), (c, 16), (16,)))]
+    for t in args:
+        t.requires_grad = True
+    with Tape() as tape:
+        ad.patch_mean_linear(*args, m)
+    (node,) = tape.nodes
+    g = rand(node.output.shape, seed=101).data
+    tracemalloc.start()
+    try:
+        entry = tracemalloc.get_traced_memory()[0]
+        node.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak - entry
+
+
+def test_patch_mean_linear_backward_drops_the_padded_map_before_its_gradient():
+    # 30x30 pads to the 4 x 4 patch grid, 32x32, in backward as in forward;
+    # the padded copy dies once the kernel's gradient is made, before the
+    # map's gradient is, so the peak is that of a map already whole
+    padded, whole = (patch_mean_linear_backward_peak(side) for side in (30, 32))
+    assert padded < 1.1 * whole, (padded, whole)
+
+
 def test_window_graph_keeps_one_window_sized_array():
     h = w = 64
     x = rand((16, h * w), seed=89)

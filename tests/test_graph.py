@@ -193,7 +193,6 @@ def test_static_graph_independent_of_features():
     a = build_static_grid_graph(3, 4, 1)
     b = build_static_grid_graph.__wrapped__(3, 4, 1)  # a second real build
     assert a is not b
-    assert a.fingerprint() == b.fingerprint()
     np.testing.assert_array_equal(a.operator.data, b.operator.data)
     assert not a.operator.requires_grad
 

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from cagu.errors import ConfigError, FormatError, ShapeError
 from damage import damage
 from cagu.hsi import (HsiCube, SynthSpec, atomic_writer, empirical_snr_db,
-                      fold, generate_synthetic, read_container, read_pgm,
-                      unfold, write_container, write_pgm, write_text_atomic)
+                      fold, generate_synthetic, read_container, unfold,
+                      write_container, write_pgm, write_text_atomic)
 
 
 def small_spec(**overrides):
@@ -293,93 +293,29 @@ def test_fold_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # PGM
 
-def test_pgm_roundtrip_within_quantization(tmp_path):
-    img = np.random.default_rng(3).random((6, 9))
+def _pgm_maps():
+    """name: (map, its 8-bit levels in row-major order)."""
+    maps = {}
+    noise = np.random.default_rng(3).random((6, 9))  # not square: w, h order
+    maps["random"] = (noise, [round(v * 255) for v in noise.ravel().tolist()])
+    maps["half"] = (np.full((4, 4), 0.5), [128] * 16)
+    one_hot = np.zeros((3, 3))
+    one_hot[1, 1] = 1.0  # a pure pixel renders 255, every other pixel 0
+    maps["one_hot"] = (one_hot, [0] * 4 + [255] + [0] * 4)
+    for level in (9, 10, 11, 12, 13, 32):  # the first sample is a whitespace byte
+        levels = np.random.default_rng(level).integers(0, 256, (2, 3))
+        levels[0, 0] = level
+        maps[f"whitespace_first_{level}"] = (levels / 255.0, levels.ravel().tolist())
+    return maps
+
+
+PGM_MAPS = _pgm_maps()
+
+
+@pytest.mark.parametrize("name", PGM_MAPS)
+def test_pgm_file_is_the_header_then_the_rounded_levels(tmp_path, name):
+    image, levels = PGM_MAPS[name]
+    h, w = image.shape
     path = tmp_path / "map.pgm"
-    write_pgm(path, img)
-    back = read_pgm(path)
-    assert np.max(np.abs(back - img)) <= 1 / 255
-
-
-def test_pgm_constant_half_is_128(tmp_path):
-    path = tmp_path / "half.pgm"
-    write_pgm(path, np.full((4, 4), 0.5))
-    raw = path.read_bytes()
-    assert raw.endswith(bytes([128] * 16))
-
-
-def test_pgm_one_hot_maps(tmp_path):
-    # a pure pixel renders 255 in its own map and 0 in the others
-    maps = np.zeros((2, 3, 3))
-    maps[0, 1, 1] = 1.0
-    for k in range(2):
-        path = tmp_path / f"m{k}.pgm"
-        write_pgm(path, maps[k])
-        back = read_pgm(path)
-        assert back[1, 1] == (1.0 if k == 0 else 0.0)
-        assert back.sum() == (1.0 if k == 0 else 0.0)
-
-
-@pytest.mark.parametrize("level", [9, 10, 11, 12, 13, 32])
-def test_pgm_roundtrip_when_first_pixel_is_a_whitespace_byte(tmp_path, level):
-    img = np.random.default_rng(level).integers(0, 256, (2, 3)) / 255.0
-    img[0, 0] = level / 255.0
-    path = tmp_path / "map.pgm"
-    write_pgm(path, img)
-    np.testing.assert_array_equal(read_pgm(path), img)
-
-
-def test_pgm_reads_header_comments(tmp_path):
-    path = tmp_path / "commented.pgm"
-    path.write_bytes(b"P5 # made elsewhere\n2 1\n# depth\n100\n\x00\x64")
-    np.testing.assert_array_equal(read_pgm(path), [[0.0, 1.0]])
-
-
-PGM_DEFECTS = {  # name: (file contents, byte offset of the defect)
-    "empty": (b"", 0),
-    "other_format": (b"P6\n1 1\n255\n\x00", 0),
-    "magic_only": (b"P5", 2),
-    "no_header_end": (b"P5\n2 3\n255", 10),
-    "header_only": (b"P5\n2 3\n255\n", 11),
-    "non_numeric_width": (b"P5\nx 3\n255\n" + bytes(6), 2),
-    "junk_in_maxval": (b"P5\n2 3\n2x5\n" + bytes(6), 8),
-    "short_payload": (b"P5\n2 3\n255\n" + bytes(5), 16),
-    "trailing_byte": (b"P5\n2 3\n255\n" + bytes(7), 17),
-    "maxval_zero": (b"P5\n2 3\n0\n" + bytes(6), 7),
-    "maxval_beyond_8_bits": (b"P5\n2 3\n1000\n" + bytes(12), 7),
-    "sample_above_maxval": (b"P5\n2 1\n99\n\x00\x64", 11),
-    "absurd_width_digits": (b"P5\n1234567890 1\n255\n", 2),
-}
-
-
-@pytest.mark.parametrize("name", sorted(PGM_DEFECTS))
-def test_pgm_malformed_raises_format_error_with_offset(tmp_path, name):
-    blob, offset = PGM_DEFECTS[name]
-    path = tmp_path / "bad.pgm"
-    path.write_bytes(blob)
-    with pytest.raises(FormatError) as info:
-        read_pgm(path)
-    assert info.value.offset == offset
-
-
-@given(st.data())
-@settings(max_examples=200, deadline=None)
-def test_pgm_damaged_files_give_an_array_or_format_error(tmp_path_factory, data):
-    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    path = tmp_path_factory.mktemp("pgm") / "map.pgm"
-    write_pgm(path, rng.random((data.draw(st.integers(1, 4)),
-                                data.draw(st.integers(1, 4)))))
-    blob = bytearray(path.read_bytes())
-    if data.draw(st.booleans()):
-        blob = blob[:data.draw(st.integers(0, len(blob) - 1))]
-    for _ in range(data.draw(st.integers(0, 3))):
-        if blob:
-            blob[data.draw(st.integers(0, len(blob) - 1))] = data.draw(
-                st.integers(0, 255))
-    path.write_bytes(bytes(blob))
-    try:
-        out = read_pgm(path)
-    except FormatError:
-        return
-    assert isinstance(out, np.ndarray) and out.dtype == np.float64
-    assert np.all((out >= 0.0) & (out <= 1.0))
+    write_pgm(path, image)
+    assert path.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + bytes(levels)
