@@ -293,15 +293,39 @@ def test_fold_dimension_mismatch():
 # ---------------------------------------------------------------------------
 # PGM
 
+def _reference_levels(values):
+    """The writer's 8-bit levels, computed one Python float at a time."""
+    return [min(255, max(0, round(v * 255))) for v in values]
+
+
 def _pgm_maps():
     """name: (map, its 8-bit levels in row-major order)."""
     maps = {}
-    noise = np.random.default_rng(3).random((6, 9))  # not square: w, h order
-    maps["random"] = (noise, [round(v * 255) for v in noise.ravel().tolist()])
+
+    def noise(name, seed, shape):
+        image = np.random.default_rng(seed).random(shape)
+        maps[name] = (image, _reference_levels(image.ravel().tolist()))
+
+    noise("random", 3, (6, 9))  # not square: w, h order
+    noise("one_row", 5, (1, 7))
+    noise("one_column", 6, (7, 1))
+    noise("wide_300", 7, (2, 300))  # a three-digit width, then height
+    noise("tall_300", 8, (300, 2))
+    maps["single_pixel"] = (np.full((1, 1), 0.25), [64])
     maps["half"] = (np.full((4, 4), 0.5), [128] * 16)
     one_hot = np.zeros((3, 3))
     one_hot[1, 1] = 1.0  # a pure pixel renders 255, every other pixel 0
     maps["one_hot"] = (one_hot, [0] * 4 + [255] + [0] * 4)
+    maps["integer_map"] = (np.array([[0, 1], [1, 0]]), [0, 255, 255, 0])
+    ks = (0, 1, 127, 254, 255)  # each level's neighbours round onto it
+    maps["nearest_level"] = (
+        np.array([[(k + d) / 255 for d in (-0.4, 0.4)] for k in ks]),
+        [k for k in ks for _ in range(2)])
+    # values outside [0, 1] clip to the end levels
+    maps["below_zero"] = (np.array([[-1.0, -1e-12, -0.0]]), [0, 0, 0])
+    maps["above_one"] = (np.array([[1 + 1e-12, 1.5, 1e6]]), [255, 255, 255])
+    maps["far_out_of_range"] = (np.array([[-np.inf, -1e300], [1e300, np.inf]]),
+                                [0, 0, 255, 255])
     for level in (9, 10, 11, 12, 13, 32):  # the first sample is a whitespace byte
         levels = np.random.default_rng(level).integers(0, 256, (2, 3))
         levels[0, 0] = level
@@ -319,3 +343,23 @@ def test_pgm_file_is_the_header_then_the_rounded_levels(tmp_path, name):
     path = tmp_path / "map.pgm"
     write_pgm(path, image)
     assert path.read_bytes() == f"P5\n{w} {h}\n255\n".encode() + bytes(levels)
+
+
+@given(st.data())
+@settings(max_examples=100, deadline=None)
+def test_pgm_bytes_match_the_reference_for_any_map(tmp_path_factory, data):
+    h, w = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    values = data.draw(st.lists(st.floats(-0.5, 1.5), min_size=h * w,
+                                max_size=h * w))
+    path = tmp_path_factory.mktemp("pgm") / "map.pgm"
+    write_pgm(path, np.array(values).reshape(h, w))
+    assert path.read_bytes() == (f"P5\n{w} {h}\n255\n".encode()
+                                 + bytes(_reference_levels(values)))
+
+
+def test_pgm_replaces_a_longer_file_whole(tmp_path):
+    path = tmp_path / "map.pgm"
+    write_pgm(path, np.random.default_rng(4).random((6, 9)))
+    write_pgm(path, np.full((1, 1), 1.0))
+    assert path.read_bytes() == b"P5\n1 1\n255\n\xff"
+    assert [p.name for p in tmp_path.iterdir()] == ["map.pgm"]
