@@ -10,12 +10,15 @@
 # checkpoints' SHA-256 ("file"), and for the SHA-256 of the bytes after
 # their config blob, the parameter and moment arrays and the trailer
 # ("arrays"). A change to the stored config alone reads "file differs" and
-# "arrays same". Last, each tree runs the ablation study (the three graph
+# "arrays same". Then each tree runs the ablation study (the three graph
 # modes at desk scale, one seed, 2 epochs), and the script prints "ablate
 # csv same" or "differs" for the bytes of the two CSVs. And each tree runs
 # "cagu export" on the base tree's "dynamic 16" checkpoint and the 16x16
 # scene, and the script prints "export same" or "differs" for a SHA-256 of
 # every file written (the abundance PGMs and metrics.csv), in name order.
+# Last, each tree resumes its own copy of that checkpoint for 2 more epochs
+# with "cagu train --resume", and the script prints "resume same" or
+# "differs" for the SHA-256 of the two resumed checkpoints.
 #
 #   scripts/checkpoint_drift.sh BASE_TREE [HEAD_TREE]    (HEAD_TREE: .)
 #
@@ -110,5 +113,22 @@ if cmp -s "$work/base.export" "$work/head.export"; then
 else
     echo "export differs base $(cat "$work/base.export")" \
         "head $(cat "$work/head.export")"
+fi
+for side in base head; do
+    cp "$work/export.ckpt" "$work/resume.ckpt"
+    if cagu "${!side}" train --data "$work/scene16.hsic" --epochs 7 \
+            --ablation dynamic --seed 0 --checkpoint "$work/resume.ckpt" \
+            --resume > "$work/resume.log" 2>&1; then
+        sha256sum < "$work/resume.ckpt" | cut -d' ' -f1 > "$work/$side.resume"
+    else
+        cat "$work/resume.log"
+        echo "$side failed" > "$work/$side.resume"
+    fi
+done
+if cmp -s "$work/base.resume" "$work/head.resume"; then
+    echo "resume same $(cat "$work/head.resume")"
+else
+    echo "resume differs base $(cat "$work/base.resume")" \
+        "head $(cat "$work/head.resume")"
 fi
 exit 0

@@ -226,7 +226,18 @@ def fold(arr: np.ndarray, height: int, width: int) -> np.ndarray:
 def atomic_writer(path):
     """Binary handle on a temp file next to ``path``, which replaces ``path``
     only once the block has completed; if the block raises, the temp file
-    is removed and any earlier file at ``path`` is left as it was."""
+    is removed and any earlier file at ``path`` is left as it was.
+
+    Replacing a file costs far more than writing a new one on ext4 with its
+    default ``auto_da_alloc`` option, which forces a writeback of the new
+    file before ``os.replace`` renames it over an existing one. Measured on
+    one ext4 volume (2-core AMD EPYC), from the third replacement in a row
+    on: 0.10-0.37 s for a 7.78 MB checkpoint, 0.04-0.07 s for 0.5 MB and
+    0.20-0.34 s for 16 MB, against 1.2-2.5 ms for 7.78 MB to a fresh path.
+    That writeback is what keeps the replace whole through a crash, so it
+    stays: unlinking ``path`` first, renaming it aside or preallocating the
+    temp file would each give it up, and open a window in which ``path``
+    is missing or zero-filled."""
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

@@ -53,6 +53,28 @@ class ModelParams:
             rng, config.fused_channels, n_endmembers, bands)
         return cls(frontend, attention, graph_mix, decoder)
 
+    @classmethod
+    def template(cls, bands: int, n_endmembers: int, config: TrainConfig
+                 ) -> "ModelParams":
+        """``initialize``'s tree, with its names, shapes and config checks,
+        drawing nothing: every drawn tensor is zero. It is not random
+        because its caller overwrites every value (a checkpoint's arrays),
+        and a draw of the whole network would cost more than the copy."""
+        return cls.initialize(_ZeroDraw(), bands, n_endmembers, config)
+
+
+class _ZeroDraw:
+    """Stands in for the generator: the init helpers reach it only through
+    ``uniform`` and ``normal``, and here both return zeros of ``size``."""
+
+    @staticmethod
+    def uniform(low, high, size) -> np.ndarray:
+        return np.zeros(size)
+
+    @staticmethod
+    def normal(loc, scale, size) -> np.ndarray:
+        return np.zeros(size)
+
 
 def initialize_from_scene(cube: HsiCube, config: TrainConfig) -> ModelParams:
     """Seeded parameter init with the decoder's endmember kernel set from
@@ -82,11 +104,11 @@ def _calibrate_scales(params: ModelParams, cube: HsiCube, config: TrainConfig):
     """One ``forward`` of the scene through the freshly drawn network, under
     ``ad.Standardize``: each op calibrates the biased layers it computes."""
     # With the graph bypassed: the decoder is calibrated on the fused map,
-    # and the graph stage is skipped for cost (the full pass took 82 ms
-    # against 53 at 100x100, one thread, both with the seam conv skipped as
-    # the identity it starts as). That is not exact: propagate
-    # returns x + beta * sum_t alpha_t A^t (proj x) with a random proj,
-    # which at desk init moves the map by 42% (relative L2) and its
+    # and the graph stage is skipped for cost (the full pass takes 29-32 ms
+    # against 19-21 at 100x100 on one thread of an AMD EPYC, both with the
+    # seam conv skipped as the identity it starts as). That is not exact:
+    # propagate returns x + beta * sum_t alpha_t A^t (proj x) with a random
+    # proj, which at desk init moves the map by 42% (relative L2) and its
     # per-channel std from 1.02 to 1.11.
     with ad.Standardize():
         forward(params, Tensor(cube.data), replace(config, ablation_mode="none"))

@@ -126,15 +126,23 @@ class AdamW:
         return out
 
     def load_state(self, arrays: Dict[str, np.ndarray], step_count: int):
-        """Moments as ``state_arrays`` names them; ConfigError when one is
-        missing or shaped unlike its parameter."""
+        """Moments as ``state_arrays`` names them; ConfigError, before any
+        moment is replaced, when one is missing or shaped unlike its
+        parameter, or when ``arrays`` holds a key that names no moment of
+        the model (the first such key in sorted order)."""
         for name, p in self.params.items():
-            for state, key in ((self.m, f"m.{name}"), (self.v, f"v.{name}")):
+            for key in (f"m.{name}", f"v.{name}"):
                 stored = arrays.get(key)
                 if stored is None or stored.shape != p.data.shape:
                     raise ConfigError(f"checkpoint has no {key} shaped like "
                                       f"its parameter, {p.data.shape}")
-                state[name] = stored.copy()
+        unexpected = sorted(set(arrays) - set(self.state_arrays()))
+        if unexpected:
+            raise ConfigError(f"checkpoint has moment {unexpected[0]}, which "
+                              "the model does not have")
+        for name in self.params:
+            self.m[name] = arrays[f"m.{name}"].copy()
+            self.v[name] = arrays[f"v.{name}"].copy()
         self.step_count = step_count
 
 
@@ -244,7 +252,14 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def params_from_checkpoint(ckpt: Checkpoint, bands: int) -> mdl.ModelParams:
-    """Rebuild a ModelParams tree and overwrite it with checkpoint arrays."""
+    """The model of ``ckpt``, drawing no random numbers.
+
+    Every name and shape comes from ``ModelParams.template``, the
+    initializer's tree over a zero draw, so the initializer stays their
+    one owner. ConfigError when the names differ from the model's or an
+    array is shaped unlike its tensor. Each tensor gets its own copy of
+    its stored array, so training or writing into the model leaves
+    ``ckpt`` as it was."""
     cfg = ckpt.config
     p = cfg.n_endmembers
     if p is None:  # the endmember count is the kernel's second extent
@@ -254,8 +269,7 @@ def params_from_checkpoint(ckpt: Checkpoint, bands: int) -> mdl.ModelParams:
             raise ConfigError("checkpoint has no decoder.endmember_w kernel "
                               f"(bands, endmembers >= 2, 1, 1); found {shape}")
         p = shape[1]
-    rng = np.random.default_rng(cfg.seed)
-    params = mdl.ModelParams.initialize(rng, bands, p, cfg)
+    params = mdl.ModelParams.template(bands, p, cfg)
     named = params.named_parameters()
     if set(named) != set(ckpt.parameters):
         raise ConfigError("checkpoint parameter names do not match the model")
@@ -387,7 +401,9 @@ def train(config: TrainConfig, cube: HsiCube,
 
 def evaluate_checkpoint(ckpt: Checkpoint, cube: HsiCube
                         ) -> Tuple[mdl.ForwardOutputs, Optional[dec.UnmixResult]]:
-    """Forward pass with checkpointed weights; metrics when truth is known."""
+    """Forward pass with checkpointed weights; metrics when truth is known.
+    It reads no optimizer moments, so a checkpoint whose moments would not
+    resume (one missing, or one the model does not have) still evaluates."""
     params = params_from_checkpoint(ckpt, cube.bands)
     outputs = mdl.forward(params, Tensor(cube.data), ckpt.config)
     result = None

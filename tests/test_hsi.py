@@ -1,5 +1,6 @@
 """Scene generator, container format, and unfold/fold contracts."""
 
+import os
 import tracemalloc
 
 import numpy as np
@@ -148,6 +149,38 @@ def test_atomic_writes_create_and_replace(tmp_path):
     write_pgm(tmp_path / "map.pgm", np.full((2, 2), 0.5))
     assert path.read_text() == "c,d\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["map.pgm", "table.csv"]
+
+
+def test_atomic_write_replaces_the_old_file_in_one_rename(tmp_path,
+                                                          monkeypatch):
+    # the replace is the one step that changes path: until it, path holds
+    # the old file whole, never unlinked, renamed aside or truncated
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(b"old" * 1000)
+    inode = path.stat().st_ino
+    removed, replaced = [], []
+    real_replace = os.replace
+
+    def spy_replace(src, dst):
+        assert path.read_bytes() == b"old" * 1000
+        assert path.stat().st_ino == inode
+        replaced.append(dst)
+        real_replace(src, dst)
+
+    def spy_remove(real):
+        def remove(target, *args, **kwargs):
+            removed.append(os.fspath(target))
+            return real(target, *args, **kwargs)
+        return remove
+
+    monkeypatch.setattr(os, "replace", spy_replace)
+    for name in ("unlink", "remove"):
+        monkeypatch.setattr(os, name, spy_remove(getattr(os, name)))
+    with atomic_writer(path) as fh:
+        fh.write(b"new")
+    assert replaced == [path]
+    assert os.fspath(path) not in removed
+    assert path.read_bytes() == b"new"
 
 
 def test_container_without_ground_truth(tmp_path):

@@ -470,6 +470,48 @@ def test_cli_resume_from_a_nonfinite_checkpoint_exits_2(tmp_path, capsys):
     assert ckpt.read_bytes() == before
 
 
+@pytest.mark.parametrize("extra, first", [
+    (["m.bogus"], "m.bogus"), (["x.y"], "x.y"), (["x.y", "m.bogus"], "m.bogus")],
+    ids=["m.bogus", "x.y", "both"])
+def test_resume_refuses_a_moment_the_model_does_not_have(tiny_cube, tmp_path,
+                                                        extra, first):
+    path = tmp_path / "part.ckpt"
+    part = train(tiny_config(epochs=2), tiny_cube).checkpoint
+    moments = {**part.opt_moments, **{key: np.zeros(3) for key in extra}}
+    save_checkpoint(replace(part, opt_moments=moments), path)
+    with pytest.raises(ConfigError, match=f"moment {re.escape(first)},"):
+        train(tiny_config(epochs=4), tiny_cube, resume_from=str(path))
+    # refused before any moment is replaced
+    params, opt = make_optimizer()
+    stored = {f"{s}.{name}": np.full_like(t.data, 5.0)
+              for name, t in params.items() for s in "mv"}
+    with pytest.raises(ConfigError, match=re.escape(first)):
+        opt.load_state({**stored, **{key: np.zeros(3) for key in extra}}, 7)
+    assert opt.step_count == 0
+    for name, t in params.items():
+        np.testing.assert_array_equal(opt.m[name], np.zeros_like(t.data))
+        np.testing.assert_array_equal(opt.v[name], np.zeros_like(t.data))
+
+
+def test_cli_resume_with_a_moment_the_model_does_not_have_exits_2(tmp_path,
+                                                                  capsys):
+    scene, ckpt = tmp_path / "scene.hsic", tmp_path / "model.ckpt"
+    write_container(make_desk_scene(60.0, 0, TINY_SCENE), scene)
+    args = ["train", "--data", str(scene), "--checkpoint", str(ckpt),
+            "--patch-size", "2"]
+    assert main(args + ["--epochs", "2"]) == 0
+    part = load_checkpoint(ckpt)
+    save_checkpoint(replace(part, opt_moments={**part.opt_moments,
+                                               "m.bogus": np.zeros(3)}), ckpt)
+    before = ckpt.read_bytes()
+    assert main(args + ["--epochs", "4", "--resume"]) == 2
+    assert "m.bogus" in capsys.readouterr().err
+    assert ckpt.read_bytes() == before
+    # eval reads no moments, so it still scores the file
+    assert main(["eval", "--data", str(scene), "--checkpoint", str(ckpt),
+                 "--out-dir", str(tmp_path / "eval")]) == 0
+
+
 def make_optimizer():
     params = {"a.w": Tensor(np.ones(3), requires_grad=True),
               "b.w": Tensor(np.ones((2, 2)), requires_grad=True)}
@@ -606,6 +648,65 @@ def test_evaluate_checkpoint_returns_metrics(tiny_cube):
     assert metrics is not None
     assert 0.0 <= metrics.mean_sad <= np.pi
     assert metrics.rmse >= 0.0
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tiny_cube, tmp_path_factory):
+    """A 2-epoch checkpoint of the tiny scene, and its file."""
+    path = tmp_path_factory.mktemp("ckpt") / "part.ckpt"
+    train(tiny_config(epochs=2, checkpoint_path=str(path)), tiny_cube)
+    return load_checkpoint(path), path
+
+
+def test_rebuilding_from_a_checkpoint_draws_no_random_numbers(
+        tiny_cube, tiny_checkpoint, monkeypatch):
+    ckpt, path = tiny_checkpoint
+    evaluated = evaluate_checkpoint(ckpt, tiny_cube)[0].abundances.data
+    resumed = train(tiny_config(epochs=3), tiny_cube, resume_from=str(path))
+
+    def no_draw(*_args, **_kwargs):
+        raise AssertionError("a generator was made")
+
+    monkeypatch.setattr(np.random, "default_rng", no_draw)
+    outputs, _ = evaluate_checkpoint(ckpt, tiny_cube)
+    assert outputs.abundances.data.tobytes() == evaluated.tobytes()
+    again = train(tiny_config(epochs=3), tiny_cube, resume_from=str(path))
+    for name, array in resumed.checkpoint.parameters.items():
+        assert again.checkpoint.parameters[name].tobytes() == array.tobytes()
+
+
+def test_rebuilt_tensors_equal_their_stored_arrays_bit_for_bit(
+        tiny_cube, tiny_checkpoint):
+    ckpt, _ = tiny_checkpoint
+    named = params_from_checkpoint(ckpt, tiny_cube.bands).named_parameters()
+    assert set(named) == set(ckpt.parameters)
+    for name, tensor in named.items():
+        stored = ckpt.parameters[name]
+        assert tensor.data.dtype == stored.dtype
+        assert tensor.data.shape == stored.shape
+        assert tensor.data.tobytes() == stored.tobytes(), name
+
+
+def test_rebuilt_tensors_are_writeable_and_share_no_memory_with_the_checkpoint(
+        tiny_cube, tiny_checkpoint):
+    ckpt, _ = tiny_checkpoint
+    named = params_from_checkpoint(ckpt, tiny_cube.bands).named_parameters()
+    for name, tensor in named.items():
+        assert tensor.data.flags.writeable, name
+        for stored in ckpt.parameters.values():
+            assert not np.shares_memory(tensor.data, stored), name
+
+
+def test_writing_into_a_rebuilt_model_leaves_the_checkpoint_unchanged(
+        tiny_cube, tiny_checkpoint):
+    ckpt, _ = tiny_checkpoint
+    before = {name: array.tobytes() for name, array in ckpt.parameters.items()}
+    for _ in range(2):  # a second rebuild starts from the same arrays
+        named = params_from_checkpoint(ckpt, tiny_cube.bands).named_parameters()
+        for tensor in named.values():
+            tensor.data += 1.0
+    assert {name: array.tobytes()
+            for name, array in ckpt.parameters.items()} == before
 
 
 # ---------------------------------------------------------------------------
